@@ -16,7 +16,8 @@
 #      external-consistency / shared-state-race violation fails the run),
 #      plus a negative control that a seeded write-skew cycle fails the run
 #   6. UndefinedBehaviorSanitizer build + full test suite
-#   7. AddressSanitizer build + full test suite
+#   7. AddressSanitizer build + full test suite, on the same ucontext fibers
+#      as every other build (the simulator annotates each stack switch)
 #
 # Build trees (build/, build-ubsan/, build-asan/) are reused incrementally:
 # the first cold run compiles three trees (~20 min at -j1); warm runs finish
@@ -37,7 +38,7 @@ timeout 10 python3 scripts/locus_analyze
 FIXTURE_OUT="$(timeout 10 python3 scripts/locus_analyze scripts/lint_fixture 2>/dev/null)" \
   && { echo "locus_analyze failed to flag the seeded fixture violations" >&2; exit 1; }
 for rule in nondeterminism "hash-order iteration" "stat counter" "decision point" \
-    "formation bypass" "message type name" "non-exhaustive switch" \
+    "formation bypass" "non-exhaustive switch" \
     "hook coverage" "obligation pairing" "bare suppression"; do
   if ! grep -q "$rule" <<<"$FIXTURE_OUT"; then
     echo "locus_analyze no longer detects the seeded '$rule' violation" >&2

@@ -1,4 +1,4 @@
-// Seeded rule-6b violation for the lint self-test (never compiled): a switch
+// Seeded rule-6 violation for the lint self-test (never compiled): a switch
 // over EventTag hides behind a default label, so an enumerator added later
 // would be silently swallowed instead of failing the build. locus_analyze
 // must flag a 'non-exhaustive switch' finding.

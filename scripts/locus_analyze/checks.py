@@ -137,7 +137,6 @@ class Analyzer:
             self.check_stat_names(lexed, rel)
             self.check_decision_points(lexed, rel)
             self.check_formation_bypass(lexed, rel)
-            self.check_msgtype_registry(lexed, idx, rel)
             self.check_exhaustive_switches(lexed, rel)
             self.check_bare_suppressions(lexed, rel)
             self.check_obligations(lexed, idx, rel)
@@ -391,7 +390,7 @@ class Analyzer:
                         f"through the FormationQueue (form().Send / "
                         f"form().Call); suppress with '// form-ok'")
 
-    # -- rule 6a: MsgType name registry --------------------------------------
+    # -- rule 6: exhaustive EventTag/ProtocolStep switches -------------------
 
     def _case_labels(self, toks, start=0, end=None):
         """k-prefixed identifiers used as `case` labels in [start, end)."""
@@ -410,36 +409,6 @@ class Analyzer:
                 i = j
             i += 1
         return labels
-
-    def check_msgtype_registry(self, lexed, idx, rel):
-        enum = idx.enums.get("MsgType")
-        if enum is None:
-            return
-        directory = os.path.dirname(os.path.abspath(lexed.path))
-        cases = set()
-        registry_found = False
-        for sibling in sorted(os.listdir(directory)):
-            if not sibling.endswith((".h", ".cc", ".cpp")):
-                continue
-            sib = self.lexed(os.path.join(directory, sibling))
-            if not any(t.kind == IDENT and t.value == "MsgTypeName"
-                       for t in sib.tokens):
-                continue
-            registry_found = True
-            cases |= self._case_labels(sib.tokens)
-        if not registry_found:
-            self.report(rel, enum.line, "message type name",
-                        "enum MsgType has no MsgTypeName registry in its "
-                        "directory (Message::As diagnostics would print raw "
-                        "numbers)")
-            return
-        for name in enum.enumerators:
-            if name.startswith("k") and name not in cases:
-                self.report(rel, enum.line, "message type name",
-                            f"enumerator '{name}' has no case in MsgTypeName; "
-                            f"Message::As diagnostics would print it as '?'")
-
-    # -- rule 6b: exhaustive EventTag/ProtocolStep switches ------------------
 
     def _exhaustive_enum_values(self):
         source = os.path.join(self.root, EXHAUSTIVE_ENUM_SOURCE)

@@ -24,7 +24,6 @@ EXPECTED_CLASSES = (
     "stat counter",
     "decision point",
     "formation bypass",
-    "message type name",
     "non-exhaustive switch",
     "hook coverage",
     "obligation pairing",
@@ -46,7 +45,7 @@ def fail(msg):
 
 # Exact seeded-finding count; fixtures and analyzer live in this repo and
 # change together, so any drift is a deliberate edit or a regression.
-EXPECTED_FIXTURE_FINDINGS = 20
+EXPECTED_FIXTURE_FINDINGS = 19
 
 
 def main():

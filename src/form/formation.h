@@ -36,8 +36,8 @@
 
 namespace locus {
 
-// Wire type of the batch envelope. src/locus's MsgType enum reserves the
-// same value (kFormBatch); a static_assert in kernel.cc ties the two.
+// Wire type of the batch envelope. Every row of src/locus's message table
+// stays below it (static_assert in messages.h).
 inline constexpr int32_t kFormBatchMsgType = 64;
 // Wire overhead of the envelope beyond the sum of its items' sizes.
 inline constexpr int32_t kFormEnvelopeBytes = 32;
@@ -52,7 +52,7 @@ struct FormItem {
   bool is_reply = false;
 };
 
-// Payload of a kFormBatch envelope.
+// Payload of a kFormBatchMsgType envelope.
 struct FormBatch {
   std::vector<FormItem> items;
 };

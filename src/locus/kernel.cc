@@ -9,26 +9,6 @@
 
 namespace locus {
 
-// The formation layer (src/form) cannot include locus message definitions;
-// its envelope type constant mirrors the MsgType enumerator instead.
-static_assert(kFormBatch == kFormBatchMsgType,
-              "formation batch envelope wire type out of sync");
-
-namespace {
-
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-
-}  // namespace
-
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
@@ -36,7 +16,6 @@ Kernel::Kernel(System* system, SiteId site)
       locks_(&system->trace(), &system->stats(), system->net().SiteName(site)),
       txns_(&system->sim(), site),
       pool_(system->options().pool_pages) {
-  RegisterMessageNames();
   locks_.set_auditor(&system->observers());
   txns_.set_auditor(&system->observers());
   pool_.set_auditor(&system->observers());
@@ -123,14 +102,15 @@ int64_t Kernel::live_kernel_processes() const {
   return n;
 }
 
+template <MsgType kType>
 void Kernel::RegisterBlockingHandler(
-    int32_t type, std::function<void(SiteId, const Message&, Responder)> fn) {
-  net().RegisterHandler(site_, type, [this, fn](SiteId from, const Message& msg, Responder r) {
+    std::function<void(const RequestOf<kType>&, Responder)> fn) {
+  net().RegisterHandler(site_, kType, [this, fn](SiteId, const Message& msg, Responder r) {
     if (!alive_) {
       return;
     }
     SpawnKernelProcess("svc" + std::to_string(msg.type),
-                       [fn, from, msg, r] { fn(from, msg, r); });
+                       [fn, msg, r] { fn(RequestIn<kType>(msg), r); });
   });
 }
 
@@ -161,125 +141,124 @@ void Kernel::Start() {
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 
-  RegisterBlockingHandler(kOpenReq, [this](SiteId, const Message& m, Responder r) {
-    Err err = ServeOpen(m.As<OpenRequest>().file);
+  RegisterBlockingHandler<kOpenReq>([this](const OpenRequest& req, Responder r) {
+    Err err = ServeOpen(req.file);
     OpenReply reply{err, 0};
     if (err == Err::kOk) {
-      FileStore* store = StoreFor(m.As<OpenRequest>().file.volume);
-      reply.size = store->WorkingSize(m.As<OpenRequest>().file);
+      FileStore* store = StoreFor(req.file.volume);
+      reply.size = store->WorkingSize(req.file);
     }
-    r(MakeMsg(kOpenReq, reply));
+    r(MakeReply<kOpenReq>(reply));
   });
-  RegisterBlockingHandler(kReadReq, [this](SiteId, const Message& m, Responder r) {
-    ReadReply reply = ServeRead(m.As<ReadRequest>());
+  RegisterBlockingHandler<kReadReq>([this](const ReadRequest& req, Responder r) {
+    ReadReply reply = ServeRead(req);
     int32_t size = kControlMsgBytes + static_cast<int32_t>(reply.bytes.size());
-    r(MakeMsg(kReadReq, std::move(reply), size));
+    r(MakeReply<kReadReq>(std::move(reply), size));
   });
-  RegisterBlockingHandler(kWriteReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kWriteReq, ServeWrite(m.As<WriteRequest>())));
+  RegisterBlockingHandler<kWriteReq>([this](const WriteRequest& req, Responder r) {
+    r(MakeReply<kWriteReq>(ServeWrite(req)));
   });
-  RegisterBlockingHandler(kLockReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kLockReq>([this](const LockRequest& req, Responder r) {
     BurnCpu(kLockServiceInstructions);
-    ServeLock(m.As<LockRequest>(), [r](LockReply reply) { r(MakeMsg(kLockReq, reply)); });
+    ServeLock(req, [r](LockReply reply) { r(MakeReply<kLockReq>(reply)); });
   });
-  RegisterBlockingHandler(kUnlockReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kUnlockReq>([this](const UnlockRequest& req, Responder r) {
     BurnCpu(kLockServiceInstructions);
-    ServeUnlock(m.As<UnlockRequest>());
-    r(MakeMsg(kUnlockReq, Err::kOk));
+    ServeUnlock(req);
+    r(MakeReply<kUnlockReq>(Err::kOk));
   });
-  RegisterBlockingHandler(kCommitFileReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kCommitFileReq, ServeCommitFile(m.As<CommitFileRequest>())));
+  RegisterBlockingHandler<kCommitFileReq>([this](const CommitFileRequest& req, Responder r) {
+    r(MakeReply<kCommitFileReq>(ServeCommitFile(req)));
   });
-  RegisterBlockingHandler(kReleaseProcessReq, [this](SiteId, const Message& m, Responder r) {
-    ServeReleaseProcess(m.As<ReleaseProcessRequest>().pid);
-    r(MakeMsg(kReleaseProcessReq, Err::kOk));
-  });
-  RegisterBlockingHandler(kPrepareReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kPrepareReq, PrepareReply{ServePrepare(m.As<PrepareRequest>())}));
+  RegisterBlockingHandler<kReleaseProcessReq>(
+      [this](const ReleaseProcessRequest& req, Responder r) {
+        ServeReleaseProcess(req.pid);
+        r(MakeReply<kReleaseProcessReq>(Err::kOk));
+      });
+  RegisterBlockingHandler<kPrepareReq>([this](const PrepareRequest& req, Responder r) {
+    r(MakeReply<kPrepareReq>(PrepareReply{ServePrepare(req)}));
     MaybeCrashAt(ProtocolStep::kPrepareReplySent);
   });
-  RegisterBlockingHandler(kCommitTxnReq, [this](SiteId, const Message& m, Responder r) {
-    ServeCommitTxn(m.As<CommitTxnRequest>().txn);
-    r(MakeMsg(kCommitTxnReq, Err::kOk));
+  RegisterBlockingHandler<kCommitTxnReq>([this](const CommitTxnRequest& req, Responder r) {
+    ServeCommitTxn(req.txn);
+    r(MakeReply<kCommitTxnReq>(Err::kOk));
   });
-  RegisterBlockingHandler(kAbortTxnAtSiteReq, [this](SiteId, const Message& m, Responder r) {
-    ServeAbortTxnAtSite(m.As<AbortTxnAtSiteRequest>().txn);
-    if (r.valid()) {
-      r(MakeMsg(kAbortTxnAtSiteReq, Err::kOk));
-    }
-  });
-  RegisterBlockingHandler(kMemberJoinReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kAbortTxnAtSiteReq>(
+      [this](const AbortTxnAtSiteRequest& req, Responder r) {
+        ServeAbortTxnAtSite(req.txn);
+        if (r.valid()) {
+          r(MakeReply<kAbortTxnAtSiteReq>(Err::kOk));
+        }
+      });
+  RegisterBlockingHandler<kMemberJoinReq>([this](const MemberJoinRequest& req, Responder r) {
     BurnCpu(300);
-    r(MakeMsg(kMemberJoinReq, DoMemberJoin(m.As<MemberJoinRequest>())));
+    r(MakeReply<kMemberJoinReq>(DoMemberJoin(req)));
   });
-  RegisterBlockingHandler(kMergeFileListReq, [this](SiteId, const Message& m, Responder r) {
-    BurnCpu(300);
-    r(MakeMsg(kMergeFileListReq, DoMergeFileList(m.As<MergeFileListRequest>())));
-  });
-  RegisterBlockingHandler(kAbortTxnRouteReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kAbortTxnRouteReq, DoAbortRoute(m.As<AbortTxnRouteRequest>())));
-  });
-  RegisterBlockingHandler(kKillProcessReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<KillProcessRequest>();
+  RegisterBlockingHandler<kMergeFileListReq>(
+      [this](const MergeFileListRequest& req, Responder r) {
+        BurnCpu(300);
+        r(MakeReply<kMergeFileListReq>(DoMergeFileList(req)));
+      });
+  RegisterBlockingHandler<kAbortTxnRouteReq>(
+      [this](const AbortTxnRouteRequest& req, Responder r) {
+        r(MakeReply<kAbortTxnRouteReq>(DoAbortRoute(req)));
+      });
+  RegisterBlockingHandler<kKillProcessReq>([this](const KillProcessRequest& req, Responder r) {
     KillProcessForAbort(req.pid, req.txn);
     if (r.valid()) {
-      r(MakeMsg(kKillProcessReq, Err::kOk));
+      r(MakeReply<kKillProcessReq>(Err::kOk));
     }
   });
-  RegisterBlockingHandler(kReplicaPropagate, [this](SiteId, const Message& m, Responder) {
-    ServeReplicaPropagate(m.As<ReplicaPropagateMsg>());
-  });
-  RegisterBlockingHandler(kCreateFileReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<CreateFileRequest>();
+  RegisterBlockingHandler<kReplicaPropagate>(
+      [this](const ReplicaPropagateMsg& msg, Responder) { ServeReplicaPropagate(msg); });
+  RegisterBlockingHandler<kCreateFileReq>([this](const CreateFileRequest& req, Responder r) {
     FileStore* store =
         req.volume == kNoVolume ? StoreFor(volumes_[0]->id()) : StoreFor(req.volume);
     if (store == nullptr) {
-      r(MakeMsg(kCreateFileReq, CreateFileReply{Err::kNoEnt, {}}));
+      r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kNoEnt, {}}));
       return;
     }
-    r(MakeMsg(kCreateFileReq, CreateFileReply{Err::kOk, store->CreateFile()}));
+    r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kOk, store->CreateFile()}));
   });
-  RegisterBlockingHandler(kRemoveFileReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<RemoveFileRequest>();
+  RegisterBlockingHandler<kRemoveFileReq>([this](const RemoveFileRequest& req, Responder r) {
     FileStore* store = StoreFor(req.file.volume);
     if (store != nullptr && store->Exists(req.file)) {
       store->RemoveFile(req.file);
     }
     if (r.valid()) {
-      r(MakeMsg(kRemoveFileReq, Err::kOk));
+      r(MakeReply<kRemoveFileReq>(Err::kOk));
     }
   });
-  RegisterBlockingHandler(kTruncateReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<TruncateRequest>();
+  RegisterBlockingHandler<kTruncateReq>([this](const TruncateRequest& req, Responder r) {
     FileStore* store = StoreFor(req.file.volume);
     Err err = Err::kNoEnt;
     if (store != nullptr && store->Exists(req.file)) {
       err = store->Truncate(req.file, req.size) ? Err::kOk : Err::kBusy;
     }
-    r(MakeMsg(kTruncateReq, err));
+    r(MakeReply<kTruncateReq>(err));
   });
-  RegisterBlockingHandler(kReplicaVersionReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kReplicaVersionReq, recon_->ServeVersion(m.As<ReplicaVersionRequest>())));
-  });
-  RegisterBlockingHandler(kReplicaFetchReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<ReplicaFetchRequest>();
+  RegisterBlockingHandler<kReplicaVersionReq>(
+      [this](const ReplicaVersionRequest& req, Responder r) {
+        r(MakeReply<kReplicaVersionReq>(recon_->ServeVersion(req)));
+      });
+  RegisterBlockingHandler<kReplicaFetchReq>([this](const ReplicaFetchRequest& req, Responder r) {
     ReplicaFetchReply reply = recon_->ServeFetch(req);
     FileStore* store = StoreFor(req.file.volume);
     int32_t size = FetchWireBytes(
         reply, store != nullptr ? store->page_size() : volumes_[0]->page_size());
-    r(MakeMsg(kReplicaFetchReq, std::move(reply), size));
+    r(MakeReply<kReplicaFetchReq>(std::move(reply), size));
   });
   net().RegisterHandler(site_, kReleasePrimaryReq,
                         [this](SiteId, const Message& m, Responder) {
                           if (alive_) {
-                            MaybeReleasePrimary(m.As<ReleasePrimaryRequest>().file);
+                            MaybeReleasePrimary(RequestIn<kReleasePrimaryReq>(m).file);
                           }
                         });
   net().RegisterHandler(site_, kTxnStatusReq, [this](SiteId, const Message& m, Responder r) {
     if (!alive_ || !r.valid()) {
       return;
     }
-    const TxnId& txn = m.As<TxnStatusRequest>().txn;
+    const TxnId& txn = RequestIn<kTxnStatusReq>(m).txn;
     // Presumed abort unless the STABLE coordinator log says otherwise (the
     // volatile index may not be rebuilt yet right after a reboot) or the
     // transaction is still active here / migrated elsewhere.
@@ -296,12 +275,12 @@ void Kernel::Start() {
         (txns_.Find(txn) != nullptr || txn_forward_.count(txn) != 0)) {
       status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
     }
-    r(MakeMsg(kTxnStatusReq, TxnStatusReply{static_cast<int>(status)}));
+    r(MakeReply<kTxnStatusReq>(TxnStatusReply{static_cast<int>(status)}));
   });
   net().RegisterHandler(site_, kWaitEdgesReq,
                         [this](SiteId, const Message&, Responder r) {
                           if (alive_ && r.valid()) {
-                            r(MakeMsg(kWaitEdgesReq, WaitEdgesReply{LocalWaitEdges()}));
+                            r(MakeReply<kWaitEdgesReq>(WaitEdgesReply{LocalWaitEdges()}));
                           }
                         });
   net().OnTopologyChange(site_, [this] { HandleTopologyChange(); });
@@ -686,7 +665,7 @@ void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& inte
     }
     ReplicaPropagateMsg msg = base;
     msg.replica_file = r.file;
-    net().Send(site_, r.site, MakeMsg(kReplicaPropagate, std::move(msg), total_bytes));
+    net().Send(site_, r.site, MakeMsg<kReplicaPropagate>(std::move(msg), total_bytes));
   }
 }
 

@@ -172,9 +172,10 @@ class Kernel {
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
   void MaybeCrashAt(ProtocolStep step);
-  // Registers a handler that runs `fn` in a fresh kernel process.
-  void RegisterBlockingHandler(int32_t type,
-                               std::function<void(SiteId, const Message&, Responder)> fn);
+  // Registers the kType handler, which runs `fn` on the request in a fresh
+  // kernel process.
+  template <MsgType kType>
+  void RegisterBlockingHandler(std::function<void(const RequestOf<kType>&, Responder)> fn);
   // RPC helper: local calls short-circuit the network.
   bool IsLocal(SiteId s) const { return s == site_; }
 

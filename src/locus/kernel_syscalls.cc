@@ -9,19 +9,6 @@
 
 namespace locus {
 
-namespace {
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-}  // namespace
-
 LockOwner Kernel::OwnerOf(const OsProcess* p) const {
   if (p->txn.valid()) {
     return LockOwner{p->pid, p->txn};
@@ -77,12 +64,12 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
       replicas.push_back(Replica{s, store->CreateFile()});
     } else {
       RpcResult res =
-          net().Call(site_, s, MakeMsg(kCreateFileReq, CreateFileRequest{kNoVolume}));
-      if (!res.ok || res.reply.As<CreateFileReply>().err != Err::kOk) {
+          net().Call(site_, s, MakeMsg<kCreateFileReq>(CreateFileRequest{kNoVolume}));
+      if (!res.ok || ReplyIn<kCreateFileReq>(res.reply).err != Err::kOk) {
         // Keep whatever replicas we managed; a file needs at least one.
         continue;
       }
-      replicas.push_back(Replica{s, res.reply.As<CreateFileReply>().file});
+      replicas.push_back(Replica{s, ReplyIn<kCreateFileReq>(res.reply).file});
     }
   }
   if (replicas.empty()) {
@@ -94,7 +81,7 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
       if (IsLocal(r.site)) {
         StoreFor(r.file.volume)->RemoveFile(r.file);
       } else {
-        net().Send(site_, r.site, MakeMsg(kRemoveFileReq, RemoveFileRequest{r.file}));
+        net().Send(site_, r.site, MakeMsg<kRemoveFileReq>(RemoveFileRequest{r.file}));
       }
     }
     return Err::kExists;
@@ -133,7 +120,7 @@ Err Kernel::SysUnlink(OsProcess* p, const std::string& path) {
         store->RemoveFile(r.file);
       }
     } else {
-      net().Send(site_, r.site, MakeMsg(kRemoveFileReq, RemoveFileRequest{r.file}));
+      net().Send(site_, r.site, MakeMsg<kRemoveFileReq>(RemoveFileRequest{r.file}));
     }
   }
   return Err::kOk;
@@ -181,8 +168,8 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
     stats().Add("form.opens_deferred");
   } else {
     RpcResult res =
-        net().Call(site_, replica->site, MakeMsg(kOpenReq, OpenRequest{replica->file}));
-    err = res.ok ? res.reply.As<OpenReply>().err : Err::kUnreachable;
+        net().Call(site_, replica->site, MakeMsg<kOpenReq>(OpenRequest{replica->file}));
+    err = res.ok ? ReplyIn<kOpenReq>(res.reply).err : Err::kUnreachable;
   }
   if (err != Err::kOk) {
     if (flags.write) {
@@ -220,7 +207,7 @@ Err Kernel::SysClose(OsProcess* p, int fd) {
     if (IsLocal(ch->storage_site)) {
       ServeCommitFile(req);
     } else {
-      net().Call(site_, ch->storage_site, MakeMsg(kCommitFileReq, req));
+      net().Call(site_, ch->storage_site, MakeMsg<kCommitFileReq>(req));
     }
     p->nontxn_dirty.erase(ch->file);
   }
@@ -237,7 +224,7 @@ Err Kernel::SysClose(OsProcess* p, int fd) {
       p->deferred_release_hints.emplace_back(ch->storage_site, ch->file);
     } else {
       form().Send(ch->storage_site,
-                  MakeMsg(kReleasePrimaryReq, ReleasePrimaryRequest{ch->file}));
+                  MakeMsg<kReleasePrimaryReq>(ReleasePrimaryRequest{ch->file}));
     }
   }
   return Err::kOk;
@@ -301,18 +288,18 @@ Result<std::vector<uint8_t>> Kernel::SysRead(OsProcess* p, int fd, int64_t lengt
     // the same envelope as the read.
     ch->open_deferred = false;
     auto [open_res, read_res] = form().Call2(
-        ch->storage_site, MakeMsg(kOpenReq, OpenRequest{ch->file}), MakeMsg(kReadReq, req));
+        ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}), MakeMsg<kReadReq>(req));
     (void)open_res;  // The read's own result subsumes the existence probe.
     if (!read_res.ok) {
       return {Err::kUnreachable, {}};
     }
-    reply = read_res.reply.As<ReadReply>();
+    reply = ReplyIn<kReadReq>(read_res.reply);
   } else {
-    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg(kReadReq, req));
+    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kReadReq>(req));
     if (!res.ok) {
       return {Err::kUnreachable, {}};
     }
-    reply = res.reply.As<ReadReply>();
+    reply = ReplyIn<kReadReq>(res.reply);
   }
   if (reply.err != Err::kOk) {
     return {reply.err, {}};
@@ -363,19 +350,19 @@ Err Kernel::SysWrite(OsProcess* p, int fd, const std::vector<uint8_t>& bytes) {
       // rides the same envelope as the write.
       ch->open_deferred = false;
       auto [open_res, write_res] =
-          form().Call2(ch->storage_site, MakeMsg(kOpenReq, OpenRequest{ch->file}),
-                       MakeMsg(kWriteReq, req, size));
+          form().Call2(ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}),
+                       MakeMsg<kWriteReq>(req, size));
       (void)open_res;  // The write's own result subsumes the existence probe.
       if (!write_res.ok) {
         return Err::kUnreachable;
       }
-      reply = write_res.reply.As<WriteReply>();
+      reply = ReplyIn<kWriteReq>(write_res.reply);
     } else {
-      RpcResult res = net().Call(site_, ch->storage_site, MakeMsg(kWriteReq, req, size));
+      RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kWriteReq>(req, size));
       if (!res.ok) {
         return Err::kUnreachable;
       }
-      reply = res.reply.As<WriteReply>();
+      reply = ReplyIn<kWriteReq>(res.reply);
     }
   }
   if (reply.err != Err::kOk) {
@@ -417,11 +404,11 @@ Result<int64_t> Kernel::SysFileSize(OsProcess* p, int fd) {
     return {Err::kOk, store->WorkingSize(ch->file)};
   }
   RpcResult res =
-      net().Call(site_, ch->storage_site, MakeMsg(kOpenReq, OpenRequest{ch->file}));
+      net().Call(site_, ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}));
   if (!res.ok) {
     return {Err::kUnreachable, 0};
   }
-  const OpenReply& reply = res.reply.As<OpenReply>();
+  const OpenReply& reply = ReplyIn<kOpenReq>(res.reply);
   return {reply.err, reply.size};
 }
 
@@ -445,8 +432,8 @@ Err Kernel::SysTruncate(OsProcess* p, int fd, int64_t size) {
     return store->Truncate(ch->file, size) ? Err::kOk : Err::kBusy;
   }
   RpcResult res = net().Call(site_, ch->storage_site,
-                             MakeMsg(kTruncateReq, TruncateRequest{ch->file, size}));
-  return res.ok ? res.reply.As<Err>() : Err::kUnreachable;
+                             MakeMsg<kTruncateReq>(TruncateRequest{ch->file, size}));
+  return res.ok ? ReplyIn<kTruncateReq>(res.reply) : Err::kUnreachable;
 }
 
 Result<std::vector<std::string>> Kernel::SysReadDir(OsProcess* p, const std::string& path) {
@@ -511,14 +498,14 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
       // first lock request (4 wire messages fused into 2).
       ch.open_deferred = false;
       auto [open_res, lock_res] =
-          form().Call2(ch.storage_site, MakeMsg(kOpenReq, OpenRequest{ch.file}),
-                       MakeMsg(kLockReq, req), /*timeout=*/Seconds(600));
+          form().Call2(ch.storage_site, MakeMsg<kOpenReq>(OpenRequest{ch.file}),
+                       MakeMsg<kLockReq>(req), /*timeout=*/Seconds(600));
       // The probe is a pure existence check the catalog already vouched for;
       // the lock outcome (and any later data exchange) subsumes it.
       (void)open_res;
       res = lock_res;
     } else {
-      res = form().Call(ch.storage_site, MakeMsg(kLockReq, req),
+      res = form().Call(ch.storage_site, MakeMsg<kLockReq>(req),
                         /*timeout=*/Seconds(600));
     }
     if (!res.ok) {
@@ -529,11 +516,11 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
       // the reply is dropped.
       if (req.owner.txn.valid() && net().Reachable(site_, ch.storage_site)) {
         form().Send(ch.storage_site,
-                    MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{req.owner.txn}));
+                    MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{req.owner.txn}));
       }
       return {p->txn_aborted ? Err::kAborted : Err::kUnreachable, {}};
     }
-    reply = res.reply.As<LockReply>();
+    reply = ReplyIn<kLockReq>(res.reply);
   }
   if (reply.err != Err::kOk) {
     if (p->txn.valid() && p->txn_aborted) {
@@ -549,7 +536,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
     if (IsLocal(ch.storage_site)) {
       ServeAbortTxnAtSite(undo.txn);
     } else {
-      form().Send(ch.storage_site, MakeMsg(kAbortTxnAtSiteReq, undo));
+      form().Send(ch.storage_site, MakeMsg<kAbortTxnAtSiteReq>(undo));
     }
     stats().Add("lock.stale_grants_undone");
     return {Err::kAborted, {}};
@@ -632,7 +619,7 @@ Result<ByteRange> Kernel::SysLock(OsProcess* p, int fd, int64_t length, LockOp o
       BurnCpu(kLockServiceInstructions);
       ServeUnlock(req);
     } else {
-      RpcResult res = form().Call(ch->storage_site, MakeMsg(kUnlockReq, req));
+      RpcResult res = form().Call(ch->storage_site, MakeMsg<kUnlockReq>(req));
       if (!res.ok) {
         return {Err::kUnreachable, {}};
       }
@@ -680,8 +667,8 @@ Err Kernel::SysCommitFile(OsProcess* p, int fd) {
     // and driving the exchange (Figure 6 measures ~7200 instructions here;
     // the page updates themselves are offloaded to the storage site).
     BurnCpu(kRemoteCommitMarshalInstructions - kSyscallInstructions);
-    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg(kCommitFileReq, req));
-    err = res.ok ? res.reply.As<Err>() : Err::kUnreachable;
+    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kCommitFileReq>(req));
+    err = res.ok ? ReplyIn<kCommitFileReq>(res.reply) : Err::kUnreachable;
   }
   if (err == Err::kOk) {
     p->nontxn_dirty.erase(ch->file);
@@ -840,7 +827,7 @@ void Kernel::SysExit(OsProcess* p) {
     if (IsLocal(s)) {
       ServeReleaseProcess(p->pid);
     } else {
-      form().Send(s, MakeMsg(kReleaseProcessReq, ReleaseProcessRequest{p->pid}));
+      form().Send(s, MakeMsg<kReleaseProcessReq>(ReleaseProcessRequest{p->pid}));
     }
   }
   if (OsProcess* parent = system_->Locate(p->parent)) {

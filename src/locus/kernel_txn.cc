@@ -12,17 +12,7 @@
 namespace locus {
 
 namespace {
-constexpr int32_t kControlMsgBytes = 96;
 constexpr int kRouteAttempts = 12;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
 
 void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& src) {
   for (const UsedFile& f : src) {
@@ -124,7 +114,7 @@ void Kernel::FlushReleaseHints(OsProcess* p) {
     if (IsLocal(s)) {
       MaybeReleasePrimary(file);
     } else {
-      form().Send(s, MakeMsg(kReleasePrimaryReq, ReleasePrimaryRequest{file}));
+      form().Send(s, MakeMsg<kReleasePrimaryReq>(ReleasePrimaryRequest{file}));
     }
   }
   p->deferred_release_hints.clear();
@@ -210,7 +200,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
           req.files.push_back(f.file);
         }
       }
-      uint64_t id = form().BeginCall(s, MakeMsg(kPrepareReq, req));
+      uint64_t id = form().BeginCall(s, MakeMsg<kPrepareReq>(req));
       if (id == 0) {
         failure = Err::kUnreachable;
         break;
@@ -240,7 +230,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
     // records are reaped.
     for (const auto& [s, id] : in_flight) {
       RpcResult res = form().FinishCall(id);
-      Err err = res.ok ? res.reply.As<PrepareReply>().err : Err::kUnreachable;
+      Err err = res.ok ? ReplyIn<kPrepareReq>(res.reply).err : Err::kUnreachable;
       if (err == Err::kOk) {
         prepared.push_back(s);
       } else if (failure == Err::kOk) {
@@ -265,8 +255,8 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
       if (IsLocal(s)) {
         err = ServePrepare(req);
       } else {
-        RpcResult res = form().Call(s, MakeMsg(kPrepareReq, req));
-        err = res.ok ? res.reply.As<PrepareReply>().err : Err::kUnreachable;
+        RpcResult res = form().Call(s, MakeMsg<kPrepareReq>(req));
+        err = res.ok ? ReplyIn<kPrepareReq>(res.reply).err : Err::kUnreachable;
       }
       if (err != Err::kOk) {
         failure = err;
@@ -340,7 +330,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
             ServeCommitTxn(txn);
             continue;
           }
-          uint64_t id = form().BeginCall(s, MakeMsg(kCommitTxnReq, CommitTxnRequest{txn}));
+          uint64_t id = form().BeginCall(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
           if (id == 0) {
             still.push_back(s);
             continue;
@@ -359,7 +349,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
             ServeCommitTxn(txn);
             continue;
           }
-          RpcResult res = form().Call(s, MakeMsg(kCommitTxnReq, CommitTxnRequest{txn}));
+          RpcResult res = form().Call(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
           if (!res.ok) {
             still.push_back(s);
           }
@@ -398,7 +388,7 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
     if (IsLocal(s)) {
       ServeAbortTxnAtSite(txn);
     } else {
-      form().Call(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{txn}));
+      form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
     }
   }
   root->EraseLog(coord_log_id);
@@ -467,7 +457,7 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
       if (IsLocal(s)) {
         ServeAbortTxnAtSite(txn);
       } else {
-        form().Call(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{txn}));
+        form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
       }
     }
     // The abort cascades down the process tree: members are terminated.
@@ -478,7 +468,7 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
       if (IsLocal(msite)) {
         KillProcessForAbort(pid, txn);
       } else {
-        form().Send(msite, MakeMsg(kKillProcessReq, KillProcessRequest{pid, txn}));
+        form().Send(msite, MakeMsg<kKillProcessReq>(KillProcessRequest{pid, txn}));
       }
     }
     abort_done_.erase(txn);
@@ -491,7 +481,7 @@ void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
   if (p == nullptr) {
     SiteId forward = procs_.ForwardingFor(pid);
     if (forward != kNoSite && net().Reachable(site_, forward)) {
-      form().Send(forward, MakeMsg(kKillProcessReq, KillProcessRequest{pid, txn}));
+      form().Send(forward, MakeMsg<kKillProcessReq>(KillProcessRequest{pid, txn}));
     }
     return;
   }
@@ -508,10 +498,10 @@ void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
     } else {
       // Back-to-back control messages to one site: the formation queue turns
       // these into a single wire message when enabled.
-      form().Send(s, MakeMsg(kReleaseProcessReq, ReleaseProcessRequest{pid}));
+      form().Send(s, MakeMsg<kReleaseProcessReq>(ReleaseProcessRequest{pid}));
       // The member may hold (or be queued for) transaction locks at sites the
       // abort cascade did not visit — its file-list never merged. Clear them.
-      form().Send(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{txn}));
+      form().Send(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
     }
   }
   if (OsProcess* parent = system_->Locate(p->parent)) {
@@ -586,11 +576,11 @@ Err Kernel::RegisterMember(OsProcess* p, Pid child, SiteId child_site) {
     if (target == site_) {
       reply = DoMemberJoin(req);
     } else {
-      RpcResult res = form().Call(target, MakeMsg(kMemberJoinReq, req));
+      RpcResult res = form().Call(target, MakeMsg<kMemberJoinReq>(req));
       if (!res.ok) {
         return Err::kUnreachable;
       }
-      reply = res.reply.As<MemberJoinReply>();
+      reply = ReplyIn<kMemberJoinReq>(res.reply);
     }
     switch (reply.err) {
       case Err::kOk:
@@ -620,11 +610,11 @@ void Kernel::SendFileListMerge(OsProcess* p) {
     if (target == site_) {
       reply = DoMergeFileList(req);
     } else {
-      RpcResult res = form().Call(target, MakeMsg(kMergeFileListReq, req));
+      RpcResult res = form().Call(target, MakeMsg<kMergeFileListReq>(req));
       if (!res.ok) {
         return;  // Unreachable: the topology protocol aborts the transaction.
       }
-      reply = res.reply.As<MergeFileListReply>();
+      reply = ReplyIn<kMergeFileListReq>(res.reply);
     }
     switch (reply.err) {
       case Err::kOk:
@@ -650,11 +640,11 @@ void Kernel::RouteAbort(const TxnId& txn, const std::string& reason, SiteId firs
     if (target == site_) {
       reply = DoAbortRoute(req);
     } else {
-      RpcResult res = form().Call(target, MakeMsg(kAbortTxnRouteReq, req));
+      RpcResult res = form().Call(target, MakeMsg<kAbortTxnRouteReq>(req));
       if (!res.ok) {
         return;
       }
-      reply = res.reply.As<AbortTxnRouteReply>();
+      reply = ReplyIn<kAbortTxnRouteReq>(res.reply);
     }
     if (reply.err == Err::kOk) {
       return;
@@ -789,9 +779,9 @@ void Kernel::HandleTopologyChange() {
           return;  // Gone again; the next topology change restarts the inquiry.
         }
         RpcResult res =
-            form().Call(coordinator, MakeMsg(kTxnStatusReq, TxnStatusRequest{txn}));
+            form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
         if (res.ok) {
-          auto status = static_cast<TxnStatus>(res.reply.As<TxnStatusReply>().status);
+          auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
           if (status == TxnStatus::kCommitted) {
             ServeCommitTxn(txn);
             return;
@@ -934,7 +924,7 @@ void Kernel::OnReboot() {
           if (IsLocal(s)) {
             ServeAbortTxnAtSite(coord.txn);
           } else {
-            form().Call(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{coord.txn}));
+            form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{coord.txn}));
           }
         }
         volumes_[0]->EraseLog(log_id);
@@ -961,11 +951,11 @@ void Kernel::OnReboot() {
         continue;  // Blocked: wait for the coordinator (or a later message).
       }
       RpcResult res =
-          form().Call(coordinator, MakeMsg(kTxnStatusReq, TxnStatusRequest{txn}));
+          form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
       if (!res.ok) {
         continue;
       }
-      auto status = static_cast<TxnStatus>(res.reply.As<TxnStatusReply>().status);
+      auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
       if (status == TxnStatus::kCommitted) {
         ServeCommitTxn(txn);
       } else if (status == TxnStatus::kAborted) {

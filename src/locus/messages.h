@@ -1,14 +1,40 @@
 // Kernel-to-kernel message types and payloads (the "lightweight network
 // protocols" of the paper).
+//
+// LOCUS_MESSAGES is the one declaration of the protocol: each row names the
+// message type, its request payload and its reply payload. The MsgType enum,
+// the MsgSpec binding and the typed builders and accessors below are all
+// generated from it, so a payload that does not match its row fails to
+// compile. Reply column: `Err` for a bare error code, `void` for a one-way
+// message that is never answered.
+//
+// Row groups, in wire order:
+//   - file service: open, read, write, lock, unlock, single-file commit, and
+//     the release of a failed process's locks and records;
+//   - two-phase commit (section 4.2): prepare, commit, abort at a site;
+//   - transaction control plane: member join, file-list merge, abort
+//     routing, abort-cascade kill;
+//   - replication (section 5.2): page propagation to replicas;
+//   - deadlock detector support (section 3.1): wait-for edges;
+//   - remote file lifecycle: create, remove;
+//   - participant recovery: ask the coordinator for a transaction's outcome
+//     (presumed abort when no coordinator log exists);
+//   - a hint to a (possibly former) primary update site that the last update
+//     open closed, so it may release the primary designation once idle;
+//   - immediate durable truncation at the storage site;
+//   - replica reintegration (src/recon): version probe and committed-image
+//     fetch used to bring a behind replica back to currency.
 
 #ifndef SRC_LOCUS_MESSAGES_H_
 #define SRC_LOCUS_MESSAGES_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.h"
+#include "src/form/formation.h"
 #include "src/fs/intentions.h"
 #include "src/lock/lock_list.h"
 #include "src/lock/lock_manager.h"
@@ -20,48 +46,44 @@
 
 namespace locus {
 
+#define LOCUS_MESSAGES(X)                                             \
+  X(kOpenReq, OpenRequest, OpenReply)                                 \
+  X(kReadReq, ReadRequest, ReadReply)                                 \
+  X(kWriteReq, WriteRequest, WriteReply)                              \
+  X(kLockReq, LockRequest, LockReply)                                 \
+  X(kUnlockReq, UnlockRequest, Err)                                   \
+  X(kCommitFileReq, CommitFileRequest, Err)                           \
+  X(kReleaseProcessReq, ReleaseProcessRequest, Err)                   \
+  X(kPrepareReq, PrepareRequest, PrepareReply)                        \
+  X(kCommitTxnReq, CommitTxnRequest, Err)                             \
+  X(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest, Err)                   \
+  X(kMemberJoinReq, MemberJoinRequest, MemberJoinReply)               \
+  X(kMergeFileListReq, MergeFileListRequest, MergeFileListReply)      \
+  X(kAbortTxnRouteReq, AbortTxnRouteRequest, AbortTxnRouteReply)      \
+  X(kKillProcessReq, KillProcessRequest, Err)                         \
+  X(kReplicaPropagate, ReplicaPropagateMsg, void)                     \
+  X(kWaitEdgesReq, WaitEdgesRequest, WaitEdgesReply)                  \
+  X(kCreateFileReq, CreateFileRequest, CreateFileReply)               \
+  X(kRemoveFileReq, RemoveFileRequest, Err)                           \
+  X(kTxnStatusReq, TxnStatusRequest, TxnStatusReply)                  \
+  X(kReleasePrimaryReq, ReleasePrimaryRequest, void)                  \
+  X(kTruncateReq, TruncateRequest, Err)                               \
+  X(kReplicaVersionReq, ReplicaVersionRequest, ReplicaVersionReply)   \
+  X(kReplicaFetchReq, ReplicaFetchRequest, ReplicaFetchReply)
+
+// Rows number from 1 in table order; model-checker traces record these
+// values, so new rows go at the end.
 enum MsgType : int32_t {
-  kOpenReq = 1,
-  kReadReq,
-  kWriteReq,
-  kLockReq,
-  kUnlockReq,
-  kCommitFileReq,
-  kReleaseProcessReq,
-  // Two-phase commit (section 4.2).
-  kPrepareReq,
-  kCommitTxnReq,
-  kAbortTxnAtSiteReq,
-  // Transaction control plane.
-  kMemberJoinReq,
-  kMergeFileListReq,
-  kAbortTxnRouteReq,
-  kKillProcessReq,
-  // Replication (section 5.2).
-  kReplicaPropagate,
-  // Deadlock detector support (section 3.1).
-  kWaitEdgesReq,
-  // Remote file lifecycle.
-  kCreateFileReq,
-  kRemoveFileReq,
-  // Participant recovery: ask the coordinator for a transaction's outcome
-  // (presumed abort when no coordinator log exists).
-  kTxnStatusReq,
-  // Hint to a (possibly former) primary update site that the last update
-  // open closed, so it may release the primary designation once idle.
-  kReleasePrimaryReq,
-  // Immediate durable truncation at the storage site.
-  kTruncateReq,
-  // Replica reintegration (src/recon): version probe and committed-image
-  // fetch used to bring a behind replica back to currency.
-  kReplicaVersionReq,
-  kReplicaFetchReq,
-  // Formation batch envelope (src/form): several coalesced protocol messages
-  // to one destination in one wire message. Pinned to a value well above the
-  // dense range so new message types never collide with it; must match
-  // kFormBatchMsgType (static_assert in kernel.cc).
-  kFormBatch = 64,
+  kNoMsgType = 0,  // Message's default type; no row uses it.
+#define LOCUS_MSG_ENUMERATOR(type, request, reply) type,
+  LOCUS_MESSAGES(LOCUS_MSG_ENUMERATOR)
+#undef LOCUS_MSG_ENUMERATOR
+  kMsgTypeEnd,  // One past the last row.
 };
+// The formation layer (src/form) cannot include this table; its batch
+// envelope takes a wire type above every row.
+static_assert(kMsgTypeEnd <= kFormBatchMsgType,
+              "message table collides with the formation batch envelope type");
 
 struct OpenRequest {
   FileId file;
@@ -191,6 +213,7 @@ struct ReplicaPropagateMsg {
   std::vector<std::pair<int32_t, PageRef>> pages;
 };
 
+struct WaitEdgesRequest {};
 struct WaitEdgesReply {
   std::vector<WaitEdge> edges;
 };
@@ -223,12 +246,71 @@ struct TxnStatusReply {
   int status = 0;  // Cast of TxnStatus; kAborted when no log exists.
 };
 
-// Stable wire name of a MsgType ("commit-txn-req"); "?" for unknown values.
-// Defined in messages.cc; locus_analyze's switch check keeps it exhaustive.
-const char* MsgTypeName(int32_t type);
-// Installs MsgTypeName as the network layer's message-type namer
-// (idempotent; every Kernel construction calls it).
-void RegisterMessageNames();
+// kReplicaVersionReq: "what ordinal is your committed copy at?"
+struct ReplicaVersionRequest {
+  FileId file;  // The replica inode on the responding site's volume.
+};
+struct ReplicaVersionReply {
+  Err err = Err::kOk;
+  uint64_t commit_version = 0;
+  int64_t committed_size = 0;
+};
+
+// kReplicaFetchReq: "ship me your whole committed image."
+struct ReplicaFetchRequest {
+  FileId file;
+};
+struct ReplicaFetchReply {
+  Err err = Err::kOk;
+  uint64_t commit_version = 0;
+  int64_t committed_size = 0;
+  // slot -> committed page image (shared refs; never working pages).
+  std::vector<std::pair<int32_t, PageRef>> pages;
+};
+
+// Binds each message type to its row's payload types.
+template <MsgType kType>
+struct MsgSpec;
+#define LOCUS_MSG_SPEC(type, request, reply) \
+  template <>                                \
+  struct MsgSpec<type> {                     \
+    using Request = request;                 \
+    using Reply = reply;                     \
+  };
+LOCUS_MESSAGES(LOCUS_MSG_SPEC)
+#undef LOCUS_MSG_SPEC
+
+template <MsgType kType>
+using RequestOf = typename MsgSpec<kType>::Request;
+template <MsgType kType>
+using ReplyOf = typename MsgSpec<kType>::Reply;
+
+// Wire size of a control message: headers plus a small payload.
+inline constexpr int32_t kControlMsgBytes = 96;
+
+// A kType request carrying `request`; payloads with bulk data pass their
+// wire size.
+template <MsgType kType>
+Message MakeMsg(RequestOf<kType> request, int32_t size_bytes = kControlMsgBytes) {
+  return Message{kType, size_bytes, std::move(request), {}};
+}
+
+// The reply to a kType request. One-way rows (reply `void`) have none.
+template <MsgType kType>
+Message MakeReply(ReplyOf<kType> reply, int32_t size_bytes = kControlMsgBytes) {
+  return Message{kType, size_bytes, std::move(reply), {}};
+}
+
+// Typed payload reads; a message of another type still aborts in
+// Message::As.
+template <MsgType kType>
+const RequestOf<kType>& RequestIn(const Message& m) {
+  return m.As<RequestOf<kType>>();
+}
+template <MsgType kType>
+const ReplyOf<kType>& ReplyIn(const Message& m) {
+  return m.As<ReplyOf<kType>>();
+}
 
 }  // namespace locus
 

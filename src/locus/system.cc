@@ -7,15 +7,6 @@
 namespace locus {
 
 namespace {
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = 96) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-
 bool AuditEnabled(const SystemOptions& options) {
 #ifdef LOCUS_AUDIT_FORCE
   (void)options;
@@ -134,9 +125,9 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
         if (s == site) {
           edges = kernel->LocalWaitEdges();
         } else if (net_.Reachable(site, s)) {
-          RpcResult res = net_.Call(site, s, MakeMsg(kWaitEdgesReq, 0));
+          RpcResult res = net_.Call(site, s, MakeMsg<kWaitEdgesReq>({}));
           if (res.ok) {
-            edges = res.reply.As<WaitEdgesReply>().edges;
+            edges = ReplyIn<kWaitEdgesReq>(res.reply).edges;
           }
         }
         graph.AddEdges(edges);
@@ -164,16 +155,16 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
           continue;
         }
         RpcResult res =
-            net_.Call(site, holder.site, MakeMsg(kTxnStatusReq, TxnStatusRequest{holder}));
+            net_.Call(site, holder.site, MakeMsg<kTxnStatusReq>(TxnStatusRequest{holder}));
         if (!res.ok) {
           continue;
         }
-        auto status = static_cast<TxnStatus>(res.reply.As<TxnStatusReply>().status);
+        auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
         if (status == TxnStatus::kAborted) {
           stats_.Add("deadlock.orphan_locks_reaped");
           trace_.Log(sim_.Now(), "detector", "reaping orphan locks of %s at site %d",
                      ToString(holder).c_str(), s);
-          kernel->form().Send(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{holder}));
+          kernel->form().Send(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{holder}));
         }
       }
       sim_.Sleep(period);

@@ -5,17 +5,6 @@
 
 namespace locus {
 
-namespace {
-// The registered protocol-level namer (see RegisterMessageTypeNamer).
-MessageTypeNamer g_message_type_namer = nullptr;
-}  // namespace
-
-void RegisterMessageTypeNamer(MessageTypeNamer namer) { g_message_type_namer = namer; }
-
-const char* MessageTypeName(int32_t type) {
-  return g_message_type_namer != nullptr ? g_message_type_namer(type) : "?";
-}
-
 void Responder::operator()(Message reply) const {
   if (net_ == nullptr) {
     return;

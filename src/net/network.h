@@ -36,13 +36,6 @@ namespace locus {
 using SiteId = int32_t;
 inline constexpr SiteId kNoSite = -1;
 
-// Registry of the one protocol-level message-type namer (src/locus registers
-// MsgTypeName). Message::As and trace diagnostics print the registered name
-// next to the raw type number; unregistered types print as "?".
-using MessageTypeNamer = const char* (*)(int32_t type);
-void RegisterMessageTypeNamer(MessageTypeNamer namer);
-const char* MessageTypeName(int32_t type);
-
 // A network message. Payloads are typed structs carried through std::any;
 // size_bytes models the wire footprint for latency purposes.
 struct Message {
@@ -63,9 +56,9 @@ struct Message {
     const T* typed = std::any_cast<T>(&payload);
     if (typed == nullptr) {
       fprintf(stderr,
-              "Message::As: payload type mismatch on message type %d (%s): expected %s, "
+              "Message::As: payload type mismatch on message type %d: expected %s, "
               "actual %s\n",
-              type, MessageTypeName(type), typeid(T).name(),
+              type, typeid(T).name(),
               payload.has_value() ? payload.type().name() : "(empty)");
       abort();
     }

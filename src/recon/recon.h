@@ -50,29 +50,8 @@ namespace locus {
 // applied at a replica site (through the normal shadow-page commit path).
 inline constexpr Pid kReplicatorPid = -2;
 
-// --- Payloads for the reintegration protocol messages ---
-
-// kReplicaVersionReq: "what ordinal is your committed copy at?"
-struct ReplicaVersionRequest {
-  FileId file;  // The replica inode on the responding site's volume.
-};
-struct ReplicaVersionReply {
-  Err err = Err::kOk;
-  uint64_t commit_version = 0;
-  int64_t committed_size = 0;
-};
-
-// kReplicaFetchReq: "ship me your whole committed image."
-struct ReplicaFetchRequest {
-  FileId file;
-};
-struct ReplicaFetchReply {
-  Err err = Err::kOk;
-  uint64_t commit_version = 0;
-  int64_t committed_size = 0;
-  // slot -> committed page image (shared refs; never working pages).
-  std::vector<std::pair<int32_t, PageRef>> pages;
-};
+// The reintegration protocol's payloads (ReplicaVersion*, ReplicaFetch*) are
+// rows of the kernel message table in src/locus/messages.h.
 
 // Simulated wire footprint of a fetch reply: control header plus the bytes
 // that are meaningful under committed_size (the last page is partial).

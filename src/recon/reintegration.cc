@@ -7,21 +7,6 @@
 
 namespace locus {
 
-namespace {
-
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-
-}  // namespace
-
 int32_t FetchWireBytes(const ReplicaFetchReply& reply, int32_t page_size) {
   int32_t total = kControlMsgBytes;
   for (const auto& [slot, page] : reply.pages) {
@@ -200,11 +185,11 @@ bool ReintegrationManager::ReconcileFile(const std::string& path) {
         continue;
       }
       RpcResult res = env_.net->Call(
-          env_.site, peer.site, MakeMsg(kReplicaVersionReq, ReplicaVersionRequest{peer.file}));
+          env_.site, peer.site, MakeMsg<kReplicaVersionReq>(ReplicaVersionRequest{peer.file}));
       if (!res.ok) {
         continue;
       }
-      const auto& reply = res.reply.As<ReplicaVersionReply>();
+      const auto& reply = ReplyIn<kReplicaVersionReq>(res.reply);
       if (reply.err != Err::kOk) {
         continue;
       }
@@ -237,12 +222,12 @@ bool ReintegrationManager::ReconcileFile(const std::string& path) {
       env_.stats->Add(ids_.stale_marks);
     }
     RpcResult res = env_.net->Call(env_.site, best_site,
-                                   MakeMsg(kReplicaFetchReq, ReplicaFetchRequest{best_file}),
+                                   MakeMsg<kReplicaFetchReq>(ReplicaFetchRequest{best_file}),
                                    Seconds(30));
     if (!res.ok) {
       continue;  // Peer lost mid-fetch; the next round re-probes.
     }
-    const auto& image = res.reply.As<ReplicaFetchReply>();
+    const auto& image = ReplyIn<kReplicaFetchReq>(res.reply);
     if (image.err != Err::kOk) {
       continue;
     }
@@ -334,9 +319,9 @@ std::vector<ReplicaStatusEntry> ReintegrationManager::CollectStatus(const std::s
     } else if (row.reachable) {
       RpcResult res =
           env_.net->Call(env_.site, peers[i].site,
-                         MakeMsg(kReplicaVersionReq, ReplicaVersionRequest{peers[i].file}));
+                         MakeMsg<kReplicaVersionReq>(ReplicaVersionRequest{peers[i].file}));
       if (res.ok) {
-        const auto& reply = res.reply.As<ReplicaVersionReply>();
+        const auto& reply = ReplyIn<kReplicaVersionReq>(res.reply);
         if (reply.err == Err::kOk) {
           row.commit_version = reply.commit_version;
           known[i] = true;

@@ -1,20 +1,38 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
-
-#ifdef LOCUS_SIM_FIBERS
 #include <sys/mman.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <cassert>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
 #endif
 
 namespace locus {
 
 namespace {
-thread_local SimProcess* g_current_process = nullptr;
+SimProcess* g_current_process = nullptr;
+
+// AddressSanitizer tracks one stack per thread; these tell it that a switch
+// moves execution onto another fiber's stack. No-ops in other builds.
+#if defined(__SANITIZE_ADDRESS__)
+void StartSwitch(void** fake_stack_save, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+}
+void FinishSwitch(void* fake_stack_save, const void** bottom_old, size_t* size_old) {
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+}
+#else
+void StartSwitch(void**, const void*, size_t) {}
+void FinishSwitch(void*, const void**, size_t*) {}
+#endif
 }  // namespace
 
 std::string EventInfoLabel(const EventInfo& info) {
@@ -72,9 +90,7 @@ const char* ProtocolStepName(ProtocolStep step) {
 }
 
 // ---------------------------------------------------------------------------
-// SimProcess — fiber backend
-
-#ifdef LOCUS_SIM_FIBERS
+// SimProcess
 
 namespace {
 // Stack per process. Kernel paths nest a few dozen frames at most; the
@@ -91,9 +107,14 @@ SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
   stack_bytes_ = kFiberStackBytes + page;
   stack_base_ = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  assert(stack_base_ != MAP_FAILED && "fiber stack allocation failed");
-  [[maybe_unused]] int rc = mprotect(stack_base_, page, PROT_NONE);
-  assert(rc == 0);
+  if (stack_base_ == MAP_FAILED || mprotect(stack_base_, page, PROT_NONE) != 0) {
+    const int err = errno;
+    fprintf(stderr,
+            "sim: cannot allocate a fiber stack for process '%s': %s (errno %d) with %d "
+            "processes spawned\n",
+            name_.c_str(), strerror(err), err, sim_->spawned_process_count());
+    abort();
+  }
   getcontext(&context_);
   context_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
   context_.uc_stack.ss_size = kFiberStackBytes;
@@ -118,6 +139,8 @@ SimProcess::~SimProcess() {
 // Entry point of every fiber; runs with g_current_process already set.
 void SimProcess::FiberMain() {
   SimProcess* self = g_current_process;
+  Simulation* sim = self->sim_;
+  FinishSwitch(nullptr, &sim->scheduler_stack_bottom_, &sim->scheduler_stack_size_);
   if (!self->cancelled_) {
     try {
       self->body_();
@@ -126,11 +149,15 @@ void SimProcess::FiberMain() {
     }
   }
   self->state_ = State::kFinished;
-  // Returning resumes scheduler_context_ via uc_link.
+  // Returning resumes scheduler_context_ via uc_link; this fiber never runs
+  // again, so it saves no fake stack.
+  StartSwitch(nullptr, sim->scheduler_stack_bottom_, sim->scheduler_stack_size_);
 }
 
 void SimProcess::YieldToScheduler() {
+  StartSwitch(&asan_fake_stack_, sim_->scheduler_stack_bottom_, sim_->scheduler_stack_size_);
   swapcontext(&context_, &sim_->scheduler_context_);
+  FinishSwitch(asan_fake_stack_, &sim_->scheduler_stack_bottom_, &sim_->scheduler_stack_size_);
   // Control is back: either a normal wake-up or a cancellation grant.
   if (cancelled_) {
     throw SimCancelled{};
@@ -145,88 +172,12 @@ void SimProcess::RunUntilParked() {
     started_ = true;
     state_ = State::kRunning;
   }
+  StartSwitch(&sim_->scheduler_fake_stack_, context_.uc_stack.ss_sp,
+              context_.uc_stack.ss_size);
   swapcontext(&sim_->scheduler_context_, &context_);
+  FinishSwitch(sim_->scheduler_fake_stack_, nullptr, nullptr);
   g_current_process = prev;
 }
-
-#else  // !LOCUS_SIM_FIBERS
-
-// ---------------------------------------------------------------------------
-// SimProcess — thread backend
-
-SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
-                       std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  thread_ = std::thread([this] {
-    g_current_process = this;
-    AwaitGrant();
-    if (!cancelled_) {
-      try {
-        body_();
-      } catch (const SimCancelled&) {
-        // Teardown unwound the body; nothing more to do.
-      }
-    }
-    state_ = State::kFinished;
-    std::unique_lock<std::mutex> lock(mu_);
-    thread_done_ = true;
-    parked_ = true;
-    cv_.notify_all();
-  });
-}
-
-SimProcess::~SimProcess() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!thread_done_) {
-      // The process never finished (still blocked at teardown): grant it
-      // control one last time with the cancel flag set so the body unwinds.
-      cancelled_ = true;
-      has_control_ = true;
-      cv_.notify_all();
-    }
-  }
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void SimProcess::AwaitGrant() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return has_control_; });
-  if (cancelled_) {
-    // We are being torn down. If the body is already on the stack, unwind it;
-    // if this is the initial grant, the thread function checks cancelled_.
-    if (state_ != State::kReady) {
-      lock.unlock();
-      throw SimCancelled{};
-    }
-  }
-  state_ = State::kRunning;
-}
-
-void SimProcess::YieldToScheduler() {
-  std::unique_lock<std::mutex> lock(mu_);
-  has_control_ = false;
-  parked_ = true;
-  cv_.notify_all();
-  cv_.wait(lock, [this] { return has_control_; });
-  if (cancelled_) {
-    lock.unlock();
-    throw SimCancelled{};
-  }
-  state_ = State::kRunning;
-}
-
-void SimProcess::RunUntilParked() {
-  std::unique_lock<std::mutex> lock(mu_);
-  parked_ = false;
-  has_control_ = true;
-  cv_.notify_all();
-  cv_.wait(lock, [this] { return parked_; });
-}
-
-#endif  // LOCUS_SIM_FIBERS
 
 // ---------------------------------------------------------------------------
 // WaitQueue

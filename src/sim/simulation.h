@@ -5,32 +5,15 @@
 // or a SimProcess. Process bodies are written in natural blocking style (as
 // Unix syscalls are) while the run stays fully deterministic.
 //
-// Two execution backends implement the cooperative hand-off:
-//   - Fibers (default on Linux): each process is a ucontext fiber on its own
-//     guarded stack. A switch is a userspace register swap — no syscalls, no
-//     OS scheduler involvement — which is what lets large simulated clusters
-//     run at memory speed (the per-switch futex handshake of the thread
-//     backend dominated wall-clock time at 6+ sites).
-//   - Threads (sanitizer builds, non-Linux, or -DLOCUS_SIM_THREADS): each
-//     process is an OS thread parked on a condition variable. Semantically
-//     identical, much slower, but transparent to ASan/TSan stack bookkeeping.
+// Each process is a ucontext fiber on its own guarded stack. A switch is a
+// userspace register swap — no syscalls, no OS scheduler involvement — which
+// is what lets large simulated clusters run at memory speed. AddressSanitizer
+// builds run the same fibers, told about every stack switch.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
-#ifndef LOCUS_SIM_THREADS
-#if defined(__linux__)
-#define LOCUS_SIM_FIBERS 1
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#undef LOCUS_SIM_FIBERS
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#undef LOCUS_SIM_FIBERS
-#endif
-#endif
-#endif  // LOCUS_SIM_THREADS
+#include <ucontext.h>
 
 #include <cstdint>
 #include <deque>
@@ -39,14 +22,6 @@
 #include <queue>
 #include <string>
 #include <vector>
-
-#ifdef LOCUS_SIM_FIBERS
-#include <ucontext.h>
-#else
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#endif
 
 #include "src/sim/random.h"
 #include "src/sim/time.h"
@@ -163,10 +138,10 @@ struct SimCancelled {};
 
 // A cooperative simulated thread of control.
 //
-// Created via Simulation::Spawn. The body runs on a dedicated fiber (or OS
-// thread), but only while the scheduler has handed it control; every blocking
-// primitive (Sleep, WaitQueue::Wait, ...) parks it and returns control to the
-// scheduler until a wake-up event fires.
+// Created via Simulation::Spawn. The body runs on a dedicated fiber, but only
+// while the scheduler has handed it control; every blocking primitive (Sleep,
+// WaitQueue::Wait, ...) parks it and returns control to the scheduler until a
+// wake-up event fires.
 class SimProcess {
  public:
   enum class State { kReady, kRunning, kBlocked, kFinished };
@@ -186,11 +161,12 @@ class SimProcess {
 
   SimProcess(Simulation* sim, uint64_t id, std::string name, std::function<void()> body);
 
-  // Runs on the process fiber/thread: returns control to the scheduler.
+  // Runs on the process fiber: returns control to the scheduler.
   void YieldToScheduler();
   // Runs on the scheduler: transfers control to this process and returns
   // when the process parks or finishes.
   void RunUntilParked();
+  static void FiberMain();
 
   Simulation* sim_;
   uint64_t id_;
@@ -198,25 +174,12 @@ class SimProcess {
   std::function<void()> body_;
   State state_ = State::kReady;
   bool cancelled_ = false;
-
-#ifdef LOCUS_SIM_FIBERS
-  static void FiberMain();
-
+  bool started_ = false;
   ucontext_t context_;
   void* stack_base_ = nullptr;  // mmap'd region; first page is a guard page.
   size_t stack_bytes_ = 0;
-  bool started_ = false;
-#else
-  // Runs on the process thread: waits until the scheduler grants control.
-  void AwaitGrant();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool has_control_ = false;   // process may run
-  bool parked_ = true;         // process has returned control
-  bool thread_done_ = false;
-  std::thread thread_;
-#endif
+  // AddressSanitizer's saved fake stack while the fiber is switched out.
+  void* asan_fake_stack_ = nullptr;
 };
 
 // A condition-variable analogue for SimProcesses. Wait() parks the calling
@@ -361,11 +324,13 @@ class Simulation {
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::vector<std::unique_ptr<SimProcess>> processes_;
 
-#ifdef LOCUS_SIM_FIBERS
   // The scheduler's own context, saved while a fiber runs; fibers swap back
   // into it when they park or finish.
   ucontext_t scheduler_context_;
-#endif
+  // The scheduler's stack and saved fake stack, for AddressSanitizer.
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  void* scheduler_fake_stack_ = nullptr;
 };
 
 }  // namespace locus

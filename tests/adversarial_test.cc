@@ -144,10 +144,8 @@ TEST_F(AdversarialTest, AbortWhileTopLevelWaitsForMembers) {
       rival.Compute(Milliseconds(200));
       // Route the abort like the deadlock detector would.
       rival.system().kernel(rival.CurrentSite());  // (site touch)
-      Message msg;
-      msg.type = kAbortTxnRouteReq;
-      msg.payload = AbortTxnRouteRequest{txn, "assassinated"};
-      rival.system().net().Send(2, txn.site, msg);
+      rival.system().net().Send(
+          2, txn.site, MakeMsg<kAbortTxnRouteReq>(AbortTxnRouteRequest{txn, "assassinated"}, 64));
     });
     end_result = sys.EndTrans();
   });

@@ -113,11 +113,7 @@ TEST(AuditSeededTest, DetectsPreCommitShadowPageInstall) {
 TEST(AuditSeededTest, DetectsOutOfOrderCommitMessage) {
   System system(2, AuditOn());
   system.RunFor(Seconds(1));  // Let the sites boot.
-  Message msg;
-  msg.type = kCommitTxnReq;
-  msg.size_bytes = 96;
-  msg.payload = CommitTxnRequest{FabricatedTxn()};
-  system.net().Send(0, 1, std::move(msg));
+  system.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{FabricatedTxn()}));
   system.Run();
   EXPECT_GE(system.audit().CountKind(AuditKind::kCommitBeforeDecision), 1);
 }

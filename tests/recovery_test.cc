@@ -224,10 +224,7 @@ TEST_F(RecoveryTest, DuplicateCommitMessagesAreIdempotent) {
   });
   // Send the duplicate through the public path: ServeCommitTxn is private,
   // so replay through the network.
-  Message msg;
-  msg.type = kCommitTxnReq;
-  msg.payload = CommitTxnRequest{txn};
-  system_.net().Send(0, 1, msg);
+  system_.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}, 64));
   system_.RunFor(Seconds(2));
   EXPECT_EQ(system_.stats().Get("fs.commits_installed"), installs);  // No re-install.
   EXPECT_EQ(ReadFileAt(2, "/dup", 10), "bbbbbbbbbb");

@@ -146,11 +146,7 @@ TEST(SerialSeededTest, DetectsReorderedCommitObservation) {
 
   // The commit's visibility escapes to site 1 (any message carries the
   // vector clock; the certifier only consumes the causality).
-  Message msg;
-  msg.type = kCommitTxnReq;
-  msg.size_bytes = 96;
-  msg.payload = CommitTxnRequest{TxnA()};
-  system.net().Send(0, 1, std::move(msg));
+  system.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{TxnA()}));
   system.Run();
 
   // B begins at site 1 with A's commit in its causal past, yet its read is
@@ -191,11 +187,7 @@ TEST(SerialSeededTest, DetectsSharedStateRace) {
   SerializabilityCertifier& cert2 = cert;  // Same instance, new key.
   system.net().StampLocalEvent(0);
   cert2.OnSharedAccess("site0", "catalog.entry/ordered", true);
-  Message msg;
-  msg.type = kCommitTxnReq;
-  msg.size_bytes = 32;
-  msg.payload = CommitTxnRequest{TxnA()};
-  system.net().Send(0, 1, std::move(msg));
+  system.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{TxnA()}, 32));
   system.Run();
   system.net().StampLocalEvent(1);
   cert2.OnSharedAccess("site1", "catalog.entry/ordered", true);

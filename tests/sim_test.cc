@@ -4,7 +4,11 @@
 #include "src/sim/simulation.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,6 +156,87 @@ TEST(Simulation, KillIsIdempotentAndStaleWakeupsAreHarmless) {
   EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
 }
 
+// Throws from `depth` frames down, each frame holding a stack array.
+void ThrowFromDepth(int depth) {
+  volatile char pad[128];
+  pad[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    throw std::runtime_error("deep");
+  }
+  ThrowFromDepth(depth - 1);
+  pad[1] = pad[0];  // Keeps the call out of tail position.
+}
+
+// The path Kernel::MaybeCrashAt takes: a running process kills itself and
+// throws SimCancelled, unwinding its own fiber while the others run on.
+// Under AddressSanitizer the earlier caught exception leaves poisoned frames
+// below the fiber's stack pointer unless the simulator reported the fiber's
+// stack bounds, and the second throw then trips over them.
+TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
+  Simulation sim;
+  bool cleaned_up = false;
+  bool reached_end = false;
+  int ticks = 0;
+  SimProcess* crasher = sim.Spawn("crasher", [&] {
+    struct Guard {
+      bool* flag;
+      ~Guard() { *flag = true; }
+    } guard{&cleaned_up};
+    auto crash_here = [&] {
+      sim.Kill(Simulation::Current());
+      throw SimCancelled{};
+    };
+    sim.Sleep(Milliseconds(5));
+    try {
+      ThrowFromDepth(8);
+    } catch (const std::runtime_error&) {
+    }
+    crash_here();
+    reached_end = true;
+  });
+  SimProcess* bystander = sim.Spawn("bystander", [&] {
+    for (int i = 0; i < 4; ++i) {
+      sim.Sleep(Milliseconds(3));
+      ++ticks;
+    }
+  });
+  sim.Run();
+  EXPECT_TRUE(cleaned_up);   // RAII ran during unwind.
+  EXPECT_FALSE(reached_end);
+  EXPECT_EQ(crasher->state(), SimProcess::State::kFinished);
+  EXPECT_EQ(ticks, 4);
+  EXPECT_EQ(bystander->state(), SimProcess::State::kFinished);
+  EXPECT_EQ(sim.Now(), Milliseconds(12));
+}
+
+// Caps the address space at its current size, leaving no room for another
+// fiber stack, then spawns one more process.
+void SpawnWithAddressSpaceFull() {
+  Simulation sim;
+  sim.Spawn("warm-up", [] {});  // Grows the heap before the cap.
+  unsigned long pages = 0;
+  FILE* statm = fopen("/proc/self/statm", "r");
+  ASSERT_NE(statm, nullptr);
+  ASSERT_EQ(fscanf(statm, "%lu", &pages), 1);
+  fclose(statm);
+  const rlim_t cap = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+  const rlimit limit{cap, cap};
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &limit), 0);
+  sim.Spawn("starved", [] {});
+}
+
+// A fiber stack that cannot be mapped aborts with a diagnostic in every build
+// type, NDEBUG ones included.
+TEST(SimulationDeathTest, FiberStackAllocationFailureAborts) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's shadow memory defeats an address-space limit";
+#else
+  EXPECT_DEATH(SpawnWithAddressSpaceFull(),
+               "cannot allocate a fiber stack for process 'starved': .* with 1 processes "
+               "spawned");
+#endif
+}
+
 TEST(Simulation, RunForStopsAtDeadline) {
   Simulation sim;
   int ticks = 0;
@@ -198,7 +283,7 @@ TEST(Simulation, TeardownWithBlockedProcessesDoesNotHang) {
     sim->Spawn("stuck" + std::to_string(i), [&] { queue.Wait(); });
   }
   sim->Run();
-  sim.reset();  // Must join all threads without deadlock.
+  sim.reset();  // Must unwind every blocked fiber without hanging.
   SUCCEED();
 }
 
