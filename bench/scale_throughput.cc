@@ -23,15 +23,7 @@ namespace locus {
 namespace bench {
 namespace {
 
-struct RunOutput {
-  DebitCreditResults results;
-  // The form.* per-transaction gauges (real units, not the registry's milli
-  // fixed-point): wire messages and log forces per committed transaction.
-  double messages_per_txn = 0.0;
-  double log_forces_per_txn = 0.0;
-};
-
-RunOutput RunWorkload(int sites, int tellers, double local_fraction, bool formation) {
+DebitCreditResults RunWorkload(int sites, int tellers, double local_fraction, bool formation) {
   SystemOptions opts{.seed = 42};
   opts.formation = formation;
   System system(sites, opts);
@@ -42,12 +34,7 @@ RunOutput RunWorkload(int sites, int tellers, double local_fraction, bool format
   config.transfers_per_teller = 8;
   config.local_fraction = local_fraction;
   config.seed = 42;
-  DebitCreditWorkload workload(&system, config);
-  RunOutput out;
-  out.results = workload.Execute();
-  out.messages_per_txn = system.stats().Get("form.messages_per_txn") / 1000.0;
-  out.log_forces_per_txn = system.stats().Get("form.log_forces_per_txn") / 1000.0;
-  return out;
+  return DebitCreditWorkload(&system, config).Execute();
 }
 
 void RunTables(JsonReport* report) {
@@ -60,14 +47,13 @@ void RunTables(JsonReport* report) {
   printf("------------------------------------------------------------------\n");
   for (int sites : {1, 2, 3, 4, 6, 8, 12, 16}) {
     auto t0 = std::chrono::steady_clock::now();
-    RunOutput out = RunWorkload(sites, sites * 3, 0.0, /*formation=*/true);
-    const DebitCreditResults& r = out.results;
+    DebitCreditResults r = RunWorkload(sites, sites * 3, 0.0, /*formation=*/true);
     double wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
     printf("%-8d %-8d %10d %10d %12.1f %12.1f %10.1f %8.1f %8.2f\n", sites, sites * 3,
            r.committed, r.aborted_attempts, ToMilliseconds(r.makespan) / 1000.0,
-           r.throughput_tps(), wall_ms, out.messages_per_txn, out.log_forces_per_txn);
+           r.throughput_tps(), wall_ms, r.messages_per_txn(), r.log_forces_per_txn());
     if (!r.conserved()) {
       printf("  !! CONSERVATION VIOLATED: %lld != %lld\n",
              static_cast<long long>(r.audited_total),
@@ -77,8 +63,8 @@ void RunTables(JsonReport* report) {
                 "sites=" + std::to_string(sites) + ",tellers=" + std::to_string(sites * 3) +
                     ",local=0.0",
                 r.throughput_tps(), wall_ms,
-                {{"form_messages_per_txn", out.messages_per_txn},
-                 {"form_log_forces_per_txn", out.log_forces_per_txn}});
+                {{"form_messages_per_txn", r.messages_per_txn()},
+                 {"form_log_forces_per_txn", r.log_forces_per_txn()}});
   }
 
   printf("\nformation ablation, 16 sites, 48 tellers\n");
@@ -87,19 +73,18 @@ void RunTables(JsonReport* report) {
   printf("------------------------------------------------------------------\n");
   for (bool formation : {false, true}) {
     auto t0 = std::chrono::steady_clock::now();
-    RunOutput out = RunWorkload(16, 48, 0.0, formation);
-    const DebitCreditResults& r = out.results;
+    DebitCreditResults r = RunWorkload(16, 48, 0.0, formation);
     double wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
     printf("%-12s %10d %12.1f %12.1f %8.1f %8.2f\n", formation ? "on" : "off", r.committed,
-           ToMilliseconds(r.makespan) / 1000.0, r.throughput_tps(), out.messages_per_txn,
-           out.log_forces_per_txn);
+           ToMilliseconds(r.makespan) / 1000.0, r.throughput_tps(), r.messages_per_txn(),
+           r.log_forces_per_txn());
     report->Add("scale_throughput_formation",
                 std::string("sites=16,tellers=48,form=") + (formation ? "on" : "off"),
                 r.throughput_tps(), wall_ms,
-                {{"form_messages_per_txn", out.messages_per_txn},
-                 {"form_log_forces_per_txn", out.log_forces_per_txn}});
+                {{"form_messages_per_txn", r.messages_per_txn()},
+                 {"form_log_forces_per_txn", r.log_forces_per_txn()}});
   }
 
   printf("\nlocality sweep, 3 sites, 9 tellers, formation on\n");
@@ -107,8 +92,7 @@ void RunTables(JsonReport* report) {
   printf("------------------------------------------------------------------\n");
   for (double local : {0.0, 0.5, 0.9, 1.0}) {
     auto t0 = std::chrono::steady_clock::now();
-    RunOutput out = RunWorkload(3, 9, local, /*formation=*/true);
-    const DebitCreditResults& r = out.results;
+    DebitCreditResults r = RunWorkload(3, 9, local, /*formation=*/true);
     double wall_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();

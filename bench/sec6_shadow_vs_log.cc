@@ -75,11 +75,10 @@ struct Measured {
 Measured MeasureShadow(int txns, int records, int64_t record_bytes, bool spread) {
   Simulation sim;
   StatRegistry stats;
-  TraceLog trace;
   auto disk = std::make_unique<Disk>(&sim, &stats, "d", 8192, 1024);
   auto volume = std::make_unique<Volume>(0, "v", std::move(disk));
   BufferPool pool(512);
-  FileStore store(&sim, volume.get(), &pool, &stats, &trace, "site0");
+  FileStore store(&sim, volume.get(), &pool, &stats, "site0");
 
   Measured m;
   sim.Spawn("bench", [&] {

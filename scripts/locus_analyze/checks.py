@@ -52,9 +52,9 @@ PROTOCOL_DIRS = (os.path.join("src", "lock") + os.sep,
                  os.path.join("src", "txn") + os.sep,
                  os.path.join("src", "fs") + os.sep,
                  os.path.join("src", "storage") + os.sep)
-# Infrastructure members whose writes are not protocol state (observer/stat/
-# trace plumbing and interned stat-id handles).
-NONPROTOCOL_FIELDS = {"audit_", "stats_", "trace_", "ids_"}
+# Infrastructure members whose writes are not protocol state (observer/stat
+# plumbing and interned stat-id handles).
+NONPROTOCOL_FIELDS = {"audit_", "stats_", "ids_"}
 CONTAINER_MUTATORS = {
     "insert", "erase", "emplace", "emplace_back", "emplace_front",
     "push_back", "pop_back", "push_front", "pop_front", "clear", "resize",

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/sim/simulation.h"
-#include "src/sim/trace.h"
 
 namespace locus {
 
@@ -104,12 +103,10 @@ std::string AuditReport::ToString() const {
   return out;
 }
 
-ProtocolAuditor::ProtocolAuditor(Simulation* sim, StatRegistry* stats, TraceLog* trace,
-                                 bool enabled)
+ProtocolAuditor::ProtocolAuditor(Simulation* sim, StatRegistry* stats, bool enabled)
     : ProtocolObserver(enabled),
       sim_(sim),
       stats_(stats),
-      trace_(trace),
       // Interned at construction so counters() reports them even at zero.
       ids_{stats->Intern("audit.checks"), stats->Intern("audit.violations")} {}
 
@@ -150,7 +147,7 @@ void ProtocolAuditor::Violate(AuditKind kind, const TxnId& txn, const std::strin
   report.detail = std::move(detail);
   size_t n = std::min(trail_.size(), kTrailAttached);
   report.trail.assign(trail_.end() - static_cast<long>(n), trail_.end());
-  trace_->Log(sim_->Now(), "audit", "%s", report.ToString().c_str());
+  sim_->Trace("audit", "%s", report.ToString().c_str());
   violations_.push_back(std::move(report));
 }
 

@@ -35,7 +35,6 @@
 namespace locus {
 
 class Simulation;
-class TraceLog;
 
 // The invariant classes the auditor enforces. Names are stable strings used
 // in reports and test assertions (AuditKindName).
@@ -78,7 +77,7 @@ struct AuditReport {
 
 class ProtocolAuditor : public ProtocolObserver {
  public:
-  ProtocolAuditor(Simulation* sim, StatRegistry* stats, TraceLog* trace, bool enabled);
+  ProtocolAuditor(Simulation* sim, StatRegistry* stats, bool enabled);
 
   const std::vector<AuditReport>& violations() const { return violations_; }
   int64_t violation_count() const { return static_cast<int64_t>(violations_.size()); }
@@ -188,7 +187,6 @@ class ProtocolAuditor : public ProtocolObserver {
 
   Simulation* sim_;
   StatRegistry* stats_;
-  TraceLog* trace_;
   int64_t checks_ = 0;
 
   struct Ids {

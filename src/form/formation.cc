@@ -5,19 +5,14 @@
 
 namespace locus {
 
-FormationQueue::FormationQueue(Network* net, StatRegistry* stats, SiteId site,
-                               Options options)
-    : net_(net), stats_(stats), site_(site), options_(options) {
+FormationQueue::FormationQueue(Network* net, StatRegistry* stats, SiteId site, bool enabled)
+    : net_(net), stats_(stats), site_(site), enabled_(enabled) {
   enqueued_id_ = stats_->Intern("form.enqueued");
   batches_id_ = stats_->Intern("form.batches");
   batch_messages_id_ = stats_->Intern("form.batch_messages");
   batch_bytes_id_ = stats_->Intern("form.batch_bytes");
   flushes_size_id_ = stats_->Intern("form.flushes_size");
   flushes_deadline_id_ = stats_->Intern("form.flushes_deadline");
-  // Derived per-transaction gauges (milli fixed-point), Set by the workload
-  // at the end of a run; interned here so they surface even when zero.
-  stats_->Intern("form.messages_per_txn");
-  stats_->Intern("form.log_forces_per_txn");
 }
 
 void FormationQueue::Start() {
@@ -25,7 +20,7 @@ void FormationQueue::Start() {
                         [this](SiteId from, const Message& msg, Responder) {
                           HandleBatch(from, msg);
                         });
-  if (options_.enabled) {
+  if (enabled_) {
     net_->set_reply_router(site_, [this](SiteId dest, Message reply, uint64_t call_id) {
       Enqueue(dest, FormItem{std::move(reply), call_id, /*is_reply=*/true});
     });
@@ -34,7 +29,7 @@ void FormationQueue::Start() {
 }
 
 void FormationQueue::Send(SiteId to, Message msg) {
-  if (!options_.enabled) {
+  if (!enabled_) {
     net_->Send(site_, to, std::move(msg));
     return;
   }
@@ -42,7 +37,7 @@ void FormationQueue::Send(SiteId to, Message msg) {
 }
 
 RpcResult FormationQueue::Call(SiteId to, Message msg, SimTime timeout) {
-  if (!options_.enabled) {
+  if (!enabled_) {
     return net_->Call(site_, to, std::move(msg), timeout);
   }
   assert(Simulation::Current() != nullptr && "FormationQueue::Call requires process context");
@@ -57,7 +52,7 @@ RpcResult FormationQueue::Call(SiteId to, Message msg, SimTime timeout) {
 }
 
 uint64_t FormationQueue::BeginCall(SiteId to, Message msg) {
-  assert(options_.enabled && "BeginCall is a formation-only fast path");
+  assert(enabled_ && "BeginCall is a formation-only fast path");
   assert(Simulation::Current() != nullptr &&
          "FormationQueue::BeginCall requires process context");
   if (!net_->Reachable(site_, to)) {
@@ -77,7 +72,7 @@ RpcResult FormationQueue::FinishCall(uint64_t call_id, SimTime timeout) {
 
 std::pair<RpcResult, RpcResult> FormationQueue::Call2(SiteId to, Message first,
                                                       Message second, SimTime timeout) {
-  if (!options_.enabled) {
+  if (!enabled_) {
     RpcResult a = net_->Call(site_, to, std::move(first), timeout);
     RpcResult b = net_->Call(site_, to, std::move(second), timeout);
     return {std::move(a), std::move(b)};
@@ -101,7 +96,7 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
   DestQueue& q = queues_[to];
   q.bytes += item.msg.size_bytes;
   q.items.push_back(std::move(item));
-  if (q.bytes >= options_.max_batch_bytes) {
+  if (q.bytes >= kFormMaxBatchBytes) {
     stats_->Add(flushes_size_id_);
     Flush(to);
     return;
@@ -110,7 +105,7 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     q.timer_armed = true;
     const uint64_t gen = q.generation;
     EventInfo info{EventTag::kFormFlush, site_, to, -1};
-    net_->simulation().Schedule(options_.flush_delay, info, [this, to, gen] {
+    net_->simulation().Schedule(kFormFlushDelay, info, [this, to, gen] {
       DestQueue& dq = queues_[to];
       if (dq.generation != gen || dq.items.empty()) {
         return;  // A size flush or crash already serviced this queue.

@@ -6,7 +6,7 @@
 // A FormationQueue sits between the kernel's 2PC / lock / abort control
 // paths and Network::Send: small messages bound for the same site collect in
 // a per-destination queue and leave as one batch envelope, either when the
-// queue reaches max_batch_bytes or when a flush deadline expires. The flush
+// queue reaches kFormMaxBatchBytes or when a flush deadline expires. The flush
 // timer is a tagged simulation event (EventTag::kFormFlush), so the model
 // checker can reorder it against the deliveries it races.
 //
@@ -41,6 +41,10 @@ namespace locus {
 inline constexpr int32_t kFormBatchMsgType = 64;
 // Wire overhead of the envelope beyond the sum of its items' sizes.
 inline constexpr int32_t kFormEnvelopeBytes = 32;
+// Deadline flush: the most a queued message waits for company.
+inline constexpr SimTime kFormFlushDelay = Microseconds(1500);
+// Size flush: a queue reaching this many payload bytes leaves at once.
+inline constexpr int32_t kFormMaxBatchBytes = 4096;
 
 // One coalesced message. call_id links the item to a pending RPC at the
 // origin site: requests carry it so the receiver can build a Responder,
@@ -59,21 +63,13 @@ struct FormBatch {
 
 class FormationQueue {
  public:
-  struct Options {
-    bool enabled = false;
-    // Deadline flush: the most a queued message waits for company.
-    SimTime flush_delay = Microseconds(1500);
-    // Size flush: queue reaching this many payload bytes leaves at once.
-    int32_t max_batch_bytes = 4096;
-  };
-
-  FormationQueue(Network* net, StatRegistry* stats, SiteId site, Options options);
+  FormationQueue(Network* net, StatRegistry* stats, SiteId site, bool enabled);
 
   // Registers the batch-envelope handler, the reply router (enabled only),
   // and the drain-watchdog check. Call once, after the site exists.
   void Start();
 
-  bool enabled() const { return options_.enabled; }
+  bool enabled() const { return enabled_; }
   SiteId site() const { return site_; }
 
   // One-way datagram through the queue; forwards to Network::Send verbatim
@@ -137,7 +133,7 @@ class FormationQueue {
   Network* net_;
   StatRegistry* stats_;
   SiteId site_;
-  Options options_;
+  bool enabled_;
   SharedAccessHook shared_access_hook_;
   std::map<SiteId, DestQueue> queues_;
 

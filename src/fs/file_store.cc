@@ -7,12 +7,11 @@
 namespace locus {
 
 FileStore::FileStore(Simulation* sim, Volume* volume, BufferPool* pool, StatRegistry* stats,
-                     TraceLog* trace, std::string site_name)
+                     std::string site_name)
     : sim_(sim),
       volume_(volume),
       pool_(pool),
       stats_(stats),
-      trace_(trace),
       site_name_(std::move(site_name)) {
   ids_.cpu = stats_->Intern("cpu." + site_name_);
   ids_.bytes_written = stats_->Intern("fs.bytes_written");
@@ -584,7 +583,7 @@ void FileStore::DiscardIntentions(const IntentionsList& intentions) {
   if (Audited()) {
     audit_->OnDiscard(site_name_, intentions);
   }
-  trace_->Log(sim_->Now(), site_name_, "discard %s: %zu updates",
+  sim_->Trace(site_name_, "discard %s: %zu updates",
               ToString(intentions.file).c_str(), intentions.updates.size());
   for (const PageUpdate& u : intentions.updates) {
     if (volume_->IsAllocated(u.new_page)) {

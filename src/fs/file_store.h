@@ -36,7 +36,6 @@
 #include "src/lock/range.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 #include "src/storage/volume.h"
 
 namespace locus {
@@ -55,7 +54,7 @@ inline constexpr int64_t kReadPerPageInstructions = 500;
 class FileStore {
  public:
   FileStore(Simulation* sim, Volume* volume, BufferPool* pool, StatRegistry* stats,
-            TraceLog* trace, std::string site_name);
+            std::string site_name);
 
   Volume& volume() { return *volume_; }
   int32_t page_size() const { return volume_->page_size(); }
@@ -216,7 +215,6 @@ class FileStore {
   Volume* volume_;
   BufferPool* pool_;
   StatRegistry* stats_;
-  TraceLog* trace_;
   std::string site_name_;
   std::map<FileId, FileState> files_;
 

@@ -21,7 +21,6 @@
 #include "src/base/ids.h"
 #include "src/lock/lock_list.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 
 namespace locus {
 
@@ -46,9 +45,8 @@ class LockManager {
   // which may move while the request is queued.
   using RangeFn = std::function<ByteRange()>;
 
-  LockManager(TraceLog* trace, StatRegistry* stats, std::string site_name)
-      : trace_(trace),
-        stats_(stats),
+  LockManager(StatRegistry* stats, std::string site_name)
+      : stats_(stats),
         site_name_(std::move(site_name)),
         ids_{stats->Intern("lock.requests"), stats->Intern("lock.granted"),
              stats->Intern("lock.denied"), stats->Intern("lock.queued")} {}
@@ -125,7 +123,6 @@ class LockManager {
   std::vector<FileId> FileKeys() const;
 
   ProtocolObserver* audit_ = nullptr;
-  TraceLog* trace_;
   StatRegistry* stats_;
   std::string site_name_;
   // Interned counter ids: Request sits on the hot path of every file access.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdarg>
-#include <cstdio>
 
 #include "src/locus/system.h"
 
@@ -13,7 +12,7 @@ Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
       cpu_id_(system->stats().Intern("cpu." + system->net().SiteName(site))),
-      locks_(&system->trace(), &system->stats(), system->net().SiteName(site)),
+      locks_(&system->stats(), system->net().SiteName(site)),
       txns_(&system->sim(), site),
       pool_(system->options().pool_pages) {
   locks_.set_auditor(&system->observers());
@@ -25,7 +24,6 @@ Simulation& Kernel::sim() { return system_->sim(); }
 Network& Kernel::net() { return system_->net(); }
 Catalog& Kernel::catalog() { return system_->catalog(); }
 StatRegistry& Kernel::stats() { return system_->stats(); }
-TraceLog& Kernel::trace() { return system_->trace(); }
 
 void Kernel::BurnCpu(int64_t instructions) {
   stats().Add(cpu_id_, instructions);
@@ -33,19 +31,17 @@ void Kernel::BurnCpu(int64_t instructions) {
 }
 
 void Kernel::Trace(const char* format, ...) {
-  char buffer[512];
   va_list args;
   va_start(args, format);
-  vsnprintf(buffer, sizeof(buffer), format, args);
+  sim().VTrace(net().SiteName(site_), format, args);
   va_end(args);
-  trace().Log(sim().Now(), net().SiteName(site_), "%s", buffer);
 }
 
 void Kernel::AttachVolume(std::unique_ptr<Volume> volume) {
   Volume* raw = volume.get();
   volumes_.push_back(std::move(volume));
-  stores_[raw->id()] = std::make_unique<FileStore>(&sim(), raw, &pool_, &stats(), &trace(),
-                                                   net().SiteName(site_));
+  stores_[raw->id()] =
+      std::make_unique<FileStore>(&sim(), raw, &pool_, &stats(), net().SiteName(site_));
   stores_[raw->id()]->set_auditor(&system_->observers());
 }
 
@@ -92,16 +88,6 @@ void Kernel::MaybeCrashAt(ProtocolStep step) {
   throw SimCancelled{};
 }
 
-int64_t Kernel::live_kernel_processes() const {
-  int64_t n = 0;
-  for (SimProcess* kp : kernel_procs_) {
-    if (kp->state() != SimProcess::State::kFinished) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 template <MsgType kType>
 void Kernel::RegisterBlockingHandler(
     std::function<void(const RequestOf<kType>&, Responder)> fn) {
@@ -115,11 +101,8 @@ void Kernel::RegisterBlockingHandler(
 }
 
 void Kernel::Start() {
-  FormationQueue::Options form_opts;
-  form_opts.enabled = system_->options().formation;
-  form_opts.flush_delay = system_->options().formation_flush_delay;
-  form_opts.max_batch_bytes = system_->options().formation_max_batch_bytes;
-  form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_, form_opts);
+  form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_,
+                                           system_->options().formation);
   form_->Start();
   if (system_->observers().enabled()) {
     form_->set_shared_access_hook([this](const std::string& key, bool is_write) {
@@ -134,7 +117,6 @@ void Kernel::Start() {
   env.net = &net();
   env.catalog = &catalog();
   env.stats = &stats();
-  env.trace = &trace();
   env.store_for = [this](VolumeId v) { return StoreFor(v); };
   env.spawn = [this](const std::string& name, std::function<void()> body) {
     return SpawnKernelProcess(name, std::move(body));

@@ -61,8 +61,6 @@ struct LockFlags {
 
 class Kernel {
  public:
-  static constexpr int32_t kDefaultPoolPages = 256;
-
   Kernel(System* system, SiteId site);
 
   SiteId site() const { return site_; }
@@ -150,9 +148,6 @@ class Kernel {
   // Deadlock-detector entry point: wait-for edges at this site.
   std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
 
-  // Test/diagnostic access.
-  int64_t live_kernel_processes() const;
-
  private:
   friend class System;
 
@@ -161,7 +156,6 @@ class Kernel {
   Network& net();
   Catalog& catalog();
   StatRegistry& stats();
-  TraceLog& trace();
   // Consumes simulated CPU at this site and attributes it in the stats
   // ("cpu.<site>" in instructions) — the service-time measure of Figure 6.
   void BurnCpu(int64_t instructions);

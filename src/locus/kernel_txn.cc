@@ -22,6 +22,18 @@ void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& sr
   }
 }
 
+// The prepare message for one participant: the transaction's files stored there.
+PrepareRequest PrepareRequestFor(const TxnRecord& record, SiteId coordinator,
+                                 SiteId participant) {
+  PrepareRequest req{record.id, coordinator, {}};
+  for (const UsedFile& f : record.files) {
+    if (f.storage_site == participant) {
+      req.files.push_back(f.file);
+    }
+  }
+  return req;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -192,15 +204,8 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         local_sites.push_back(s);
         continue;
       }
-      PrepareRequest req;
-      req.txn = txn;
-      req.coordinator = site_;
-      for (const UsedFile& f : record->files) {
-        if (f.storage_site == s) {
-          req.files.push_back(f.file);
-        }
-      }
-      uint64_t id = form().BeginCall(s, MakeMsg<kPrepareReq>(req));
+      uint64_t id =
+          form().BeginCall(s, MakeMsg<kPrepareReq>(PrepareRequestFor(*record, site_, s)));
       if (id == 0) {
         failure = Err::kUnreachable;
         break;
@@ -211,15 +216,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
       if (failure != Err::kOk || record->abort_requested) {
         break;
       }
-      PrepareRequest req;
-      req.txn = txn;
-      req.coordinator = site_;
-      for (const UsedFile& f : record->files) {
-        if (f.storage_site == s) {
-          req.files.push_back(f.file);
-        }
-      }
-      Err err = ServePrepare(req);
+      Err err = ServePrepare(PrepareRequestFor(*record, site_, s));
       if (err == Err::kOk) {
         prepared.push_back(s);
       } else {
@@ -243,14 +240,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         failure = Err::kAborted;
         break;
       }
-      PrepareRequest req;
-      req.txn = txn;
-      req.coordinator = site_;
-      for (const UsedFile& f : record->files) {
-        if (f.storage_site == s) {
-          req.files.push_back(f.file);
-        }
-      }
+      PrepareRequest req = PrepareRequestFor(*record, site_, s);
       Err err;
       if (IsLocal(s)) {
         err = ServePrepare(req);

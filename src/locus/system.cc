@@ -7,6 +7,9 @@
 namespace locus {
 
 namespace {
+// Pages per simulated volume (8 MB at the default 1 KB page size).
+constexpr int32_t kPagesPerVolume = 8192;
+
 bool AuditEnabled(const SystemOptions& options) {
 #ifdef LOCUS_AUDIT_FORCE
   (void)options;
@@ -29,10 +32,9 @@ bool SerialEnabled(const SystemOptions& options) {
 System::System(int num_sites, SystemOptions options)
     : options_(options),
       sim_(options.seed),
-      net_(&sim_, &trace_),
-      audit_(&sim_, &stats_, &trace_, AuditEnabled(options)),
-      serial_(&sim_, &net_, &stats_, &trace_, SerialEnabled(options)) {
-  trace_.set_enabled(true);
+      net_(&sim_),
+      audit_(&sim_, &stats_, AuditEnabled(options)),
+      serial_(&sim_, &net_, &stats_, SerialEnabled(options)) {
   observers_.Register(&audit_);
   observers_.Register(&serial_);
   if (serial_.enabled()) {
@@ -54,7 +56,7 @@ System::~System() { StopDaemons(); }
 VolumeId System::AddVolume(SiteId site) {
   VolumeId id = AllocVolumeId();
   std::string name = "d" + std::to_string(site) + "v" + std::to_string(id);
-  auto disk = std::make_unique<Disk>(&sim_, &stats_, name, options_.pages_per_volume,
+  auto disk = std::make_unique<Disk>(&sim_, &stats_, name, kPagesPerVolume,
                                      options_.page_size, options_.disk_latency);
   auto volume = std::make_unique<Volume>(id, name, std::move(disk));
   if (options_.double_write_logs) {
@@ -138,8 +140,7 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
       for (const LockOwner& victim : graph.SelectVictims()) {
         if (victim.txn.valid()) {
           stats_.Add("deadlock.victims");
-          trace_.Log(sim_.Now(), "detector", "aborting deadlock victim %s",
-                     ToString(victim.txn).c_str());
+          sim_.Trace("detector", "aborting deadlock victim %s", ToString(victim.txn).c_str());
           kernel->RouteAbort(victim.txn, "deadlock victim");
         }
       }
@@ -162,7 +163,7 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
         auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
         if (status == TxnStatus::kAborted) {
           stats_.Add("deadlock.orphan_locks_reaped");
-          trace_.Log(sim_.Now(), "detector", "reaping orphan locks of %s at site %d",
+          sim_.Trace("detector", "reaping orphan locks of %s at site %d",
                      ToString(holder).c_str(), s);
           kernel->form().Send(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{holder}));
         }

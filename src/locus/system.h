@@ -18,7 +18,6 @@
 #include "src/serial/certifier.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 #include "src/storage/volume.h"
 
 namespace locus {
@@ -28,7 +27,6 @@ class Syscalls;
 struct SystemOptions {
   uint64_t seed = 1;
   int32_t page_size = 1024;        // The paper's measurements used 1 KB pages.
-  int32_t pages_per_volume = 8192;
   int32_t pool_pages = 256;        // Buffer pool capacity per site.
   // Fidelity switches for the 1985 implementation's known inefficiencies
   // (footnotes 9 and 10), used by the Figure 5 experiment.
@@ -47,8 +45,6 @@ struct SystemOptions {
   // records share one force per volume. Off by default; with it off the
   // event order is bit-identical to a build without the subsystem.
   bool formation = false;
-  SimTime formation_flush_delay = Microseconds(1500);
-  int32_t formation_max_batch_bytes = 4096;
   // Runtime protocol auditor (src/audit): machine-checks 2PL coverage,
   // shadow-page isolation, and 2PC message order while the cluster runs.
   // Forced on when the build defines LOCUS_AUDIT_FORCE (cmake -DLOCUS_AUDIT=ON).
@@ -74,7 +70,6 @@ class System {
   Network& net() { return net_; }
   Catalog& catalog() { return catalog_; }
   StatRegistry& stats() { return stats_; }
-  TraceLog& trace() { return trace_; }
   ProtocolAuditor& audit() { return audit_; }
   SerializabilityCertifier& serial() { return serial_; }
   ObserverHub& observers() { return observers_; }
@@ -116,7 +111,6 @@ class System {
  private:
   SystemOptions options_;
   Simulation sim_;
-  TraceLog trace_;
   StatRegistry stats_;
   Network net_;
   ProtocolAuditor audit_;

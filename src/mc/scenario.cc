@@ -147,11 +147,9 @@ RunResult RunScenario(const ScenarioConfig& cfg, GuidedPolicy* policy) {
     opts.disk_latency = Microseconds(cfg.disk_latency_us);
   }
   System system(cfg.sites, opts);
-  // Thousands of runs; keep them cheap. LOCUS_MC_TRACE=1 turns the kernel
-  // trace back on (echoed to stderr) when debugging a single replay.
-  const bool trace = getenv("LOCUS_MC_TRACE") != nullptr;
-  system.trace().set_enabled(trace);
-  system.trace().set_echo(trace);
+  // LOCUS_MC_TRACE=1 echoes the kernel trace to stderr when debugging a
+  // single replay.
+  system.sim().set_trace_echo(getenv("LOCUS_MC_TRACE") != nullptr);
   if (policy != nullptr) {
     policy->tie_window = Microseconds(cfg.tie_window_us);
   }

@@ -38,8 +38,8 @@ void Responder::operator()(Message reply) const {
                       });
 }
 
-Network::Network(Simulation* sim, TraceLog* trace)
-    : sim_(sim), trace_(trace), messages_id_(stats_.Intern("net.messages")) {}
+Network::Network(Simulation* sim)
+    : sim_(sim), messages_id_(stats_.Intern("net.messages")) {}
 
 SiteId Network::AddSite(const std::string& name) {
   SiteId id = static_cast<SiteId>(sites_.size());
@@ -151,7 +151,7 @@ void Network::DispatchDelivered(SiteId from, SiteId to, const Message& msg,
   Site& dest = sites_[to];
   if (static_cast<size_t>(msg.type) >= dest.handlers.size() || !dest.handlers[msg.type]) {
     stats_.Add("net.unhandled");
-    trace_->Log(sim_->Now(), dest.name, "unhandled message type %d from %s", msg.type,
+    sim_->Trace(dest.name, "unhandled message type %d from %s", msg.type,
                 sites_[from].name.c_str());
     return;
   }
@@ -220,7 +220,7 @@ void Network::Crash(SiteId site) {
     return;
   }
   sites_[site].alive = false;
-  trace_->Log(sim_->Now(), sites_[site].name, "site crashed");
+  sim_->Trace(sites_[site].name, "site crashed");
   NotifyTopologyChanged();
 }
 
@@ -230,7 +230,7 @@ void Network::Reboot(SiteId site) {
   }
   sites_[site].alive = true;
   sites_[site].boot_epoch++;
-  trace_->Log(sim_->Now(), sites_[site].name, "site rebooted (epoch %llu)",
+  sim_->Trace(sites_[site].name, "site rebooted (epoch %llu)",
               static_cast<unsigned long long>(sites_[site].boot_epoch));
   NotifyTopologyChanged();
 }
@@ -246,7 +246,7 @@ void Network::SetPartitions(const std::vector<std::vector<SiteId>>& groups) {
       sites_[s].partition_group = static_cast<int>(g);
     }
   }
-  trace_->Log(sim_->Now(), "net", "network partitioned into %zu+ groups", groups.size());
+  sim_->Trace("net", "network partitioned into %zu+ groups", groups.size());
   NotifyTopologyChanged();
 }
 
@@ -254,7 +254,7 @@ void Network::ClearPartitions() {
   for (Site& s : sites_) {
     s.partition_group = 0;
   }
-  trace_->Log(sim_->Now(), "net", "network partitions healed");
+  sim_->Trace("net", "network partitions healed");
   NotifyTopologyChanged();
 }
 

@@ -29,7 +29,6 @@
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
-#include "src/sim/trace.h"
 
 namespace locus {
 
@@ -102,7 +101,7 @@ class Network {
   static constexpr SimTime kFailureDetectDelay = Milliseconds(40);
   static constexpr SimTime kDefaultRpcTimeout = Seconds(5);
 
-  Network(Simulation* sim, TraceLog* trace);
+  explicit Network(Simulation* sim);
 
   SiteId AddSite(const std::string& name);
   int site_count() const { return static_cast<int>(sites_.size()); }
@@ -184,7 +183,6 @@ class Network {
 
   StatRegistry& stats() { return stats_; }
   Simulation& simulation() { return *sim_; }
-  TraceLog& trace() { return *trace_; }
 
  private:
   friend class Responder;
@@ -222,7 +220,6 @@ class Network {
   void MergeClock(SiteId site, const std::vector<uint32_t>& other);
 
   Simulation* sim_;
-  TraceLog* trace_;
   StatRegistry stats_;
   StatRegistry::StatId messages_id_;  // "net.messages": bumped per message.
   std::vector<Site> sites_;

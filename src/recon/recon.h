@@ -41,7 +41,6 @@
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 #include "src/storage/disk.h"
 
 namespace locus {
@@ -80,7 +79,6 @@ class ReintegrationManager {
     Network* net = nullptr;
     Catalog* catalog = nullptr;
     StatRegistry* stats = nullptr;
-    TraceLog* trace = nullptr;
     // Resolves a volume id to the site's FileStore (nullptr if not local).
     std::function<FileStore*(VolumeId)> store_for;
     // Spawns a kernel process at the site (tracked; killed on crash).

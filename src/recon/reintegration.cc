@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdarg>
-#include <cstdio>
 #include <optional>
 
 namespace locus {
@@ -28,12 +27,10 @@ ReintegrationManager::ReintegrationManager(Env env) : env_(std::move(env)) {
 }
 
 void ReintegrationManager::Trace(const char* format, ...) {
-  char buffer[512];
   va_list args;
   va_start(args, format);
-  vsnprintf(buffer, sizeof(buffer), format, args);
+  env_.sim->VTrace(env_.site_name, format, args);
   va_end(args);
-  env_.trace->Log(env_.sim->Now(), env_.site_name, "%s", buffer);
 }
 
 ReplicaVersionReply ReintegrationManager::ServeVersion(const ReplicaVersionRequest& req) {

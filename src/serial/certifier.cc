@@ -4,7 +4,6 @@
 
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
-#include "src/sim/trace.h"
 
 namespace locus {
 
@@ -66,13 +65,11 @@ std::string SerialReport::ToString() const {
 }
 
 SerializabilityCertifier::SerializabilityCertifier(Simulation* sim, Network* net,
-                                                   StatRegistry* stats, TraceLog* trace,
-                                                   bool enabled)
+                                                   StatRegistry* stats, bool enabled)
     : ProtocolObserver(enabled),
       sim_(sim),
       net_(net),
       stats_(stats),
-      trace_(trace),
       // Interned at construction so counters() reports them even at zero.
       ids_{stats->Intern("serial.txns_certified"), stats->Intern("serial.edges"),
            stats->Intern("serial.cycles"), stats->Intern("serial.checks"),
@@ -485,8 +482,8 @@ void SerializabilityCertifier::Violate(SerialKind kind, std::vector<TxnId> txns,
   size_t attach = std::min(trail_.size(), kTrailAttached);
   report.trail.assign(trail_.end() - attach, trail_.end());
   stats_->Add(ids_.violations);
-  if (trace_ != nullptr && sim_ != nullptr) {
-    trace_->Log(sim_->Now(), "serial", "%s", report.ToString().c_str());
+  if (sim_ != nullptr) {
+    sim_->Trace("serial", "%s", report.ToString().c_str());
   }
   violations_.push_back(std::move(report));
 }

@@ -56,7 +56,6 @@
 namespace locus {
 
 class Simulation;
-class TraceLog;
 
 // The outcome invariants the certifier enforces. Names are stable strings
 // used in reports and test assertions (SerialKindName).
@@ -91,8 +90,7 @@ class SerializabilityCertifier : public ProtocolObserver {
   // `net` supplies vector clocks and site-name resolution; may be null in
   // unit tests, which disables the clock-based checks (external consistency,
   // races) but keeps the graph checks.
-  SerializabilityCertifier(Simulation* sim, Network* net, StatRegistry* stats,
-                           TraceLog* trace, bool enabled);
+  SerializabilityCertifier(Simulation* sim, Network* net, StatRegistry* stats, bool enabled);
 
   const std::vector<SerialReport>& violations() const { return violations_; }
   int64_t violation_count() const { return static_cast<int64_t>(violations_.size()); }
@@ -190,7 +188,6 @@ class SerializabilityCertifier : public ProtocolObserver {
   Simulation* sim_;
   Network* net_;
   StatRegistry* stats_;
-  TraceLog* trace_;
 
   struct Ids {
     StatRegistry::StatId txns_certified;

@@ -240,6 +240,23 @@ void Simulation::ScheduleAt(SimTime when, EventInfo info, std::function<void()> 
   events_.push(Event{when, next_seq_++, info, std::move(fn)});
 }
 
+void Simulation::Trace(std::string_view origin, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  VTrace(origin, format, args);
+  va_end(args);
+}
+
+void Simulation::VTrace(std::string_view origin, const char* format, va_list args) {
+  if (!trace_echo_) {
+    return;
+  }
+  fprintf(stderr, "[%9.3f ms] %-10.*s ", ToMilliseconds(now_), static_cast<int>(origin.size()),
+          origin.data());
+  vfprintf(stderr, format, args);
+  fputc('\n', stderr);
+}
+
 SimProcess* Simulation::Spawn(std::string name, std::function<void()> body) {
   auto proc = std::unique_ptr<SimProcess>(
       new SimProcess(this, next_pid_++, std::move(name), std::move(body)));

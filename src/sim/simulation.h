@@ -15,12 +15,14 @@
 
 #include <ucontext.h>
 
+#include <cstdarg>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -249,6 +251,14 @@ class Simulation {
     drain_checks_.push_back(std::move(check));
   }
 
+  // --- Trace echo (debugging) ---
+  // Off by default. When on, Trace prints one "[time] origin message" line to
+  // stderr; when off it formats nothing. Either way the run is unchanged.
+  void set_trace_echo(bool echo) { trace_echo_ = echo; }
+  void Trace(std::string_view origin, const char* format, ...)
+      __attribute__((format(printf, 3, 4)));
+  void VTrace(std::string_view origin, const char* format, va_list args);
+
   // Creates a process whose body starts running at the current virtual time.
   // The returned pointer stays valid until the Simulation is destroyed.
   SimProcess* Spawn(std::string name, std::function<void()> body);
@@ -316,6 +326,7 @@ class Simulation {
   uint64_t next_seq_ = 0;
   uint64_t next_pid_ = 1;
   bool stop_requested_ = false;
+  bool trace_echo_ = false;
   Rng rng_;
   SchedulePolicy* policy_ = nullptr;
   DrainWatchdog drain_watchdog_ = DrainWatchdog::kOff;

@@ -64,9 +64,6 @@ class StatRegistry {
   }
 
   void Add(StatId id, int64_t delta = 1) { values_[static_cast<size_t>(id)] += delta; }
-  // Overwrites a counter; used for derived gauges (per-transaction ratios in
-  // milli fixed-point) computed once at the end of a run.
-  void Set(StatId id, int64_t value) { values_[static_cast<size_t>(id)] = value; }
   int64_t Get(StatId id) const { return values_[static_cast<size_t>(id)]; }
 
   void Add(const std::string& name, int64_t delta = 1) { Add(Intern(name), delta); }

@@ -31,8 +31,6 @@ struct DebitCreditConfig {
   SimTime think_max = Milliseconds(40);
   // Fraction of transfers forced to stay within one branch (local txns).
   double local_fraction = 0.0;
-  // Prints one line per transfer attempt to stderr (debugging).
-  bool verbose = false;
 };
 
 struct DebitCreditResults {
@@ -46,10 +44,21 @@ struct DebitCreditResults {
   // audited_total under-counts and says nothing about conservation.
   bool audit_complete = false;
   SimTime makespan = 0;          // Virtual time from first teller to audit.
+  // Run totals, setup through the end of the run: wire messages
+  // ("net.messages") and log forces ("form.log_forces").
+  int64_t messages = 0;
+  int64_t log_forces = 0;
   bool conserved() const { return audit_complete && audited_total == expected_total; }
   double throughput_tps() const {
     return makespan <= 0 ? 0.0
                          : static_cast<double>(committed) / (ToMilliseconds(makespan) / 1000.0);
+  }
+  double messages_per_txn() const { return PerCommit(messages); }
+  double log_forces_per_txn() const { return PerCommit(log_forces); }
+
+ private:
+  double PerCommit(int64_t total) const {
+    return committed == 0 ? 0.0 : static_cast<double>(total) / committed;
   }
 };
 
@@ -61,8 +70,8 @@ class DebitCreditWorkload {
       : system_(system), config_(config) {}
 
   // Creates the branch files, runs the tellers to completion, audits, and
-  // returns the results. Drives the simulation internally (RunFor with a
-  // generous budget).
+  // returns the results. Drives the simulation internally; the run ends when
+  // it quiesces after the audit (at most an hour of virtual time).
   DebitCreditResults Execute();
 
   static std::string BranchPath(int branch);

@@ -26,8 +26,7 @@ class FileStoreTest : public ::testing::Test {
                                        Milliseconds(10));
     volume_ = std::make_unique<Volume>(0, "v0", std::move(disk));
     pool_ = std::make_unique<BufferPool>(64);
-    store_ = std::make_unique<FileStore>(&sim_, volume_.get(), pool_.get(), &stats_,
-                                         &trace_, "site0");
+    store_ = std::make_unique<FileStore>(&sim_, volume_.get(), pool_.get(), &stats_, "site0");
   }
 
   // Runs `body` in process context and drives the simulation to completion.
@@ -41,7 +40,6 @@ class FileStoreTest : public ::testing::Test {
   LockOwner Txn(uint64_t serial) { return LockOwner{kNoPid, TxnId{0, 0, serial}}; }
 
   Simulation sim_;
-  TraceLog trace_;
   StatRegistry stats_;
   std::unique_ptr<Volume> volume_;
   std::unique_ptr<BufferPool> pool_;

@@ -28,7 +28,6 @@ DebitCreditConfig AnchorConfig() {
 
 DebitCreditResults RunAnchor(const SystemOptions& options) {
   System system(6, options);
-  system.trace().set_enabled(false);
   DebitCreditWorkload workload(&system, AnchorConfig());
   DebitCreditResults results = workload.Execute();
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
@@ -49,6 +48,27 @@ TEST(Formation, OffIsBitIdenticalToPreFormationRun) {
   EXPECT_EQ(results.makespan, Microseconds(14988752));  // 14988.8 ms
 }
 
+// The trace echo is output only: the anchor run with it on prints trace
+// lines yet reproduces the same commits, makespan and every counter.
+TEST(Formation, TraceEchoNeverChangesTheRun) {
+  auto run = [](bool echo) {
+    SystemOptions options;
+    options.seed = 42;
+    System system(6, options);
+    system.sim().set_trace_echo(echo);
+    DebitCreditResults r = DebitCreditWorkload(&system, AnchorConfig()).Execute();
+    EXPECT_EQ(r.committed, 142);
+    EXPECT_EQ(r.makespan, Microseconds(14988752));
+    return std::make_tuple(r.committed, r.makespan, system.stats().counters(),
+                           system.net().stats().counters());
+  };
+  testing::internal::CaptureStderr();
+  auto echoed = run(true);
+  const std::string text = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(text.empty());
+  EXPECT_EQ(echoed, run(false));
+}
+
 // Formation on is still a deterministic simulation: two runs with the same
 // seed agree on every observable, and a different seed produces a different
 // schedule (guarding against the comparison being vacuous).
@@ -58,7 +78,6 @@ TEST(Formation, BatchingIsDeterministicForFixedSeed) {
     options.seed = seed;
     options.formation = true;
     System system(6, options);
-    system.trace().set_enabled(false);
     DebitCreditConfig config = AnchorConfig();
     config.seed = seed;  // The workload seed shapes think times and routing.
     DebitCreditWorkload workload(&system, config);
@@ -82,7 +101,6 @@ TEST(Formation, OnConservesMoneyWithAuditorClean) {
   options.formation = true;
   options.audit = true;
   System system(6, options);
-  system.trace().set_enabled(false);
   DebitCreditWorkload workload(&system, AnchorConfig());
   DebitCreditResults results = workload.Execute();
 
@@ -108,22 +126,20 @@ TEST(Formation, ReducesMessagesAndForcesPerTxn) {
     options.seed = 42;
     options.formation = formation;
     System system(6, options);
-    system.trace().set_enabled(false);
     DebitCreditWorkload workload(&system, AnchorConfig());
     DebitCreditResults results = workload.Execute();
     EXPECT_TRUE(results.conserved());
-    return std::make_tuple(results.committed,
-                           system.stats().Get("form.messages_per_txn"),
-                           system.stats().Get("form.log_forces_per_txn"));
+    return results;
   };
-  auto [off_commits, off_msgs, off_forces] = run(false);
-  auto [on_commits, on_msgs, on_forces] = run(true);
-  EXPECT_EQ(off_commits, on_commits);
-  ASSERT_GT(off_msgs, 0);
-  ASSERT_GT(off_forces, 0);
-  // Milli fixed-point gauges; compare as ratios.
-  EXPECT_LT(on_msgs * 100, off_msgs * 80) << "messages/txn reduced < 20%";
-  EXPECT_LT(on_forces * 100, off_forces * 80) << "log forces/txn reduced < 20%";
+  DebitCreditResults off = run(false);
+  DebitCreditResults on = run(true);
+  EXPECT_EQ(off.committed, on.committed);
+  ASSERT_GT(off.messages_per_txn(), 0.0);
+  ASSERT_GT(off.log_forces_per_txn(), 0.0);
+  EXPECT_LT(on.messages_per_txn(), off.messages_per_txn() * 0.8)
+      << "messages/txn reduced < 20%";
+  EXPECT_LT(on.log_forces_per_txn(), off.log_forces_per_txn() * 0.8)
+      << "log forces/txn reduced < 20%";
 }
 
 // A non-empty formation queue with no armed flush timer can never drain —
@@ -133,7 +149,6 @@ TEST(Formation, DrainWatchdogCatchesStrandedQueue) {
   SystemOptions options;
   options.formation = true;
   System system(2, options);
-  system.trace().set_enabled(false);
   system.sim().set_drain_watchdog(DrainWatchdog::kReport);
 
   Message stranded;
@@ -150,7 +165,6 @@ TEST(Formation, DrainWatchdogQuietOnCleanRun) {
   SystemOptions options;
   options.formation = true;
   System system(2, options);
-  system.trace().set_enabled(false);
   system.sim().set_drain_watchdog(DrainWatchdog::kReport);
   system.Spawn(0, "w", [](Syscalls& sys) {
     ASSERT_EQ(sys.Creat("/f", 1), Err::kOk);

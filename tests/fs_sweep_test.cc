@@ -23,8 +23,7 @@ class PageSizeSweep : public ::testing::TestWithParam<int32_t> {
                                        Milliseconds(10));
     volume_ = std::make_unique<Volume>(0, "v0", std::move(disk));
     pool_ = std::make_unique<BufferPool>(128);
-    store_ = std::make_unique<FileStore>(&sim_, volume_.get(), pool_.get(), &stats_,
-                                         &trace_, "site0");
+    store_ = std::make_unique<FileStore>(&sim_, volume_.get(), pool_.get(), &stats_, "site0");
   }
 
   void Run(std::function<void()> body) {
@@ -37,7 +36,6 @@ class PageSizeSweep : public ::testing::TestWithParam<int32_t> {
 
   int32_t page_size_ = 0;
   Simulation sim_;
-  TraceLog trace_;
   StatRegistry stats_;
   std::unique_ptr<Volume> volume_;
   std::unique_ptr<BufferPool> pool_;
@@ -111,12 +109,11 @@ class PagesPerCommitSweep : public ::testing::TestWithParam<int> {};
 TEST_P(PagesPerCommitSweep, DataWritesScaleInodeWritesDoNot) {
   const int pages = GetParam();
   Simulation sim;
-  TraceLog trace;
   StatRegistry stats;
   auto disk = std::make_unique<Disk>(&sim, &stats, "d0", 4096, 64, Milliseconds(5));
   Volume volume(0, "v0", std::move(disk));
   BufferPool pool(64);
-  FileStore store(&sim, &volume, &pool, &stats, &trace, "site0");
+  FileStore store(&sim, &volume, &pool, &stats, "site0");
   sim.Spawn("test", [&] {
     FileId f = store.CreateFile();
     stats.Reset();
@@ -142,12 +139,11 @@ TEST_P(InterleavingSweep, CommittedStateMatchesModel) {
   constexpr int32_t kPageSize = 128;
   constexpr int kFileBytes = 512;
   Simulation sim(writers * 1000 + rounds);
-  TraceLog trace;
   StatRegistry stats;
   auto disk = std::make_unique<Disk>(&sim, &stats, "d0", 4096, kPageSize, Milliseconds(2));
   Volume volume(0, "v0", std::move(disk));
   BufferPool pool(64);
-  FileStore store(&sim, &volume, &pool, &stats, &trace, "site0");
+  FileStore store(&sim, &volume, &pool, &stats, "site0");
 
   sim.Spawn("test", [&] {
     Rng rng(7 * writers + rounds);

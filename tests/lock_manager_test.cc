@@ -21,7 +21,7 @@ LockOwner Txn(const TxnId& t) { return LockOwner{kNoPid, t}; }
 
 class LockManagerTest : public ::testing::Test {
  protected:
-  LockManagerTest() : manager_(&trace_, &stats_, "site0") {}
+  LockManagerTest() : manager_(&stats_, "site0") {}
 
   // Issues a request and records its outcome in `outcomes` by index.
   void Request(const FileId& file, ByteRange range, LockOwner owner, LockMode mode,
@@ -38,7 +38,6 @@ class LockManagerTest : public ::testing::Test {
     ByteRange granted;
   };
 
-  TraceLog trace_;
   StatRegistry stats_;
   LockManager manager_;
   std::vector<Outcome> outcomes_;
@@ -153,7 +152,7 @@ TEST_F(LockManagerTest, LockTableHandoffForServiceMigration) {
   EXPECT_EQ(moved.entries().size(), 1u);
   EXPECT_EQ(manager_.Find(kFileA), nullptr);
 
-  LockManager other(&trace_, &stats_, "site1");
+  LockManager other(&stats_, "site1");
   other.InstallFileLocks(kFileA, std::move(moved));
   ASSERT_NE(other.Find(kFileA), nullptr);
   EXPECT_FALSE(other.Find(kFileA)->CanGrant({0, 10}, Proc(9), LockMode::kShared));

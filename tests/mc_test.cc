@@ -30,7 +30,6 @@ TEST(McDefaultPolicy, BitIdenticalOnDebitCreditWorkload) {
     SystemOptions opts;
     opts.seed = config.seed;
     System system(6, opts);
-    system.trace().set_enabled(false);
     system.sim().set_schedule_policy(policy);
     DebitCreditWorkload workload(&system, config);
     DebitCreditResults results = workload.Execute();

@@ -14,7 +14,7 @@ struct Ping {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : net_(&sim_, &trace_) {
+  NetworkTest() : net_(&sim_) {
     a_ = net_.AddSite("a");
     b_ = net_.AddSite("b");
     c_ = net_.AddSite("c");
@@ -29,7 +29,6 @@ class NetworkTest : public ::testing::Test {
   }
 
   Simulation sim_;
-  TraceLog trace_;
   Network net_;
   SiteId a_, b_, c_;
 };

@@ -1,40 +1,12 @@
-// Tests for the trace log and the stat/latency accumulators.
+// Tests for the stat registry and the latency accumulator.
 
 #include <gtest/gtest.h>
 
 #include "src/locus/system.h"
 #include "src/sim/stats.h"
-#include "src/sim/trace.h"
 
 namespace locus {
 namespace {
-
-TEST(TraceLog, RecordsFormattedMessages) {
-  TraceLog log;
-  log.Log(Milliseconds(5), "site0", "value=%d name=%s", 42, "x");
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0].time, Milliseconds(5));
-  EXPECT_EQ(log.records()[0].origin, "site0");
-  EXPECT_EQ(log.records()[0].message, "value=42 name=x");
-}
-
-TEST(TraceLog, DisabledLogRecordsNothing) {
-  TraceLog log;
-  log.set_enabled(false);
-  log.Log(0, "x", "dropped");
-  EXPECT_TRUE(log.records().empty());
-}
-
-TEST(TraceLog, CountContaining) {
-  TraceLog log;
-  log.Log(0, "a", "txn committed");
-  log.Log(0, "b", "txn aborted");
-  log.Log(0, "c", "txn committed again");
-  EXPECT_EQ(log.CountContaining("committed"), 2);
-  EXPECT_EQ(log.CountContaining("nothing"), 0);
-  log.Clear();
-  EXPECT_EQ(log.CountContaining("committed"), 0);
-}
 
 TEST(StatRegistry, AddGetReset) {
   StatRegistry stats;
@@ -70,8 +42,7 @@ TEST(StatRegistry, SurfacesFormationCounters) {
   auto counters = system.stats().counters();
   for (const char* key :
        {"form.enqueued", "form.batches", "form.batch_messages", "form.batch_bytes",
-        "form.flushes_size", "form.flushes_deadline", "form.messages_per_txn",
-        "form.log_forces_per_txn"}) {
+        "form.flushes_size", "form.flushes_deadline"}) {
     ASSERT_TRUE(counters.count(key)) << key;
     EXPECT_EQ(counters.at(key), 0) << key;
   }
