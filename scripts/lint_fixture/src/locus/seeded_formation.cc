@@ -1,7 +1,8 @@
 // Seeded formation-bypass violations (rule 5): this fake kernel file sends
-// 2PC / lock control messages directly through the Network instead of the
-// per-site FormationQueue. NOT compiled — CI asserts locus_analyze flags the
-// blocks below and honors the form-ok suppression.
+// control-plane messages (rows whose route column in src/locus/messages.h is
+// kFormation) directly through the Network instead of the per-site
+// FormationQueue. NOT compiled — CI asserts locus_analyze flags the blocks
+// below and honors the form-ok suppression.
 
 #include <cstdint>
 
@@ -11,6 +12,7 @@ using SiteId = int;
 constexpr int kPrepareReq = 8;
 constexpr int kCommitTxnReq = 9;
 constexpr int kLockReq = 4;
+constexpr int kMemberJoinReq = 11;
 constexpr int kReplicaPropagate = 32;
 
 struct Message {
@@ -38,6 +40,10 @@ class FakeKernel {
 
   // Violation: direct lock request datagram.
   void LockShip(SiteId s) { net().Send(0, s, MakeMsg(kLockReq)); }
+
+  // Violation: member join is routed kFormation in the message table's
+  // route column.
+  bool JoinMember(SiteId s) { return net_.Call(0, s, MakeMsg(kMemberJoinReq)); }
 
   // Suppressed: deliberate bypass, justified on the line above.
   void Bootstrap(SiteId s) {

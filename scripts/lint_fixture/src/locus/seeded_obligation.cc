@@ -1,7 +1,8 @@
 // Seeded obligation-pairing violations (split RPC calls and the lock-call
 // abort withdraw). NOT compiled — CI asserts the analyzer flags the dropped
-// call id, the discarded call id, and the withdraw-less kLockReq below, and
-// stays quiet on the paired/cancelled/transferred/suppressed shapes.
+// call id, the discarded call id, and the withdraw-less kLockReq calls
+// (untyped and typed) below, and stays quiet on the paired/cancelled/
+// transferred/suppressed shapes.
 
 namespace lint_fixture {
 
@@ -20,6 +21,8 @@ struct RpcResult {
 struct IdList {
   void push_back(unsigned long) {}
 };
+
+struct LockRequest {};
 
 struct FakeFormation {
   unsigned long BeginCall(SiteId, Message) { return 7; }
@@ -49,6 +52,10 @@ class FakeKernel {
   // Violation: sends a lock request but has no abort-cascade withdraw for
   // the timeout path, so a granted-but-unacknowledged lock would leak.
   bool NakedLock(SiteId s) { return form_.Call(s, MakeMsg(kLockReq)).ok; }
+
+  // Violation: the typed call path names the lock row as a template
+  // argument; it still needs the withdraw.
+  bool TypedNakedLock(SiteId s) { return Call<kLockReq>(s, LockRequest{}).ok; }
 
   // Clean: every return path finishes or zero-cancels the id.
   bool PairedCall(SiteId s) {
@@ -81,6 +88,10 @@ class FakeKernel {
   }
 
  private:
+  template <int kType>
+  RpcResult Call(SiteId, LockRequest) {
+    return RpcResult{};
+  }
   void RouteAbort(SiteId) {}
 
   FakeFormation form_;

@@ -11,6 +11,7 @@ Over-linking only adds caller paths, which can make the hook-coverage check
 stricter, never blind — the safe direction for an invariant guard.
 """
 
+from indexer import call_parens
 from lexer import IDENT, PUNCT
 
 _KEYWORDS = {
@@ -63,8 +64,7 @@ def calls_in(project, fn):
         t = toks[i]
         if t.kind != IDENT or t.value in _KEYWORDS:
             continue
-        nxt = toks[i + 1]
-        if not (nxt.kind == PUNCT and nxt.value == "("):
+        if call_parens(toks, i, fn.body_end) is None:  # Typed calls included.
             continue
         recv = None
         if i >= 2 and toks[i - 1].kind == PUNCT and toks[i - 1].value in (".", "->"):

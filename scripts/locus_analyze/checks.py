@@ -20,7 +20,7 @@ import re
 import sys
 
 from lexer import IDENT, NUMBER, PP, PUNCT, STRING, lex
-from indexer import index_file
+from indexer import call_parens, index_file
 import cfg as cfglib
 from callgraph import (Project, build_call_graph, exposed_functions,
                        is_hooked)
@@ -35,11 +35,10 @@ STAT_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 DECISION_DIRS = (os.path.join("src", "sim") + os.sep,
                  os.path.join("src", "net") + os.sep)
 FORMATION_DIRS = (os.path.join("src", "locus") + os.sep,)
-FORMATION_MSG_TYPES = {
-    "kPrepareReq", "kCommitTxnReq", "kAbortTxnAtSiteReq", "kLockReq",
-    "kUnlockReq", "kReleaseProcessReq", "kReleasePrimaryReq",
-    "kKillProcessReq",
-}
+# The message table: rows whose route column is kFormation are the ones rule 5
+# keeps off the raw Network.
+MESSAGE_TABLE_SOURCE = os.path.join("src", "locus", "messages.h")
+_MESSAGE_ROW = re.compile(r"X\(\s*(\w+)\s*,\s*\w+\s*,\s*\w+\s*,\s*(\w+)\s*,")
 EXHAUSTIVE_ENUMS = ("EventTag", "ProtocolStep")
 EXHAUSTIVE_ENUM_SOURCE = os.path.join("src", "sim", "simulation.h")
 
@@ -74,7 +73,10 @@ UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
 OBLIGATION_CLOSERS = {"FinishCall", "WaitCall", "CompleteBatchedCall"}
 OBLIGATION_TRANSFERS = {"emplace_back", "push_back", "emplace", "insert",
                         "return"}
-LOCK_WITHDRAWALS = {"kAbortTxnAtSiteReq", "ServeAbortTxnAtSite", "RouteAbort"}
+LOCK_WITHDRAWALS = {"kAbortTxnAtSiteReq", "AbortTxnAtSiteRequest", "RouteAbort"}
+# Calls that can carry a kLockReq: untyped `Call(..., kLockReq ...)` and
+# typed `Call<kLockReq>(...)` forms.
+LOCK_CALLS = {"Call", "Call2", "ChannelCall"}
 
 _INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
 
@@ -106,6 +108,7 @@ class Analyzer:
         self.lex_cache = {}
         self.project = Project()
         self.findings = []
+        self.formation_types = None  # Parsed from the message table on demand.
 
     # -- plumbing -----------------------------------------------------------
 
@@ -353,9 +356,23 @@ class Analyzer:
 
     # -- rule 5: formation routing -------------------------------------------
 
+    def _formation_msg_types(self):
+        """Rows of the LOCUS_MESSAGES table whose route column is kFormation."""
+        if self.formation_types is None:
+            self.formation_types = set()
+            source = os.path.join(self.root, MESSAGE_TABLE_SOURCE)
+            if os.path.isfile(source):
+                for t in self.lexed(source).tokens:
+                    if t.kind == PP and "LOCUS_MESSAGES(X)" in t.value:
+                        self.formation_types = {
+                            name for name, route in _MESSAGE_ROW.findall(t.value)
+                            if route == "kFormation"}
+        return self.formation_types
+
     def check_formation_bypass(self, lexed, rel):
         if not _in_dirs(rel, FORMATION_DIRS):
             return
+        formation_types = self._formation_msg_types()
         toks = lexed.tokens
         n = len(toks)
         for i, t in enumerate(toks):
@@ -378,7 +395,7 @@ class Analyzer:
             close = _match_fwd(toks, call_open, "(", ")")
             msg = None
             for k in range(call_open + 1, close):
-                if toks[k].kind == IDENT and toks[k].value in FORMATION_MSG_TYPES:
+                if toks[k].kind == IDENT and toks[k].value in formation_types:
                     msg = toks[k].value
                     break
             if msg is None:
@@ -576,13 +593,17 @@ class Analyzer:
         if not protocol:
             return
         edges = build_call_graph(self.project)
-        hooked = {fn.qual_name: is_hooked(self.project, fn)
-                  for fn in self.project.functions}
+        # Overloads share one call-graph node: it counts as hooked only when
+        # every definition is.
+        hooked = {}
+        for fn in self.project.functions:
+            hooked[fn.qual_name] = hooked.get(fn.qual_name, True) and \
+                is_hooked(self.project, fn)
         exposed = exposed_functions(edges, hooked)
         for fn in self.project.functions:
             if fn.class_name not in protocol:
                 continue
-            if hooked[fn.qual_name] or fn.qual_name not in exposed:
+            if is_hooked(self.project, fn) or fn.qual_name not in exposed:
                 continue
             writes = self._protocol_writes(fn, protocol[fn.class_name]["fields"])
             if not writes:
@@ -744,20 +765,22 @@ class Analyzer:
                     stack.append(dst)
         return False
 
-    # (b) lock-call withdraw: a kLockReq form().Call must have the abort
-    # cascade in reach for its timeout path.
+    # (b) lock-call withdraw: a kLockReq call must have the abort cascade in
+    # reach for its timeout path.
 
     def _check_lock_withdraw(self, fn, toks, lexed, rel):
         lock_line = None
         for k in range(fn.body_start + 1, fn.body_end):
             t = toks[k]
-            if t.kind == IDENT and t.value in ("Call", "Call2") and \
-                    k + 1 < fn.body_end and toks[k + 1].value == "(":
-                close = _match_fwd(toks, k + 1, "(", ")", fn.body_end + 1)
-                if any(toks[m].kind == IDENT and toks[m].value == "kLockReq"
-                       for m in range(k + 2, close)):
-                    lock_line = t.line
-                    break
+            args = call_parens(toks, k, fn.body_end) \
+                if t.kind == IDENT and t.value in LOCK_CALLS else None
+            if args is None:
+                continue
+            close = _match_fwd(toks, args, "(", ")", fn.body_end + 1)
+            if any(toks[m].kind == IDENT and toks[m].value == "kLockReq"
+                   for m in range(k + 2, close)):
+                lock_line = t.line
+                break
         if lock_line is None:
             return
         has_withdraw = any(
@@ -770,7 +793,8 @@ class Analyzer:
         self.report(rel, lock_line, "obligation pairing",
                     f"'{fn.qual_name}' sends kLockReq but has no abort-"
                     f"cascade withdraw (kAbortTxnAtSiteReq / "
-                    f"ServeAbortTxnAtSite / RouteAbort) for its failure path")
+                    f"AbortTxnAtSiteRequest / RouteAbort) for its failure "
+                    f"path")
 
     # (c) formation enqueue: every path from items.push_back to exit must
     # register a flush (immediate Flush or timer_armed arming).

@@ -94,6 +94,28 @@ def _match_forward(tokens, i, open_p, close_p):
     return n
 
 
+def call_parens(tokens, i, limit):
+    """Index of the '(' opening the argument list after the name at
+    tokens[i], past simple template arguments (`Call<kLockReq>(`); None when
+    no argument list follows."""
+    j = i + 1
+    if j < limit and tokens[j].kind == PUNCT and tokens[j].value == "<":
+        depth = 0
+        while j < limit:
+            v = tokens[j].value if tokens[j].kind == PUNCT else ""
+            if v in (";", "{", "}", "(", ")", "&&", "||"):
+                return None  # A comparison, not template arguments.
+            depth += {"<": 1, ">": -1, ">>": -2}.get(v, 0)
+            j += 1
+            if depth <= 0:
+                break
+        if depth != 0:
+            return None
+    if j >= limit or tokens[j].kind != PUNCT or tokens[j].value != "(":
+        return None
+    return j
+
+
 def _skip_to_body_or_end(tokens, i):
     """From just past a parameter list ')', skip trailing specifiers, a
     trailing return type, and a constructor init list. Returns the index of
@@ -373,11 +395,12 @@ class Indexer:
             else:
                 return None
         else:
-            if i + 1 >= end or not (tokens[i + 1].kind == PUNCT and
-                                    tokens[i + 1].value == "("):
+            # An explicit specialization names its template arguments:
+            # `Kernel::Handle<kReadReq>(...)`.
+            params_open = call_parens(tokens, i, end)
+            if params_open is None:
                 return None
             name_idx = i
-            params_open = i + 1
         close_params = _match_forward(tokens, params_open, "(", ")")
         body = _skip_to_body_or_end(tokens, close_params)
         if body is None:

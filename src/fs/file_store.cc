@@ -46,6 +46,8 @@ FileId FileStore::CreateFile() {
   FileState state;
   state.inode = inode;
   state.working_size = 0;
+  // hook-ok a fresh empty inode no transaction can reach until SysCreat
+  // publishes the catalog entry naming it (reported as catalog.entry).
   files_[id] = std::move(state);
   return id;
 }
@@ -64,6 +66,8 @@ void FileStore::RemoveFile(const FileId& file) {
   }
   volume_->FreeInode(file.ino);
   pool_->InvalidateFile(file);
+  // hook-ok the catalog entry is already gone (SysUnlink reports it as
+  // catalog.entry) or was never published (a create-race loser's replica).
   files_.erase(file);
 }
 
@@ -755,7 +759,11 @@ std::vector<FileId> FileStore::FilesWithUncommitted(const LockOwner& writer) con
   return out;
 }
 
-void FileStore::OnCrash() { files_.clear(); }
+void FileStore::OnCrash() {
+  // hook-ok volatile teardown; Kernel::OnCrash reports the crash through
+  // OnSiteCrash before it tears the stores down.
+  files_.clear();
+}
 
 std::vector<PageId> FileStore::PagesNamedBy(const IntentionsList& intentions) {
   std::vector<PageId> out;

@@ -45,6 +45,8 @@ void LockManager::MarkDirtyCovered(const FileId& file, const ByteRange& range,
                                    const LockOwner& owner) {
   auto it = files_.find(file);
   if (it != files_.end()) {
+    // hook-ok runs in the grant callback, after the grant was reported
+    // through OnLockGranted; it only tags granted pieces over adopted records.
     it->second.MarkDirtyCovered(range, owner);
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdarg>
+#include <type_traits>
 
 #include "src/locus/system.h"
 
@@ -89,14 +90,71 @@ void Kernel::MaybeCrashAt(ProtocolStep step) {
 }
 
 template <MsgType kType>
-void Kernel::RegisterBlockingHandler(
-    std::function<void(const RequestOf<kType>&, Responder)> fn) {
-  net().RegisterHandler(site_, kType, [this, fn](SiteId, const Message& msg, Responder r) {
+void Kernel::Handle(const RequestOf<kType>& req, Responder r) {
+  if constexpr (std::is_void_v<ReplyOf<kType>>) {
+    Serve(req);
+  } else {
+    r(MakeReply<kType>(Serve(req)));
+  }
+}
+
+// The reply carries the data: its wire size grows with it.
+template <>
+void Kernel::Handle<kReadReq>(const ReadRequest& req, Responder r) {
+  ReadReply reply = Serve(req);
+  int32_t size = kControlMsgBytes + static_cast<int32_t>(reply.bytes.size());
+  r(MakeReply<kReadReq>(std::move(reply), size));
+}
+
+// The reply waits for the grant; the handler process does not.
+template <>
+void Kernel::Handle<kLockReq>(const LockRequest& req, Responder r) {
+  ServeLock(req, [r](LockReply reply) { r(MakeReply<kLockReq>(std::move(reply))); });
+}
+
+// Crash point between the participant's prepare reply and anything after it.
+template <>
+void Kernel::Handle<kPrepareReq>(const PrepareRequest& req, Responder r) {
+  r(MakeReply<kPrepareReq>(Serve(req)));
+  MaybeCrashAt(ProtocolStep::kPrepareReplySent);
+}
+
+// A remote member join or file-list merge costs the top-level site's
+// protocol processing; a local one is a plain call.
+template <>
+void Kernel::Handle<kMemberJoinReq>(const MemberJoinRequest& req, Responder r) {
+  BurnCpu(300);
+  r(MakeReply<kMemberJoinReq>(Serve(req)));
+}
+
+template <>
+void Kernel::Handle<kMergeFileListReq>(const MergeFileListRequest& req, Responder r) {
+  BurnCpu(300);
+  r(MakeReply<kMergeFileListReq>(Serve(req)));
+}
+
+// The reply carries the committed image: its wire size grows with it.
+template <>
+void Kernel::Handle<kReplicaFetchReq>(const ReplicaFetchRequest& req, Responder r) {
+  ReplicaFetchReply reply = Serve(req);
+  FileStore* store = StoreFor(req.file.volume);
+  int32_t size =
+      FetchWireBytes(reply, store != nullptr ? store->page_size() : volumes_[0]->page_size());
+  r(MakeReply<kReplicaFetchReq>(std::move(reply), size));
+}
+
+template <MsgType kType>
+void Kernel::RegisterHandler() {
+  net().RegisterHandler(site_, kType, [this](SiteId, const Message& msg, Responder r) {
     if (!alive_) {
       return;
     }
-    SpawnKernelProcess("svc" + std::to_string(msg.type),
-                       [fn, msg, r] { fn(RequestIn<kType>(msg), r); });
+    if constexpr (MsgSpec<kType>::kContext == HandlerContext::kInline) {
+      Handle<kType>(RequestIn<kType>(msg), r);
+    } else {
+      SpawnKernelProcess("svc" + std::to_string(msg.type),
+                         [this, msg, r] { Handle<kType>(RequestIn<kType>(msg), r); });
+    }
   });
 }
 
@@ -123,163 +181,26 @@ void Kernel::Start() {
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 
-  RegisterBlockingHandler<kOpenReq>([this](const OpenRequest& req, Responder r) {
-    Err err = ServeOpen(req.file);
-    OpenReply reply{err, 0};
-    if (err == Err::kOk) {
-      FileStore* store = StoreFor(req.file.volume);
-      reply.size = store->WorkingSize(req.file);
-    }
-    r(MakeReply<kOpenReq>(reply));
-  });
-  RegisterBlockingHandler<kReadReq>([this](const ReadRequest& req, Responder r) {
-    ReadReply reply = ServeRead(req);
-    int32_t size = kControlMsgBytes + static_cast<int32_t>(reply.bytes.size());
-    r(MakeReply<kReadReq>(std::move(reply), size));
-  });
-  RegisterBlockingHandler<kWriteReq>([this](const WriteRequest& req, Responder r) {
-    r(MakeReply<kWriteReq>(ServeWrite(req)));
-  });
-  RegisterBlockingHandler<kLockReq>([this](const LockRequest& req, Responder r) {
-    BurnCpu(kLockServiceInstructions);
-    ServeLock(req, [r](LockReply reply) { r(MakeReply<kLockReq>(reply)); });
-  });
-  RegisterBlockingHandler<kUnlockReq>([this](const UnlockRequest& req, Responder r) {
-    BurnCpu(kLockServiceInstructions);
-    ServeUnlock(req);
-    r(MakeReply<kUnlockReq>(Err::kOk));
-  });
-  RegisterBlockingHandler<kCommitFileReq>([this](const CommitFileRequest& req, Responder r) {
-    r(MakeReply<kCommitFileReq>(ServeCommitFile(req)));
-  });
-  RegisterBlockingHandler<kReleaseProcessReq>(
-      [this](const ReleaseProcessRequest& req, Responder r) {
-        ServeReleaseProcess(req.pid);
-        r(MakeReply<kReleaseProcessReq>(Err::kOk));
-      });
-  RegisterBlockingHandler<kPrepareReq>([this](const PrepareRequest& req, Responder r) {
-    r(MakeReply<kPrepareReq>(PrepareReply{ServePrepare(req)}));
-    MaybeCrashAt(ProtocolStep::kPrepareReplySent);
-  });
-  RegisterBlockingHandler<kCommitTxnReq>([this](const CommitTxnRequest& req, Responder r) {
-    ServeCommitTxn(req.txn);
-    r(MakeReply<kCommitTxnReq>(Err::kOk));
-  });
-  RegisterBlockingHandler<kAbortTxnAtSiteReq>(
-      [this](const AbortTxnAtSiteRequest& req, Responder r) {
-        ServeAbortTxnAtSite(req.txn);
-        if (r.valid()) {
-          r(MakeReply<kAbortTxnAtSiteReq>(Err::kOk));
-        }
-      });
-  RegisterBlockingHandler<kMemberJoinReq>([this](const MemberJoinRequest& req, Responder r) {
-    BurnCpu(300);
-    r(MakeReply<kMemberJoinReq>(DoMemberJoin(req)));
-  });
-  RegisterBlockingHandler<kMergeFileListReq>(
-      [this](const MergeFileListRequest& req, Responder r) {
-        BurnCpu(300);
-        r(MakeReply<kMergeFileListReq>(DoMergeFileList(req)));
-      });
-  RegisterBlockingHandler<kAbortTxnRouteReq>(
-      [this](const AbortTxnRouteRequest& req, Responder r) {
-        r(MakeReply<kAbortTxnRouteReq>(DoAbortRoute(req)));
-      });
-  RegisterBlockingHandler<kKillProcessReq>([this](const KillProcessRequest& req, Responder r) {
-    KillProcessForAbort(req.pid, req.txn);
-    if (r.valid()) {
-      r(MakeReply<kKillProcessReq>(Err::kOk));
-    }
-  });
-  RegisterBlockingHandler<kReplicaPropagate>(
-      [this](const ReplicaPropagateMsg& msg, Responder) { ServeReplicaPropagate(msg); });
-  RegisterBlockingHandler<kCreateFileReq>([this](const CreateFileRequest& req, Responder r) {
-    FileStore* store =
-        req.volume == kNoVolume ? StoreFor(volumes_[0]->id()) : StoreFor(req.volume);
-    if (store == nullptr) {
-      r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kNoEnt, {}}));
-      return;
-    }
-    r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kOk, store->CreateFile()}));
-  });
-  RegisterBlockingHandler<kRemoveFileReq>([this](const RemoveFileRequest& req, Responder r) {
-    FileStore* store = StoreFor(req.file.volume);
-    if (store != nullptr && store->Exists(req.file)) {
-      store->RemoveFile(req.file);
-    }
-    if (r.valid()) {
-      r(MakeReply<kRemoveFileReq>(Err::kOk));
-    }
-  });
-  RegisterBlockingHandler<kTruncateReq>([this](const TruncateRequest& req, Responder r) {
-    FileStore* store = StoreFor(req.file.volume);
-    Err err = Err::kNoEnt;
-    if (store != nullptr && store->Exists(req.file)) {
-      err = store->Truncate(req.file, req.size) ? Err::kOk : Err::kBusy;
-    }
-    r(MakeReply<kTruncateReq>(err));
-  });
-  RegisterBlockingHandler<kReplicaVersionReq>(
-      [this](const ReplicaVersionRequest& req, Responder r) {
-        r(MakeReply<kReplicaVersionReq>(recon_->ServeVersion(req)));
-      });
-  RegisterBlockingHandler<kReplicaFetchReq>([this](const ReplicaFetchRequest& req, Responder r) {
-    ReplicaFetchReply reply = recon_->ServeFetch(req);
-    FileStore* store = StoreFor(req.file.volume);
-    int32_t size = FetchWireBytes(
-        reply, store != nullptr ? store->page_size() : volumes_[0]->page_size());
-    r(MakeReply<kReplicaFetchReq>(std::move(reply), size));
-  });
-  net().RegisterHandler(site_, kReleasePrimaryReq,
-                        [this](SiteId, const Message& m, Responder) {
-                          if (alive_) {
-                            MaybeReleasePrimary(RequestIn<kReleasePrimaryReq>(m).file);
-                          }
-                        });
-  net().RegisterHandler(site_, kTxnStatusReq, [this](SiteId, const Message& m, Responder r) {
-    if (!alive_ || !r.valid()) {
-      return;
-    }
-    const TxnId& txn = RequestIn<kTxnStatusReq>(m).txn;
-    // Presumed abort unless the STABLE coordinator log says otherwise (the
-    // volatile index may not be rebuilt yet right after a reboot) or the
-    // transaction is still active here / migrated elsewhere.
-    TxnStatus status = TxnStatus::kAborted;
-    for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-      if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
-        if (coord->txn == txn) {
-          status = coord->status;
-          break;
-        }
-      }
-    }
-    if (status == TxnStatus::kAborted &&
-        (txns_.Find(txn) != nullptr || txn_forward_.count(txn) != 0)) {
-      status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
-    }
-    r(MakeReply<kTxnStatusReq>(TxnStatusReply{static_cast<int>(status)}));
-  });
-  net().RegisterHandler(site_, kWaitEdgesReq,
-                        [this](SiteId, const Message&, Responder r) {
-                          if (alive_ && r.valid()) {
-                            r(MakeReply<kWaitEdgesReq>(WaitEdgesReply{LocalWaitEdges()}));
-                          }
-                        });
+#define LOCUS_REGISTER_HANDLER(type, request, reply, route, context) RegisterHandler<type>();
+  LOCUS_MESSAGES(LOCUS_REGISTER_HANDLER)
+#undef LOCUS_REGISTER_HANDLER
   net().OnTopologyChange(site_, [this] { HandleTopologyChange(); });
 }
 
 // ---------------------------------------------------------------------------
-// Storage-site service
+// Service: one function per message row (the transaction control-plane rows
+// are in kernel_txn.cc)
 
-Err Kernel::ServeOpen(const FileId& file) {
-  FileStore* store = StoreFor(file.volume);
+OpenReply Kernel::Serve(const OpenRequest& req) {
+  FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
-    return Err::kNoEnt;
+    return OpenReply{Err::kNoEnt, 0};
   }
-  return store->OpenFile(file).has_value() ? Err::kOk : Err::kNoEnt;
+  std::optional<int64_t> size = store->OpenFile(req.file);
+  return size.has_value() ? OpenReply{Err::kOk, *size} : OpenReply{Err::kNoEnt, 0};
 }
 
-ReadReply Kernel::ServeRead(const ReadRequest& req) {
+ReadReply Kernel::Serve(const ReadRequest& req) {
   FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
     return ReadReply{Err::kNoEnt, {}};
@@ -301,7 +222,7 @@ ReadReply Kernel::ServeRead(const ReadRequest& req) {
   return ReadReply{Err::kOk, store->Read(req.file, req.range)};
 }
 
-WriteReply Kernel::ServeWrite(const WriteRequest& req) {
+WriteReply Kernel::Serve(const WriteRequest& req) {
   FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
     return WriteReply{Err::kNoEnt, 0};
@@ -318,7 +239,23 @@ WriteReply Kernel::ServeWrite(const WriteRequest& req) {
   return WriteReply{Err::kOk, store->WorkingSize(req.file)};
 }
 
+LockReply Kernel::Serve(const LockRequest& req) {
+  LockReply reply;
+  bool done = false;
+  WaitQueue wake(&sim());
+  ServeLock(req, [&](LockReply r) {
+    reply = std::move(r);
+    done = true;
+    wake.NotifyAll();
+  });
+  while (!done) {
+    wake.Wait();
+  }
+  return reply;
+}
+
 void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> done) {
+  BurnCpu(kLockServiceInstructions);
   FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
     LockReply no_ent;
@@ -370,7 +307,7 @@ void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> do
                      // owner holds the lock as of this instant, so ServeRead's
                      // access check (and the audit hook) see a legitimate read.
                      ByteRange fetch{granted.start, std::min(fetch_bytes, granted.length)};
-                     ReadReply page = ServeRead(ReadRequest{file, fetch, owner});
+                     ReadReply page = Serve(ReadRequest{file, fetch, owner});
                      if (page.err == Err::kOk) {
                        stats().Add("form.lock_fetches");
                        grant.fetched = true;
@@ -382,11 +319,13 @@ void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> do
                  std::move(recompute));
 }
 
-void Kernel::ServeUnlock(const UnlockRequest& req) {
+Err Kernel::Serve(const UnlockRequest& req) {
+  BurnCpu(kLockServiceInstructions);
   locks_.Unlock(req.file, req.range, req.owner);
+  return Err::kOk;
 }
 
-Err Kernel::ServeCommitFile(const CommitFileRequest& req) {
+Err Kernel::Serve(const CommitFileRequest& req) {
   FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
     return Err::kNoEnt;
@@ -417,13 +356,13 @@ void Kernel::MaybeReleasePrimary(const FileId& file) {
   catalog().ReleasePrimaryIfIdle(*path);
 }
 
-Err Kernel::ServePrepare(const PrepareRequest& req) {
+PrepareReply Kernel::Serve(const PrepareRequest& req) {
   LockOwner owner{kNoPid, req.txn};
   if (system_->observers().enabled()) {
     system_->observers().OnPrepareRequest(net().SiteName(site_), req.txn);
   }
   if (locally_aborted_.count(req.txn) != 0) {
-    return Err::kAborted;  // The topology protocol aborted it here already.
+    return PrepareReply{Err::kAborted};  // The topology protocol aborted it here already.
   }
   // Group this site's intentions by volume: one prepare log per logical
   // volume (section 4.4) unless the footnote-10 per-file fidelity mode is on.
@@ -431,7 +370,7 @@ Err Kernel::ServePrepare(const PrepareRequest& req) {
   for (const FileId& file : req.files) {
     FileStore* store = StoreFor(file.volume);
     if (store == nullptr) {
-      return Err::kNoEnt;
+      return PrepareReply{Err::kNoEnt};
     }
     std::optional<IntentionsList> intentions = store->PrepareWriter(file, owner);
     if (intentions.has_value() && !intentions->updates.empty()) {
@@ -448,7 +387,7 @@ Err Kernel::ServePrepare(const PrepareRequest& req) {
       }
     }
     locks_.ReleaseTransaction(req.txn);
-    return Err::kAborted;
+    return PrepareReply{Err::kAborted};
   }
   MaybeCrashAt(ProtocolStep::kBeforePrepareLog);
   for (auto& [vol_id, intentions] : by_volume) {
@@ -472,15 +411,16 @@ Err Kernel::ServePrepare(const PrepareRequest& req) {
   if (system_->observers().enabled()) {
     system_->observers().OnPrepared(net().SiteName(site_), req.txn);
   }
-  return Err::kOk;
+  return PrepareReply{Err::kOk};
 }
 
-void Kernel::ServeCommitTxn(const TxnId& txn) {
+Err Kernel::Serve(const CommitTxnRequest& req) {
+  const TxnId& txn = req.txn;
   if (system_->observers().enabled()) {
     system_->observers().OnCommitMessage(net().SiteName(site_), txn);
   }
   if (!txn_resolution_in_progress_.insert(txn).second) {
-    return;  // A duplicate message raced an in-flight resolution.
+    return Err::kOk;  // A duplicate message raced an in-flight resolution.
   }
   MaybeCrashAt(ProtocolStep::kBeforeCommitInstall);
   LockOwner owner{kNoPid, txn};
@@ -516,11 +456,13 @@ void Kernel::ServeCommitTxn(const TxnId& txn) {
   }
   txn_resolution_in_progress_.erase(txn);
   Trace("committed %s locally", ToString(txn).c_str());
+  return Err::kOk;
 }
 
-void Kernel::ServeAbortTxnAtSite(const TxnId& txn) {
+Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
+  const TxnId& txn = req.txn;
   if (!txn_resolution_in_progress_.insert(txn).second) {
-    return;  // A duplicate message raced an in-flight resolution.
+    return Err::kOk;  // A duplicate message raced an in-flight resolution.
   }
   locally_aborted_.insert(txn);
   LockOwner owner{kNoPid, txn};
@@ -573,21 +515,21 @@ void Kernel::ServeAbortTxnAtSite(const TxnId& txn) {
   }
   txn_resolution_in_progress_.erase(txn);
   Trace("aborted %s locally", ToString(txn).c_str());
+  return Err::kOk;
 }
 
-void Kernel::ServeReleaseProcess(Pid pid) {
-  LockOwner owner{pid, kNoTxn};
-  // Section 4.3: a failed process's changes are aborted by the underlying
-  // system protocols.
+Err Kernel::Serve(const ReleaseProcessRequest& req) {
+  LockOwner owner{req.pid, kNoTxn};
   for (auto& [vol_id, store] : stores_) {
     for (const FileId& file : store->FilesWithUncommitted(owner)) {
       store->AbortWriter(file, owner);
     }
   }
-  locks_.ReleaseProcess(pid);
+  locks_.ReleaseProcess(req.pid);
+  return Err::kOk;
 }
 
-void Kernel::ServeReplicaPropagate(const ReplicaPropagateMsg& msg) {
+void Kernel::Serve(const ReplicaPropagateMsg& msg) {
   if (system_->observers().enabled()) {
     std::optional<std::string> path = catalog().PathOf(msg.replica_file);
     if (path.has_value()) {
@@ -603,6 +545,30 @@ void Kernel::ServeReplicaPropagate(const ReplicaPropagateMsg& msg) {
   // The version gate (duplicate drop / gap quarantine) and the shadow-page
   // apply live in the reintegration manager.
   recon_->ApplyPropagation(msg);
+}
+
+CreateFileReply Kernel::Serve(const CreateFileRequest& req) {
+  FileStore* store = StoreFor(req.volume == kNoVolume ? volumes_[0]->id() : req.volume);
+  if (store == nullptr) {
+    return CreateFileReply{Err::kNoEnt, {}};
+  }
+  return CreateFileReply{Err::kOk, store->CreateFile()};
+}
+
+Err Kernel::Serve(const RemoveFileRequest& req) {
+  FileStore* store = StoreFor(req.file.volume);
+  if (store != nullptr && store->Exists(req.file)) {
+    store->RemoveFile(req.file);
+  }
+  return Err::kOk;
+}
+
+Err Kernel::Serve(const TruncateRequest& req) {
+  FileStore* store = StoreFor(req.file.volume);
+  if (store == nullptr || !store->Exists(req.file)) {
+    return Err::kNoEnt;
+  }
+  return store->Truncate(req.file, req.size) ? Err::kOk : Err::kBusy;
 }
 
 void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& intentions) {
@@ -647,7 +613,7 @@ void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& inte
     }
     ReplicaPropagateMsg msg = base;
     msg.replica_file = r.file;
-    net().Send(site_, r.site, MakeMsg<kReplicaPropagate>(std::move(msg), total_bytes));
+    Post<kReplicaPropagate>(r.site, std::move(msg), total_bytes);
   }
 }
 

@@ -3,10 +3,11 @@
 // crash/recovery.
 //
 // Every site in the cluster runs one Kernel. User processes enter through
-// the Sys* methods (wrapped by the Syscalls facade); remote service arrives
-// through message handlers which spawn short-lived kernel processes for
-// blocking work, mirroring the paper's lightweight kernel-to-kernel
-// protocols.
+// the Sys* methods (wrapped by the Syscalls facade). Each protocol message
+// row has one service function (Serve); a request to the local site calls it
+// directly, and a remote one arrives through a message handler that calls
+// it, in a short-lived kernel process for blocking work — the paper's
+// lightweight kernel-to-kernel protocols, location-transparent.
 
 #ifndef SRC_LOCUS_KERNEL_H_
 #define SRC_LOCUS_KERNEL_H_
@@ -73,7 +74,7 @@ class Kernel {
   FileStore* StoreFor(VolumeId id);
   std::vector<Volume*> volumes();
 
-  // Wires up message handlers; call once after construction.
+  // Registers one handler per message row; call once after construction.
   void Start();
 
   // --- Syscall layer (called in the invoking process's context) ---
@@ -166,27 +167,72 @@ class Kernel {
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
   void MaybeCrashAt(ProtocolStep step);
-  // Registers the kType handler, which runs `fn` on the request in a fresh
-  // kernel process.
+
+  // --- One call path per message row ---
+  // A kType request to site `to`: run by the row's Serve in the caller's
+  // context when local, sent by the row's route otherwise. Empty when the
+  // remote site is unreachable or the call times out.
   template <MsgType kType>
-  void RegisterBlockingHandler(std::function<void(const RequestOf<kType>&, Responder)> fn);
-  // RPC helper: local calls short-circuit the network.
+  std::optional<ReplyOf<kType>> Call(SiteId to, RequestOf<kType> req,
+                                     int32_t size_bytes = kControlMsgBytes,
+                                     SimTime timeout = Network::kDefaultRpcTimeout);
+  // The same, one-way: any reply is discarded.
+  template <MsgType kType>
+  void Post(SiteId to, RequestOf<kType> req, int32_t size_bytes = kControlMsgBytes);
+  // Call to the channel's storage site. The first remote exchange on a
+  // deferred-open channel carries the open probe in the same batch envelope.
+  template <MsgType kType>
+  std::optional<ReplyOf<kType>> ChannelCall(Channel& ch, RequestOf<kType> req,
+                                            int32_t size_bytes = kControlMsgBytes,
+                                            SimTime timeout = Network::kDefaultRpcTimeout);
+  // Call to a transaction's top-level site, chasing the forwarding pointers
+  // migrations leave (section 4.1) and backing off while the top-level
+  // process is in transit (kBusy). `target` ends at the site that gave the
+  // returned reply. Empty when a site is unreachable or the attempts run out.
+  template <MsgType kType>
+  std::optional<ReplyOf<kType>> CallTopLevel(SiteId& target, const RequestOf<kType>& req);
+  // Registers the kType handler, which runs Handle in the row's context; a
+  // dead site drops the request.
+  template <MsgType kType>
+  void RegisterHandler();
+  // Serve, then reply. Rows with remote-only work specialize it (kernel.cc).
+  template <MsgType kType>
+  void Handle(const RequestOf<kType>& req, Responder r);
+  // Call and Post decide locality themselves; other uses mark work that
+  // differs by site in virtual time or event order, each with its reason.
   bool IsLocal(SiteId s) const { return s == site_; }
 
-  // --- Storage-site service (runs at the file's storage site) ---
-  Err ServeOpen(const FileId& file);
-  ReadReply ServeRead(const ReadRequest& req);
-  WriteReply ServeWrite(const WriteRequest& req);
+  // --- Service: one function per message row, run at the serving site ---
+  OpenReply Serve(const OpenRequest& req);
+  ReadReply Serve(const ReadRequest& req);
+  WriteReply Serve(const WriteRequest& req);
+  // A local lock request: waits for the grant, denial, or cancellation.
+  LockReply Serve(const LockRequest& req);
+  Err Serve(const UnlockRequest& req);
+  Err Serve(const CommitFileRequest& req);
+  // Section 4.3: a failed process's uncommitted records abort and its
+  // personal locks release.
+  Err Serve(const ReleaseProcessRequest& req);
+  PrepareReply Serve(const PrepareRequest& req);
+  Err Serve(const CommitTxnRequest& req);
+  Err Serve(const AbortTxnAtSiteRequest& req);
+  MemberJoinReply Serve(const MemberJoinRequest& req);
+  MergeFileListReply Serve(const MergeFileListRequest& req);
+  AbortTxnRouteReply Serve(const AbortTxnRouteRequest& req);
+  // Kills a process subtree resident here (abort cascade, section 4.3).
+  Err Serve(const KillProcessRequest& req);
+  void Serve(const ReplicaPropagateMsg& msg);
+  WaitEdgesReply Serve(const WaitEdgesRequest&) const { return {LocalWaitEdges()}; }
+  CreateFileReply Serve(const CreateFileRequest& req);
+  Err Serve(const RemoveFileRequest& req);
+  TxnStatusReply Serve(const TxnStatusRequest& req);
+  void Serve(const ReleasePrimaryRequest& req) { MaybeReleasePrimary(req.file); }
+  Err Serve(const TruncateRequest& req);
+  ReplicaVersionReply Serve(const ReplicaVersionRequest& req) { return recon_->ServeVersion(req); }
+  ReplicaFetchReply Serve(const ReplicaFetchRequest& req) { return recon_->ServeFetch(req); }
   // Processes a lock request at the storage site; `done` fires when granted,
   // denied, or cancelled.
   void ServeLock(const LockRequest& req, std::function<void(LockReply)> done);
-  void ServeUnlock(const UnlockRequest& req);
-  Err ServeCommitFile(const CommitFileRequest& req);
-  Err ServePrepare(const PrepareRequest& req);
-  void ServeCommitTxn(const TxnId& txn);
-  void ServeAbortTxnAtSite(const TxnId& txn);
-  void ServeReleaseProcess(Pid pid);
-  void ServeReplicaPropagate(const ReplicaPropagateMsg& msg);
 
   // --- Requester-side helpers ---
   Result<ByteRange> RequestLock(OsProcess* p, Channel& ch, LockRequest req);
@@ -195,14 +241,9 @@ class Kernel {
   Channel* ChannelFor(OsProcess* p, int fd);
   void NoteUse(OsProcess* p, const Channel& ch);
 
-  // --- Transaction control-plane service (runs at the top-level site) ---
-  MemberJoinReply DoMemberJoin(const MemberJoinRequest& req);
-  MergeFileListReply DoMergeFileList(const MergeFileListRequest& req);
-  AbortTxnRouteReply DoAbortRoute(const AbortTxnRouteRequest& req);
+  // --- Transaction machinery ---
   // Registers a forked child with the transaction's top-level site.
   Err RegisterMember(OsProcess* p, Pid child, SiteId child_site);
-
-  // --- Transaction machinery ---
   Err RunTwoPhaseCommit(OsProcess* p, TxnRecord* record);
   void AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
                          const std::vector<SiteId>& prepared_sites);
@@ -226,8 +267,6 @@ class Kernel {
   // locks, or uncommitted writers remain at this (primary) site, letting
   // replicas serve reads locally again (section 5.2).
   void MaybeReleasePrimary(const FileId& file);
-  // Kills a process subtree resident here (abort cascade, section 4.3).
-  void KillProcessForAbort(Pid pid, const TxnId& txn);
   void HandleTopologyChange();
 
   System* system_;
@@ -275,6 +314,36 @@ class Kernel {
   std::vector<std::unique_ptr<OsProcess>> retired_;
   uint64_t next_kproc_ = 1;
 };
+
+template <MsgType kType>
+std::optional<ReplyOf<kType>> Kernel::Call(SiteId to, RequestOf<kType> req,
+                                           int32_t size_bytes, SimTime timeout) {
+  if (IsLocal(to)) {
+    return Serve(req);
+  }
+  Message msg = MakeMsg<kType>(std::move(req), size_bytes);
+  RpcResult res = MsgSpec<kType>::kRoute == Route::kFormation
+                      ? form().Call(to, std::move(msg), timeout)
+                      : net().Call(site_, to, std::move(msg), timeout);
+  if (!res.ok) {
+    return std::nullopt;
+  }
+  return std::move(res.reply.As<ReplyOf<kType>>());
+}
+
+template <MsgType kType>
+void Kernel::Post(SiteId to, RequestOf<kType> req, int32_t size_bytes) {
+  if (IsLocal(to)) {
+    Serve(req);
+    return;
+  }
+  Message msg = MakeMsg<kType>(std::move(req), size_bytes);
+  if constexpr (MsgSpec<kType>::kRoute == Route::kFormation) {
+    form().Send(to, std::move(msg));
+  } else {
+    net().Send(site_, to, std::move(msg));
+  }
+}
 
 }  // namespace locus
 

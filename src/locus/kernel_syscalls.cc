@@ -21,6 +21,25 @@ Channel* Kernel::ChannelFor(OsProcess* p, int fd) {
   return it == p->fds.end() ? nullptr : it->second.get();
 }
 
+template <MsgType kType>
+std::optional<ReplyOf<kType>> Kernel::ChannelCall(Channel& ch, RequestOf<kType> req,
+                                                  int32_t size_bytes, SimTime timeout) {
+  if (!ch.open_deferred) {
+    return Call<kType>(ch.storage_site, std::move(req), size_bytes, timeout);
+  }
+  ch.open_deferred = false;
+  // The probe is a pure existence check the catalog already vouched for; the
+  // request's own outcome (and any later data exchange) subsumes it.
+  RpcResult res = form()
+                      .Call2(ch.storage_site, MakeMsg<kOpenReq>(OpenRequest{ch.file}),
+                             MakeMsg<kType>(std::move(req), size_bytes), timeout)
+                      .second;
+  if (!res.ok) {
+    return std::nullopt;
+  }
+  return std::move(res.reply.As<ReplyOf<kType>>());
+}
+
 void Kernel::NoteUse(OsProcess* p, const Channel& ch) {
   if (p->txn.valid()) {
     p->NoteFileUsed(ch.file, ch.storage_site);
@@ -55,22 +74,18 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
   }
   std::vector<Replica> replicas;
   for (SiteId s : sites) {
-    if (IsLocal(s)) {
-      FileStore* store =
-          StoreFor(volume_hint == kNoVolume ? volumes_[0]->id() : volume_hint);
-      if (store == nullptr) {
+    // Only the caller's site honors the volume hint; a bad hint fails the
+    // create instead of dropping a replica.
+    bool here = IsLocal(s);
+    std::optional<CreateFileReply> created =
+        Call<kCreateFileReq>(s, CreateFileRequest{here ? volume_hint : kNoVolume});
+    if (!created || created->err != Err::kOk) {
+      if (here) {
         return Err::kInvalid;
       }
-      replicas.push_back(Replica{s, store->CreateFile()});
-    } else {
-      RpcResult res =
-          net().Call(site_, s, MakeMsg<kCreateFileReq>(CreateFileRequest{kNoVolume}));
-      if (!res.ok || ReplyIn<kCreateFileReq>(res.reply).err != Err::kOk) {
-        // Keep whatever replicas we managed; a file needs at least one.
-        continue;
-      }
-      replicas.push_back(Replica{s, ReplyIn<kCreateFileReq>(res.reply).file});
+      continue;  // Keep whatever replicas we managed; a file needs at least one.
     }
+    replicas.push_back(Replica{s, created->file});
   }
   if (replicas.empty()) {
     return Err::kUnreachable;
@@ -78,11 +93,7 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
   if (!catalog().CreateFileEntry(path, replicas)) {
     // Lost the create-create race (section 3.4): immediately visible conflict.
     for (const Replica& r : replicas) {
-      if (IsLocal(r.site)) {
-        StoreFor(r.file.volume)->RemoveFile(r.file);
-      } else {
-        net().Send(site_, r.site, MakeMsg<kRemoveFileReq>(RemoveFileRequest{r.file}));
-      }
+      Post<kRemoveFileReq>(r.site, RemoveFileRequest{r.file});
     }
     return Err::kExists;
   }
@@ -114,14 +125,7 @@ Err Kernel::SysUnlink(OsProcess* p, const std::string& path) {
                                         true);
   }
   for (const Replica& r : replicas) {
-    if (IsLocal(r.site)) {
-      FileStore* store = StoreFor(r.file.volume);
-      if (store != nullptr && store->Exists(r.file)) {
-        store->RemoveFile(r.file);
-      }
-    } else {
-      net().Send(site_, r.site, MakeMsg<kRemoveFileReq>(RemoveFileRequest{r.file}));
-    }
+    Post<kRemoveFileReq>(r.site, RemoveFileRequest{r.file});
   }
   return Err::kOk;
 }
@@ -152,24 +156,20 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
       recon_->NoteStaleReadBlocked();
     }
   }
-  Err err;
-  bool open_deferred = false;
-  if (IsLocal(replica->site)) {
-    err = ServeOpen(replica->file);
-  } else if (system_->options().formation && flags.write) {
-    // Formation fusion: the catalog (maintained synchronously) already
-    // confirmed the replica exists, and the storage site's open is a pure
-    // existence probe, so the kOpenReq rides in the same batch envelope as
-    // the channel's first remote lock request instead of paying its own
-    // round trip. Update opens always lock before touching data, which is
-    // what makes the write-open the profitable (and bounded) case.
-    err = Err::kOk;
-    open_deferred = true;
+  Err err = Err::kOk;
+  // Formation fusion: the catalog (maintained synchronously) already
+  // confirmed the replica exists, and the storage site's open is a pure
+  // existence probe, so a remote kOpenReq rides in the same batch envelope as
+  // the channel's first storage request instead of paying its own round
+  // trip (a local open has no envelope to ride). Update opens always lock
+  // before touching data, which is what makes the write-open the profitable
+  // (and bounded) case.
+  bool open_deferred = system_->options().formation && flags.write && !IsLocal(replica->site);
+  if (open_deferred) {
     stats().Add("form.opens_deferred");
   } else {
-    RpcResult res =
-        net().Call(site_, replica->site, MakeMsg<kOpenReq>(OpenRequest{replica->file}));
-    err = res.ok ? ReplyIn<kOpenReq>(res.reply).err : Err::kUnreachable;
+    std::optional<OpenReply> opened = Call<kOpenReq>(replica->site, OpenRequest{replica->file});
+    err = opened ? opened->err : Err::kUnreachable;
   }
   if (err != Err::kOk) {
     if (flags.write) {
@@ -203,28 +203,21 @@ Err Kernel::SysClose(OsProcess* p, int fd) {
   // Base Locus behaviour: a non-transaction writer's changes commit
   // atomically at close (section 4's single-file commit mechanism).
   if (p->nontxn_dirty.count(ch->file)) {
-    CommitFileRequest req{ch->file, LockOwner{p->pid, kNoTxn}};
-    if (IsLocal(ch->storage_site)) {
-      ServeCommitFile(req);
-    } else {
-      net().Call(site_, ch->storage_site, MakeMsg<kCommitFileReq>(req));
-    }
+    Call<kCommitFileReq>(ch->storage_site, CommitFileRequest{ch->file, LockOwner{p->pid, kNoTxn}});
     p->nontxn_dirty.erase(ch->file);
   }
   if (ch.use_count() == 1 && ch->open_for_update) {
     catalog().CloseForUpdate(ch->path);
     // The primary site decides whether the designation can be released
     // (retained locks or uncommitted records may still pin it there).
-    if (IsLocal(ch->storage_site)) {
-      MaybeReleasePrimary(ch->file);
-    } else if (system_->options().formation && p->txn.valid()) {
+    if (system_->options().formation && p->txn.valid() && !IsLocal(ch->storage_site)) {
       // The hint is advisory while this transaction retains its locks (the
       // primary stays pinned anyway), so hold it and let it ride the prepare
-      // envelope to the same site at commit time.
+      // envelope to the same site at commit time. A local release has no
+      // envelope to ride.
       p->deferred_release_hints.emplace_back(ch->storage_site, ch->file);
     } else {
-      form().Send(ch->storage_site,
-                  MakeMsg<kReleasePrimaryReq>(ReleasePrimaryRequest{ch->file}));
+      Post<kReleasePrimaryReq>(ch->storage_site, ReleasePrimaryRequest{ch->file});
     }
   }
   return Err::kOk;
@@ -279,34 +272,17 @@ Result<std::vector<uint8_t>> Kernel::SysRead(OsProcess* p, int fd, int64_t lengt
     ch->offset += static_cast<int64_t>(bytes.size());
     return {Err::kOk, std::move(bytes)};
   }
-  ReadRequest req{ch->file, range, OwnerOf(p)};
-  ReadReply reply;
-  if (IsLocal(ch->storage_site)) {
-    reply = ServeRead(req);
-  } else if (ch->open_deferred) {
-    // First remote exchange on a deferred-open channel: the open probe rides
-    // the same envelope as the read.
-    ch->open_deferred = false;
-    auto [open_res, read_res] = form().Call2(
-        ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}), MakeMsg<kReadReq>(req));
-    (void)open_res;  // The read's own result subsumes the existence probe.
-    if (!read_res.ok) {
-      return {Err::kUnreachable, {}};
-    }
-    reply = ReplyIn<kReadReq>(read_res.reply);
-  } else {
-    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kReadReq>(req));
-    if (!res.ok) {
-      return {Err::kUnreachable, {}};
-    }
-    reply = ReplyIn<kReadReq>(res.reply);
+  std::optional<ReadReply> reply =
+      ChannelCall<kReadReq>(*ch, ReadRequest{ch->file, range, OwnerOf(p)});
+  if (!reply) {
+    return {Err::kUnreachable, {}};
   }
-  if (reply.err != Err::kOk) {
-    return {reply.err, {}};
+  if (reply->err != Err::kOk) {
+    return {reply->err, {}};
   }
   NoteUse(p, *ch);
-  ch->offset += static_cast<int64_t>(reply.bytes.size());
-  return {Err::kOk, std::move(reply.bytes)};
+  ch->offset += static_cast<int64_t>(reply->bytes.size());
+  return {Err::kOk, std::move(reply->bytes)};
 }
 
 Err Kernel::SysWrite(OsProcess* p, int fd, const std::vector<uint8_t>& bytes) {
@@ -339,34 +315,14 @@ Err Kernel::SysWrite(OsProcess* p, int fd, const std::vector<uint8_t>& bytes) {
     }
   }
   LockOwner writer = outside_txn ? LockOwner{p->pid, kNoTxn} : OwnerOf(p);
-  WriteRequest req{ch->file, ch->offset, bytes, writer};
-  WriteReply reply;
-  if (IsLocal(ch->storage_site)) {
-    reply = ServeWrite(req);
-  } else {
-    int32_t size = kControlMsgBytes + static_cast<int32_t>(bytes.size());
-    if (ch->open_deferred) {
-      // First remote exchange on a deferred-open channel: the open probe
-      // rides the same envelope as the write.
-      ch->open_deferred = false;
-      auto [open_res, write_res] =
-          form().Call2(ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}),
-                       MakeMsg<kWriteReq>(req, size));
-      (void)open_res;  // The write's own result subsumes the existence probe.
-      if (!write_res.ok) {
-        return Err::kUnreachable;
-      }
-      reply = ReplyIn<kWriteReq>(write_res.reply);
-    } else {
-      RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kWriteReq>(req, size));
-      if (!res.ok) {
-        return Err::kUnreachable;
-      }
-      reply = ReplyIn<kWriteReq>(res.reply);
-    }
+  std::optional<WriteReply> reply =
+      ChannelCall<kWriteReq>(*ch, WriteRequest{ch->file, ch->offset, bytes, writer},
+                             kControlMsgBytes + static_cast<int32_t>(bytes.size()));
+  if (!reply) {
+    return Err::kUnreachable;
   }
-  if (reply.err != Err::kOk) {
-    return reply.err;
+  if (reply->err != Err::kOk) {
+    return reply->err;
   }
   // A write through the channel supersedes any data shipped with a lock
   // grant; drop it rather than serve a stale image.
@@ -400,16 +356,14 @@ Result<int64_t> Kernel::SysFileSize(OsProcess* p, int fd) {
     return {Err::kBadFd, 0};
   }
   if (IsLocal(ch->storage_site)) {
-    FileStore* store = StoreFor(ch->file.volume);
-    return {Err::kOk, store->WorkingSize(ch->file)};
+    // A plain read of the size: a local open would load the inode.
+    return {Err::kOk, StoreFor(ch->file.volume)->WorkingSize(ch->file)};
   }
-  RpcResult res =
-      net().Call(site_, ch->storage_site, MakeMsg<kOpenReq>(OpenRequest{ch->file}));
-  if (!res.ok) {
+  std::optional<OpenReply> reply = Call<kOpenReq>(ch->storage_site, OpenRequest{ch->file});
+  if (!reply) {
     return {Err::kUnreachable, 0};
   }
-  const OpenReply& reply = ReplyIn<kOpenReq>(res.reply);
-  return {reply.err, reply.size};
+  return {reply->err, reply->size};
 }
 
 Err Kernel::SysTruncate(OsProcess* p, int fd, int64_t size) {
@@ -424,16 +378,8 @@ Err Kernel::SysTruncate(OsProcess* p, int fd, int64_t size) {
   if (p->txn.valid()) {
     return Err::kInvalid;  // Truncation is not transactional.
   }
-  if (IsLocal(ch->storage_site)) {
-    FileStore* store = StoreFor(ch->file.volume);
-    if (store == nullptr || !store->Exists(ch->file)) {
-      return Err::kNoEnt;
-    }
-    return store->Truncate(ch->file, size) ? Err::kOk : Err::kBusy;
-  }
-  RpcResult res = net().Call(site_, ch->storage_site,
-                             MakeMsg<kTruncateReq>(TruncateRequest{ch->file, size}));
-  return res.ok ? ReplyIn<kTruncateReq>(res.reply) : Err::kUnreachable;
+  return Call<kTruncateReq>(ch->storage_site, TruncateRequest{ch->file, size})
+      .value_or(Err::kUnreachable);
 }
 
 Result<std::vector<std::string>> Kernel::SysReadDir(OsProcess* p, const std::string& path) {
@@ -469,59 +415,30 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   // Largest fetch the storage site is asked to piggyback on a grant: one
   // page's worth, matching the paper's "page arrives with the lock" unit.
   constexpr int64_t kMaxLockFetchBytes = 4096;
-  LockReply reply;
-  if (IsLocal(ch.storage_site)) {
-    BurnCpu(kLockServiceInstructions);
-    bool done = false;
-    WaitQueue wake(&sim());
-    ServeLock(req, [&](LockReply r) {
-      reply = r;
-      done = true;
-      wake.NotifyAll();
-    });
-    while (!done) {
-      wake.Wait();
-    }
-  } else {
-    if (system_->options().formation && req.owner.txn.valid() && !req.non_transaction &&
-        !req.append && ch.readable && req.range.length > 0 &&
-        req.range.length <= kMaxLockFetchBytes) {
-      // Section 4.3 fusion: the storage site ships the locked bytes with the
-      // grant, so the transaction's follow-up read of this range completes
-      // locally (see SysRead). Valid for shared grants too — the lock itself
-      // keeps writers away while it is held.
-      req.fetch_bytes = req.range.length;
-    }
-    RpcResult res;
-    if (ch.open_deferred) {
-      // The deferred open probe travels in the same batch envelope as this
-      // first lock request (4 wire messages fused into 2).
-      ch.open_deferred = false;
-      auto [open_res, lock_res] =
-          form().Call2(ch.storage_site, MakeMsg<kOpenReq>(OpenRequest{ch.file}),
-                       MakeMsg<kLockReq>(req), /*timeout=*/Seconds(600));
-      // The probe is a pure existence check the catalog already vouched for;
-      // the lock outcome (and any later data exchange) subsumes it.
-      (void)open_res;
-      res = lock_res;
-    } else {
-      res = form().Call(ch.storage_site, MakeMsg<kLockReq>(req),
-                        /*timeout=*/Seconds(600));
-    }
-    if (!res.ok) {
-      // Withdraw the queued request. After a timeout nobody is listening for
-      // the grant, and a still-queued entry would later be granted to this
-      // (about-to-abort) transaction and wedge the lock at the storage site
-      // forever — the reply-side stale-grant undo below never runs because
-      // the reply is dropped.
-      if (req.owner.txn.valid() && net().Reachable(site_, ch.storage_site)) {
-        form().Send(ch.storage_site,
-                    MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{req.owner.txn}));
-      }
-      return {p->txn_aborted ? Err::kAborted : Err::kUnreachable, {}};
-    }
-    reply = ReplyIn<kLockReq>(res.reply);
+  if (system_->options().formation && !IsLocal(ch.storage_site) && req.owner.txn.valid() &&
+      !req.non_transaction && !req.append && ch.readable && req.range.length > 0 &&
+      req.range.length <= kMaxLockFetchBytes) {
+    // Section 4.3 fusion: the storage site ships the locked bytes with the
+    // grant, so the transaction's follow-up read of this range completes
+    // locally (see SysRead). Valid for shared grants too — the lock itself
+    // keeps writers away while it is held. A local grant has no reply
+    // envelope to carry them.
+    req.fetch_bytes = req.range.length;
   }
+  std::optional<LockReply> granted =
+      ChannelCall<kLockReq>(ch, req, kControlMsgBytes, /*timeout=*/Seconds(600));
+  if (!granted) {
+    // Withdraw the queued request. After a timeout nobody is listening for
+    // the grant, and a still-queued entry would later be granted to this
+    // (about-to-abort) transaction and wedge the lock at the storage site
+    // forever — the reply-side stale-grant undo below never runs because
+    // the reply is dropped.
+    if (req.owner.txn.valid() && net().Reachable(site_, ch.storage_site)) {
+      Post<kAbortTxnAtSiteReq>(ch.storage_site, AbortTxnAtSiteRequest{req.owner.txn});
+    }
+    return {p->txn_aborted ? Err::kAborted : Err::kUnreachable, {}};
+  }
+  LockReply& reply = *granted;
   if (reply.err != Err::kOk) {
     if (p->txn.valid() && p->txn_aborted) {
       return {Err::kAborted, {}};
@@ -532,12 +449,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   // aborted (the grant raced the abort cascade). Undo it at the storage site
   // so the dead transaction's entry cannot wedge other owners.
   if (req.owner.txn.valid() && (p->txn != req.owner.txn || p->txn_aborted)) {
-    AbortTxnAtSiteRequest undo{req.owner.txn};
-    if (IsLocal(ch.storage_site)) {
-      ServeAbortTxnAtSite(undo.txn);
-    } else {
-      form().Send(ch.storage_site, MakeMsg<kAbortTxnAtSiteReq>(undo));
-    }
+    Post<kAbortTxnAtSiteReq>(ch.storage_site, AbortTxnAtSiteRequest{req.owner.txn});
     stats().Add("lock.stale_grants_undone");
     return {Err::kAborted, {}};
   }
@@ -614,15 +526,8 @@ Result<ByteRange> Kernel::SysLock(OsProcess* p, int fd, int64_t length, LockOp o
   ByteRange range{ch->offset, length};
 
   if (op == LockOp::kUnlock) {
-    UnlockRequest req{ch->file, range, owner};
-    if (IsLocal(ch->storage_site)) {
-      BurnCpu(kLockServiceInstructions);
-      ServeUnlock(req);
-    } else {
-      RpcResult res = form().Call(ch->storage_site, MakeMsg<kUnlockReq>(req));
-      if (!res.ok) {
-        return {Err::kUnreachable, {}};
-      }
+    if (!Call<kUnlockReq>(ch->storage_site, UnlockRequest{ch->file, range, owner})) {
+      return {Err::kUnreachable, {}};
     }
     auto cache_it = p->lock_cache.find(ch->file);
     if (cache_it != p->lock_cache.end()) {
@@ -658,18 +563,14 @@ Err Kernel::SysCommitFile(OsProcess* p, int fd) {
   if (ch == nullptr) {
     return Err::kBadFd;
   }
-  CommitFileRequest req{ch->file, LockOwner{p->pid, kNoTxn}};
-  Err err;
-  if (IsLocal(ch->storage_site)) {
-    err = ServeCommitFile(req);
-  } else {
+  if (!IsLocal(ch->storage_site)) {
     // Requester-site work for a remote commit: marshalling the dirty records
     // and driving the exchange (Figure 6 measures ~7200 instructions here;
     // the page updates themselves are offloaded to the storage site).
     BurnCpu(kRemoteCommitMarshalInstructions - kSyscallInstructions);
-    RpcResult res = net().Call(site_, ch->storage_site, MakeMsg<kCommitFileReq>(req));
-    err = res.ok ? ReplyIn<kCommitFileReq>(res.reply) : Err::kUnreachable;
   }
+  CommitFileRequest req{ch->file, LockOwner{p->pid, kNoTxn}};
+  Err err = Call<kCommitFileReq>(ch->storage_site, req).value_or(Err::kUnreachable);
   if (err == Err::kOk) {
     p->nontxn_dirty.erase(ch->file);
   }
@@ -824,11 +725,7 @@ void Kernel::SysExit(OsProcess* p) {
   }
   // Personal (non-transaction) locks are released everywhere.
   for (SiteId s : p->lock_sites) {
-    if (IsLocal(s)) {
-      ServeReleaseProcess(p->pid);
-    } else {
-      form().Send(s, MakeMsg<kReleaseProcessReq>(ReleaseProcessRequest{p->pid}));
-    }
+    Post<kReleaseProcessReq>(s, ReleaseProcessRequest{p->pid});
   }
   if (OsProcess* parent = system_->Locate(p->parent)) {
     std::erase(parent->children, p->pid);

@@ -22,6 +22,17 @@ void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& sr
   }
 }
 
+// The distinct storage sites of `files`, in first-use order.
+std::vector<SiteId> ParticipantSites(const std::vector<UsedFile>& files) {
+  std::vector<SiteId> sites;
+  for (const UsedFile& f : files) {
+    if (std::find(sites.begin(), sites.end(), f.storage_site) == sites.end()) {
+      sites.push_back(f.storage_site);
+    }
+  }
+  return sites;
+}
+
 // The prepare message for one participant: the transaction's files stored there.
 PrepareRequest PrepareRequestFor(const TxnRecord& record, SiteId coordinator,
                                  SiteId participant) {
@@ -123,11 +134,7 @@ Err Kernel::SysAbortTrans(OsProcess* p) {
 
 void Kernel::FlushReleaseHints(OsProcess* p) {
   for (const auto& [s, file] : p->deferred_release_hints) {
-    if (IsLocal(s)) {
-      MaybeReleasePrimary(file);
-    } else {
-      form().Send(s, MakeMsg<kReleasePrimaryReq>(ReleasePrimaryRequest{file}));
-    }
+    Post<kReleasePrimaryReq>(s, ReleasePrimaryRequest{file});
   }
   p->deferred_release_hints.clear();
 }
@@ -162,13 +169,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   }
   BurnCpu(kTwoPhaseCommitInstructions);
   record->phase = TxnRecord::Phase::kPreparing;
-  std::vector<SiteId> participants;
-  for (const UsedFile& f : record->files) {
-    if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-        participants.end()) {
-      participants.push_back(f.storage_site);
-    }
-  }
+  std::vector<SiteId> participants = ParticipantSites(record->files);
   std::sort(participants.begin(), participants.end());
 
   // Step 1: the coordinator log, naming every file and storage site, with the
@@ -201,7 +202,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         break;
       }
       if (IsLocal(s)) {
-        local_sites.push_back(s);
+        local_sites.push_back(s);  // Prepared after every remote request is out.
         continue;
       }
       uint64_t id =
@@ -216,7 +217,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
       if (failure != Err::kOk || record->abort_requested) {
         break;
       }
-      Err err = ServePrepare(PrepareRequestFor(*record, site_, s));
+      Err err = Serve(PrepareRequestFor(*record, site_, s)).err;
       if (err == Err::kOk) {
         prepared.push_back(s);
       } else {
@@ -240,14 +241,9 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         failure = Err::kAborted;
         break;
       }
-      PrepareRequest req = PrepareRequestFor(*record, site_, s);
-      Err err;
-      if (IsLocal(s)) {
-        err = ServePrepare(req);
-      } else {
-        RpcResult res = form().Call(s, MakeMsg<kPrepareReq>(req));
-        err = res.ok ? ReplyIn<kPrepareReq>(res.reply).err : Err::kUnreachable;
-      }
+      std::optional<PrepareReply> reply =
+          Call<kPrepareReq>(s, PrepareRequestFor(*record, site_, s));
+      Err err = reply ? reply->err : Err::kUnreachable;
       if (err != Err::kOk) {
         failure = err;
         break;
@@ -317,7 +313,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
         for (SiteId s : remaining) {
           MaybeCrashAt(ProtocolStep::kBeforeCommitSend);
           if (IsLocal(s)) {
-            ServeCommitTxn(txn);
+            Serve(CommitTxnRequest{txn});  // Installs while the remote notices fly.
             continue;
           }
           uint64_t id = form().BeginCall(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
@@ -335,12 +331,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
       } else {
         for (SiteId s : remaining) {
           MaybeCrashAt(ProtocolStep::kBeforeCommitSend);
-          if (IsLocal(s)) {
-            ServeCommitTxn(txn);
-            continue;
-          }
-          RpcResult res = form().Call(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
-          if (!res.ok) {
+          if (!Call<kCommitTxnReq>(s, CommitTxnRequest{txn})) {
             still.push_back(s);
           }
         }
@@ -375,11 +366,7 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
   // leaves no decision on disk, which is read as abort anyway.
   root->UpdateLog(coord_log_id, coord, "abort_mark", Volume::LogForce::kLazy);
   for (SiteId s : participants) {
-    if (IsLocal(s)) {
-      ServeAbortTxnAtSite(txn);
-    } else {
-      form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
-    }
+    Call<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{txn});
   }
   root->EraseLog(coord_log_id);
   coordinator_log_index_.erase(txn);
@@ -444,21 +431,12 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
       }
     }
     for (SiteId s : sites) {
-      if (IsLocal(s)) {
-        ServeAbortTxnAtSite(txn);
-      } else {
-        form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
-      }
+      Call<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{txn});
     }
     // The abort cascades down the process tree: members are terminated.
     for (const auto& [pid, msite] : members) {
-      if (pid == top_pid) {
-        continue;
-      }
-      if (IsLocal(msite)) {
-        KillProcessForAbort(pid, txn);
-      } else {
-        form().Send(msite, MakeMsg<kKillProcessReq>(KillProcessRequest{pid, txn}));
+      if (pid != top_pid) {
+        Post<kKillProcessReq>(msite, KillProcessRequest{pid, txn});
       }
     }
     abort_done_.erase(txn);
@@ -466,32 +444,34 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
   });
 }
 
-void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
+Err Kernel::Serve(const KillProcessRequest& req) {
+  const Pid pid = req.pid;
+  const TxnId& txn = req.txn;
   OsProcess* p = procs_.Find(pid);
   if (p == nullptr) {
     SiteId forward = procs_.ForwardingFor(pid);
     if (forward != kNoSite && net().Reachable(site_, forward)) {
-      form().Send(forward, MakeMsg<kKillProcessReq>(KillProcessRequest{pid, txn}));
+      Post<kKillProcessReq>(forward, req);
     }
-    return;
+    return Err::kOk;
   }
   if (!p->txn.valid() || p->txn != txn) {
-    return;  // Stale kill; the process moved on.
+    return Err::kOk;  // Stale kill; the process moved on.
   }
   if (p->sim_process != nullptr) {
     sim().Kill(p->sim_process);
   }
   for (SiteId s : p->lock_sites) {
+    // Back-to-back control messages to one site: the formation queue turns
+    // these into a single wire message when enabled.
+    Post<kReleaseProcessReq>(s, ReleaseProcessRequest{pid});
+    // The member may hold (or be queued for) transaction locks at sites the
+    // abort cascade did not visit — its file-list never merged. Clear them.
     if (IsLocal(s)) {
-      ServeReleaseProcess(pid);
-      SpawnKernelProcess("abort-locks", [this, txn] { ServeAbortTxnAtSite(txn); });
+      // In its own process: the rollback may block, and the kill must not.
+      SpawnKernelProcess("abort-locks", [this, txn] { Serve(AbortTxnAtSiteRequest{txn}); });
     } else {
-      // Back-to-back control messages to one site: the formation queue turns
-      // these into a single wire message when enabled.
-      form().Send(s, MakeMsg<kReleaseProcessReq>(ReleaseProcessRequest{pid}));
-      // The member may hold (or be queued for) transaction locks at sites the
-      // abort cascade did not visit — its file-list never merged. Clear them.
-      form().Send(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
+      Post<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{txn});
     }
   }
   if (OsProcess* parent = system_->Locate(p->parent)) {
@@ -500,12 +480,13 @@ void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
   }
   retired_.push_back(procs_.Take(pid));
   stats().Add("proc.killed");
+  return Err::kOk;
 }
 
 // ---------------------------------------------------------------------------
 // Control-plane routing (chases the migrating top-level process)
 
-MemberJoinReply Kernel::DoMemberJoin(const MemberJoinRequest& req) {
+MemberJoinReply Kernel::Serve(const MemberJoinRequest& req) {
   TxnRecord* record = txns_.Find(req.txn);
   if (record == nullptr) {
     auto it = txn_forward_.find(req.txn);
@@ -523,7 +504,7 @@ MemberJoinReply Kernel::DoMemberJoin(const MemberJoinRequest& req) {
   return MemberJoinReply{Err::kOk, kNoSite};
 }
 
-MergeFileListReply Kernel::DoMergeFileList(const MergeFileListRequest& req) {
+MergeFileListReply Kernel::Serve(const MergeFileListRequest& req) {
   TxnRecord* record = txns_.Find(req.txn);
   if (record == nullptr) {
     auto it = txn_forward_.find(req.txn);
@@ -549,7 +530,7 @@ MergeFileListReply Kernel::DoMergeFileList(const MergeFileListRequest& req) {
   return MergeFileListReply{Err::kOk, kNoSite};
 }
 
-AbortTxnRouteReply Kernel::DoAbortRoute(const AbortTxnRouteRequest& req) {
+AbortTxnRouteReply Kernel::Serve(const AbortTxnRouteRequest& req) {
   if (txns_.Find(req.txn) != nullptr) {
     AbortTransactionLocal(req.txn, req.reason);
     return AbortTxnRouteReply{Err::kOk, kNoSite};
@@ -558,93 +539,70 @@ AbortTxnRouteReply Kernel::DoAbortRoute(const AbortTxnRouteRequest& req) {
   return AbortTxnRouteReply{Err::kNoEnt, it == txn_forward_.end() ? kNoSite : it->second};
 }
 
-Err Kernel::RegisterMember(OsProcess* p, Pid child, SiteId child_site) {
-  MemberJoinRequest req{p->txn, child, child_site};
-  SiteId target = p->txn_top_site_hint != kNoSite ? p->txn_top_site_hint : p->txn.site;
-  for (int attempt = 0; attempt < kRouteAttempts; ++attempt) {
-    MemberJoinReply reply;
-    if (target == site_) {
-      reply = DoMemberJoin(req);
-    } else {
-      RpcResult res = form().Call(target, MakeMsg<kMemberJoinReq>(req));
-      if (!res.ok) {
-        return Err::kUnreachable;
+TxnStatusReply Kernel::Serve(const TxnStatusRequest& req) {
+  // Presumed abort unless the STABLE coordinator log says otherwise (the
+  // volatile index may not be rebuilt yet right after a reboot) or the
+  // transaction is still active here / migrated elsewhere.
+  TxnStatus status = TxnStatus::kAborted;
+  for (const auto& [id, rec] : volumes_[0]->stable_log()) {
+    if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
+      if (coord->txn == req.txn) {
+        status = coord->status;
+        break;
       }
-      reply = ReplyIn<kMemberJoinReq>(res.reply);
-    }
-    switch (reply.err) {
-      case Err::kOk:
-        p->txn_top_site_hint = target;
-        return Err::kOk;
-      case Err::kBusy:
-        sim().Sleep(Milliseconds(5));
-        continue;
-      case Err::kAborted:
-        return Err::kAborted;
-      default:
-        if (reply.forward != kNoSite) {
-          target = reply.forward;
-          continue;
-        }
-        return Err::kAborted;  // Transaction gone.
     }
   }
-  return Err::kUnreachable;
+  if (status == TxnStatus::kAborted &&
+      (txns_.Find(req.txn) != nullptr || txn_forward_.count(req.txn) != 0)) {
+    status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
+  }
+  return TxnStatusReply{static_cast<int>(status)};
+}
+
+template <MsgType kType>
+std::optional<ReplyOf<kType>> Kernel::CallTopLevel(SiteId& target, const RequestOf<kType>& req) {
+  for (int attempt = 0; attempt < kRouteAttempts; ++attempt) {
+    std::optional<ReplyOf<kType>> reply = Call<kType>(target, req);
+    if (!reply) {
+      return std::nullopt;
+    }
+    if (reply->err == Err::kBusy) {
+      sim().Sleep(Milliseconds(5));
+      continue;
+    }
+    if (reply->err != Err::kOk && reply->forward != kNoSite) {
+      target = reply->forward;
+      continue;
+    }
+    return reply;
+  }
+  return std::nullopt;
+}
+
+Err Kernel::RegisterMember(OsProcess* p, Pid child, SiteId child_site) {
+  SiteId target = p->txn_top_site_hint != kNoSite ? p->txn_top_site_hint : p->txn.site;
+  std::optional<MemberJoinReply> reply =
+      CallTopLevel<kMemberJoinReq>(target, MemberJoinRequest{p->txn, child, child_site});
+  if (!reply) {
+    return Err::kUnreachable;
+  }
+  if (reply->err != Err::kOk) {
+    return Err::kAborted;  // Aborted, or the transaction is gone.
+  }
+  p->txn_top_site_hint = target;
+  return Err::kOk;
 }
 
 void Kernel::SendFileListMerge(OsProcess* p) {
-  MergeFileListRequest req{p->txn, p->pid, p->file_list};
+  // Unreachable: the topology protocol aborts the transaction; any other
+  // failure means it resolved or aborted without this member.
   SiteId target = p->txn_top_site_hint != kNoSite ? p->txn_top_site_hint : p->txn.site;
-  for (int attempt = 0; attempt < kRouteAttempts; ++attempt) {
-    MergeFileListReply reply;
-    if (target == site_) {
-      reply = DoMergeFileList(req);
-    } else {
-      RpcResult res = form().Call(target, MakeMsg<kMergeFileListReq>(req));
-      if (!res.ok) {
-        return;  // Unreachable: the topology protocol aborts the transaction.
-      }
-      reply = ReplyIn<kMergeFileListReq>(res.reply);
-    }
-    switch (reply.err) {
-      case Err::kOk:
-        return;
-      case Err::kBusy:
-        sim().Sleep(Milliseconds(5));
-        continue;
-      default:
-        if (reply.forward != kNoSite) {
-          target = reply.forward;
-          continue;
-        }
-        return;  // Transaction resolved or aborted without us.
-    }
-  }
+  CallTopLevel<kMergeFileListReq>(target, MergeFileListRequest{p->txn, p->pid, p->file_list});
 }
 
 void Kernel::RouteAbort(const TxnId& txn, const std::string& reason, SiteId first_target) {
-  AbortTxnRouteRequest req{txn, reason};
   SiteId target = first_target != kNoSite ? first_target : txn.site;
-  for (int attempt = 0; attempt < kRouteAttempts; ++attempt) {
-    AbortTxnRouteReply reply;
-    if (target == site_) {
-      reply = DoAbortRoute(req);
-    } else {
-      RpcResult res = form().Call(target, MakeMsg<kAbortTxnRouteReq>(req));
-      if (!res.ok) {
-        return;
-      }
-      reply = ReplyIn<kAbortTxnRouteReq>(res.reply);
-    }
-    if (reply.err == Err::kOk) {
-      return;
-    }
-    if (reply.forward != kNoSite) {
-      target = reply.forward;
-      continue;
-    }
-    return;
-  }
+  CallTopLevel<kAbortTxnRouteReq>(target, AbortTxnRouteRequest{txn, reason});
 }
 
 // ---------------------------------------------------------------------------
@@ -680,8 +638,7 @@ void Kernel::HandleTopologyChange() {
       continue;
     }
     if (!net().Reachable(site_, txn.site)) {
-      SpawnKernelProcess("topo-abort",
-                         [this, txn] { ServeAbortTxnAtSite(txn); });
+      SpawnKernelProcess("topo-abort", [this, txn] { Serve(AbortTxnAtSiteRequest{txn}); });
     }
   }
   // Resident members of transactions whose home is unreachable die; orphaned
@@ -693,8 +650,8 @@ void Kernel::HandleTopologyChange() {
         Pid pid = p->pid;
         TxnId txn = p->txn;
         SpawnKernelProcess("topo-kill", [this, pid, txn] {
-          ServeAbortTxnAtSite(txn);
-          KillProcessForAbort(pid, txn);
+          Serve(AbortTxnAtSiteRequest{txn});
+          Serve(KillProcessRequest{pid, txn});
         });
       }
     }
@@ -722,14 +679,7 @@ void Kernel::HandleTopologyChange() {
     }
     const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload);
     if (coord != nullptr && coord->status == TxnStatus::kCommitted) {
-      std::vector<SiteId> participants;
-      for (const UsedFile& f : coord->files) {
-        if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-            participants.end()) {
-          participants.push_back(f.storage_site);
-        }
-      }
-      SpawnPhaseTwo(txn, participants, log_id);
+      SpawnPhaseTwo(txn, ParticipantSites(coord->files), log_id);
     }
   }
   // Presumed-abort inquiry: a prepared participant whose coordinator rebooted
@@ -768,16 +718,16 @@ void Kernel::HandleTopologyChange() {
         if (!net().Reachable(site_, coordinator)) {
           return;  // Gone again; the next topology change restarts the inquiry.
         }
-        RpcResult res =
-            form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
-        if (res.ok) {
-          auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
+        std::optional<TxnStatusReply> reply =
+            Call<kTxnStatusReq>(coordinator, TxnStatusRequest{txn});
+        if (reply) {
+          auto status = static_cast<TxnStatus>(reply->status);
           if (status == TxnStatus::kCommitted) {
-            ServeCommitTxn(txn);
+            Serve(CommitTxnRequest{txn});
             return;
           }
           if (status == TxnStatus::kAborted) {
-            ServeAbortTxnAtSite(txn);
+            Serve(AbortTxnAtSiteRequest{txn});
             return;
           }
           return;  // kUnknown: still deciding; the coordinator will tell us.
@@ -895,13 +845,7 @@ void Kernel::OnReboot() {
     }
     for (auto& [log_id, coord] : coords) {
       coordinator_log_index_[coord.txn] = log_id;
-      std::vector<SiteId> participants;
-      for (const UsedFile& f : coord.files) {
-        if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-            participants.end()) {
-          participants.push_back(f.storage_site);
-        }
-      }
+      std::vector<SiteId> participants = ParticipantSites(coord.files);
       if (coord.status == TxnStatus::kCommitted) {
         Trace("recovery: re-driving commit of %s", ToString(coord.txn).c_str());
         SpawnPhaseTwo(coord.txn, participants, log_id);
@@ -911,11 +855,7 @@ void Kernel::OnReboot() {
           system_->observers().OnAbortDecision(net().SiteName(site_), coord.txn);
         }
         for (SiteId s : participants) {
-          if (IsLocal(s)) {
-            ServeAbortTxnAtSite(coord.txn);
-          } else {
-            form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{coord.txn}));
-          }
+          Call<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{coord.txn});
         }
         volumes_[0]->EraseLog(log_id);
         coordinator_log_index_.erase(coord.txn);
@@ -940,16 +880,15 @@ void Kernel::OnReboot() {
       if (!net().Reachable(site_, coordinator)) {
         continue;  // Blocked: wait for the coordinator (or a later message).
       }
-      RpcResult res =
-          form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
-      if (!res.ok) {
+      std::optional<TxnStatusReply> reply = Call<kTxnStatusReq>(coordinator, TxnStatusRequest{txn});
+      if (!reply) {
         continue;
       }
-      auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
+      auto status = static_cast<TxnStatus>(reply->status);
       if (status == TxnStatus::kCommitted) {
-        ServeCommitTxn(txn);
+        Serve(CommitTxnRequest{txn});
       } else if (status == TxnStatus::kAborted) {
-        ServeAbortTxnAtSite(txn);
+        Serve(AbortTxnAtSiteRequest{txn});
       }
       // kUnknown: outcome pending; the coordinator will tell us.
     }

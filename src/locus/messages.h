@@ -2,11 +2,13 @@
 // protocols" of the paper).
 //
 // LOCUS_MESSAGES is the one declaration of the protocol: each row names the
-// message type, its request payload and its reply payload. The MsgType enum,
-// the MsgSpec binding and the typed builders and accessors below are all
+// message type, its request payload, its reply payload, its route and its
+// handler context. The MsgType enum, the MsgSpec binding, the typed builders
+// and accessors below, and the kernel's handler registration are all
 // generated from it, so a payload that does not match its row fails to
 // compile. Reply column: `Err` for a bare error code, `void` for a one-way
-// message that is never answered.
+// message that is never answered; Route and HandlerContext below explain
+// the last two columns.
 //
 // Row groups, in wire order:
 //   - file service: open, read, write, lock, unlock, single-file commit, and
@@ -46,36 +48,36 @@
 
 namespace locus {
 
-#define LOCUS_MESSAGES(X)                                             \
-  X(kOpenReq, OpenRequest, OpenReply)                                 \
-  X(kReadReq, ReadRequest, ReadReply)                                 \
-  X(kWriteReq, WriteRequest, WriteReply)                              \
-  X(kLockReq, LockRequest, LockReply)                                 \
-  X(kUnlockReq, UnlockRequest, Err)                                   \
-  X(kCommitFileReq, CommitFileRequest, Err)                           \
-  X(kReleaseProcessReq, ReleaseProcessRequest, Err)                   \
-  X(kPrepareReq, PrepareRequest, PrepareReply)                        \
-  X(kCommitTxnReq, CommitTxnRequest, Err)                             \
-  X(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest, Err)                   \
-  X(kMemberJoinReq, MemberJoinRequest, MemberJoinReply)               \
-  X(kMergeFileListReq, MergeFileListRequest, MergeFileListReply)      \
-  X(kAbortTxnRouteReq, AbortTxnRouteRequest, AbortTxnRouteReply)      \
-  X(kKillProcessReq, KillProcessRequest, Err)                         \
-  X(kReplicaPropagate, ReplicaPropagateMsg, void)                     \
-  X(kWaitEdgesReq, WaitEdgesRequest, WaitEdgesReply)                  \
-  X(kCreateFileReq, CreateFileRequest, CreateFileReply)               \
-  X(kRemoveFileReq, RemoveFileRequest, Err)                           \
-  X(kTxnStatusReq, TxnStatusRequest, TxnStatusReply)                  \
-  X(kReleasePrimaryReq, ReleasePrimaryRequest, void)                  \
-  X(kTruncateReq, TruncateRequest, Err)                               \
-  X(kReplicaVersionReq, ReplicaVersionRequest, ReplicaVersionReply)   \
-  X(kReplicaFetchReq, ReplicaFetchRequest, ReplicaFetchReply)
+#define LOCUS_MESSAGES(X)                                                             \
+  X(kOpenReq, OpenRequest, OpenReply, kDirect, kFiber)                                \
+  X(kReadReq, ReadRequest, ReadReply, kDirect, kFiber)                                \
+  X(kWriteReq, WriteRequest, WriteReply, kDirect, kFiber)                             \
+  X(kLockReq, LockRequest, LockReply, kFormation, kFiber)                             \
+  X(kUnlockReq, UnlockRequest, Err, kFormation, kFiber)                               \
+  X(kCommitFileReq, CommitFileRequest, Err, kDirect, kFiber)                          \
+  X(kReleaseProcessReq, ReleaseProcessRequest, Err, kFormation, kFiber)               \
+  X(kPrepareReq, PrepareRequest, PrepareReply, kFormation, kFiber)                    \
+  X(kCommitTxnReq, CommitTxnRequest, Err, kFormation, kFiber)                         \
+  X(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest, Err, kFormation, kFiber)               \
+  X(kMemberJoinReq, MemberJoinRequest, MemberJoinReply, kFormation, kFiber)           \
+  X(kMergeFileListReq, MergeFileListRequest, MergeFileListReply, kFormation, kFiber)  \
+  X(kAbortTxnRouteReq, AbortTxnRouteRequest, AbortTxnRouteReply, kFormation, kFiber)  \
+  X(kKillProcessReq, KillProcessRequest, Err, kFormation, kFiber)                     \
+  X(kReplicaPropagate, ReplicaPropagateMsg, void, kDirect, kFiber)                    \
+  X(kWaitEdgesReq, WaitEdgesRequest, WaitEdgesReply, kDirect, kInline)                \
+  X(kCreateFileReq, CreateFileRequest, CreateFileReply, kDirect, kFiber)              \
+  X(kRemoveFileReq, RemoveFileRequest, Err, kDirect, kFiber)                          \
+  X(kTxnStatusReq, TxnStatusRequest, TxnStatusReply, kFormation, kInline)             \
+  X(kReleasePrimaryReq, ReleasePrimaryRequest, void, kFormation, kInline)             \
+  X(kTruncateReq, TruncateRequest, Err, kDirect, kFiber)                              \
+  X(kReplicaVersionReq, ReplicaVersionRequest, ReplicaVersionReply, kDirect, kFiber)  \
+  X(kReplicaFetchReq, ReplicaFetchRequest, ReplicaFetchReply, kDirect, kFiber)
 
 // Rows number from 1 in table order; model-checker traces record these
 // values, so new rows go at the end.
 enum MsgType : int32_t {
   kNoMsgType = 0,  // Message's default type; no row uses it.
-#define LOCUS_MSG_ENUMERATOR(type, request, reply) type,
+#define LOCUS_MSG_ENUMERATOR(type, request, reply, route, context) type,
   LOCUS_MESSAGES(LOCUS_MSG_ENUMERATOR)
 #undef LOCUS_MSG_ENUMERATOR
   kMsgTypeEnd,  // One past the last row.
@@ -84,6 +86,16 @@ enum MsgType : int32_t {
 // envelope takes a wire type above every row.
 static_assert(kMsgTypeEnd <= kFormBatchMsgType,
               "message table collides with the formation batch envelope type");
+
+// Route column: kFormation rows (the control plane) go through the sending
+// site's FormationQueue, which forwards verbatim to the Network when
+// formation is off; kDirect rows always use the Network. The analyzer's
+// formation-bypass rule reads this column.
+enum class Route { kFormation, kDirect };
+
+// Handler-context column: kFiber rows are served in a fresh kernel process
+// (they may block); kInline rows are answered in the delivery event.
+enum class HandlerContext { kFiber, kInline };
 
 struct OpenRequest {
   FileId file;
@@ -268,14 +280,16 @@ struct ReplicaFetchReply {
   std::vector<std::pair<int32_t, PageRef>> pages;
 };
 
-// Binds each message type to its row's payload types.
+// Binds each message type to its row's columns.
 template <MsgType kType>
 struct MsgSpec;
-#define LOCUS_MSG_SPEC(type, request, reply) \
-  template <>                                \
-  struct MsgSpec<type> {                     \
-    using Request = request;                 \
-    using Reply = reply;                     \
+#define LOCUS_MSG_SPEC(type, request, reply, route, context)            \
+  template <>                                                          \
+  struct MsgSpec<type> {                                               \
+    using Request = request;                                           \
+    using Reply = reply;                                               \
+    static constexpr Route kRoute = Route::route;                      \
+    static constexpr HandlerContext kContext = HandlerContext::context; \
   };
 LOCUS_MESSAGES(LOCUS_MSG_SPEC)
 #undef LOCUS_MSG_SPEC

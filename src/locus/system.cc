@@ -155,6 +155,7 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
         if (!holder.valid() || !net_.Reachable(site, holder.site)) {
           continue;
         }
+        // form-ok the detector is a user-level daemon, not kernel traffic.
         RpcResult res =
             net_.Call(site, holder.site, MakeMsg<kTxnStatusReq>(TxnStatusRequest{holder}));
         if (!res.ok) {

@@ -24,6 +24,7 @@
 #include <string>
 #include <typeinfo>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulation.h"
@@ -62,6 +63,11 @@ struct Message {
       abort();
     }
     return *typed;
+  }
+  // Mutable access, so a receiver can move a bulk payload out.
+  template <typename T>
+  T& As() {
+    return const_cast<T&>(std::as_const(*this).As<T>());
   }
 };
 

@@ -222,7 +222,7 @@ TEST_F(RecoveryTest, DuplicateCommitMessagesAreIdempotent) {
   system_.sim().Spawn("dup-commit", [&] {
     participant.txn_manager();  // No-op touch; the real call:
   });
-  // Send the duplicate through the public path: ServeCommitTxn is private,
+  // Send the duplicate through the public path: the kernel's Serve is private,
   // so replay through the network.
   system_.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}, 64));
   system_.RunFor(Seconds(2));

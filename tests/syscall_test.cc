@@ -377,6 +377,12 @@ TEST_F(SyscallTest, TruncateWorksRemotely) {
       ASSERT_TRUE(rfd.ok());
       EXPECT_EQ(remote.Truncate(rfd.value, 100), Err::kOk);
       EXPECT_EQ(remote.FileSize(rfd.value).value, 100);
+      // The storage site refuses growth, and truncation under the writer's
+      // uncommitted records, exactly as it does for a local caller.
+      EXPECT_EQ(remote.Truncate(rfd.value, 5000), Err::kBusy);
+      remote.Seek(rfd.value, 0);
+      remote.WriteString(rfd.value, "dirty");
+      EXPECT_EQ(remote.Truncate(rfd.value, 50), Err::kBusy);
       remote.Close(rfd.value);
     });
     sys.WaitChildren();
