@@ -10,18 +10,21 @@
 #   4. benchmark regression snapshot (scale table) + perf-gate: the fresh
 #      txn_per_s numbers must not regress beyond tolerance against the
 #      checked-in BENCH_scale.json baseline
-#   5. chaos reliability scenarios with the runtime protocol auditor AND the
+#   5. benchmark determinism self-check (perfbench/selfcheck.py): one seed
+#      repeats bit for bit, another differs, and a traced run matches an
+#      untraced one, on every repo-benchmark workload
+#   6. chaos reliability scenarios with the runtime protocol auditor AND the
 #      outcome-level serializability certifier observing (--audit --serial:
 #      any 2PL / 2PC / shadow-page / serializability / recoverability /
 #      external-consistency / shared-state-race violation fails the run),
 #      plus a negative control that a seeded write-skew cycle fails the run
-#   6. UndefinedBehaviorSanitizer build + full test suite
-#   7. AddressSanitizer build + full test suite, on the same ucontext fibers
-#      as every other build (the simulator annotates each stack switch)
+#   7. UndefinedBehaviorSanitizer build + full test suite
+#   8. AddressSanitizer build + full test suite, on the same fibers as every
+#      other build (the simulator annotates each stack switch)
 #
-# Build trees (build/, build-ubsan/, build-asan/) are reused incrementally:
-# the first cold run compiles three trees (~20 min at -j1); warm runs finish
-# in a few minutes.
+# Build trees (build/, .bench_build/, build-ubsan/, build-asan/) are reused
+# incrementally: a cold run compiles all four (build/ and the two sanitizer
+# trees alone take ~20 min at -j1); warm runs finish in a few minutes.
 #
 # Usage: scripts/ci.sh [jobs]
 
@@ -98,6 +101,11 @@ cat build/BENCH_scale.json
 
 echo "=== perf-gate (txn_per_s vs checked-in baseline) ==="
 python3 scripts/perf_gate.py BENCH_scale.json build/BENCH_scale.json
+
+echo "=== benchmark determinism self-check ==="
+# An engine change that breaks determinism, or makes a traced run differ from
+# an untraced one, fails here rather than only in the benchmark pipeline.
+python3 perfbench/selfcheck.py
 
 echo "=== chaos reliability under the protocol auditor + certifier ==="
 ./build/bench/chaos_reliability --audit --serial --json=build/BENCH_chaos.json \

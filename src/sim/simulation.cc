@@ -1,6 +1,12 @@
+// A fiber switch is a _longjmp onto another stack. _FORTIFY_SOURCE would
+// route it through __longjmp_chk, which aborts on such cross-stack jumps, so
+// it is switched off here, before any system header reads it.
+#undef _FORTIFY_SOURCE
+
 #include "src/sim/simulation.h"
 
 #include <sys/mman.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,7 +17,12 @@
 #include <cstring>
 #include <limits>
 
+#if __USE_FORTIFY_LEVEL > 0
+#error "simulation.cc must build without _FORTIFY_SOURCE (see the #undef above)"
+#endif
+
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -29,9 +40,13 @@ void StartSwitch(void** fake_stack_save, const void* bottom, size_t size) {
 void FinishSwitch(void* fake_stack_save, const void** bottom_old, size_t* size_old) {
   __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
 }
+// Clears redzones a finished fiber left on its stack (unwinding through
+// SimCancelled can leave some) before the stack is reused.
+void UnpoisonStack(void* stack, size_t size) { __asan_unpoison_memory_region(stack, size); }
 #else
 void StartSwitch(void**, const void*, size_t) {}
 void FinishSwitch(void*, const void**, size_t*) {}
+void UnpoisonStack(void*, size_t) {}
 #endif
 }  // namespace
 
@@ -95,19 +110,31 @@ const char* ProtocolStepName(ProtocolStep step) {
 namespace {
 // Stack per process. Kernel paths nest a few dozen frames at most; the
 // guard page below the stack turns an overflow into a clean SIGSEGV instead
-// of silent corruption. Pages are committed lazily by the OS, so the
-// per-process cost is the pages actually touched.
+// of silent corruption. Pages are committed lazily by the OS, and a finished
+// process's stack is reused by the next Spawn, so the cost is the pages the
+// peak number of live fibers touched, not one stack per process ever spawned.
 constexpr size_t kFiberStackBytes = 512 * 1024;
+
+size_t PageBytes() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+// Bytes mapped per stack: the usable stack plus its guard page.
+size_t MappedStackBytes() { return kFiberStackBytes + PageBytes(); }
 }  // namespace
 
 SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
                        std::function<void()> body)
     : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  stack_bytes_ = kFiberStackBytes + page;
-  stack_base_ = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (stack_base_ == MAP_FAILED || mprotect(stack_base_, page, PROT_NONE) != 0) {
+  if (!sim_->free_stacks_.empty()) {
+    stack_base_ = sim_->free_stacks_.back();
+    sim_->free_stacks_.pop_back();
+    return;
+  }
+  void* base = mmap(nullptr, MappedStackBytes(), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED || mprotect(base, PageBytes(), PROT_NONE) != 0) {
     const int err = errno;
     fprintf(stderr,
             "sim: cannot allocate a fiber stack for process '%s': %s (errno %d) with %d "
@@ -115,12 +142,7 @@ SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
             name_.c_str(), strerror(err), err, sim_->spawned_process_count());
     abort();
   }
-  getcontext(&context_);
-  context_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
-  context_.uc_stack.ss_size = kFiberStackBytes;
-  // When FiberMain returns the fiber resumes the scheduler.
-  context_.uc_link = &sim_->scheduler_context_;
-  makecontext(&context_, reinterpret_cast<void (*)()>(&SimProcess::FiberMain), 0);
+  stack_base_ = base;
 }
 
 SimProcess::~SimProcess() {
@@ -132,7 +154,7 @@ SimProcess::~SimProcess() {
     RunUntilParked();
   }
   if (stack_base_ != nullptr) {
-    munmap(stack_base_, stack_bytes_);
+    munmap(stack_base_, MappedStackBytes());  // Never started.
   }
 }
 
@@ -149,14 +171,16 @@ void SimProcess::FiberMain() {
     }
   }
   self->state_ = State::kFinished;
-  // Returning resumes scheduler_context_ via uc_link; this fiber never runs
-  // again, so it saves no fake stack.
+  // This fiber never runs again, so it saves no fake stack.
   StartSwitch(nullptr, sim->scheduler_stack_bottom_, sim->scheduler_stack_size_);
+  _longjmp(sim->scheduler_context_, 1);
 }
 
 void SimProcess::YieldToScheduler() {
   StartSwitch(&asan_fake_stack_, sim_->scheduler_stack_bottom_, sim_->scheduler_stack_size_);
-  swapcontext(&context_, &sim_->scheduler_context_);
+  if (_setjmp(context_) == 0) {
+    _longjmp(sim_->scheduler_context_, 1);
+  }
   FinishSwitch(asan_fake_stack_, &sim_->scheduler_stack_bottom_, &sim_->scheduler_stack_size_);
   // Control is back: either a normal wake-up or a cancellation grant.
   if (cancelled_) {
@@ -166,17 +190,39 @@ void SimProcess::YieldToScheduler() {
 }
 
 void SimProcess::RunUntilParked() {
-  SimProcess* prev = g_current_process;
+  SimProcess* const prev = g_current_process;
   g_current_process = this;
-  if (!started_) {
+  const bool first_entry = !started_;
+  if (first_entry) {
     started_ = true;
     state_ = State::kRunning;
   }
-  StartSwitch(&sim_->scheduler_fake_stack_, context_.uc_stack.ss_sp,
-              context_.uc_stack.ss_size);
-  swapcontext(&sim_->scheduler_context_, &context_);
+  char* const stack = static_cast<char*>(stack_base_) + PageBytes();  // Above the guard.
+  StartSwitch(&sim_->scheduler_fake_stack_, stack, kFiberStackBytes);
+  if (_setjmp(sim_->scheduler_context_) == 0) {
+    if (!first_entry) {
+      _longjmp(context_, 1);
+    }
+    // The one switch through ucontext: start FiberMain on the fresh stack.
+    ucontext_t entry;
+    getcontext(&entry);
+    entry.uc_stack.ss_sp = stack;
+    entry.uc_stack.ss_size = kFiberStackBytes;
+    entry.uc_link = nullptr;  // FiberMain never returns.
+    makecontext(&entry, reinterpret_cast<void (*)()>(&SimProcess::FiberMain), 0);
+    setcontext(&entry);
+    abort();  // setcontext returns only if it failed.
+  }
   FinishSwitch(sim_->scheduler_fake_stack_, nullptr, nullptr);
   g_current_process = prev;
+  if (state_ == State::kFinished) {
+    // Free what the body captured now rather than at teardown, and hand the
+    // stack to the next Spawn.
+    body_ = nullptr;
+    UnpoisonStack(stack, kFiberStackBytes);
+    sim_->free_stacks_.push_back(stack_base_);
+    stack_base_ = nullptr;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -216,8 +262,12 @@ Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
   // Destroy processes before anything else so their stacks unwind while the
-  // simulation object is still alive.
+  // simulation object is still alive; unwinding returns their stacks to the
+  // pool, which goes last.
   processes_.clear();
+  for (void* stack : free_stacks_) {
+    munmap(stack, MappedStackBytes());
+  }
 }
 
 void Simulation::Schedule(SimTime delay, std::function<void()> fn) {

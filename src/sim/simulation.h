@@ -5,16 +5,18 @@
 // or a SimProcess. Process bodies are written in natural blocking style (as
 // Unix syscalls are) while the run stays fully deterministic.
 //
-// Each process is a ucontext fiber on its own guarded stack. A switch is a
-// userspace register swap — no syscalls, no OS scheduler involvement — which
-// is what lets large simulated clusters run at memory speed. AddressSanitizer
-// builds run the same fibers, told about every stack switch.
+// Each process is a fiber on its own guarded stack. A fiber is entered once
+// through a makecontext context; every park, resume and finish after that is
+// a _setjmp/_longjmp register swap — no syscalls, no OS scheduler involvement
+// — which is what lets large simulated clusters run at memory speed. A
+// finished fiber's stack goes back to a per-Simulation pool for the next
+// Spawn. AddressSanitizer builds run the same fibers, told about every stack
+// switch.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
-#include <ucontext.h>
-
+#include <csetjmp>
 #include <cstdarg>
 #include <cstdint>
 #include <deque>
@@ -177,9 +179,11 @@ class SimProcess {
   State state_ = State::kReady;
   bool cancelled_ = false;
   bool started_ = false;
-  ucontext_t context_;
-  void* stack_base_ = nullptr;  // mmap'd region; first page is a guard page.
-  size_t stack_bytes_ = 0;
+  // Saved registers while the fiber is switched out.
+  jmp_buf context_;
+  // mmap'd region whose first page is a guard page; back in the pool (and
+  // null here) once the process finishes.
+  void* stack_base_ = nullptr;
   // AddressSanitizer's saved fake stack while the fiber is switched out.
   void* asan_fake_stack_ = nullptr;
 };
@@ -260,7 +264,10 @@ class Simulation {
   void VTrace(std::string_view origin, const char* format, va_list args);
 
   // Creates a process whose body starts running at the current virtual time.
-  // The returned pointer stays valid until the Simulation is destroyed.
+  // When the process finishes, its body (and everything the body captured) is
+  // released and its stack returns to the pool; the process record itself,
+  // and so the returned pointer, stays valid until the Simulation is
+  // destroyed.
   SimProcess* Spawn(std::string name, std::function<void()> body);
 
   // Runs until the event queue drains (or Stop() is called). Processes left
@@ -335,9 +342,12 @@ class Simulation {
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::vector<std::unique_ptr<SimProcess>> processes_;
 
-  // The scheduler's own context, saved while a fiber runs; fibers swap back
-  // into it when they park or finish.
-  ucontext_t scheduler_context_;
+  // The scheduler's own registers, saved while a fiber runs; fibers jump back
+  // to them when they park or finish.
+  jmp_buf scheduler_context_;
+  // Stacks of finished processes, reused by the next Spawn before it maps a
+  // new one. It never holds more than the peak number of live fibers.
+  std::vector<void*> free_stacks_;
   // The scheduler's stack and saved fake stack, for AddressSanitizer.
   const void* scheduler_stack_bottom_ = nullptr;
   size_t scheduler_stack_size_ = 0;

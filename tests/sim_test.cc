@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -209,11 +210,9 @@ TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
   EXPECT_EQ(sim.Now(), Milliseconds(12));
 }
 
-// Caps the address space at its current size, leaving no room for another
-// fiber stack, then spawns one more process.
-void SpawnWithAddressSpaceFull() {
-  Simulation sim;
-  sim.Spawn("warm-up", [] {});  // Grows the heap before the cap.
+// Caps the address space at its current size, leaving no room to map
+// another fiber stack.
+void CapAddressSpace() {
   unsigned long pages = 0;
   FILE* statm = fopen("/proc/self/statm", "r");
   ASSERT_NE(statm, nullptr);
@@ -222,7 +221,30 @@ void SpawnWithAddressSpaceFull() {
   const rlim_t cap = pages * static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
   const rlimit limit{cap, cap};
   ASSERT_EQ(setrlimit(RLIMIT_AS, &limit), 0);
+}
+
+// Spawns one more process with the address space full.
+void SpawnWithAddressSpaceFull() {
+  Simulation sim;
+  sim.Spawn("warm-up", [] {});  // Grows the heap before the cap.
+  CapAddressSpace();
   sim.Spawn("starved", [] {});
+}
+
+// Runs a process to completion, fills the address space, then runs a second
+// process, which needs the first one's stack. Exits 0 once it has run.
+void RunOnRecycledStackWithAddressSpaceFull() {
+  Simulation sim;
+  sim.Spawn("warm-up", [] {});
+  sim.Run();
+  CapAddressSpace();
+  if (testing::Test::HasFatalFailure()) {
+    exit(2);  // Without the cap the run would prove nothing.
+  }
+  bool ran = false;
+  sim.Spawn("recycled", [&ran] { ran = true; });
+  sim.Run();
+  exit(ran ? 0 : 1);
 }
 
 // A fiber stack that cannot be mapped aborts with a diagnostic in every build
@@ -235,6 +257,66 @@ TEST(SimulationDeathTest, FiberStackAllocationFailureAborts) {
                "cannot allocate a fiber stack for process 'starved': .* with 1 processes "
                "spawned");
 #endif
+}
+
+// A finished process's stack serves the next Spawn: no new mapping is needed.
+TEST(SimulationDeathTest, FinishedFiberStackIsReused) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "AddressSanitizer's shadow memory defeats an address-space limit";
+#else
+  EXPECT_EXIT(RunOnRecycledStackWithAddressSpaceFull(), testing::ExitedWithCode(0), "");
+#endif
+}
+
+// One Simulation runs more processes, one after another, than it could ever
+// hold stacks for at once: each stack is two mappings (stack and guard page),
+// and the default vm.max_map_count of 65530 stops a run that keeps them all
+// near 32.7k spawns. The processes end in all three ways a fiber can: by
+// returning, by a Kill while blocked, and by throwing SimCancelled after a
+// caught exception has left frames on the stack.
+TEST(Simulation, FinishedStacksCarryARunPastTheMappingLimit) {
+  constexpr int kProcesses = 40000;
+  Simulation sim;
+  WaitQueue never_notified(&sim);
+  int returned = 0;
+  int unwound = 0;
+  struct CountUnwind {
+    int* count;
+    ~CountUnwind() { ++*count; }
+  };
+  for (int i = 0; i < kProcesses; ++i) {
+    switch (i % 3) {
+      case 0:
+        sim.Spawn("returns", [&] {
+          sim.Sleep(Microseconds(1));
+          ++returned;
+        });
+        break;
+      case 1: {
+        SimProcess* victim = sim.Spawn("killed", [&] {
+          CountUnwind guard{&unwound};
+          never_notified.Wait();
+        });
+        sim.Schedule(Microseconds(1), [&sim, victim] { sim.Kill(victim); });
+        break;
+      }
+      default:
+        sim.Spawn("throws", [&] {
+          CountUnwind guard{&unwound};
+          try {
+            ThrowFromDepth(8);
+          } catch (const std::runtime_error&) {
+          }
+          sim.Kill(Simulation::Current());
+          throw SimCancelled{};
+        });
+        break;
+    }
+    sim.Run();
+  }
+  EXPECT_EQ(sim.spawned_process_count(), kProcesses);
+  EXPECT_EQ(sim.blocked_process_count(), 0);
+  EXPECT_EQ(returned + unwound, kProcesses);
 }
 
 TEST(Simulation, RunForStopsAtDeadline) {
