@@ -162,6 +162,14 @@ void FormationQueue::OnCrash() {
   }
 }
 
+size_t FormationQueue::queued_count() const {
+  size_t n = 0;
+  for (const auto& [to, q] : queues_) {
+    n += q.items.size();
+  }
+  return n;
+}
+
 std::string FormationQueue::PendingSummary() const {
   if (!net_->IsAlive(site_)) {
     return "";

@@ -101,6 +101,9 @@ class FormationQueue {
   // armed flush timers are invalidated.
   void OnCrash();
 
+  // Messages queued for every destination, not yet flushed (diagnostic).
+  size_t queued_count() const;
+
   // Drain-watchdog body: describes queues left non-empty when the event
   // queue drained (no timer event can ever flush them — a lost wake-up).
   // Empty string when clean.

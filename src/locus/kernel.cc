@@ -68,14 +68,17 @@ std::vector<Volume*> Kernel::volumes() {
   return out;
 }
 
-SimProcess* Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
+void Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
   std::string full = net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
-  SimProcess* p = sim().Spawn(full, std::move(body));
-  // Lazily compact the tracking list.
-  std::erase_if(kernel_procs_,
-                [](SimProcess* kp) { return kp->state() == SimProcess::State::kFinished; });
+  ProcessHandle p = sim().Spawn(full, std::move(body));
+  // Drop finished entries only when the list has doubled since the last
+  // sweep: amortized O(1) per spawn, and the list stays within twice the
+  // live count at that sweep (or the floor).
+  if (kernel_procs_.size() >= kernel_procs_sweep_at_) {
+    std::erase_if(kernel_procs_, [](ProcessHandle kp) { return kp.finished(); });
+    kernel_procs_sweep_at_ = std::max<size_t>(kMinKernelProcsSweep, 2 * kernel_procs_.size());
+  }
   kernel_procs_.push_back(p);
-  return p;
 }
 
 void Kernel::MaybeCrashAt(ProtocolStep step) {
@@ -177,7 +180,7 @@ void Kernel::Start() {
   env.stats = &stats();
   env.store_for = [this](VolumeId v) { return StoreFor(v); };
   env.spawn = [this](const std::string& name, std::function<void()> body) {
-    return SpawnKernelProcess(name, std::move(body));
+    SpawnKernelProcess(name, std::move(body));
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 

@@ -161,8 +161,8 @@ class Kernel {
   // ("cpu.<site>" in instructions) — the service-time measure of Figure 6.
   void BurnCpu(int64_t instructions);
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
-  // Spawns a tracked kernel process (killed on crash).
-  SimProcess* SpawnKernelProcess(const std::string& name, std::function<void()> body);
+  // Spawns a tracked kernel process: OnCrash kills it if it is still live.
+  void SpawnKernelProcess(const std::string& name, std::function<void()> body);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
@@ -307,7 +307,11 @@ class Kernel {
   // its prepare log, closing the window where an aborted transaction could
   // end up locally prepared with its locks already released.
   std::set<TxnId> locally_aborted_;
-  std::vector<SimProcess*> kernel_procs_;
+  // Kernel processes spawned here, for OnCrash to kill. Finished entries are
+  // swept once the list reaches kernel_procs_sweep_at_.
+  static constexpr size_t kMinKernelProcsSweep = 64;
+  std::vector<ProcessHandle> kernel_procs_;
+  size_t kernel_procs_sweep_at_ = kMinKernelProcsSweep;
   // Records of killed processes. They are kept (not freed) until kernel
   // destruction because their SimProcess threads may still be unwinding and
   // in-flight callbacks may hold pointers.

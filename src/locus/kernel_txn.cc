@@ -458,9 +458,7 @@ Err Kernel::Serve(const KillProcessRequest& req) {
   if (!p->txn.valid() || p->txn != txn) {
     return Err::kOk;  // Stale kill; the process moved on.
   }
-  if (p->sim_process != nullptr) {
-    sim().Kill(p->sim_process);
-  }
+  sim().Kill(p->sim_process);
   for (SiteId s : p->lock_sites) {
     // Back-to-back control messages to one site: the formation queue turns
     // these into a single wire message when enabled.
@@ -745,17 +743,13 @@ void Kernel::HandleTopologyChange() {
 void Kernel::OnCrash() {
   alive_ = false;
   for (OsProcess* p : procs_.All()) {
-    if (p->sim_process != nullptr) {
-      sim().Kill(p->sim_process);
-    }
+    sim().Kill(p->sim_process);
     // Retire rather than free: the dying threads may still be unwinding.
     retired_.push_back(procs_.Take(p->pid));
   }
   procs_.Clear();
-  for (SimProcess* kp : kernel_procs_) {
-    if (kp->state() != SimProcess::State::kFinished) {
-      sim().Kill(kp);
-    }
+  for (ProcessHandle kp : kernel_procs_) {
+    sim().Kill(kp);
   }
   kernel_procs_.clear();
   if (system_->observers().enabled()) {

@@ -97,18 +97,13 @@ void Network::Send(SiteId from, SiteId to, Message msg) {
 }
 
 RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout) {
-  SimProcess* self = Simulation::Current();
-  assert(self != nullptr && "Network::Call requires process context");
+  assert(Simulation::Current() != nullptr && "Network::Call requires process context");
   if (!Reachable(from, to)) {
     return RpcResult{false, {}};
   }
 
   uint64_t id = next_call_id_++;
-  PendingCall& call = pending_calls_[id];
-  call.from = from;
-  call.to = to;
-  call.caller = self;
-  call.wake = std::make_unique<WaitQueue>(sim_);
+  PendingCall& call = pending_calls_.try_emplace(id, from, to, sim_).first->second;
 
   stats_.Add(messages_id_);
   if (clocks_enabled_) {
@@ -126,7 +121,7 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
     CompleteCall(id, RpcResult{false, {}});
   });
 
-  call.wake->Wait();
+  call.wake.Wait();
   auto it = pending_calls_.find(id);
   assert(it != pending_calls_.end() && it->second.done);
   RpcResult result = std::move(it->second.result);
@@ -159,14 +154,9 @@ void Network::DispatchDelivered(SiteId from, SiteId to, const Message& msg,
 }
 
 uint64_t Network::PrepareCall(SiteId from, SiteId to) {
-  SimProcess* self = Simulation::Current();
-  assert(self != nullptr && "Network::PrepareCall requires process context");
+  assert(Simulation::Current() != nullptr && "Network::PrepareCall requires process context");
   uint64_t id = next_call_id_++;
-  PendingCall& call = pending_calls_[id];
-  call.from = from;
-  call.to = to;
-  call.caller = self;
-  call.wake = std::make_unique<WaitQueue>(sim_);
+  pending_calls_.try_emplace(id, from, to, sim_);
   return id;
 }
 
@@ -183,7 +173,7 @@ RpcResult Network::WaitCall(uint64_t call_id, SimTime timeout) {
     sim_->Schedule(timeout, timeout_info, [this, call_id] {
       CompleteCall(call_id, RpcResult{false, {}});
     });
-    prepared->second.wake->Wait();
+    prepared->second.wake.Wait();
   }
   auto it = pending_calls_.find(call_id);
   assert(it != pending_calls_.end() && it->second.done);
@@ -212,7 +202,7 @@ void Network::CompleteCall(uint64_t call_id, RpcResult result) {
     MergeClock(call.from, call.result.reply.vclock);
     Tick(call.from);
   }
-  call.wake->NotifyAll();
+  call.wake.NotifyAll();
 }
 
 void Network::Crash(SiteId site) {

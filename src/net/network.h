@@ -111,6 +111,8 @@ class Network {
 
   SiteId AddSite(const std::string& name);
   int site_count() const { return static_cast<int>(sites_.size()); }
+  // RPCs issued and not yet waited out (diagnostic).
+  size_t pending_call_count() const { return pending_calls_.size(); }
   const std::string& SiteName(SiteId site) const { return sites_[site].name; }
 
   // Handler for one message type at one site; runs in event context when the
@@ -208,10 +210,12 @@ class Network {
   };
 
   struct PendingCall {
+    PendingCall(SiteId caller_site, SiteId callee_site, Simulation* sim)
+        : from(caller_site), to(callee_site), wake(sim) {}
+
     SiteId from;
     SiteId to;
-    SimProcess* caller;
-    std::unique_ptr<WaitQueue> wake;
+    WaitQueue wake;
     bool done = false;
     RpcResult result;
   };

@@ -95,7 +95,7 @@ struct OsProcess {
   // locks, so they wait here and ride the prepare envelopes at commit time.
   std::vector<std::pair<SiteId, FileId>> deferred_release_hints;
 
-  SimProcess* sim_process = nullptr;
+  ProcessHandle sim_process;
   std::unique_ptr<WaitQueue> children_exited;  // Signalled on each child exit.
 
   void NoteFileUsed(const FileId& file, SiteId storage_site) {

@@ -82,7 +82,7 @@ class ReintegrationManager {
     // Resolves a volume id to the site's FileStore (nullptr if not local).
     std::function<FileStore*(VolumeId)> store_for;
     // Spawns a kernel process at the site (tracked; killed on crash).
-    std::function<SimProcess*(const std::string&, std::function<void()>)> spawn;
+    std::function<void(const std::string&, std::function<void()>)> spawn;
   };
 
   explicit ReintegrationManager(Env env);

@@ -105,14 +105,14 @@ const char* ProtocolStepName(ProtocolStep step) {
 }
 
 // ---------------------------------------------------------------------------
-// SimProcess
+// Fibers and processes
 
 namespace {
-// Stack per process. Kernel paths nest a few dozen frames at most; the
-// guard page below the stack turns an overflow into a clean SIGSEGV instead
-// of silent corruption. Pages are committed lazily by the OS, and a finished
-// process's stack is reused by the next Spawn, so the cost is the pages the
-// peak number of live fibers touched, not one stack per process ever spawned.
+// Stack per fiber. Kernel paths nest a few dozen frames at most; the guard
+// page below the stack turns an overflow into a clean SIGSEGV instead of
+// silent corruption. Pages are committed lazily by the OS, and a fiber runs
+// one process after another, so the cost is the pages the peak number of
+// live processes touched, not one stack per process ever spawned.
 constexpr size_t kFiberStackBytes = 512 * 1024;
 
 size_t PageBytes() {
@@ -124,64 +124,50 @@ size_t PageBytes() {
 size_t MappedStackBytes() { return kFiberStackBytes + PageBytes(); }
 }  // namespace
 
-SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
-                       std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  if (!sim_->free_stacks_.empty()) {
-    stack_base_ = sim_->free_stacks_.back();
-    sim_->free_stacks_.pop_back();
-    return;
-  }
-  void* base = mmap(nullptr, MappedStackBytes(), PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (base == MAP_FAILED || mprotect(base, PageBytes(), PROT_NONE) != 0) {
-    const int err = errno;
-    fprintf(stderr,
-            "sim: cannot allocate a fiber stack for process '%s': %s (errno %d) with %d "
-            "processes spawned\n",
-            name_.c_str(), strerror(err), err, sim_->spawned_process_count());
-    abort();
-  }
-  stack_base_ = base;
-}
+// A guarded stack and the registers of the code parked on it: a blocked
+// process, or FiberMain waiting for its next process.
+struct Fiber {
+  explicit Fiber(void* base) : stack_base(base) {}
+  ~Fiber() { munmap(stack_base, MappedStackBytes()); }
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
 
-SimProcess::~SimProcess() {
-  if (started_ && state_ != State::kFinished) {
-    // The process never finished (still blocked at teardown): grant it
-    // control one last time with the cancel flag set so the body unwinds
-    // and its stack frames are destroyed.
-    cancelled_ = true;
-    RunUntilParked();
-  }
-  if (stack_base_ != nullptr) {
-    munmap(stack_base_, MappedStackBytes());  // Never started.
-  }
-}
+  // The usable stack, above the guard page.
+  char* stack() const { return static_cast<char*>(stack_base) + PageBytes(); }
 
-// Entry point of every fiber; runs with g_current_process already set.
+  // mmap'd region whose first page is the guard page.
+  void* stack_base;
+  // False until the first process enters FiberMain through makecontext.
+  bool started = false;
+  // Saved registers while the fiber is switched out.
+  jmp_buf context;
+  // AddressSanitizer's saved fake stack while the fiber is switched out.
+  void* asan_fake_stack = nullptr;
+};
+
+// Entry point of every fiber; runs with g_current_process already set. It
+// runs one process body after another: when a body ends, the fiber parks
+// until Spawn hands it the next process.
 void SimProcess::FiberMain() {
-  SimProcess* self = g_current_process;
-  Simulation* sim = self->sim_;
+  Simulation* const sim = g_current_process->sim_;
   FinishSwitch(nullptr, &sim->scheduler_stack_bottom_, &sim->scheduler_stack_size_);
-  if (!self->cancelled_) {
-    try {
-      self->body_();
-    } catch (const SimCancelled&) {
-      // Teardown unwound the body; nothing more to do.
+  for (;;) {
+    SimProcess* const self = g_current_process;
+    self->state_ = State::kRunning;
+    if (!self->cancelled_) {
+      try {
+        self->body_();
+      } catch (const SimCancelled&) {
+        // Killed (or torn down) while blocked; nothing more to do.
+      }
     }
+    self->state_ = State::kFinished;
+    sim->ParkFiber(self->fiber_);
   }
-  self->state_ = State::kFinished;
-  // This fiber never runs again, so it saves no fake stack.
-  StartSwitch(nullptr, sim->scheduler_stack_bottom_, sim->scheduler_stack_size_);
-  _longjmp(sim->scheduler_context_, 1);
 }
 
 void SimProcess::YieldToScheduler() {
-  StartSwitch(&asan_fake_stack_, sim_->scheduler_stack_bottom_, sim_->scheduler_stack_size_);
-  if (_setjmp(context_) == 0) {
-    _longjmp(sim_->scheduler_context_, 1);
-  }
-  FinishSwitch(asan_fake_stack_, &sim_->scheduler_stack_bottom_, &sim_->scheduler_stack_size_);
+  sim_->ParkFiber(fiber_);
   // Control is back: either a normal wake-up or a cancellation grant.
   if (cancelled_) {
     throw SimCancelled{};
@@ -192,21 +178,17 @@ void SimProcess::YieldToScheduler() {
 void SimProcess::RunUntilParked() {
   SimProcess* const prev = g_current_process;
   g_current_process = this;
-  const bool first_entry = !started_;
-  if (first_entry) {
-    started_ = true;
-    state_ = State::kRunning;
-  }
-  char* const stack = static_cast<char*>(stack_base_) + PageBytes();  // Above the guard.
-  StartSwitch(&sim_->scheduler_fake_stack_, stack, kFiberStackBytes);
+  Fiber* const fiber = fiber_;
+  StartSwitch(&sim_->scheduler_fake_stack_, fiber->stack(), kFiberStackBytes);
   if (_setjmp(sim_->scheduler_context_) == 0) {
-    if (!first_entry) {
-      _longjmp(context_, 1);
+    if (fiber->started) {
+      _longjmp(fiber->context, 1);
     }
     // The one switch through ucontext: start FiberMain on the fresh stack.
+    fiber->started = true;
     ucontext_t entry;
     getcontext(&entry);
-    entry.uc_stack.ss_sp = stack;
+    entry.uc_stack.ss_sp = fiber->stack();
     entry.uc_stack.ss_size = kFiberStackBytes;
     entry.uc_link = nullptr;  // FiberMain never returns.
     makecontext(&entry, reinterpret_cast<void (*)()>(&SimProcess::FiberMain), 0);
@@ -216,13 +198,47 @@ void SimProcess::RunUntilParked() {
   FinishSwitch(sim_->scheduler_fake_stack_, nullptr, nullptr);
   g_current_process = prev;
   if (state_ == State::kFinished) {
-    // Free what the body captured now rather than at teardown, and hand the
-    // stack to the next Spawn.
-    body_ = nullptr;
-    UnpoisonStack(stack, kFiberStackBytes);
-    sim_->free_stacks_.push_back(stack_base_);
-    stack_base_ = nullptr;
+    sim_->Reap(this);
   }
+}
+
+Fiber* Simulation::TakeFiber(const std::string& name) {
+  if (!idle_fibers_.empty()) {
+    Fiber* fiber = idle_fibers_.back();
+    idle_fibers_.pop_back();
+    return fiber;
+  }
+  void* base = mmap(nullptr, MappedStackBytes(), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED || mprotect(base, PageBytes(), PROT_NONE) != 0) {
+    const int err = errno;
+    fprintf(stderr,
+            "sim: cannot allocate a fiber stack for process '%s': %s (errno %d) with %d "
+            "processes spawned\n",
+            name.c_str(), strerror(err), err, spawned_process_count());
+    abort();
+  }
+  fibers_.push_back(std::make_unique<Fiber>(base));
+  return fibers_.back().get();
+}
+
+void Simulation::ParkFiber(Fiber* fiber) {
+  StartSwitch(&fiber->asan_fake_stack, scheduler_stack_bottom_, scheduler_stack_size_);
+  if (_setjmp(fiber->context) == 0) {
+    _longjmp(scheduler_context_, 1);
+  }
+  FinishSwitch(fiber->asan_fake_stack, &scheduler_stack_bottom_, &scheduler_stack_size_);
+}
+
+void Simulation::Reap(SimProcess* p) {
+  // Free what the body captured now rather than at teardown. Unwinding
+  // through SimCancelled can leave redzones on the stack; clear them before
+  // the fiber runs another body.
+  p->body_ = nullptr;
+  UnpoisonStack(p->fiber_->stack(), kFiberStackBytes);
+  idle_fibers_.push_back(p->fiber_);
+  p->fiber_ = nullptr;
+  free_processes_.push_back(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +251,7 @@ void WaitQueue::Wait() {
     // Teardown is unwinding this process; blocking again would never return.
     return;
   }
-  waiters_.push_back(self);
+  waiters_.push_back(self->handle());
   self->state_ = SimProcess::State::kBlocked;
   self->YieldToScheduler();
 }
@@ -244,9 +260,7 @@ void WaitQueue::NotifyOne() {
   if (waiters_.empty()) {
     return;
   }
-  SimProcess* p = waiters_.front();
-  waiters_.pop_front();
-  sim_->MakeReady(p);
+  sim_->MakeReady(waiters_.pop_front());
 }
 
 void WaitQueue::NotifyAll() {
@@ -261,13 +275,23 @@ void WaitQueue::NotifyAll() {
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
-  // Destroy processes before anything else so their stacks unwind while the
-  // simulation object is still alive; unwinding returns their stacks to the
-  // pool, which goes last.
-  processes_.clear();
-  for (void* stack : free_stacks_) {
-    munmap(stack, MappedStackBytes());
+  // Unwind every unfinished process, oldest first, while the simulation is
+  // still alive: each gets control one last time with the cancel flag set,
+  // and one that never started skips its body.
+  std::vector<SimProcess*> unfinished;
+  for (const auto& p : processes_) {
+    if (p->state_ != SimProcess::State::kFinished) {
+      unfinished.push_back(p.get());
+    }
   }
+  std::sort(unfinished.begin(), unfinished.end(),
+            [](const SimProcess* a, const SimProcess* b) { return a->id_ < b->id_; });
+  for (SimProcess* p : unfinished) {
+    p->cancelled_ = true;
+    p->RunUntilParked();
+  }
+  // Records (and any body never run) go before the fibers' stacks.
+  processes_.clear();
 }
 
 void Simulation::Schedule(SimTime delay, std::function<void()> fn) {
@@ -287,7 +311,12 @@ void Simulation::ScheduleAt(SimTime when, EventInfo info, std::function<void()> 
   assert(when >= now_);
   // policy-ok: the one sanctioned seq assignment; ties are later resolved
   // through PopNext's SchedulePolicy consultation.
-  events_.push(Event{when, next_seq_++, info, std::move(fn)});
+  Event ev{when, next_seq_++, info, std::move(fn)};
+  if (when == now_) {
+    due_now_.push_back(std::move(ev));
+  } else {
+    events_.push(std::move(ev));
+  }
 }
 
 void Simulation::Trace(std::string_view origin, const char* format, ...) {
@@ -307,37 +336,50 @@ void Simulation::VTrace(std::string_view origin, const char* format, va_list arg
   fputc('\n', stderr);
 }
 
-SimProcess* Simulation::Spawn(std::string name, std::function<void()> body) {
-  auto proc = std::unique_ptr<SimProcess>(
-      new SimProcess(this, next_pid_++, std::move(name), std::move(body)));
-  SimProcess* raw = proc.get();
-  processes_.push_back(std::move(proc));
-  MakeReady(raw);
-  return raw;
+ProcessHandle Simulation::Spawn(std::string name, std::function<void()> body) {
+  Fiber* fiber = TakeFiber(name);
+  SimProcess* p;
+  if (free_processes_.empty()) {
+    processes_.push_back(std::unique_ptr<SimProcess>(new SimProcess(this)));
+    p = processes_.back().get();
+  } else {
+    p = free_processes_.back();
+    free_processes_.pop_back();
+  }
+  p->id_ = next_pid_++;
+  p->name_ = std::move(name);
+  p->body_ = std::move(body);
+  p->state_ = SimProcess::State::kReady;
+  p->cancelled_ = false;
+  p->fiber_ = fiber;
+  ++spawned_;
+  MakeReady(p->handle());
+  return p->handle();
 }
 
-void Simulation::Kill(SimProcess* p) {
-  if (p->state_ == SimProcess::State::kFinished) {
+void Simulation::Kill(ProcessHandle process) {
+  if (process.finished()) {
     return;
   }
+  SimProcess* p = process.proc_;
   p->cancelled_ = true;
   if (p == Current()) {
     // Self-kill (e.g. a process whose action crashes its own site): the body
     // unwinds at its next blocking point.
     return;
   }
-  MakeReady(p);
+  MakeReady(process);
 }
 
-void Simulation::MakeReady(SimProcess* p) {
-  if (p->state_ == SimProcess::State::kFinished) {
+void Simulation::MakeReady(ProcessHandle process) {
+  if (process.finished()) {
     return;  // Stale wake-up for a process that already died.
   }
-  p->state_ = SimProcess::State::kReady;
-  EventInfo info{EventTag::kWakeup, static_cast<int32_t>(p->id_), -1, -1};
-  Schedule(0, info, [p] {
-    if (p->state_ == SimProcess::State::kReady) {
-      p->RunUntilParked();
+  process.proc_->state_ = SimProcess::State::kReady;
+  EventInfo info{EventTag::kWakeup, static_cast<int32_t>(process.pid_), -1, -1};
+  Schedule(0, info, [process] {
+    if (!process.finished() && process.proc_->state_ == SimProcess::State::kReady) {
+      process.proc_->RunUntilParked();
     }
   });
 }
@@ -364,10 +406,26 @@ bool IsNetworkTag(EventTag tag) {
 
 }  // namespace
 
-Simulation::Event Simulation::PopNext(SimTime limit) {
+bool Simulation::NextIsDueNow() const {
+  return !due_now_.empty() && (events_.empty() || events_.top() > due_now_.front());
+}
+
+const Simulation::Event& Simulation::PeekNext() const {
+  return NextIsDueNow() ? due_now_.front() : events_.top();
+}
+
+Simulation::Event Simulation::TakeNext() {
+  if (NextIsDueNow()) {
+    return due_now_.pop_front();
+  }
   Event ev = std::move(const_cast<Event&>(events_.top()));
   events_.pop();
-  if (policy_ == nullptr || events_.empty()) {
+  return ev;
+}
+
+Simulation::Event Simulation::PopNext(SimTime limit) {
+  Event ev = TakeNext();
+  if (policy_ == nullptr || !HasEvents()) {
     return ev;
   }
   // Two or more events at one virtual time form a tie. With a TieWindow,
@@ -375,7 +433,7 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
   // choosing one first models its message arriving early (equivalently, the
   // passed-over deliveries being delayed), which is real network
   // nondeterminism the fixed latency model otherwise hides. Non-network
-  // events are never reordered across time, and because the heap yields
+  // events are never reordered across time, and because the queues yield
   // events in (time, seq) order, one sitting inside the window also caps it.
   const SimTime window = policy_->TieWindow();
   const SimTime base = ev.time;
@@ -387,14 +445,13 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
     return widen && IsNetworkTag(top.info.tag) && top.time <= base + window &&
            top.time <= limit;
   };
-  if (!joins_tie(events_.top())) {
+  if (!joins_tie(PeekNext())) {
     return ev;
   }
   std::vector<Event> ties;
   ties.push_back(std::move(ev));
-  while (!events_.empty() && joins_tie(events_.top())) {
-    ties.push_back(std::move(const_cast<Event&>(events_.top())));
-    events_.pop();
+  while (HasEvents() && joins_tie(PeekNext())) {
+    ties.push_back(TakeNext());
   }
   std::vector<EventInfo> options;
   options.reserve(ties.size());
@@ -406,6 +463,8 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
     pick = 0;
   }
   Event chosen = std::move(ties[pick]);
+  // The heap keeps the passed-over events in (time, seq) order whichever
+  // queue they came from.
   for (size_t i = 0; i < ties.size(); ++i) {
     if (i != pick) {
       events_.push(std::move(ties[i]));
@@ -415,7 +474,7 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
 }
 
 void Simulation::CheckDrainWatchdog() {
-  if (drain_watchdog_ == DrainWatchdog::kOff || !events_.empty() || stop_requested_) {
+  if (drain_watchdog_ == DrainWatchdog::kOff || HasEvents() || stop_requested_) {
     return;
   }
   int blocked = blocked_process_count();
@@ -450,7 +509,7 @@ void Simulation::CheckDrainWatchdog() {
 
 void Simulation::Run() {
   stop_requested_ = false;
-  while (!events_.empty() && !stop_requested_) {
+  while (HasEvents() && !stop_requested_) {
     Event ev = PopNext(std::numeric_limits<SimTime>::max());
     // A policy with a TieWindow may run a delayed event first; the passed-over
     // events then execute at the later now_, so only advance time forward.
@@ -464,7 +523,7 @@ void Simulation::RunFor(SimTime duration) {
   const SimTime deadline = now_ + duration;
   stop_requested_ = false;
   int64_t spin = 0;
-  while (!events_.empty() && !stop_requested_ && events_.top().time <= deadline) {
+  while (HasEvents() && !stop_requested_ && PeekNext().time <= deadline) {
     Event ev = PopNext(deadline);
     if (ev.time == now_) {
       if (++spin > 2000000) {
@@ -493,7 +552,10 @@ void Simulation::Sleep(SimTime duration) {
   }
   self->state_ = SimProcess::State::kBlocked;
   EventInfo info{EventTag::kSleepDone, static_cast<int32_t>(self->id_), -1, -1};
-  Schedule(duration, info, [this, self] { MakeReady(self); });
+  // The handle alone keeps the closure within std::function's inline buffer.
+  Schedule(duration, info, [process = self->handle()] {
+    process.proc_->sim_->MakeReady(process);
+  });
   self->YieldToScheduler();
 }
 

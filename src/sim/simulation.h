@@ -5,21 +5,24 @@
 // or a SimProcess. Process bodies are written in natural blocking style (as
 // Unix syscalls are) while the run stays fully deterministic.
 //
-// Each process is a fiber on its own guarded stack. A fiber is entered once
-// through a makecontext context; every park, resume and finish after that is
-// a _setjmp/_longjmp register swap — no syscalls, no OS scheduler involvement
-// — which is what lets large simulated clusters run at memory speed. A
-// finished fiber's stack goes back to a per-Simulation pool for the next
-// Spawn. AddressSanitizer builds run the same fibers, told about every stack
-// switch.
+// Each process runs on a fiber: a guarded stack plus saved registers. Every
+// park, resume and finish is a _setjmp/_longjmp register swap — no syscalls,
+// no OS scheduler involvement — which is what lets large simulated clusters
+// run at memory speed. A fiber outlives its process: when a body ends, the
+// fiber parks in a per-Simulation idle list and the next Spawn resumes it
+// with the new body, so only a fiber's first entry goes through makecontext.
+// Process records are reused the same way; a ProcessHandle tells a reused
+// record from the process it once held. Events due at the current time
+// (process wake-ups, mostly) queue in a FIFO beside the time-ordered heap.
+// AddressSanitizer builds run the same fibers, told about every stack switch.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
 #include <csetjmp>
 #include <cstdarg>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -34,6 +37,8 @@ namespace locus {
 
 class Simulation;
 class SimProcess;
+class ProcessHandle;
+struct Fiber;
 
 // ---------------------------------------------------------------------------
 // Decision-point interface (schedule-space exploration; see src/mc).
@@ -142,15 +147,16 @@ struct SimCancelled {};
 
 // A cooperative simulated thread of control.
 //
-// Created via Simulation::Spawn. The body runs on a dedicated fiber, but only
-// while the scheduler has handed it control; every blocking primitive (Sleep,
+// Created via Simulation::Spawn. The body runs on a fiber, but only while the
+// scheduler has handed it control; every blocking primitive (Sleep,
 // WaitQueue::Wait, ...) parks it and returns control to the scheduler until a
-// wake-up event fires.
+// wake-up event fires. The record is reused for a later Spawn once the body
+// ends, so code that outlives the process holds a ProcessHandle, never a
+// SimProcess pointer.
 class SimProcess {
  public:
   enum class State { kReady, kRunning, kBlocked, kFinished };
 
-  ~SimProcess();
   SimProcess(const SimProcess&) = delete;
   SimProcess& operator=(const SimProcess&) = delete;
 
@@ -158,12 +164,14 @@ class SimProcess {
   uint64_t id() const { return id_; }
   State state() const { return state_; }
   Simulation& simulation() const { return *sim_; }
+  ProcessHandle handle();
 
  private:
   friend class Simulation;
   friend class WaitQueue;
+  friend class ProcessHandle;
 
-  SimProcess(Simulation* sim, uint64_t id, std::string name, std::function<void()> body);
+  explicit SimProcess(Simulation* sim) : sim_(sim) {}
 
   // Runs on the process fiber: returns control to the scheduler.
   void YieldToScheduler();
@@ -173,19 +181,65 @@ class SimProcess {
   static void FiberMain();
 
   Simulation* sim_;
-  uint64_t id_;
+  uint64_t id_ = 0;
   std::string name_;
   std::function<void()> body_;
-  State state_ = State::kReady;
+  State state_ = State::kFinished;
   bool cancelled_ = false;
-  bool started_ = false;
-  // Saved registers while the fiber is switched out.
-  jmp_buf context_;
-  // mmap'd region whose first page is a guard page; back in the pool (and
-  // null here) once the process finishes.
-  void* stack_base_ = nullptr;
-  // AddressSanitizer's saved fake stack while the fiber is switched out.
-  void* asan_fake_stack_ = nullptr;
+  // The fiber the body runs on; back in the idle list (and null here) once
+  // the process finishes.
+  Fiber* fiber_ = nullptr;
+};
+
+// Names one spawned process. It stays safe to use after the process finishes
+// and its record serves a later Spawn: the pid no longer matches, so the
+// handle reads as finished and Kill ignores it. A default handle names no
+// process. Valid for as long as the Simulation that spawned it.
+class ProcessHandle {
+ public:
+  ProcessHandle() = default;
+
+  bool finished() const {
+    return proc_ == nullptr || proc_->id_ != pid_ || proc_->state_ == SimProcess::State::kFinished;
+  }
+
+ private:
+  friend class Simulation;
+  friend class SimProcess;
+
+  ProcessHandle(SimProcess* proc, uint64_t pid) : proc_(proc), pid_(pid) {}
+
+  SimProcess* proc_ = nullptr;
+  uint64_t pid_ = 0;
+};
+
+inline ProcessHandle SimProcess::handle() { return ProcessHandle(this, id_); }
+
+// A first-in, first-out queue over one vector, for the engine's hot queues.
+// Unlike std::deque it allocates nothing until the first push and no block
+// per few pushes after that. A pop advances a head index; once the consumed
+// prefix is half the vector it is dropped, so storage stays within about
+// twice the longest the queue has been, at amortized O(1) per pop.
+template <typename T>
+class FifoQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  size_t size() const { return items_.size() - head_; }
+  const T& front() const { return items_[head_]; }
+
+  void push_back(T item) { items_.push_back(std::move(item)); }
+  T pop_front() {
+    T item = std::move(items_[head_++]);
+    if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return item;
+  }
+
+ private:
+  std::vector<T> items_;
+  size_t head_ = 0;
 };
 
 // A condition-variable analogue for SimProcesses. Wait() parks the calling
@@ -199,7 +253,8 @@ class WaitQueue {
   // context.
   void Wait();
 
-  // Wakes the longest-waiting process, if any.
+  // Wakes the longest-waiting process, if any. A waiter that was killed
+  // while queued still takes its turn, and the notification goes with it.
   void NotifyOne();
   // Wakes all waiting processes.
   void NotifyAll();
@@ -209,7 +264,7 @@ class WaitQueue {
 
  private:
   Simulation* sim_;
-  std::deque<SimProcess*> waiters_;
+  FifoQueue<ProcessHandle> waiters_;
 };
 
 // The simulation: virtual clock, event queue, and process scheduler.
@@ -263,12 +318,12 @@ class Simulation {
       __attribute__((format(printf, 3, 4)));
   void VTrace(std::string_view origin, const char* format, va_list args);
 
-  // Creates a process whose body starts running at the current virtual time.
-  // When the process finishes, its body (and everything the body captured) is
-  // released and its stack returns to the pool; the process record itself,
-  // and so the returned pointer, stays valid until the Simulation is
-  // destroyed.
-  SimProcess* Spawn(std::string name, std::function<void()> body);
+  // Creates a process whose body starts running at the current virtual time,
+  // on an idle fiber if there is one and on a newly mapped stack otherwise
+  // (aborting if the stack cannot be mapped). When the process finishes, its
+  // body (and everything the body captured) is released, and its fiber and
+  // record serve later Spawns; the returned handle then reads as finished.
+  ProcessHandle Spawn(std::string name, std::function<void()> body);
 
   // Runs until the event queue drains (or Stop() is called). Processes left
   // blocked with no pending wake-up are reported by blocked_process_count().
@@ -279,10 +334,11 @@ class Simulation {
   void Stop() { stop_requested_ = true; }
 
   // Forcibly terminates a parked process: its body unwinds via SimCancelled.
-  // Used to model processes dying when their site crashes. Must not target
-  // the currently running process (a process models its own death by
-  // returning or throwing).
-  void Kill(SimProcess* p);
+  // Used to model processes dying when their site crashes. Targeting the
+  // currently running process only marks it: it unwinds at its next blocking
+  // point, or at once if it throws SimCancelled itself. A no-op for a handle
+  // whose process has finished, even if its record now holds another.
+  void Kill(ProcessHandle process);
 
   // --- Primitives callable from process context only ---
 
@@ -300,7 +356,14 @@ class Simulation {
   // Debug aid: prints every non-finished process and its state to stderr.
   // Unsynchronized; intended for post-mortem inspection from a watchdog.
   void DumpProcesses() const;
-  int spawned_process_count() const { return static_cast<int>(processes_.size()); }
+  // Processes spawned over the simulation's life, finished ones included.
+  int spawned_process_count() const { return spawned_; }
+  // Processes spawned and not yet finished.
+  int live_process_count() const {
+    return static_cast<int>(processes_.size() - free_processes_.size());
+  }
+  // Fibers parked with no process, waiting for the next Spawn.
+  int idle_fiber_count() const { return static_cast<int>(idle_fibers_.size()); }
 
  private:
   friend class SimProcess;
@@ -318,8 +381,22 @@ class Simulation {
     }
   };
 
-  // Marks `p` runnable at the current time (scheduler will hand it control).
-  void MakeReady(SimProcess* p);
+  // Marks the process runnable at the current time (scheduler will hand it
+  // control). A no-op once it has finished.
+  void MakeReady(ProcessHandle process);
+  // Takes an idle fiber, or maps a new one; aborts if the mapping fails.
+  Fiber* TakeFiber(const std::string& name);
+  // Runs on a fiber: saves its registers and returns control to the
+  // scheduler; returns when the scheduler resumes the fiber.
+  void ParkFiber(Fiber* fiber);
+  // Returns a finished process's record and fiber for reuse.
+  void Reap(SimProcess* p);
+  // The queued events merged in (time, seq) order: whether any is left, the
+  // next one, and taking it.
+  bool HasEvents() const { return !events_.empty() || !due_now_.empty(); }
+  bool NextIsDueNow() const;
+  const Event& PeekNext() const;
+  Event TakeNext();
   // Removes and returns the next event to run: the earliest-time event, with
   // same-time ties resolved by the installed SchedulePolicy (historical seq
   // order when none is installed or it returns 0). When the policy declares a
@@ -332,6 +409,7 @@ class Simulation {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_pid_ = 1;
+  int spawned_ = 0;
   bool stop_requested_ = false;
   bool trace_echo_ = false;
   Rng rng_;
@@ -339,15 +417,24 @@ class Simulation {
   DrainWatchdog drain_watchdog_ = DrainWatchdog::kOff;
   bool drain_watchdog_tripped_ = false;
   std::vector<DrainCheck> drain_checks_;
+  // Events due later than when they were scheduled, earliest first.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  // Events scheduled for the then-current time, in schedule order. Now only
+  // moves forward and seq only grows, so this queue is (time, seq)-sorted
+  // too, and the next event is the lesser of its front and the heap top.
+  FifoQueue<Event> due_now_;
+  // Every process record ever made; the finished ones are also listed in
+  // free_processes_ for the next Spawn. Both stay within the peak number of
+  // live processes.
   std::vector<std::unique_ptr<SimProcess>> processes_;
+  std::vector<SimProcess*> free_processes_;
+  // Every fiber ever mapped, and those parked with no process.
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<Fiber*> idle_fibers_;
 
   // The scheduler's own registers, saved while a fiber runs; fibers jump back
   // to them when they park or finish.
   jmp_buf scheduler_context_;
-  // Stacks of finished processes, reused by the next Spawn before it maps a
-  // new one. It never holds more than the peak number of live fibers.
-  std::vector<void*> free_stacks_;
   // The scheduler's stack and saved fake stack, for AddressSanitizer.
   const void* scheduler_stack_bottom_ = nullptr;
   size_t scheduler_stack_size_ = 0;

@@ -12,10 +12,8 @@ Disk::Disk(Simulation* sim, StatRegistry* stats, std::string name, int32_t num_p
       num_pages_(num_pages),
       page_size_(page_size),
       access_latency_(access_latency),
-      stable_(num_pages) {
-  for (PageRef& p : stable_) {
-    p = MakePage(PageData(page_size_, 0));
-  }
+      zero_page_(MakePage(PageData(page_size, 0))),
+      stable_(num_pages, zero_page_) {
   auto init = [&](KindStats& ks, const char* kind) {
     ks.disk_id = stats_->Intern("disk." + name_ + "." + kind);
     ks.io_id = stats_->Intern(std::string("io.") + kind);

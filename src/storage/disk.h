@@ -8,6 +8,9 @@
 // Crash semantics are real: only pages whose Write completed before the crash
 // survive; requests still queued or in flight at crash time are dropped. The
 // recovery experiments depend on this.
+//
+// A new disk is sparse: every page shares one zero image until its first
+// write, so a large volume costs memory only for the pages it has written.
 
 #ifndef SRC_STORAGE_DISK_H_
 #define SRC_STORAGE_DISK_H_
@@ -92,6 +95,10 @@ class Disk {
   // model latency or count I/O.
   const PageData& PeekStable(PageId page) const { return *stable_[page]; }
 
+  // The all-zero image every never-written page shares. Like any shared
+  // page it is cloned before modification (MutablePage).
+  const PageRef& zero_page() const { return zero_page_; }
+
   int64_t reads() const { return stats_->Get("disk." + name_ + ".reads"); }
   int64_t writes() const { return stats_->Get("disk." + name_ + ".writes"); }
 
@@ -113,6 +120,8 @@ class Disk {
   SimTime sequential_latency_ = kDefaultSequentialLatency;
   SimTime busy_until_ = 0;
   uint64_t crash_epoch_ = 0;
+  PageRef zero_page_;
+  // Starts out sparse: every page refers to zero_page_ until written.
   std::vector<PageRef> stable_;
   // Interned hot counters: "disk.<name>.<kind>" and "io.<kind>" per access
   // kind, so CountAccess builds no strings on the common path. Per-category

@@ -54,13 +54,6 @@ int32_t Volume::free_page_count() const {
   return n;
 }
 
-PageRef Volume::ZeroPage() {
-  if (zero_page_ == nullptr) {
-    zero_page_ = MakePage(PageData(disk_->page_size(), 0));
-  }
-  return zero_page_;
-}
-
 Ino Volume::AllocInode() { return next_ino_++; }
 
 std::optional<DiskInode> Volume::ReadInode(Ino ino) {

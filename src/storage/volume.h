@@ -159,12 +159,11 @@ class Volume {
 
   // Zero metadata page image shared by every inode/log accounting write
   // (contents are modeled beside the disk; the write is for I/O accounting).
-  PageRef ZeroPage();
+  const PageRef& ZeroPage() const { return disk_->zero_page(); }
 
   VolumeId id_;
   std::string name_;
   std::unique_ptr<Disk> disk_;
-  PageRef zero_page_;
   LogAppendMode log_append_mode_ = LogAppendMode::kSingleWrite;
   std::vector<bool> allocated_;
   int64_t double_frees_ = 0;

@@ -1,6 +1,10 @@
 // Tests for the schedule-space model checker (src/mc): default-policy
 // bit-identity, rediscovery of the PR 3 commit-marking race through the test
 // seam, counterexample replay determinism, and trace shrinking.
+//
+// The exploration counts of the scenarios scripts/ci.sh runs are pinned
+// exactly: a change to the engine's event order (or to which events tie)
+// reshapes the explored tree, and these counts are what would show it.
 
 #include <gtest/gtest.h>
 
@@ -85,7 +89,8 @@ TEST(McCrashSweep, CleanWithGuardOn) {
   config.disk_latency_us = 60000;
 
   CrashSweepResult sweep = CrashSweep(config);
-  EXPECT_GT(sweep.crash_points, 10u);
+  EXPECT_EQ(sweep.crash_points, 29u);
+  EXPECT_EQ(sweep.stats.runs, 30u);
   EXPECT_TRUE(sweep.counterexamples.empty())
       << sweep.counterexamples.front().expect_violation;
 }
@@ -193,7 +198,9 @@ TEST(McDfs, ExhaustsTwoSiteConfig) {
   ExploreResult reduced = ExhaustiveDfs(config, with_por);
   EXPECT_TRUE(reduced.exhausted);
   EXPECT_FALSE(reduced.counterexample.has_value());
-  EXPECT_GT(reduced.stats.branch_points, 0u);
+  EXPECT_EQ(reduced.stats.runs, 16u);
+  EXPECT_EQ(reduced.stats.branch_points, 15u);
+  EXPECT_EQ(reduced.stats.max_decisions, 51u);
 
   DfsOptions no_por;
   no_por.partial_order_reduction = false;
@@ -205,7 +212,7 @@ TEST(McDfs, ExhaustsTwoSiteConfig) {
 }
 
 // PCT sampling with a fixed seed is reproducible and clean on the guarded
-// system.
+// system. The batch is the one scripts/ci.sh samples.
 TEST(McPct, FixedSeedBatchIsCleanAndDeterministic) {
   ScenarioConfig config;
   config.sites = 3;
@@ -215,11 +222,13 @@ TEST(McPct, FixedSeedBatchIsCleanAndDeterministic) {
 
   PctOptions options;
   options.seed = 7;
-  options.batch = 10;
+  options.batch = 15;
 
   ExploreResult a = PctSampler(config, options);
   ExploreResult b = PctSampler(config, options);
   EXPECT_FALSE(a.counterexample.has_value());
+  EXPECT_EQ(a.stats.runs, 15u);
+  EXPECT_EQ(a.stats.max_decisions, 106u);
   EXPECT_EQ(a.stats.runs, b.stats.runs);
   EXPECT_EQ(a.stats.max_decisions, b.stats.max_decisions);
 }
@@ -241,7 +250,9 @@ TEST(McFormation, DfsExhaustsWithFormationOn) {
   ExploreResult result = ExhaustiveDfs(config, DfsOptions{});
   EXPECT_TRUE(result.exhausted);
   EXPECT_FALSE(result.counterexample.has_value());
-  EXPECT_GT(result.stats.branch_points, 0u);
+  EXPECT_EQ(result.stats.runs, 2u);
+  EXPECT_EQ(result.stats.branch_points, 1u);
+  EXPECT_EQ(result.stats.max_decisions, 49u);
 }
 
 // Crashing at every 2PC protocol step with formation on covers the new
@@ -259,7 +270,8 @@ TEST(McFormation, CrashSweepCleanWithFormationOn) {
   config.formation = true;
 
   CrashSweepResult sweep = CrashSweep(config);
-  EXPECT_GT(sweep.crash_points, 10u);
+  EXPECT_EQ(sweep.crash_points, 29u);
+  EXPECT_EQ(sweep.stats.runs, 30u);
   EXPECT_TRUE(sweep.counterexamples.empty())
       << sweep.counterexamples.front().expect_violation << ": "
       << sweep.counterexamples.front().choices.size();

@@ -1,5 +1,6 @@
 // Tests for the discrete-event engine: ordering, virtual time, cooperative
-// processes, wait queues, determinism, and forced termination.
+// processes, wait queues, determinism, forced termination, and the reuse of
+// fibers and process records.
 
 #include "src/sim/simulation.h"
 
@@ -57,6 +58,80 @@ TEST(Simulation, TiesBreakInScheduleOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+// An event scheduled earlier for time T waits in the heap; zero-delay events
+// scheduled once the clock reaches T queue behind it, in schedule order.
+TEST(Simulation, EarlierScheduledEventRunsBeforeZeroDelayEventsAtItsTime) {
+  Simulation sim;
+  std::vector<std::string> order;
+  sim.Schedule(Milliseconds(5), [&] {
+    order.push_back("first");
+    sim.Schedule(0, [&] { order.push_back("now1"); });
+    sim.Schedule(0, [&] { order.push_back("now2"); });
+  });
+  sim.Schedule(Milliseconds(5), [&] { order.push_back("second"); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "now1", "now2"}));
+}
+
+// Stop() can leave zero-delay events queued while RunFor moves the clock to
+// its deadline. The next RunFor runs them first, in schedule order, then the
+// events due at the new time: the heap one scheduled earlier, then the new
+// zero-delay one.
+TEST(Simulation, ZeroDelayEventsKeepScheduleOrderAcrossStop) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.Schedule(0, [&] {
+    order.push_back(0);
+    sim.Stop();
+  });
+  for (int i = 1; i <= 4; ++i) {
+    sim.Schedule(0, [&order, i] { order.push_back(i); });
+  }
+  sim.Schedule(Milliseconds(1), [&] { order.push_back(100); });
+  sim.RunFor(Milliseconds(1));
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(sim.Now(), Milliseconds(1));
+  sim.Schedule(0, [&] { order.push_back(5); });
+  sim.RunFor(Milliseconds(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 5}));
+}
+
+// Records every tie it is offered; on its second consultation it picks the
+// last option instead of the first.
+class RecordingPolicy : public SchedulePolicy {
+ public:
+  size_t PickNext(SimTime now, const std::vector<EventInfo>& options) override {
+    (void)now;
+    std::vector<int32_t> ids;
+    for (const EventInfo& info : options) {
+      ids.push_back(info.a);
+    }
+    ties.push_back(ids);
+    return ties.size() == 2 ? options.size() - 1 : 0;
+  }
+  std::vector<std::vector<int32_t>> ties;
+};
+
+// A tie can mix events scheduled ahead (the heap) with zero-delay events
+// (the FIFO). The policy sees them all, in seq order, and the events it
+// passes over keep that order.
+TEST(Simulation, PolicySeesTiesAcrossHeapAndZeroDelayEventsInSeqOrder) {
+  Simulation sim;
+  RecordingPolicy policy;
+  sim.set_schedule_policy(&policy);
+  std::vector<int32_t> order;
+  auto record = [&order](int32_t id) { return [&order, id] { order.push_back(id); }; };
+  sim.Schedule(Milliseconds(5), EventInfo{EventTag::kGeneric, 1}, [&] {
+    order.push_back(1);
+    sim.Schedule(0, EventInfo{EventTag::kGeneric, 3}, record(3));
+    sim.Schedule(0, EventInfo{EventTag::kGeneric, 4}, record(4));
+  });
+  sim.Schedule(Milliseconds(5), EventInfo{EventTag::kGeneric, 2}, record(2));
+  sim.Run();
+  EXPECT_EQ(policy.ties, (std::vector<std::vector<int32_t>>{{1, 2}, {2, 3, 4}, {2, 3}}));
+  EXPECT_EQ(order, (std::vector<int32_t>{1, 4, 2, 3}));
 }
 
 TEST(Simulation, ProcessSleepAdvancesVirtualTime) {
@@ -129,7 +204,7 @@ TEST(Simulation, KillUnwindsBlockedProcess) {
   WaitQueue queue(&sim);
   bool cleaned_up = false;
   bool reached_end = false;
-  SimProcess* victim = sim.Spawn("victim", [&] {
+  ProcessHandle victim = sim.Spawn("victim", [&] {
     struct Guard {
       bool* flag;
       ~Guard() { *flag = true; }
@@ -141,20 +216,20 @@ TEST(Simulation, KillUnwindsBlockedProcess) {
   sim.Run();
   EXPECT_TRUE(cleaned_up);   // RAII ran during unwind.
   EXPECT_FALSE(reached_end);  // Body never resumed normally.
-  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_TRUE(victim.finished());
 }
 
 TEST(Simulation, KillIsIdempotentAndStaleWakeupsAreHarmless) {
   Simulation sim;
   WaitQueue queue(&sim);
-  SimProcess* victim = sim.Spawn("victim", [&] { queue.Wait(); });
+  ProcessHandle victim = sim.Spawn("victim", [&] { queue.Wait(); });
   sim.Schedule(Milliseconds(1), [&] {
     sim.Kill(victim);
     sim.Kill(victim);
   });
   sim.Schedule(Milliseconds(2), [&] { queue.NotifyAll(); });  // Stale wake-up.
   sim.Run();
-  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_TRUE(victim.finished());
 }
 
 // Throws from `depth` frames down, each frame holding a stack array.
@@ -178,13 +253,13 @@ TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
   bool cleaned_up = false;
   bool reached_end = false;
   int ticks = 0;
-  SimProcess* crasher = sim.Spawn("crasher", [&] {
+  ProcessHandle crasher = sim.Spawn("crasher", [&] {
     struct Guard {
       bool* flag;
       ~Guard() { *flag = true; }
     } guard{&cleaned_up};
     auto crash_here = [&] {
-      sim.Kill(Simulation::Current());
+      sim.Kill(Simulation::Current()->handle());
       throw SimCancelled{};
     };
     sim.Sleep(Milliseconds(5));
@@ -195,7 +270,7 @@ TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
     crash_here();
     reached_end = true;
   });
-  SimProcess* bystander = sim.Spawn("bystander", [&] {
+  ProcessHandle bystander = sim.Spawn("bystander", [&] {
     for (int i = 0; i < 4; ++i) {
       sim.Sleep(Milliseconds(3));
       ++ticks;
@@ -204,9 +279,9 @@ TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
   sim.Run();
   EXPECT_TRUE(cleaned_up);   // RAII ran during unwind.
   EXPECT_FALSE(reached_end);
-  EXPECT_EQ(crasher->state(), SimProcess::State::kFinished);
+  EXPECT_TRUE(crasher.finished());
   EXPECT_EQ(ticks, 4);
-  EXPECT_EQ(bystander->state(), SimProcess::State::kFinished);
+  EXPECT_TRUE(bystander.finished());
   EXPECT_EQ(sim.Now(), Milliseconds(12));
 }
 
@@ -293,7 +368,7 @@ TEST(Simulation, FinishedStacksCarryARunPastTheMappingLimit) {
         });
         break;
       case 1: {
-        SimProcess* victim = sim.Spawn("killed", [&] {
+        ProcessHandle victim = sim.Spawn("killed", [&] {
           CountUnwind guard{&unwound};
           never_notified.Wait();
         });
@@ -307,7 +382,7 @@ TEST(Simulation, FinishedStacksCarryARunPastTheMappingLimit) {
             ThrowFromDepth(8);
           } catch (const std::runtime_error&) {
           }
-          sim.Kill(Simulation::Current());
+          sim.Kill(Simulation::Current()->handle());
           throw SimCancelled{};
         });
         break;
@@ -317,6 +392,97 @@ TEST(Simulation, FinishedStacksCarryARunPastTheMappingLimit) {
   EXPECT_EQ(sim.spawned_process_count(), kProcesses);
   EXPECT_EQ(sim.blocked_process_count(), 0);
   EXPECT_EQ(returned + unwound, kProcesses);
+}
+
+// A fiber whose body returned, was killed while blocked, or threw
+// SimCancelled runs the next Spawn's body cleanly, and no more stacks are
+// mapped than processes were ever live at once.
+TEST(Simulation, FibersRunTheNextBodyHoweverTheLastOneEnded) {
+  Simulation sim;
+  WaitQueue never_notified(&sim);
+  int unwound = 0;
+  struct CountUnwind {
+    int* count;
+    ~CountUnwind() { ++*count; }
+  };
+  sim.Spawn("returns", [&] { sim.Sleep(Microseconds(1)); });
+  ProcessHandle victim = sim.Spawn("killed", [&] {
+    CountUnwind guard{&unwound};
+    never_notified.Wait();
+  });
+  sim.Spawn("throws", [&] {
+    CountUnwind guard{&unwound};
+    try {
+      ThrowFromDepth(8);
+    } catch (const std::runtime_error&) {
+    }
+    sim.Kill(Simulation::Current()->handle());
+    throw SimCancelled{};
+  });
+  sim.Schedule(Microseconds(1), [&] { sim.Kill(victim); });
+  sim.Run();
+  EXPECT_EQ(unwound, 2);
+  EXPECT_EQ(sim.live_process_count(), 0);
+  EXPECT_EQ(sim.idle_fiber_count(), 3);
+
+  // Four bodies at once: the three idle fibers and one newly mapped.
+  WaitQueue gate(&sim);
+  int finished = 0;
+  for (int i = 0; i < 4; ++i) {
+    sim.Spawn("next", [&, i] {
+      sim.Sleep(Microseconds(1 + i));
+      try {
+        ThrowFromDepth(8);
+      } catch (const std::runtime_error&) {
+      }
+      gate.Wait();
+      ++finished;
+    });
+  }
+  EXPECT_EQ(sim.idle_fiber_count(), 0);
+  EXPECT_EQ(sim.live_process_count(), 4);
+  sim.Schedule(Milliseconds(1), [&] { gate.NotifyAll(); });
+  sim.Run();
+  EXPECT_EQ(finished, 4);
+  EXPECT_EQ(sim.live_process_count(), 0);
+  EXPECT_EQ(sim.idle_fiber_count(), 4);
+  EXPECT_EQ(sim.spawned_process_count(), 7);
+}
+
+// A finished process's record serves the next Spawn. Its old handle reads as
+// finished and Kill through it does nothing; a queue entry it left behind
+// when killed takes its notification with it rather than waking the
+// record's new process.
+TEST(Simulation, StaleHandleAndQueueEntryMissTheRecordsNextProcess) {
+  Simulation sim;
+  WaitQueue left_behind(&sim);
+  WaitQueue gate(&sim);
+  ProcessHandle old = sim.Spawn("old", [&] { left_behind.Wait(); });
+  sim.Schedule(Milliseconds(1), [&] { sim.Kill(old); });
+  sim.Run();
+  EXPECT_TRUE(old.finished());
+  EXPECT_EQ(left_behind.size(), 1u);
+
+  bool woke = false;
+  ProcessHandle fresh = sim.Spawn("fresh", [&] {
+    gate.Wait();
+    woke = true;
+  });
+  sim.Run();
+  EXPECT_TRUE(old.finished());
+  EXPECT_FALSE(fresh.finished());
+  sim.Schedule(Milliseconds(1), [&] {
+    sim.Kill(old);
+    left_behind.NotifyOne();
+  });
+  sim.Run();
+  EXPECT_FALSE(woke);
+  EXPECT_EQ(sim.blocked_process_count(), 1);
+  EXPECT_TRUE(left_behind.empty());
+  sim.Schedule(Milliseconds(1), [&] { gate.NotifyOne(); });
+  sim.Run();
+  EXPECT_TRUE(woke);
+  EXPECT_TRUE(fresh.finished());
 }
 
 TEST(Simulation, RunForStopsAtDeadline) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+
 namespace locus {
 namespace {
 
@@ -66,6 +70,74 @@ TEST(DebitCreditWorkload, DeterministicForFixedSeed) {
     return std::make_tuple(r.committed, r.aborted_attempts, r.makespan);
   };
   EXPECT_EQ(run(3), run(3));
+}
+
+// Peaks of the engine's per-run state, sampled while a workload runs.
+struct EnginePeaks {
+  int live_processes = 0;
+  int idle_fibers = 0;
+  size_t pending_calls = 0;
+  size_t formation_queued = 0;
+};
+
+// Runs one debit/credit workload on `system`, sampling every 10 ms of
+// virtual time until no process is left. Sampling only reads, so the run is
+// the one it would be without it.
+EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
+  EnginePeaks peaks;
+  Simulation& sim = system.sim();
+  std::function<void()> sample = [&] {
+    peaks.live_processes = std::max(peaks.live_processes, sim.live_process_count());
+    peaks.idle_fibers = std::max(peaks.idle_fibers, sim.idle_fiber_count());
+    peaks.pending_calls = std::max(peaks.pending_calls, system.net().pending_call_count());
+    for (SiteId s = 0; s < system.site_count(); ++s) {
+      peaks.formation_queued =
+          std::max(peaks.formation_queued, system.kernel(s).form().queued_count());
+    }
+    if (sim.live_process_count() > 0) {
+      sim.Schedule(Milliseconds(10), sample);
+    }
+  };
+  // The workload's driver is spawned at the current time.
+  sim.Schedule(Milliseconds(1), sample);
+  DebitCreditWorkload workload(&system, config);
+  DebitCreditResults results = workload.Execute();
+  EXPECT_GT(results.committed, 0);
+  EXPECT_TRUE(results.conserved()) << results.audited_total << " != " << results.expected_total;
+  EXPECT_EQ(sim.live_process_count(), 0);
+  EXPECT_EQ(system.net().pending_call_count(), 0u);
+  return peaks;
+}
+
+// A long run keeps the engine's state as small as a short one: one
+// Simulation runs a 16-site debit/credit for N transfers, then for 10N
+// (the second run's setup rewrites the same branch files), and the peaks of
+// live process records, idle fibers, pending calls and formation queues stay
+// under one bound for both.
+TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
+  System system(16, SystemOptions{.seed = 5, .formation = true});
+  DebitCreditConfig config;
+  config.branches = 16;
+  config.accounts_per_branch = 64;  // One page per branch file.
+  config.tellers = 32;
+  config.seed = 5;
+  constexpr int kTransfersPerTeller = 4;
+  // One bound for both runs, from the concurrency alone: each teller has
+  // at most a handful of requests, and so processes and calls, in flight.
+  // Seed 5 peaks at 121 and 141 live processes, 82 and 94 pending calls,
+  // and 4 and 15 queued messages.
+  const int bound = 8 * config.tellers;
+  for (int scale : {1, 10}) {
+    config.transfers_per_teller = kTransfersPerTeller * scale;
+    SCOPED_TRACE("run of " + std::to_string(config.tellers * config.transfers_per_teller) +
+                 " transfers");
+    EnginePeaks peaks = RunSampled(system, config);
+    EXPECT_LE(peaks.live_processes, bound);
+    EXPECT_LE(peaks.idle_fibers, bound);
+    EXPECT_LE(peaks.pending_calls, static_cast<size_t>(bound));
+    EXPECT_LE(peaks.formation_queued, static_cast<size_t>(2 * config.tellers));
+  }
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
 }
 
 }  // namespace
