@@ -17,7 +17,7 @@ FormationQueue::FormationQueue(Network* net, StatRegistry* stats, SiteId site, b
 
 void FormationQueue::Start() {
   net_->RegisterHandler(site_, kFormBatchMsgType,
-                        [this](SiteId from, const Message& msg, Responder) {
+                        [this](SiteId from, Message& msg, Responder) {
                           HandleBatch(from, msg);
                         });
   if (enabled_) {
@@ -93,7 +93,7 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     net_->StampLocalEvent(site_);
     shared_access_hook_("form.q/" + net_->SiteName(site_), true);
   }
-  DestQueue& q = queues_[to];
+  DestQueue& q = QueueTo(to);
   q.bytes += item.msg.size_bytes;
   q.items.push_back(std::move(item));
   if (q.bytes >= kFormMaxBatchBytes) {
@@ -106,7 +106,7 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     const uint64_t gen = q.generation;
     EventInfo info{EventTag::kFormFlush, site_, to, -1};
     net_->simulation().Schedule(kFormFlushDelay, info, [this, to, gen] {
-      DestQueue& dq = queues_[to];
+      DestQueue& dq = queues_[static_cast<size_t>(to)];
       if (dq.generation != gen || dq.items.empty()) {
         return;  // A size flush or crash already serviced this queue.
       }
@@ -116,8 +116,15 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
   }
 }
 
+FormationQueue::DestQueue& FormationQueue::QueueTo(SiteId to) {
+  if (static_cast<size_t>(to) >= queues_.size()) {
+    queues_.resize(static_cast<size_t>(to) + 1);
+  }
+  return queues_[static_cast<size_t>(to)];
+}
+
 void FormationQueue::Flush(SiteId to) {
-  DestQueue& q = queues_[to];
+  DestQueue& q = queues_[static_cast<size_t>(to)];
   q.generation++;
   q.timer_armed = false;
   if (q.items.empty()) {
@@ -138,12 +145,11 @@ void FormationQueue::Flush(SiteId to) {
   net_->Send(site_, to, std::move(envelope));
 }
 
-void FormationQueue::HandleBatch(SiteId from, const Message& msg) {
-  const FormBatch& batch = msg.As<FormBatch>();
-  for (const FormItem& item : batch.items) {
+void FormationQueue::HandleBatch(SiteId from, Message& msg) {
+  for (FormItem& item : msg.As<FormBatch>().items) {
     if (item.is_reply) {
       // The envelope already paid the wire; complete the caller directly.
-      net_->CompleteBatchedCall(item.call_id, item.msg);
+      net_->CompleteBatchedCall(item.call_id, std::move(item.msg));
       continue;
     }
     Responder responder = item.call_id != 0
@@ -154,7 +160,7 @@ void FormationQueue::HandleBatch(SiteId from, const Message& msg) {
 }
 
 void FormationQueue::OnCrash() {
-  for (auto& [to, q] : queues_) {
+  for (DestQueue& q : queues_) {
     q.items.clear();
     q.bytes = 0;
     q.timer_armed = false;
@@ -164,7 +170,7 @@ void FormationQueue::OnCrash() {
 
 size_t FormationQueue::queued_count() const {
   size_t n = 0;
-  for (const auto& [to, q] : queues_) {
+  for (const DestQueue& q : queues_) {
     n += q.items.size();
   }
   return n;
@@ -175,13 +181,14 @@ std::string FormationQueue::PendingSummary() const {
     return "";
   }
   std::string out;
-  for (const auto& [to, q] : queues_) {
+  for (size_t to = 0; to < queues_.size(); ++to) {
+    const DestQueue& q = queues_[to];
     if (q.items.empty()) {
       continue;
     }
     char buf[128];
     snprintf(buf, sizeof(buf),
-             "%ssite %d formation queue to %d holds %zu message(s) with no "
+             "%ssite %d formation queue to %zu holds %zu message(s) with no "
              "armed flush",
              out.empty() ? "" : "; ", site_, to, q.items.size());
     out += buf;
@@ -190,7 +197,7 @@ std::string FormationQueue::PendingSummary() const {
 }
 
 void FormationQueue::TestInjectWithoutTimer(SiteId to, Message msg) {
-  DestQueue& q = queues_[to];
+  DestQueue& q = QueueTo(to);
   q.bytes += msg.size_bytes;
   // obligation-ok test seam: deliberately enqueues with no flush registered
   // so crash tests can cover the batch-stranded window.

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -131,14 +130,18 @@ class FormationQueue {
 
   void Enqueue(SiteId to, FormItem item);
   void Flush(SiteId to);
-  void HandleBatch(SiteId from, const Message& msg);
+  // Unpacks a batch, moving each item to its caller or handler.
+  void HandleBatch(SiteId from, Message& msg);
+  // The queue to `to`, created (with any below it) on first use.
+  DestQueue& QueueTo(SiteId to);
 
   Network* net_;
   StatRegistry* stats_;
   SiteId site_;
   bool enabled_;
   SharedAccessHook shared_access_hook_;
-  std::map<SiteId, DestQueue> queues_;
+  // Indexed by destination site.
+  std::vector<DestQueue> queues_;
 
   StatRegistry::StatId enqueued_id_;
   StatRegistry::StatId batches_id_;

@@ -12,10 +12,35 @@ namespace locus {
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
-      cpu_id_(system->stats().Intern("cpu." + system->net().SiteName(site))),
       locks_(&system->stats(), system->net().SiteName(site)),
       txns_(&system->sim(), site),
       pool_(system->options().pool_pages) {
+  ids_.cpu = stats().Intern("cpu." + net().SiteName(site));
+  ids_.txn_begins = stats().Intern("txn.begins");
+  ids_.txn_nested_begins = stats().Intern("txn.nested_begins");
+  ids_.txn_committed = stats().Intern("txn.committed");
+  ids_.txn_committed_trivial = stats().Intern("txn.committed_trivial");
+  ids_.txn_phase2_completed = stats().Intern("txn.phase2_completed");
+  ids_.txn_aborted = stats().Intern("txn.aborted");
+  ids_.txn_aborted_in_commit = stats().Intern("txn.aborted_in_commit");
+  ids_.txn_merges = stats().Intern("txn.merges");
+  ids_.txn_merge_retries = stats().Intern("txn.merge_retries");
+  ids_.sys_opens = stats().Intern("sys.opens");
+  ids_.sys_locks_granted = stats().Intern("sys.locks_granted");
+  ids_.lock_cache_hits = stats().Intern("lock.cache_hits");
+  ids_.lock_implicit = stats().Intern("lock.implicit");
+  ids_.lock_stale_grants_undone = stats().Intern("lock.stale_grants_undone");
+  ids_.lock_read_denied = stats().Intern("lock.read_denied");
+  ids_.lock_write_denied = stats().Intern("lock.write_denied");
+  ids_.form_lock_fetches = stats().Intern("form.lock_fetches");
+  ids_.form_opens_deferred = stats().Intern("form.opens_deferred");
+  ids_.form_prefetch_hits = stats().Intern("form.prefetch_hits");
+  ids_.fs_service_migrations = stats().Intern("fs.service_migrations");
+  ids_.proc_exits = stats().Intern("proc.exits");
+  ids_.proc_forks = stats().Intern("proc.forks");
+  ids_.proc_remote_forks = stats().Intern("proc.remote_forks");
+  ids_.proc_killed = stats().Intern("proc.killed");
+  ids_.proc_migrations = stats().Intern("proc.migrations");
   locks_.set_auditor(&system->observers());
   txns_.set_auditor(&system->observers());
   pool_.set_auditor(&system->observers());
@@ -27,7 +52,7 @@ Catalog& Kernel::catalog() { return system_->catalog(); }
 StatRegistry& Kernel::stats() { return system_->stats(); }
 
 void Kernel::BurnCpu(int64_t instructions) {
-  stats().Add(cpu_id_, instructions);
+  stats().Add(ids_.cpu, instructions);
   sim().BurnInstructions(instructions);
 }
 
@@ -68,9 +93,11 @@ std::vector<Volume*> Kernel::volumes() {
   return out;
 }
 
-void Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
-  std::string full = net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
-  ProcessHandle p = sim().Spawn(full, std::move(body));
+std::string Kernel::KernelProcessName(const std::string& name) {
+  return net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
+}
+
+void Kernel::TrackKernelProcess(ProcessHandle p) {
   // Drop finished entries only when the list has doubled since the last
   // sweep: amortized O(1) per spawn, and the list stays within twice the
   // live count at that sweep (or the floor).
@@ -148,7 +175,7 @@ void Kernel::Handle<kReplicaFetchReq>(const ReplicaFetchRequest& req, Responder 
 
 template <MsgType kType>
 void Kernel::RegisterHandler() {
-  net().RegisterHandler(site_, kType, [this](SiteId, const Message& msg, Responder r) {
+  net().RegisterHandler(site_, kType, [this](SiteId, Message& msg, Responder r) {
     if (!alive_) {
       return;
     }
@@ -156,7 +183,9 @@ void Kernel::RegisterHandler() {
       Handle<kType>(RequestIn<kType>(msg), r);
     } else {
       SpawnKernelProcess("svc" + std::to_string(msg.type),
-                         [this, msg, r] { Handle<kType>(RequestIn<kType>(msg), r); });
+                         [this, req = std::move(msg.As<RequestOf<kType>>()), r] {
+                           Handle<kType>(req, r);
+                         });
     }
   });
 }
@@ -209,7 +238,7 @@ ReadReply Kernel::Serve(const ReadRequest& req) {
     return ReadReply{Err::kNoEnt, {}};
   }
   if (!locks_.MayRead(req.file, req.range, req.owner)) {
-    stats().Add("lock.read_denied");
+    stats().Add(ids_.lock_read_denied);
     return ReadReply{Err::kAccess, {}};
   }
   // A request from a transaction already aborted at this site raced the
@@ -232,7 +261,7 @@ WriteReply Kernel::Serve(const WriteRequest& req) {
   }
   ByteRange range{req.offset, static_cast<int64_t>(req.bytes.size())};
   if (!locks_.MayWrite(req.file, range, req.owner)) {
-    stats().Add("lock.write_denied");
+    stats().Add(ids_.lock_write_denied);
     return WriteReply{Err::kAccess, 0};
   }
   if (req.owner.txn.valid() && locally_aborted_.count(req.owner.txn) != 0) {
@@ -312,7 +341,7 @@ void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> do
                      ByteRange fetch{granted.start, std::min(fetch_bytes, granted.length)};
                      ReadReply page = Serve(ReadRequest{file, fetch, owner});
                      if (page.err == Err::kOk) {
-                       stats().Add("form.lock_fetches");
+                       stats().Add(ids_.form_lock_fetches);
                        grant.fetched = true;
                        grant.bytes = std::move(page.bytes);
                      }

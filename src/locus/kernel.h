@@ -161,8 +161,15 @@ class Kernel {
   // ("cpu.<site>" in instructions) — the service-time measure of Figure 6.
   void BurnCpu(int64_t instructions);
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
-  // Spawns a tracked kernel process: OnCrash kills it if it is still live.
-  void SpawnKernelProcess(const std::string& name, std::function<void()> body);
+  // Spawns a tracked kernel process running `body`, any callable that fits
+  // a Callback: OnCrash kills it if it is still live.
+  template <typename F>
+  void SpawnKernelProcess(const std::string& name, F&& body) {
+    TrackKernelProcess(sim().Spawn(KernelProcessName(name), std::forward<F>(body)));
+  }
+  // "<site>:<name>#<n>", numbering this site's kernel processes.
+  std::string KernelProcessName(const std::string& name);
+  void TrackKernelProcess(ProcessHandle p);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
@@ -271,8 +278,38 @@ class Kernel {
 
   System* system_;
   SiteId site_;
-  // Interned "cpu.<site>" counter: BurnCpu runs on every kernel service path.
-  StatRegistry::StatId cpu_id_;
+  // Interned ids of the counters the kernel's service and per-transaction
+  // paths bump (stats.h: hot paths bump by id); interned at construction, so
+  // counters() lists them even at zero.
+  struct Ids {
+    StatRegistry::StatId cpu;  // "cpu.<site>", bumped by BurnCpu.
+    StatRegistry::StatId txn_begins;
+    StatRegistry::StatId txn_nested_begins;
+    StatRegistry::StatId txn_committed;
+    StatRegistry::StatId txn_committed_trivial;
+    StatRegistry::StatId txn_phase2_completed;
+    StatRegistry::StatId txn_aborted;
+    StatRegistry::StatId txn_aborted_in_commit;
+    StatRegistry::StatId txn_merges;
+    StatRegistry::StatId txn_merge_retries;
+    StatRegistry::StatId sys_opens;
+    StatRegistry::StatId sys_locks_granted;
+    StatRegistry::StatId lock_cache_hits;
+    StatRegistry::StatId lock_implicit;
+    StatRegistry::StatId lock_stale_grants_undone;
+    StatRegistry::StatId lock_read_denied;
+    StatRegistry::StatId lock_write_denied;
+    StatRegistry::StatId form_lock_fetches;
+    StatRegistry::StatId form_opens_deferred;
+    StatRegistry::StatId form_prefetch_hits;
+    StatRegistry::StatId fs_service_migrations;
+    StatRegistry::StatId proc_exits;
+    StatRegistry::StatId proc_forks;
+    StatRegistry::StatId proc_remote_forks;
+    StatRegistry::StatId proc_killed;
+    StatRegistry::StatId proc_migrations;
+  };
+  Ids ids_;
   bool alive_ = true;
   ProcessTable procs_;
   LockManager locks_;

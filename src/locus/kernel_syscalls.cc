@@ -166,7 +166,7 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
   // (and bounded) case.
   bool open_deferred = system_->options().formation && flags.write && !IsLocal(replica->site);
   if (open_deferred) {
-    stats().Add("form.opens_deferred");
+    stats().Add(ids_.form_opens_deferred);
   } else {
     std::optional<OpenReply> opened = Call<kOpenReq>(replica->site, OpenRequest{replica->file});
     err = opened ? opened->err : Err::kUnreachable;
@@ -188,7 +188,7 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
   ch->open_deferred = open_deferred;
   int fd = p->next_fd++;
   p->fds[fd] = std::move(ch);
-  stats().Add("sys.opens");
+  stats().Add(ids_.sys_opens);
   return {Err::kOk, fd};
 }
 
@@ -250,7 +250,7 @@ Result<std::vector<uint8_t>> Kernel::SysRead(OsProcess* p, int fd, int64_t lengt
       }
       ch->storage_site = replica->site;
       ch->file = replica->file;
-      stats().Add("fs.service_migrations");
+      stats().Add(ids_.fs_service_migrations);
     }
   }
   ByteRange range{ch->offset, length};
@@ -267,7 +267,7 @@ Result<std::vector<uint8_t>> Kernel::SysRead(OsProcess* p, int fd, int64_t lengt
     std::vector<uint8_t> bytes = std::move(ch->prefetch);
     ch->prefetch.clear();
     ch->prefetch_txn = kNoTxn;
-    stats().Add("form.prefetch_hits");
+    stats().Add(ids_.form_prefetch_hits);
     NoteUse(p, *ch);
     ch->offset += static_cast<int64_t>(bytes.size());
     return {Err::kOk, std::move(bytes)};
@@ -450,7 +450,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   // so the dead transaction's entry cannot wedge other owners.
   if (req.owner.txn.valid() && (p->txn != req.owner.txn || p->txn_aborted)) {
     Post<kAbortTxnAtSiteReq>(ch.storage_site, AbortTxnAtSiteRequest{req.owner.txn});
-    stats().Add("lock.stale_grants_undone");
+    stats().Add(ids_.lock_stale_grants_undone);
     return {Err::kAborted, {}};
   }
   p->lock_cache[ch.file].Grant(reply.granted, req.owner, req.mode, req.non_transaction);
@@ -468,7 +468,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
     system_->observers().OnLockAccepted(net().SiteName(site_), ch.file, reply.granted,
                                     req.owner, req.mode);
   }
-  stats().Add("sys.locks_granted");
+  stats().Add(ids_.sys_locks_granted);
   return {Err::kOk, reply.granted};
 }
 
@@ -485,7 +485,7 @@ Err Kernel::ImplicitLock(OsProcess* p, Channel& ch, const ByteRange& range, Lock
   if (!system_->options().disable_lock_cache) {
     auto cache_it = p->lock_cache.find(ch.file);
     if (cache_it != p->lock_cache.end() && cache_it->second.Holds(range, owner, mode)) {
-      stats().Add("lock.cache_hits");
+      stats().Add(ids_.lock_cache_hits);
       return Err::kOk;
     }
   }
@@ -496,7 +496,7 @@ Err Kernel::ImplicitLock(OsProcess* p, Channel& ch, const ByteRange& range, Lock
   req.mode = mode;
   req.non_transaction = false;
   req.wait = true;
-  stats().Add("lock.implicit");
+  stats().Add(ids_.lock_implicit);
   Result<ByteRange> res = RequestLock(p, ch, req);
   if (res.err == Err::kOk) {
     NoteUse(p, ch);
@@ -607,7 +607,7 @@ Result<Pid> Kernel::SysFork(OsProcess* p, SiteId target_site,
     }
     // Ship the process image to the target site.
     sim().Sleep(net().OneWayLatency(kMigrationImageBytes));
-    stats().Add("proc.remote_forks");
+    stats().Add(ids_.proc_remote_forks);
     if (!target.alive()) {
       return {Err::kUnreachable, kNoPid};
     }
@@ -640,7 +640,7 @@ Result<Pid> Kernel::SysFork(OsProcess* p, SiteId target_site,
     body(raw);
     system_->kernel(raw->site).SysExit(raw);
   });
-  stats().Add("proc.forks");
+  stats().Add(ids_.proc_forks);
   return {Err::kOk, child_pid};
 }
 
@@ -666,7 +666,7 @@ Err Kernel::SysMigrate(OsProcess* p, SiteId to) {
     sim().Sleep(Milliseconds(1));
   }
   p->in_transit = true;
-  stats().Add("proc.migrations");
+  stats().Add(ids_.proc_migrations);
   // Ship the process image. While in transit, file-list merges aimed at this
   // process are refused with kBusy and retried (section 4.1).
   sim().Sleep(net().OneWayLatency(kMigrationImageBytes));
@@ -731,7 +731,7 @@ void Kernel::SysExit(OsProcess* p) {
     std::erase(parent->children, p->pid);
     parent->children_exited->NotifyAll();
   }
-  stats().Add("proc.exits");
+  stats().Add(ids_.proc_exits);
   procs_.Take(p->pid);  // Destroys the process record.
 }
 

@@ -55,7 +55,7 @@ Err Kernel::SysBeginTrans(OsProcess* p) {
   if (p->txn.valid()) {
     // Simple nesting (section 2): composition bumps the nesting count.
     p->txn_nesting++;
-    stats().Add("txn.nested_begins");
+    stats().Add(ids_.txn_nested_begins);
     return Err::kOk;
   }
   TxnRecord* record = txns_.Begin(p->pid, net().BootEpoch(site_));
@@ -64,7 +64,7 @@ Err Kernel::SysBeginTrans(OsProcess* p) {
   p->txn_top_level = true;
   p->txn_aborted = false;
   p->txn_top_site_hint = site_;
-  stats().Add("txn.begins");
+  stats().Add(ids_.txn_begins);
   Trace("%s begun by pid %lld", ToString(p->txn).c_str(), static_cast<long long>(p->pid));
   return Err::kOk;
 }
@@ -164,7 +164,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
                                      record->active_members);
     }
     txns_.Erase(txn);
-    stats().Add("txn.committed_trivial");
+    stats().Add(ids_.txn_committed_trivial);
     return Err::kOk;
   }
   BurnCpu(kTwoPhaseCommitInstructions);
@@ -277,7 +277,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
     system_->observers().OnCommitPoint(net().SiteName(site_), txn, participant_names,
                                    record->active_members);
   }
-  stats().Add("txn.committed");
+  stats().Add(ids_.txn_committed);
   Trace("%s committed (%zu participants)", ToString(txn).c_str(), participants.size());
 
   // Step 4: phase two runs asynchronously in a kernel process; EndTrans
@@ -348,7 +348,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
       // served its purpose (section 4.4: retained until completion).
       volumes_[0]->EraseLog(log_id);
       coordinator_log_index_.erase(txn);
-      stats().Add("txn.phase2_completed");
+      stats().Add(ids_.txn_phase2_completed);
     }
     // Otherwise the log stays; recovery or a topology change re-drives it.
   });
@@ -371,7 +371,7 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
   root->EraseLog(coord_log_id);
   coordinator_log_index_.erase(txn);
   txns_.Erase(txn);
-  stats().Add("txn.aborted_in_commit");
+  stats().Add(ids_.txn_aborted_in_commit);
   Trace("%s aborted during commit", ToString(txn).c_str());
 }
 
@@ -385,7 +385,7 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
   }
   record->abort_requested = true;
   record->abort_reason = reason;
-  stats().Add("txn.aborted");
+  stats().Add(ids_.txn_aborted);
   Trace("%s abort requested: %s", ToString(txn).c_str(), reason.c_str());
 
   if (record->commit_marking && !system_->options().test_disable_commit_marking_guard) {
@@ -477,7 +477,7 @@ Err Kernel::Serve(const KillProcessRequest& req) {
     parent->children_exited->NotifyAll();
   }
   retired_.push_back(procs_.Take(pid));
-  stats().Add("proc.killed");
+  stats().Add(ids_.proc_killed);
   return Err::kOk;
 }
 
@@ -514,7 +514,7 @@ MergeFileListReply Kernel::Serve(const MergeFileListRequest& req) {
   }
   if (top->in_transit) {
     // Section 4.1: the top-level process is migrating; the sender retries.
-    stats().Add("txn.merge_retries");
+    stats().Add(ids_.txn_merge_retries);
     return MergeFileListReply{Err::kBusy, kNoSite};
   }
   // Latch the process against migration for the (short) apply duration.
@@ -524,7 +524,7 @@ MergeFileListReply Kernel::Serve(const MergeFileListRequest& req) {
   std::erase_if(record->members,
                 [&](const auto& m) { return m.first == req.exiting_member; });
   top->migration_locks--;
-  stats().Add("txn.merges");
+  stats().Add(ids_.txn_merges);
   return MergeFileListReply{Err::kOk, kNoSite};
 }
 

@@ -306,12 +306,16 @@ inline constexpr int32_t kControlMsgBytes = 96;
 // wire size.
 template <MsgType kType>
 Message MakeMsg(RequestOf<kType> request, int32_t size_bytes = kControlMsgBytes) {
+  static_assert(sizeof(RequestOf<kType>) <= Payload::kInlineBytes,
+                "request payload outgrows Message's inline Payload");
   return Message{kType, size_bytes, std::move(request), {}};
 }
 
 // The reply to a kType request. One-way rows (reply `void`) have none.
 template <MsgType kType>
 Message MakeReply(ReplyOf<kType> reply, int32_t size_bytes = kControlMsgBytes) {
+  static_assert(sizeof(ReplyOf<kType>) <= Payload::kInlineBytes,
+                "reply payload outgrows Message's inline Payload");
   return Message{kType, size_bytes, std::move(reply), {}};
 }
 

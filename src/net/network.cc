@@ -33,8 +33,8 @@ void Responder::operator()(Message reply) const {
   uint64_t id = call_id_;
   EventInfo info{EventTag::kRpcReply, site_, call.from, static_cast<int32_t>(call_id_)};
   net->sim_->Schedule(net->OneWayLatency(reply.size_bytes), info,
-                      [net, id, reply = std::move(reply)] {
-                        net->CompleteCall(id, RpcResult{true, reply});
+                      [net, id, reply = std::move(reply)]() mutable {
+                        net->CompleteCall(id, RpcResult{true, std::move(reply)});
                       });
 }
 
@@ -92,7 +92,7 @@ void Network::Send(SiteId from, SiteId to, Message msg) {
   EventInfo info{EventTag::kNetDeliver, from, to, msg.type};
   sim_->Schedule(OneWayLatency(msg.size_bytes), info,
                  [this, from, to, msg = std::move(msg)]() mutable {
-                   Deliver(from, to, std::move(msg), Responder());
+                   Deliver(from, to, msg, Responder());
                  });
 }
 
@@ -114,7 +114,7 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   EventInfo deliver_info{EventTag::kNetDeliver, from, to, request.type};
   sim_->Schedule(OneWayLatency(request.size_bytes), deliver_info,
                  [this, from, to, responder, request = std::move(request)]() mutable {
-                   Deliver(from, to, std::move(request), responder);
+                   Deliver(from, to, request, responder);
                  });
   EventInfo timeout_info{EventTag::kRpcTimeout, from, to, static_cast<int32_t>(id)};
   sim_->Schedule(timeout, timeout_info, [this, id] {
@@ -129,16 +129,15 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   return result;
 }
 
-void Network::Deliver(SiteId from, SiteId to, Message msg, Responder responder) {
+void Network::Deliver(SiteId from, SiteId to, Message& msg, Responder responder) {
   if (!Reachable(from, to)) {
     stats_.Add("net.dropped");
     return;
   }
-  DispatchDelivered(from, to, msg, std::move(responder));
+  DispatchDelivered(from, to, msg, responder);
 }
 
-void Network::DispatchDelivered(SiteId from, SiteId to, const Message& msg,
-                                Responder responder) {
+void Network::DispatchDelivered(SiteId from, SiteId to, Message& msg, Responder responder) {
   if (clocks_enabled_ && !msg.vclock.empty()) {
     MergeClock(to, msg.vclock);
     Tick(to);

@@ -14,14 +14,16 @@
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
-#include <any>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <typeinfo>
 #include <unordered_map>
 #include <utility>
@@ -36,12 +38,128 @@ namespace locus {
 using SiteId = int32_t;
 inline constexpr SiteId kNoSite = -1;
 
-// A network message. Payloads are typed structs carried through std::any;
-// size_bytes models the wire footprint for latency purposes.
+// A message's payload: one value of any copyable type up to kInlineBytes,
+// held inline. It remembers the stored type, so a read as another type is
+// caught (Message::As aborts) rather than misread. A type that does not fit
+// is a compile error; there is no heap fallback.
+class Payload {
+ public:
+  static constexpr size_t kInlineBytes = 64;
+
+  Payload() = default;
+  template <typename T>
+    requires(!std::is_same_v<std::decay_t<T>, Payload>)
+  Payload(T&& value) {  // NOLINT(google-explicit-constructor): any payload converts.
+    Emplace(std::forward<T>(value));
+  }
+  template <typename T>
+    requires(!std::is_same_v<std::decay_t<T>, Payload>)
+  Payload& operator=(T&& value) {
+    Emplace(std::forward<T>(value));
+    return *this;
+  }
+  Payload(const Payload& other) {
+    if (other.ops_ != nullptr) {
+      other.ops_->copy(value_, other.value_);
+      ops_ = other.ops_;
+    }
+  }
+  Payload(Payload&& other) noexcept { MoveFrom(other); }
+  Payload& operator=(const Payload& other) {
+    if (this != &other) {
+      *this = Payload(other);
+    }
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      MoveFrom(other);
+    }
+    return *this;
+  }
+  ~Payload() { Reset(); }
+
+  template <typename T>
+  void Emplace(T&& value) {
+    using V = std::decay_t<T>;
+    static_assert(sizeof(V) <= kInlineBytes, "payload too large for Payload's inline buffer");
+    static_assert(alignof(V) <= alignof(void*), "payload over-aligned for Payload");
+    static_assert(std::is_nothrow_move_constructible_v<V>,
+                  "a payload must move without throwing");
+    Reset();
+    ::new (static_cast<void*>(value_)) V(std::forward<T>(value));
+    ops_ = &kOps<V>;
+  }
+
+  bool has_value() const { return ops_ != nullptr; }
+  // The held value, or null when empty or holding another type.
+  template <typename T>
+  const T* get() const {
+    return ops_ == &kOps<T> ? Held<T>(static_cast<const void*>(value_)) : nullptr;
+  }
+  template <typename T>
+  T* get() {
+    return ops_ == &kOps<T> ? Held<T>(static_cast<void*>(value_)) : nullptr;
+  }
+  // The held type's name, or "(empty)".
+  const char* type_name() const { return ops_ != nullptr ? ops_->type->name() : "(empty)"; }
+
+  void Reset() {
+    if (ops_ != nullptr) {
+      ops_->destroy(value_);
+      ops_ = nullptr;
+    }
+  }
+
+ private:
+  // One table per stored type; its address is the type's tag.
+  struct Ops {
+    const std::type_info* type;
+    void (*copy)(void* to, const void* from);
+    // Move-constructs `from`'s value into `to` and destroys it in `from`.
+    void (*relocate)(void* to, void* from);
+    void (*destroy)(void* value);
+  };
+  // The buffer holds a V built by placement new.
+  template <typename V>
+  static V* Held(void* buffer) {
+    return std::launder(static_cast<V*>(buffer));
+  }
+  template <typename V>
+  static const V* Held(const void* buffer) {
+    return std::launder(static_cast<const V*>(buffer));
+  }
+  template <typename V>
+  static constexpr Ops kOps = {
+      &typeid(V),
+      [](void* to, const void* from) { ::new (to) V(*Held<V>(from)); },
+      [](void* to, void* from) {
+        ::new (to) V(std::move(*Held<V>(from)));
+        Held<V>(from)->~V();
+      },
+      [](void* value) { Held<V>(value)->~V(); },
+  };
+
+  void MoveFrom(Payload& other) {
+    if (other.ops_ != nullptr) {
+      other.ops_->relocate(value_, other.value_);
+      ops_ = other.ops_;
+      other.ops_ = nullptr;
+    }
+  }
+
+  alignas(void*) unsigned char value_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+// A network message. The payload is a typed struct held inline in a Payload;
+// size_bytes models the wire footprint for latency purposes. Delivery moves
+// a message from sender to handler without copying it.
 struct Message {
   int32_t type = 0;
   int32_t size_bytes = 64;
-  std::any payload;
+  Payload payload;
   // Sender's vector clock at send time (src/serial's happens-before order).
   // Pure observer metadata: empty unless Network::EnableClocks() ran, never
   // read by protocol code, and excluded from size_bytes, so enabling clocks
@@ -53,13 +171,12 @@ struct Message {
   // wrong struct), so it aborts loudly instead of dereferencing null.
   template <typename T>
   const T& As() const {
-    const T* typed = std::any_cast<T>(&payload);
+    const T* typed = payload.get<T>();
     if (typed == nullptr) {
       fprintf(stderr,
               "Message::As: payload type mismatch on message type %d: expected %s, "
               "actual %s\n",
-              type, typeid(T).name(),
-              payload.has_value() ? payload.type().name() : "(empty)");
+              type, typeid(T).name(), payload.type_name());
       abort();
     }
     return *typed;
@@ -117,8 +234,8 @@ class Network {
 
   // Handler for one message type at one site; runs in event context when the
   // message is delivered. Must not block; blocking work is handed to a kernel
-  // process by the receiver.
-  using Handler = std::function<void(SiteId from, const Message&, Responder)>;
+  // process by the receiver. The message is the handler's to move from.
+  using Handler = std::function<void(SiteId from, Message&, Responder)>;
   void RegisterHandler(SiteId site, int32_t type, Handler handler);
 
   // One-way datagram. Silently dropped if the destination is unreachable at
@@ -145,8 +262,7 @@ class Network {
   // Hands an unpacked batch item to the destination site's handler table,
   // exactly as if it had been delivered as its own wire message. Event
   // context; reachability was already checked when the envelope arrived.
-  void DispatchDelivered(SiteId from, SiteId to, const Message& msg,
-                         Responder responder);
+  void DispatchDelivered(SiteId from, SiteId to, Message& msg, Responder responder);
   // When installed, replies issued by `site` are diverted to the router
   // (which enqueues them for batching) instead of being sent directly. The
   // router receives the destination site, the reply, and the call id.
@@ -220,7 +336,7 @@ class Network {
     RpcResult result;
   };
 
-  void Deliver(SiteId from, SiteId to, Message msg, Responder responder);
+  void Deliver(SiteId from, SiteId to, Message& msg, Responder responder);
   void CompleteCall(uint64_t call_id, RpcResult result);
   void NotifyTopologyChanged();
   // Fails outstanding calls whose endpoints can no longer communicate.

@@ -234,7 +234,7 @@ void Simulation::Reap(SimProcess* p) {
   // Free what the body captured now rather than at teardown. Unwinding
   // through SimCancelled can leave redzones on the stack; clear them before
   // the fiber runs another body.
-  p->body_ = nullptr;
+  p->body_.Reset();
   UnpoisonStack(p->fiber_->stack(), kFiberStackBytes);
   idle_fibers_.push_back(p->fiber_);
   p->fiber_ = nullptr;
@@ -294,29 +294,71 @@ Simulation::~Simulation() {
   processes_.clear();
 }
 
-void Simulation::Schedule(SimTime delay, std::function<void()> fn) {
-  Schedule(delay, EventInfo{}, std::move(fn));
-}
-
-void Simulation::Schedule(SimTime delay, EventInfo info, std::function<void()> fn) {
-  assert(delay >= 0);
-  ScheduleAt(now_ + delay, info, std::move(fn));
-}
-
-void Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
-  ScheduleAt(when, EventInfo{}, std::move(fn));
-}
-
-void Simulation::ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn) {
-  assert(when >= now_);
-  // policy-ok: the one sanctioned seq assignment; ties are later resolved
-  // through PopNext's SchedulePolicy consultation.
-  Event ev{when, next_seq_++, info, std::move(fn)};
-  if (when == now_) {
-    due_now_.push_back(std::move(ev));
-  } else {
-    events_.push(std::move(ev));
+uint32_t Simulation::TakeSlot() {
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
   }
+  if ((slot_count_ & (kSlotsPerChunk - 1)) == 0) {
+    slot_chunks_.push_back(std::make_unique<EventSlot[]>(kSlotsPerChunk));
+  }
+  return slot_count_++;
+}
+
+void Simulation::RunSlot(uint32_t slot) {
+  // The chunk never moves, so the closure may schedule events (taking other
+  // slots) while it runs.
+  EventSlot& s = SlotAt(slot);
+  s.fn();
+  s.fn.Reset();
+  free_slots_.push_back(slot);
+}
+
+void Simulation::HeapPush(EventKey key) {
+  size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (!Before(key, heap_[parent])) {
+      break;
+    }
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+}
+
+Simulation::EventKey Simulation::HeapPop() {
+  const EventKey top = heap_.front();
+  const EventKey last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return top;
+  }
+  // Sift the last key down from the root, through the least of each node's
+  // (up to) four children.
+  size_t i = 0;
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t least = first;
+    for (size_t c = first + 1; c < std::min(first + 4, n); ++c) {
+      if (Before(heap_[c], heap_[least])) {
+        least = c;
+      }
+    }
+    if (!Before(heap_[least], last)) {
+      break;
+    }
+    heap_[i] = heap_[least];
+    i = least;
+  }
+  heap_[i] = last;
+  return top;
 }
 
 void Simulation::Trace(std::string_view origin, const char* format, ...) {
@@ -336,7 +378,7 @@ void Simulation::VTrace(std::string_view origin, const char* format, va_list arg
   fputc('\n', stderr);
 }
 
-ProcessHandle Simulation::Spawn(std::string name, std::function<void()> body) {
+SimProcess* Simulation::NewProcess(std::string name) {
   Fiber* fiber = TakeFiber(name);
   SimProcess* p;
   if (free_processes_.empty()) {
@@ -348,13 +390,11 @@ ProcessHandle Simulation::Spawn(std::string name, std::function<void()> body) {
   }
   p->id_ = next_pid_++;
   p->name_ = std::move(name);
-  p->body_ = std::move(body);
   p->state_ = SimProcess::State::kReady;
   p->cancelled_ = false;
   p->fiber_ = fiber;
   ++spawned_;
-  MakeReady(p->handle());
-  return p->handle();
+  return p;
 }
 
 void Simulation::Kill(ProcessHandle process) {
@@ -407,26 +447,21 @@ bool IsNetworkTag(EventTag tag) {
 }  // namespace
 
 bool Simulation::NextIsDueNow() const {
-  return !due_now_.empty() && (events_.empty() || events_.top() > due_now_.front());
+  return !due_now_.empty() && (heap_.empty() || Before(due_now_.front(), heap_.front()));
 }
 
-const Simulation::Event& Simulation::PeekNext() const {
-  return NextIsDueNow() ? due_now_.front() : events_.top();
+const Simulation::EventKey& Simulation::PeekNext() const {
+  return NextIsDueNow() ? due_now_.front() : heap_.front();
 }
 
-Simulation::Event Simulation::TakeNext() {
-  if (NextIsDueNow()) {
-    return due_now_.pop_front();
-  }
-  Event ev = std::move(const_cast<Event&>(events_.top()));
-  events_.pop();
-  return ev;
+Simulation::EventKey Simulation::TakeNext() {
+  return NextIsDueNow() ? due_now_.pop_front() : HeapPop();
 }
 
-Simulation::Event Simulation::PopNext(SimTime limit) {
-  Event ev = TakeNext();
+Simulation::EventKey Simulation::PopNext(SimTime limit) {
+  const EventKey key = TakeNext();
   if (policy_ == nullptr || !HasEvents()) {
-    return ev;
+    return key;
   }
   // Two or more events at one virtual time form a tie. With a TieWindow,
   // later network events close behind an earliest network event join it too:
@@ -436,41 +471,39 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
   // events are never reordered across time, and because the queues yield
   // events in (time, seq) order, one sitting inside the window also caps it.
   const SimTime window = policy_->TieWindow();
-  const SimTime base = ev.time;
-  const bool widen = window > 0 && IsNetworkTag(ev.info.tag);
-  auto joins_tie = [&](const Event& top) {
+  const SimTime base = key.time;
+  const bool widen = window > 0 && IsNetworkTag(SlotAt(key.slot).info.tag);
+  auto joins_tie = [&](const EventKey& top) {
     if (top.time == base) {
       return true;
     }
-    return widen && IsNetworkTag(top.info.tag) && top.time <= base + window &&
+    return widen && IsNetworkTag(SlotAt(top.slot).info.tag) && top.time <= base + window &&
            top.time <= limit;
   };
   if (!joins_tie(PeekNext())) {
-    return ev;
+    return key;
   }
-  std::vector<Event> ties;
-  ties.push_back(std::move(ev));
+  std::vector<EventKey> ties{key};
   while (HasEvents() && joins_tie(PeekNext())) {
     ties.push_back(TakeNext());
   }
   std::vector<EventInfo> options;
   options.reserve(ties.size());
-  for (const Event& t : ties) {
-    options.push_back(t.info);
+  for (const EventKey& t : ties) {
+    options.push_back(SlotAt(t.slot).info);
   }
   size_t pick = policy_->PickNext(ties.front().time, options);
   if (pick >= ties.size()) {
     pick = 0;
   }
-  Event chosen = std::move(ties[pick]);
   // The heap keeps the passed-over events in (time, seq) order whichever
   // queue they came from.
   for (size_t i = 0; i < ties.size(); ++i) {
     if (i != pick) {
-      events_.push(std::move(ties[i]));
+      HeapPush(ties[i]);
     }
   }
-  return chosen;
+  return ties[pick];
 }
 
 void Simulation::CheckDrainWatchdog() {
@@ -510,11 +543,11 @@ void Simulation::CheckDrainWatchdog() {
 void Simulation::Run() {
   stop_requested_ = false;
   while (HasEvents() && !stop_requested_) {
-    Event ev = PopNext(std::numeric_limits<SimTime>::max());
+    const EventKey key = PopNext(std::numeric_limits<SimTime>::max());
     // A policy with a TieWindow may run a delayed event first; the passed-over
     // events then execute at the later now_, so only advance time forward.
-    now_ = std::max(now_, ev.time);
-    ev.fn();
+    now_ = std::max(now_, key.time);
+    RunSlot(key.slot);
   }
   CheckDrainWatchdog();
 }
@@ -524,8 +557,8 @@ void Simulation::RunFor(SimTime duration) {
   stop_requested_ = false;
   int64_t spin = 0;
   while (HasEvents() && !stop_requested_ && PeekNext().time <= deadline) {
-    Event ev = PopNext(deadline);
-    if (ev.time == now_) {
+    const EventKey key = PopNext(deadline);
+    if (key.time == now_) {
       if (++spin > 2000000) {
         fprintf(stderr, "sim: suspected zero-delay event loop at t=%lld us\n",
                 static_cast<long long>(now_));
@@ -534,8 +567,8 @@ void Simulation::RunFor(SimTime duration) {
     } else {
       spin = 0;
     }
-    now_ = std::max(now_, ev.time);
-    ev.fn();
+    now_ = std::max(now_, key.time);
+    RunSlot(key.slot);
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -552,11 +585,24 @@ void Simulation::Sleep(SimTime duration) {
   }
   self->state_ = SimProcess::State::kBlocked;
   EventInfo info{EventTag::kSleepDone, static_cast<int32_t>(self->id_), -1, -1};
-  // The handle alone keeps the closure within std::function's inline buffer.
   Schedule(duration, info, [process = self->handle()] {
-    process.proc_->sim_->MakeReady(process);
+    process.proc_->sim_->ExpireSleep(process);
   });
   self->YieldToScheduler();
+}
+
+void Simulation::ExpireSleep(ProcessHandle process) {
+  // Nothing else is due now: the wake-up MakeReady would schedule is the next
+  // event, alone at its time, so no policy could be offered a tie. Running
+  // the process here is that wake-up, minus the event.
+  const bool nothing_else_due =
+      due_now_.empty() && (heap_.empty() || heap_.front().time > now_) && !stop_requested_;
+  if (nothing_else_due && !process.finished() &&
+      process.proc_->state_ == SimProcess::State::kBlocked) {
+    process.proc_->RunUntilParked();
+    return;
+  }
+  MakeReady(process);
 }
 
 SimProcess* Simulation::Current() { return g_current_process; }

@@ -12,22 +12,30 @@
 // fiber parks in a per-Simulation idle list and the next Spawn resumes it
 // with the new body, so only a fiber's first entry goes through makecontext.
 // Process records are reused the same way; a ProcessHandle tells a reused
-// record from the process it once held. Events due at the current time
-// (process wake-ups, mostly) queue in a FIFO beside the time-ordered heap.
+// record from the process it once held.
+//
+// Events cost no heap traffic of their own. Each event's closure is built in
+// place, inside a Callback, in a slot of chunked storage that never moves;
+// the queues order 24-byte (time, seq, slot) keys: a 4-ary heap for events
+// due later, and a FIFO beside it for events due at the current time
+// (process wake-ups, mostly). A slot is reused once its closure has run.
 // AddressSanitizer builds run the same fibers, told about every stack switch.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <cassert>
 #include <csetjmp>
 #include <cstdarg>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -145,6 +153,92 @@ enum class DrainWatchdog {
 // Process bodies must be exception safe (RAII) but should not catch this.
 struct SimCancelled {};
 
+// A move-only `void()` callable stored inline: the engine's events and
+// process bodies. The buffer fits the largest closure the engine carries (a
+// message delivery, which holds the whole Message); a closure that does not
+// fit is a compile error, never a heap allocation.
+class Callback {
+ public:
+  static constexpr size_t kInlineBytes = 144;
+
+  Callback() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, Callback>)
+  Callback(F&& fn) {  // NOLINT(google-explicit-constructor): any callable converts.
+    Emplace(std::forward<F>(fn));
+  }
+  Callback(Callback&& other) noexcept { MoveFrom(other); }
+  Callback& operator=(Callback&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      MoveFrom(other);
+    }
+    return *this;
+  }
+  ~Callback() { Reset(); }
+
+  // Destroys any held closure, then builds `fn`'s closure in the buffer.
+  template <typename F>
+  void Emplace(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(!std::is_same_v<Fn, Callback>, "move a Callback, do not nest it");
+    static_assert(std::is_invocable_v<Fn&>, "a Callback runs with no arguments");
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "closure too large for Callback's inline buffer: capture less "
+                  "(or by reference) or raise kInlineBytes");
+    static_assert(alignof(Fn) <= alignof(void*), "closure over-aligned for Callback");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "a Callback closure must move without throwing");
+    Reset();
+    ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+
+  void operator()() { ops_->invoke(buffer_); }
+  explicit operator bool() const { return ops_ != nullptr; }
+
+  // Destroys the held closure (and what it captured), leaving this empty.
+  void Reset() {
+    if (ops_ != nullptr) {
+      ops_->destroy(buffer_);
+      ops_ = nullptr;
+    }
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* fn);
+    // Move-constructs `from`'s closure into `to` and destroys it in `from`.
+    void (*relocate)(void* to, void* from);
+    void (*destroy)(void* fn);
+  };
+  // The buffer holds an Fn built by placement new.
+  template <typename Fn>
+  static Fn* Held(void* buffer) {
+    return std::launder(static_cast<Fn*>(buffer));
+  }
+  template <typename Fn>
+  static constexpr Ops kOps = {
+      [](void* fn) { (*Held<Fn>(fn))(); },
+      [](void* to, void* from) {
+        ::new (to) Fn(std::move(*Held<Fn>(from)));
+        Held<Fn>(from)->~Fn();
+      },
+      [](void* fn) { Held<Fn>(fn)->~Fn(); },
+  };
+
+  void MoveFrom(Callback& other) {
+    if (other.ops_ != nullptr) {
+      other.ops_->relocate(buffer_, other.buffer_);
+      ops_ = other.ops_;
+      other.ops_ = nullptr;
+    }
+  }
+
+  alignas(void*) unsigned char buffer_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
 // A cooperative simulated thread of control.
 //
 // Created via Simulation::Spawn. The body runs on a fiber, but only while the
@@ -183,7 +277,7 @@ class SimProcess {
   Simulation* sim_;
   uint64_t id_ = 0;
   std::string name_;
-  std::function<void()> body_;
+  Callback body_;
   State state_ = State::kFinished;
   bool cancelled_ = false;
   // The fiber the body runs on; back in the idle list (and null here) once
@@ -278,13 +372,40 @@ class Simulation {
   SimTime Now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  // Schedules `fn` to run in event context after `delay` of virtual time.
-  // The EventInfo overloads tag the event so an installed SchedulePolicy can
-  // tell what it is deciding between at a same-time tie.
-  void Schedule(SimTime delay, std::function<void()> fn);
-  void Schedule(SimTime delay, EventInfo info, std::function<void()> fn);
-  void ScheduleAt(SimTime when, std::function<void()> fn);
-  void ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn);
+  // Schedules `fn`, any `void()` callable that fits a Callback, to run in
+  // event context after `delay` of virtual time. Its closure is built once,
+  // in an event slot, and destroyed right after it runs. The EventInfo
+  // overloads tag the event so an installed SchedulePolicy can tell what it
+  // is deciding between at a same-time tie.
+  template <typename F>
+  void Schedule(SimTime delay, F&& fn) {
+    Schedule(delay, EventInfo{}, std::forward<F>(fn));
+  }
+  template <typename F>
+  void Schedule(SimTime delay, EventInfo info, F&& fn) {
+    assert(delay >= 0);
+    ScheduleAt(now_ + delay, info, std::forward<F>(fn));
+  }
+  template <typename F>
+  void ScheduleAt(SimTime when, F&& fn) {
+    ScheduleAt(when, EventInfo{}, std::forward<F>(fn));
+  }
+  template <typename F>
+  void ScheduleAt(SimTime when, EventInfo info, F&& fn) {
+    assert(when >= now_);
+    const uint32_t slot = TakeSlot();
+    EventSlot& s = SlotAt(slot);
+    s.info = info;
+    s.fn.Emplace(std::forward<F>(fn));
+    // policy-ok: the one sanctioned seq assignment; ties are later resolved
+    // through PopNext's SchedulePolicy consultation.
+    const EventKey key{when, next_seq_++, slot};
+    if (when == now_) {
+      due_now_.push_back(key);
+    } else {
+      HeapPush(key);
+    }
+  }
 
   // --- Decision points (schedule-space exploration; src/mc) ---
   // The policy is not owned; it must outlive its installation. Installing
@@ -318,12 +439,19 @@ class Simulation {
       __attribute__((format(printf, 3, 4)));
   void VTrace(std::string_view origin, const char* format, va_list args);
 
-  // Creates a process whose body starts running at the current virtual time,
-  // on an idle fiber if there is one and on a newly mapped stack otherwise
-  // (aborting if the stack cannot be mapped). When the process finishes, its
-  // body (and everything the body captured) is released, and its fiber and
-  // record serve later Spawns; the returned handle then reads as finished.
-  ProcessHandle Spawn(std::string name, std::function<void()> body);
+  // Creates a process whose body, any `void()` callable that fits a
+  // Callback, starts running at the current virtual time, on an idle fiber if
+  // there is one and on a newly mapped stack otherwise (aborting if the stack
+  // cannot be mapped). When the process finishes, its body (and everything
+  // the body captured) is released, and its fiber and record serve later
+  // Spawns; the returned handle then reads as finished.
+  template <typename F>
+  ProcessHandle Spawn(std::string name, F&& body) {
+    SimProcess* p = NewProcess(std::move(name));
+    p->body_.Emplace(std::forward<F>(body));
+    MakeReady(p->handle());
+    return p->handle();
+  }
 
   // Runs until the event queue drains (or Stop() is called). Processes left
   // blocked with no pending wake-up are reported by blocked_process_count().
@@ -369,18 +497,40 @@ class Simulation {
   friend class SimProcess;
   friend class WaitQueue;
 
-  struct Event {
+  // What the queues order: an event's due time, its schedule order, and the
+  // slot holding its closure.
+  struct EventKey {
     SimTime time;
     uint64_t seq;
-    EventInfo info;
-    std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      // policy-ok: the one sanctioned seq tie-break — PopNext routes ties
-      // through the installed SchedulePolicy before this order applies.
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
+    uint32_t slot;
   };
+  static bool Before(const EventKey& a, const EventKey& b) {
+    // policy-ok: the one sanctioned seq tie-break — PopNext routes ties
+    // through the installed SchedulePolicy before this order applies.
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+  // A pending event's closure and tag; an empty fn marks a free slot.
+  struct EventSlot {
+    EventInfo info;
+    Callback fn;
+  };
+  static constexpr uint32_t kSlotsPerChunkLog2 = 8;
+  static constexpr uint32_t kSlotsPerChunk = 1u << kSlotsPerChunkLog2;
 
+  EventSlot& SlotAt(uint32_t slot) {
+    return slot_chunks_[slot >> kSlotsPerChunkLog2][slot & (kSlotsPerChunk - 1)];
+  }
+  // A free slot: the most recently freed one, or a new one (adding a chunk
+  // when the last is full).
+  uint32_t TakeSlot();
+  // Runs the slot's closure in place, destroys it, and frees the slot.
+  void RunSlot(uint32_t slot);
+  void HeapPush(EventKey key);
+  EventKey HeapPop();
+
+  // Takes a process record and a fiber for Spawn, which then gives the
+  // record its body.
+  SimProcess* NewProcess(std::string name);
   // Marks the process runnable at the current time (scheduler will hand it
   // control). A no-op once it has finished.
   void MakeReady(ProcessHandle process);
@@ -393,16 +543,20 @@ class Simulation {
   void Reap(SimProcess* p);
   // The queued events merged in (time, seq) order: whether any is left, the
   // next one, and taking it.
-  bool HasEvents() const { return !events_.empty() || !due_now_.empty(); }
+  bool HasEvents() const { return !heap_.empty() || !due_now_.empty(); }
   bool NextIsDueNow() const;
-  const Event& PeekNext() const;
-  Event TakeNext();
+  const EventKey& PeekNext() const;
+  EventKey TakeNext();
   // Removes and returns the next event to run: the earliest-time event, with
   // same-time ties resolved by the installed SchedulePolicy (historical seq
   // order when none is installed or it returns 0). When the policy declares a
   // TieWindow, network events within the window of an earliest network event
   // also join the tie (but never past `limit`, so RunFor keeps its deadline).
-  Event PopNext(SimTime limit);
+  EventKey PopNext(SimTime limit);
+  // A sleep's expiry. When nothing else is due now, the process's wake-up
+  // event would run next anyway, so the expiry resumes it in place; otherwise
+  // it schedules the wake-up like any other.
+  void ExpireSleep(ProcessHandle process);
   // Drain-time lost-wakeup check shared by Run and RunFor.
   void CheckDrainWatchdog();
 
@@ -417,12 +571,20 @@ class Simulation {
   DrainWatchdog drain_watchdog_ = DrainWatchdog::kOff;
   bool drain_watchdog_tripped_ = false;
   std::vector<DrainCheck> drain_checks_;
-  // Events due later than when they were scheduled, earliest first.
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  // Events scheduled for the then-current time, in schedule order. Now only
-  // moves forward and seq only grows, so this queue is (time, seq)-sorted
-  // too, and the next event is the lesser of its front and the heap top.
-  FifoQueue<Event> due_now_;
+  // Event slots, in chunks that never move, so a closure runs where it was
+  // built even when it schedules more events; and the free slots, most
+  // recently freed last. Both stay within the peak number of pending events.
+  std::vector<std::unique_ptr<EventSlot[]>> slot_chunks_;
+  uint32_t slot_count_ = 0;
+  std::vector<uint32_t> free_slots_;
+  // Keys of events due later than when they were scheduled: a 4-ary min-heap
+  // in (time, seq) order.
+  std::vector<EventKey> heap_;
+  // Keys of events scheduled for the then-current time, in schedule order.
+  // Now only moves forward and seq only grows, so this queue is
+  // (time, seq)-sorted too, and the next event is the lesser of its front
+  // and the heap top.
+  FifoQueue<EventKey> due_now_;
   // Every process record ever made; the finished ones are also listed in
   // free_processes_ for the next Spawn. Both stay within the peak number of
   // live processes.

@@ -1,6 +1,9 @@
 #include "src/storage/volume.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace locus {
 
@@ -14,7 +17,7 @@ constexpr int32_t kReservedPages = 2;
 }  // namespace
 
 Volume::Volume(VolumeId id, std::string name, std::unique_ptr<Disk> disk)
-    : id_(id), name_(std::move(name)), disk_(std::move(disk)) {
+    : id_(id), name_(std::move(name)), disk_(std::move(disk)), first_free_hint_(kReservedPages) {
   allocated_.assign(disk_->num_pages(), false);
   for (PageId p = 0; p < kReservedPages; ++p) {
     allocated_[p] = true;
@@ -22,14 +25,19 @@ Volume::Volume(VolumeId id, std::string name, std::unique_ptr<Disk> disk)
 }
 
 PageId Volume::AllocPage() {
-  for (PageId p = kReservedPages; p < disk_->num_pages(); ++p) {
+  for (PageId p = first_free_hint_; p < disk_->num_pages(); ++p) {
     if (!allocated_[p]) {
       allocated_[p] = true;
+      first_free_hint_ = p + 1;
       return p;
     }
   }
-  assert(false && "volume out of pages");
-  return kNoPage;
+  // No caller can place a write without a page, and handing out kNoPage
+  // would corrupt whatever used it, so a full volume stops the run in every
+  // build.
+  fprintf(stderr, "volume %s: out of pages (all %d allocated)\n", name_.c_str(),
+          disk_->num_pages());
+  abort();
 }
 
 void Volume::FreePage(PageId page) {
@@ -42,6 +50,7 @@ void Volume::FreePage(PageId page) {
     return;
   }
   allocated_[page] = false;
+  first_free_hint_ = std::min(first_free_hint_, page);
 }
 
 int32_t Volume::free_page_count() const {
@@ -225,6 +234,7 @@ void Volume::OnCrash() {
 }
 
 void Volume::RecoverAllocation(const std::vector<PageId>& extra_live_pages) {
+  first_free_hint_ = kReservedPages;
   allocated_.assign(disk_->num_pages(), false);
   for (PageId p = 0; p < kReservedPages; ++p) {
     allocated_[p] = true;

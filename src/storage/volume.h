@@ -91,6 +91,7 @@ class Volume {
   bool group_commit_enabled() const { return sim_ != nullptr; }
 
   // --- Page allocation (in-memory bitmap; durability via recovery rebuild) ---
+  // The lowest free page; aborts with a message when the volume is full.
   PageId AllocPage();
   void FreePage(PageId page);
   bool IsAllocated(PageId page) const { return allocated_[page]; }
@@ -166,6 +167,9 @@ class Volume {
   std::unique_ptr<Disk> disk_;
   LogAppendMode log_append_mode_ = LogAppendMode::kSingleWrite;
   std::vector<bool> allocated_;
+  // Every page below this one is allocated: AllocPage's first-fit scan
+  // starts here, and FreePage lowers it.
+  PageId first_free_hint_;
   int64_t double_frees_ = 0;
   Ino next_ino_ = 1;
   std::map<Ino, DiskInode> inodes_;  // Stable inode table contents.

@@ -8,8 +8,11 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -132,6 +135,189 @@ TEST(Simulation, PolicySeesTiesAcrossHeapAndZeroDelayEventsInSeqOrder) {
   sim.Run();
   EXPECT_EQ(policy.ties, (std::vector<std::vector<int32_t>>{{1, 2}, {2, 3, 4}, {2, 3}}));
   EXPECT_EQ(order, (std::vector<int32_t>{1, 4, 2, 3}));
+
+  // A sleep expiry ties like any event. Passed over for a zero-delay event
+  // and then due alone, it resumes its process (pid 1) in place.
+  Simulation sleepy;
+  RecordingPolicy sleep_policy;
+  sleepy.set_schedule_policy(&sleep_policy);
+  order.clear();
+  sleepy.Schedule(Milliseconds(5), EventInfo{EventTag::kGeneric, 7}, [&] {
+    order.push_back(7);
+    sleepy.Schedule(0, EventInfo{EventTag::kGeneric, 8}, record(8));
+  });
+  sleepy.Spawn("sleeper", [&] {
+    sleepy.Sleep(Milliseconds(5));
+    order.push_back(100 + static_cast<int32_t>(Simulation::Current()->id()));
+  });
+  sleepy.Run();
+  EXPECT_EQ(sleep_policy.ties, (std::vector<std::vector<int32_t>>{{7, 1}, {1, 8}}));
+  EXPECT_EQ(order, (std::vector<int32_t>{7, 8, 101}));
+}
+
+// Differential check of the queues against their specification: events at
+// random, often equal, times, some of them scheduled from inside events
+// (zero-delay ones included), run exactly in (time, schedule order).
+TEST(Simulation, RandomEventsRunInTimeThenScheduleOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulation sim;
+    Rng rng(seed);
+    struct Scheduled {
+      SimTime time;
+      int order;
+    };
+    std::vector<Scheduled> scheduled;
+    std::vector<int> ran;
+    // Schedules event number scheduled.size(), which may schedule up to two
+    // more when it runs.
+    std::function<void(int)> schedule = [&](int depth) {
+      const SimTime delay = rng.Chance(0.3) ? 0 : rng.Range(0, 4) * 10;
+      const int order = static_cast<int>(scheduled.size());
+      scheduled.push_back(Scheduled{sim.Now() + delay, order});
+      sim.Schedule(delay, [&, order, depth] {
+        EXPECT_EQ(sim.Now(), scheduled[order].time);
+        ran.push_back(order);
+        for (int i = 0; depth < 3 && i < 2; ++i) {
+          if (rng.Chance(0.5)) {
+            schedule(depth + 1);
+          }
+        }
+      });
+    };
+    for (int i = 0; i < 200; ++i) {
+      schedule(0);
+    }
+    sim.Run();
+    std::vector<Scheduled> expected = scheduled;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Scheduled& a, const Scheduled& b) { return a.time < b.time; });
+    ASSERT_EQ(ran.size(), expected.size()) << "seed " << seed;
+    for (size_t i = 0; i < ran.size(); ++i) {
+      ASSERT_EQ(ran[i], expected[i].order) << "seed " << seed << ", event " << i;
+    }
+  }
+}
+
+// Counts the destructions of the object it was built as; its moved-from
+// shells count nothing.
+struct DestroyCounter {
+  explicit DestroyCounter(int* destroyed) : count(destroyed) {}
+  DestroyCounter(DestroyCounter&& other) noexcept : count(other.count) { other.count = nullptr; }
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (count != nullptr) {
+      ++*count;
+    }
+  }
+  int* count;
+};
+
+TEST(Callback, RunsAMoveOnlyCaptureAndMovesWithIt) {
+  int got = 0;
+  Callback cb = [value = std::make_unique<int>(7), &got] { got = *value; };
+  Callback moved = std::move(cb);
+  EXPECT_FALSE(cb);  // NOLINT(bugprone-use-after-move): a moved-from Callback is empty.
+  ASSERT_TRUE(moved);
+  moved();
+  EXPECT_EQ(got, 7);
+
+  Simulation sim;
+  sim.Schedule(Milliseconds(1), [value = std::make_unique<int>(8), &got] { got = *value; });
+  sim.Spawn("owner", [value = std::make_unique<int>(9), &got, &sim] {
+    sim.Sleep(Milliseconds(2));
+    got += *value;
+  });
+  sim.Run();
+  EXPECT_EQ(got, 17);
+}
+
+// Captures are destroyed exactly once: right after their event runs, when a
+// process body ends, or at teardown for events still pending and processes
+// still blocked.
+TEST(Callback, PendingCapturesAreDestroyedOnceAtTeardown) {
+  auto token = std::make_shared<int>(0);
+  int destroyed = 0;
+  {
+    Simulation sim;
+    WaitQueue never(&sim);
+    sim.Schedule(Milliseconds(1), [token] {});
+    sim.Schedule(Seconds(10), [token, counter = DestroyCounter(&destroyed)] {});
+    sim.Schedule(Seconds(20), [token] {});
+    sim.Spawn("blocked", [token, &never] { never.Wait(); });
+    sim.Spawn("sleeping", [token, counter = DestroyCounter(&destroyed), &sim] {
+      sim.Sleep(Seconds(30));
+    });
+    EXPECT_EQ(token.use_count(), 6);
+    sim.RunFor(Milliseconds(5));
+    EXPECT_EQ(token.use_count(), 5);  // The 1 ms event ran; its capture went with it.
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(destroyed, 2);
+}
+
+// A slot freed by a finished event serves the next Schedule, which runs its
+// own closure: a chain of events, each scheduling the next, reuses one slot.
+TEST(Callback, AReusedSlotRunsItsNewClosure) {
+  Simulation sim;
+  std::vector<int> ran;
+  int destroyed = 0;
+  std::function<void(int)> chain = [&](int i) {
+    sim.Schedule(Milliseconds(1), [&, i, counter = DestroyCounter(&destroyed)] {
+      ran.push_back(i);
+      if (i < 99) {
+        chain(i + 1);
+      }
+    });
+  };
+  chain(0);
+  sim.Run();
+  ASSERT_EQ(ran.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(ran[i], i);
+  }
+  EXPECT_EQ(destroyed, 100);
+}
+
+// A sleep that expires alone resumes its process in place. One that expires
+// where another event is still due at that instant lets that event run
+// first, as the separate wake-up event always did: an event scheduled
+// earlier for that instant runs before the expiry, while one scheduled after
+// the sleep began, or a zero-delay one scheduled at that instant, runs
+// between the expiry and the wake-up.
+TEST(Simulation, SleepExpiryKeepsTheHistoricalOrder) {
+  auto run = [](bool earlier, bool later, bool zero_delay) {
+    Simulation sim;
+    std::vector<std::string> order;
+    if (earlier) {
+      sim.Schedule(Milliseconds(5), [&] {
+        order.push_back("earlier");
+        if (zero_delay) {
+          sim.Schedule(0, [&] { order.push_back("zero"); });
+        }
+      });
+    }
+    sim.Spawn("sleeper", [&] {
+      sim.Sleep(Milliseconds(5));
+      order.push_back("sleeper@" + std::to_string(sim.Now()));
+      sim.Schedule(0, [&] { order.push_back("after"); });
+    });
+    if (later) {
+      // Scheduled at 1 ms, after the sleep began, for the expiry's instant.
+      sim.Schedule(Milliseconds(1), [&] {
+        sim.Schedule(Milliseconds(4), [&] { order.push_back("later"); });
+      });
+    }
+    sim.Run();
+    return order;
+  };
+  using Order = std::vector<std::string>;
+  EXPECT_EQ(run(false, false, false), (Order{"sleeper@5000", "after"}));
+  EXPECT_EQ(run(true, false, false), (Order{"earlier", "sleeper@5000", "after"}));
+  EXPECT_EQ(run(true, false, true), (Order{"earlier", "zero", "sleeper@5000", "after"}));
+  EXPECT_EQ(run(false, true, false), (Order{"later", "sleeper@5000", "after"}));
+  EXPECT_EQ(run(true, true, true),
+            (Order{"earlier", "later", "zero", "sleeper@5000", "after"}));
 }
 
 TEST(Simulation, ProcessSleepAdvancesVirtualTime) {

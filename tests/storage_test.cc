@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/storage/disk.h"
 #include "src/storage/volume.h"
@@ -121,6 +122,39 @@ TEST_F(VolumeTest, PageAllocationIsExclusive) {
   EXPECT_FALSE(volume_->IsAllocated(a));
   PageId c = volume_->AllocPage();
   EXPECT_EQ(c, a);  // First-fit reuse.
+}
+
+// First fit: an allocation takes the lowest free page, however the pages
+// below it were freed, and a rebuilt allocation map starts over from the
+// bottom.
+TEST_F(VolumeTest, AllocationTakesTheLowestFreePage) {
+  std::vector<PageId> pages;
+  for (int i = 0; i < 10; ++i) {
+    pages.push_back(volume_->AllocPage());
+  }
+  EXPECT_EQ(pages.front(), 2);
+  EXPECT_EQ(pages.back(), 11);
+  volume_->FreePage(9);
+  volume_->FreePage(4);
+  EXPECT_EQ(volume_->AllocPage(), 4);
+  EXPECT_EQ(volume_->AllocPage(), 9);
+  EXPECT_EQ(volume_->AllocPage(), 12);
+  volume_->RecoverAllocation({3, 5});
+  EXPECT_EQ(volume_->AllocPage(), 2);
+  EXPECT_EQ(volume_->AllocPage(), 4);
+  EXPECT_EQ(volume_->AllocPage(), 6);
+}
+
+using VolumeDeathTest = VolumeTest;
+
+// A full volume has no page to give: the run stops with a message in every
+// build rather than handing out kNoPage.
+TEST_F(VolumeDeathTest, ExhaustionAbortsWithAMessage) {
+  for (int i = 2; i < 64; ++i) {
+    ASSERT_NE(volume_->AllocPage(), kNoPage);
+  }
+  EXPECT_EQ(volume_->free_page_count(), 0);
+  EXPECT_DEATH(volume_->AllocPage(), "volume v7: out of pages \\(all 64 allocated\\)");
 }
 
 TEST_F(VolumeTest, InodeWriteReadRoundTrip) {
