@@ -8,8 +8,8 @@
 #      full crash-point enumeration of a 3-site commit (src/mc), plus a
 #      negative control that rediscovers + replays the seeded PR 3 race
 #   4. benchmark regression snapshot (scale table) + perf-gate: the fresh
-#      txn_per_s numbers must not regress beyond tolerance against the
-#      checked-in BENCH_scale.json baseline
+#      virtual numbers (txn_per_s, form_* messages and forces per txn) must
+#      equal the checked-in BENCH_scale.json baseline exactly
 #   5. benchmark determinism self-check (perfbench/selfcheck.py): one seed
 #      repeats bit for bit, another differs, and a traced run matches an
 #      untraced one, on every repo-benchmark workload
@@ -99,7 +99,7 @@ echo "=== benchmark regression snapshot ==="
     --benchmark_filter=NONE >/dev/null
 cat build/BENCH_scale.json
 
-echo "=== perf-gate (txn_per_s vs checked-in baseline) ==="
+echo "=== perf-gate (virtual fields vs checked-in baseline, exactly) ==="
 python3 scripts/perf_gate.py BENCH_scale.json build/BENCH_scale.json
 
 echo "=== benchmark determinism self-check ==="

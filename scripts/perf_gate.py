@@ -2,26 +2,25 @@
 """Benchmark regression gate over the scale-throughput snapshot.
 
 Compares a freshly generated bench JSON against the checked-in baseline,
-per (bench, config) row, on the simulated txn_per_s metric. The simulation
-is deterministic, so the tolerance is not run-to-run noise — it absorbs the
-rounding of the two-decimal snapshot format and deliberate small calibration
-drift. Anything past it is a real throughput regression and fails CI.
-
-Host wall-clock (wall_ms) and the form_* extras are informational only: wall
-time depends on the CI machine, and the messages/forces gauges have their own
-acceptance tests.
+per (bench, config) row. Every virtual field -- the simulated txn_per_s and
+the form_* gauges (messages and log forces per transaction) -- comes from a
+deterministic simulation, printed with two decimals by the same code in both
+files, so it is gated exactly: any change, up or down, fails until the
+baseline is refreshed on purpose. Host wall-clock (wall_ms) depends on the
+machine and stays informational.
 
 Rules:
   - A baseline row missing from the new results fails (a benchmark silently
     disappearing is itself a regression).
   - New rows absent from the baseline pass (refresh the baseline to pin them).
-  - txn_per_s below baseline by more than --tolerance (default 5%) fails.
+  - Each VIRTUAL_FIELDS value in a baseline row must be present in the new
+    row and equal to it.
   - The REQUIRED_ROWS must be present in BOTH files. They anchor the gate:
     the certifier-off sites=16 scale row is the overhead reference the
     serializability certifier (src/serial) is measured against, so neither a
     pruned baseline nor a filtered fresh run may silently drop it.
 
-Usage: scripts/perf_gate.py <baseline.json> <new.json> [--tolerance=0.05]
+Usage: scripts/perf_gate.py <baseline.json> <new.json>
 Exits nonzero on any failure.
 """
 
@@ -33,6 +32,9 @@ REQUIRED_ROWS = [
     ("scale_throughput", "sites=16,tellers=48,local=0.0"),
 ]
 
+# Deterministic fields, gated exactly when the baseline row has them.
+VIRTUAL_FIELDS = ("txn_per_s", "form_messages_per_txn", "form_log_forces_per_txn")
+
 
 def load(path):
     with open(path, encoding="utf-8") as f:
@@ -41,18 +43,11 @@ def load(path):
 
 
 def main(argv):
-    tolerance = 0.05
-    paths = []
-    for arg in argv[1:]:
-        if arg.startswith("--tolerance="):
-            tolerance = float(arg.split("=", 1)[1])
-        else:
-            paths.append(arg)
-    if len(paths) != 2:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    baseline = load(paths[0])
-    fresh = load(paths[1])
+    baseline = load(argv[1])
+    fresh = load(argv[2])
 
     failures = []
     checked = 0
@@ -67,16 +62,16 @@ def main(argv):
             failures.append(f"{bench} [{config}]: missing from new results")
             continue
         checked += 1
-        base = base_row["txn_per_s"]
-        new = fresh[key]["txn_per_s"]
-        floor = base * (1.0 - tolerance)
-        verdict = "ok"
-        if new < floor:
-            verdict = "REGRESSED"
-            failures.append(
-                f"{bench} [{config}]: txn_per_s {new:.2f} < {floor:.2f} "
-                f"(baseline {base:.2f} - {tolerance:.0%})")
-        print(f"  {bench} [{config}]: {base:.2f} -> {new:.2f} txn/s {verdict}")
+        new_row = fresh[key]
+        changed = []
+        for field in VIRTUAL_FIELDS:
+            if field in base_row and new_row.get(field) != base_row[field]:
+                changed.append(f"{field} {base_row[field]} -> {new_row.get(field)}")
+        failures.extend(f"{bench} [{config}]: {change}" for change in changed)
+        wall = f"wall {base_row.get('wall_ms')} -> {new_row.get('wall_ms')} ms"
+        print(f"  {bench} [{config}]: {base_row['txn_per_s']:.2f} -> "
+              f"{new_row.get('txn_per_s', float('nan')):.2f} txn/s, {wall} "
+              f"{'CHANGED' if changed else 'ok'}")
     for key in sorted(fresh.keys() - baseline.keys()):
         print(f"  {key[0]} [{key[1]}]: new row (not in baseline)")
 

@@ -587,8 +587,10 @@ void FileStore::DiscardIntentions(const IntentionsList& intentions) {
   if (Audited()) {
     audit_->OnDiscard(site_name_, intentions);
   }
-  sim_->Trace(site_name_, "discard %s: %zu updates",
-              ToString(intentions.file).c_str(), intentions.updates.size());
+  if (sim_->trace_echo()) {
+    sim_->Trace(site_name_, "discard %s: %zu updates", ToString(intentions.file).c_str(),
+                intentions.updates.size());
+  }
   for (const PageUpdate& u : intentions.updates) {
     if (volume_->IsAllocated(u.new_page)) {
       volume_->FreePage(u.new_page);

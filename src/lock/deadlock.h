@@ -10,14 +10,18 @@
 #ifndef SRC_LOCK_DEADLOCK_H_
 #define SRC_LOCK_DEADLOCK_H_
 
-#include <map>
-#include <string>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "src/lock/lock_manager.h"
 
 namespace locus {
 
+// One poll's global wait-for graph. Each owner is interned once, as an
+// integer id, and the search runs over ids; it visits owners in the order of
+// their ToString text, so the cycles it finds, and their order, are those of
+// a graph keyed by that text.
 class WaitForGraph {
  public:
   void AddEdges(const std::vector<WaitEdge>& edges);
@@ -31,15 +35,33 @@ class WaitForGraph {
   // largest pid.
   std::vector<LockOwner> SelectVictims() const;
 
-  int node_count() const { return static_cast<int>(adjacency_.size()); }
+  int node_count() const { return static_cast<int>(nodes_.size()); }
   int edge_count() const;
 
  private:
-  // Owners are keyed by a canonical string (transaction id or pid).
-  static std::string Key(const LockOwner& o);
+  // What ToString(LockOwner) prints: the transaction, or the pid when there
+  // is none. Owners with one key are one node.
+  struct OwnerKey {
+    TxnId txn;
+    Pid pid = kNoPid;
+    friend bool operator==(const OwnerKey&, const OwnerKey&) = default;
+  };
+  struct OwnerKeyHash {
+    size_t operator()(const OwnerKey& k) const;
+  };
+  struct Node {
+    // The owner as last reported under this key.
+    LockOwner owner;
+    // Waited-for nodes, in first-reported order, without repeats.
+    std::vector<uint32_t> out;
+  };
 
-  std::map<std::string, LockOwner> owners_;
-  std::map<std::string, std::vector<std::string>> adjacency_;
+  uint32_t Intern(const LockOwner& o);
+  // Node ids of each cycle found, in search order.
+  std::vector<std::vector<uint32_t>> FindCycleIds() const;
+
+  std::vector<Node> nodes_;
+  std::unordered_map<OwnerKey, uint32_t, OwnerKeyHash> ids_;
 };
 
 }  // namespace locus

@@ -12,6 +12,7 @@ namespace locus {
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
+      site_name_(system->net().SiteName(site)),
       locks_(&system->stats(), system->net().SiteName(site)),
       txns_(&system->sim(), site),
       pool_(system->options().pool_pages) {
@@ -59,7 +60,7 @@ void Kernel::BurnCpu(int64_t instructions) {
 void Kernel::Trace(const char* format, ...) {
   va_list args;
   va_start(args, format);
-  sim().VTrace(net().SiteName(site_), format, args);
+  sim().VTrace(site_name_, format, args);
   va_end(args);
 }
 
@@ -91,10 +92,6 @@ std::vector<Volume*> Kernel::volumes() {
     out.push_back(v.get());
   }
   return out;
-}
-
-std::string Kernel::KernelProcessName(const std::string& name) {
-  return net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
 }
 
 void Kernel::TrackKernelProcess(ProcessHandle p) {
@@ -182,7 +179,7 @@ void Kernel::RegisterHandler() {
     if constexpr (MsgSpec<kType>::kContext == HandlerContext::kInline) {
       Handle<kType>(RequestIn<kType>(msg), r);
     } else {
-      SpawnKernelProcess("svc" + std::to_string(msg.type),
+      SpawnKernelProcess("svc", msg.type,
                          [this, req = std::move(msg.As<RequestOf<kType>>()), r] {
                            Handle<kType>(req, r);
                          });
@@ -208,8 +205,8 @@ void Kernel::Start() {
   env.catalog = &catalog();
   env.stats = &stats();
   env.store_for = [this](VolumeId v) { return StoreFor(v); };
-  env.spawn = [this](const std::string& name, std::function<void()> body) {
-    SpawnKernelProcess(name, std::move(body));
+  env.spawn = [this](const char* label, std::function<void()> body) {
+    SpawnKernelProcess(label, std::move(body));
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 
@@ -433,13 +430,17 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
     } else {
       PrepareLogRecord rec{req.txn, req.coordinator, intentions};
       uint64_t id = volume->AppendLog(rec, "prepare_log");
-      Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
-            static_cast<unsigned long long>(id));
+      if (sim().trace_echo()) {
+        Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
+              static_cast<unsigned long long>(id));
+      }
       prepare_log_index_[req.txn].push_back({vol_id, id});
     }
   }
   MaybeCrashAt(ProtocolStep::kAfterPrepareLog);
-  Trace("prepared %s (%zu files)", ToString(req.txn).c_str(), req.files.size());
+  if (sim().trace_echo()) {
+    Trace("prepared %s (%zu files)", ToString(req.txn).c_str(), req.files.size());
+  }
   if (system_->observers().enabled()) {
     system_->observers().OnPrepared(net().SiteName(site_), req.txn);
   }
@@ -466,9 +467,11 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
         continue;  // Duplicate commit message; already resolved (section 4.4).
       }
       const auto& rec = *std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-      Trace("commit %s: installing log record %llu (%zu intentions)",
-            ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
-            rec.intentions.size());
+      if (sim().trace_echo()) {
+        Trace("commit %s: installing log record %llu (%zu intentions)",
+              ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
+              rec.intentions.size());
+      }
       for (const IntentionsList& il : rec.intentions) {
         FileStore* store = StoreFor(il.file.volume);
         store->InstallIntentions(il);
@@ -487,7 +490,9 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
     MaybeReleasePrimary(file);
   }
   txn_resolution_in_progress_.erase(txn);
-  Trace("committed %s locally", ToString(txn).c_str());
+  if (sim().trace_echo()) {
+    Trace("committed %s locally", ToString(txn).c_str());
+  }
   return Err::kOk;
 }
 
@@ -546,7 +551,9 @@ Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
     MaybeReleasePrimary(file);
   }
   txn_resolution_in_progress_.erase(txn);
-  Trace("aborted %s locally", ToString(txn).c_str());
+  if (sim().trace_echo()) {
+    Trace("aborted %s locally", ToString(txn).c_str());
+  }
   return Err::kOk;
 }
 

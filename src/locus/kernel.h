@@ -160,15 +160,23 @@ class Kernel {
   // Consumes simulated CPU at this site and attributes it in the stats
   // ("cpu.<site>" in instructions) — the service-time measure of Figure 6.
   void BurnCpu(int64_t instructions);
+  // Echoes one trace line (Simulation::set_trace_echo). Call sites whose
+  // arguments cost work to build check sim().trace_echo() first.
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
   // Spawns a tracked kernel process running `body`, any callable that fits
-  // a Callback: OnCrash kills it if it is still live.
+  // a Callback: OnCrash kills it if it is still live. It is named
+  // "<site>:<label><number>#<n>" (no number when negative), numbering this
+  // site's kernel processes; the name is formatted only if printed, so
+  // `label` must be a string literal.
   template <typename F>
-  void SpawnKernelProcess(const std::string& name, F&& body) {
-    TrackKernelProcess(sim().Spawn(KernelProcessName(name), std::forward<F>(body)));
+  void SpawnKernelProcess(const char* label, F&& body) {
+    SpawnKernelProcess(label, -1, std::forward<F>(body));
   }
-  // "<site>:<name>#<n>", numbering this site's kernel processes.
-  std::string KernelProcessName(const std::string& name);
+  template <typename F>
+  void SpawnKernelProcess(const char* label, int32_t number, F&& body) {
+    TrackKernelProcess(sim().Spawn(ProcessName(site_name_.c_str(), label, number, next_kproc_++),
+                                   std::forward<F>(body)));
+  }
   void TrackKernelProcess(ProcessHandle p);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
   // two-phase-commit protocol step; if it elects a crash, the site goes down
@@ -278,6 +286,8 @@ class Kernel {
 
   System* system_;
   SiteId site_;
+  // This site's name, which its kernel processes' names point to.
+  const std::string site_name_;
   // Interned ids of the counters the kernel's service and per-transaction
   // paths bump (stats.h: hot paths bump by id); interned at construction, so
   // counters() lists them even at zero.

@@ -65,7 +65,9 @@ Err Kernel::SysBeginTrans(OsProcess* p) {
   p->txn_aborted = false;
   p->txn_top_site_hint = site_;
   stats().Add(ids_.txn_begins);
-  Trace("%s begun by pid %lld", ToString(p->txn).c_str(), static_cast<long long>(p->pid));
+  if (sim().trace_echo()) {
+    Trace("%s begun by pid %lld", ToString(p->txn).c_str(), static_cast<long long>(p->pid));
+  }
   return Err::kOk;
 }
 
@@ -278,7 +280,9 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
                                    record->active_members);
   }
   stats().Add(ids_.txn_committed);
-  Trace("%s committed (%zu participants)", ToString(txn).c_str(), participants.size());
+  if (sim().trace_echo()) {
+    Trace("%s committed (%zu participants)", ToString(txn).c_str(), participants.size());
+  }
 
   // Step 4: phase two runs asynchronously in a kernel process; EndTrans
   // returns at the commit point (section 6.1's I/O accounting depends on
@@ -372,7 +376,9 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
   coordinator_log_index_.erase(txn);
   txns_.Erase(txn);
   stats().Add(ids_.txn_aborted_in_commit);
-  Trace("%s aborted during commit", ToString(txn).c_str());
+  if (sim().trace_echo()) {
+    Trace("%s aborted during commit", ToString(txn).c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +392,9 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
   record->abort_requested = true;
   record->abort_reason = reason;
   stats().Add(ids_.txn_aborted);
-  Trace("%s abort requested: %s", ToString(txn).c_str(), reason.c_str());
+  if (sim().trace_echo()) {
+    Trace("%s abort requested: %s", ToString(txn).c_str(), reason.c_str());
+  }
 
   if (record->commit_marking && !system_->options().test_disable_commit_marking_guard) {
     // The coordinator is blocked on the commit-mark log write. Tearing state
@@ -802,8 +810,10 @@ void Kernel::OnReboot() {
       std::vector<PageId> live;
       for (const auto& [id, rec] : v->stable_log()) {
         if (const auto* prep = std::any_cast<PrepareLogRecord>(&rec.payload)) {
-          Trace("recovery: prepare record %llu for %s",
-                static_cast<unsigned long long>(id), ToString(prep->txn).c_str());
+          if (sim().trace_echo()) {
+            Trace("recovery: prepare record %llu for %s",
+                  static_cast<unsigned long long>(id), ToString(prep->txn).c_str());
+          }
           prepare_log_index_[prep->txn].push_back({v->id(), id});
           for (const IntentionsList& il : prep->intentions) {
             for (PageId page : FileStore::PagesNamedBy(il)) {
@@ -841,10 +851,14 @@ void Kernel::OnReboot() {
       coordinator_log_index_[coord.txn] = log_id;
       std::vector<SiteId> participants = ParticipantSites(coord.files);
       if (coord.status == TxnStatus::kCommitted) {
-        Trace("recovery: re-driving commit of %s", ToString(coord.txn).c_str());
+        if (sim().trace_echo()) {
+          Trace("recovery: re-driving commit of %s", ToString(coord.txn).c_str());
+        }
         SpawnPhaseTwo(coord.txn, participants, log_id);
       } else {
-        Trace("recovery: aborting %s", ToString(coord.txn).c_str());
+        if (sim().trace_echo()) {
+          Trace("recovery: aborting %s", ToString(coord.txn).c_str());
+        }
         if (system_->observers().enabled()) {
           system_->observers().OnAbortDecision(net().SiteName(site_), coord.txn);
         }

@@ -140,7 +140,9 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
       for (const LockOwner& victim : graph.SelectVictims()) {
         if (victim.txn.valid()) {
           stats_.Add("deadlock.victims");
-          sim_.Trace("detector", "aborting deadlock victim %s", ToString(victim.txn).c_str());
+          if (sim_.trace_echo()) {
+            sim_.Trace("detector", "aborting deadlock victim %s", ToString(victim.txn).c_str());
+          }
           kernel->RouteAbort(victim.txn, "deadlock victim");
         }
       }
@@ -164,8 +166,10 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
         auto status = static_cast<TxnStatus>(ReplyIn<kTxnStatusReq>(res.reply).status);
         if (status == TxnStatus::kAborted) {
           stats_.Add("deadlock.orphan_locks_reaped");
-          sim_.Trace("detector", "reaping orphan locks of %s at site %d",
-                     ToString(holder).c_str(), s);
+          if (sim_.trace_echo()) {
+            sim_.Trace("detector", "reaping orphan locks of %s at site %d",
+                       ToString(holder).c_str(), s);
+          }
           kernel->form().Send(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{holder}));
         }
       }

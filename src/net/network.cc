@@ -117,11 +117,13 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
                    Deliver(from, to, request, responder);
                  });
   EventInfo timeout_info{EventTag::kRpcTimeout, from, to, static_cast<int32_t>(id)};
-  sim_->Schedule(timeout, timeout_info, [this, id] {
+  const EventId timeout_event = sim_->Schedule(timeout, timeout_info, [this, id] {
     CompleteCall(id, RpcResult{false, {}});
   });
 
   call.wake.Wait();
+  // The call is done: its time-out would find nothing to complete.
+  sim_->Cancel(timeout_event);
   auto it = pending_calls_.find(id);
   assert(it != pending_calls_.end() && it->second.done);
   RpcResult result = std::move(it->second.result);
@@ -169,10 +171,11 @@ RpcResult Network::WaitCall(uint64_t call_id, SimTime timeout) {
   if (!prepared->second.done) {
     EventInfo timeout_info{EventTag::kRpcTimeout, prepared->second.from,
                            prepared->second.to, static_cast<int32_t>(call_id)};
-    sim_->Schedule(timeout, timeout_info, [this, call_id] {
+    const EventId timeout_event = sim_->Schedule(timeout, timeout_info, [this, call_id] {
       CompleteCall(call_id, RpcResult{false, {}});
     });
     prepared->second.wake.Wait();
+    sim_->Cancel(timeout_event);
   }
   auto it = pending_calls_.find(call_id);
   assert(it != pending_calls_.end() && it->second.done);

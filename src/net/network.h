@@ -244,7 +244,8 @@ class Network {
 
   // Blocking remote procedure call; must run in process context. Fails if the
   // destination is unreachable, becomes unreachable while the call is
-  // outstanding, or the reply does not arrive within `timeout`.
+  // outstanding, or the reply does not arrive within `timeout`. The time-out
+  // event is cancelled once the call returns.
   RpcResult Call(SiteId from, SiteId to, Message request,
                  SimTime timeout = kDefaultRpcTimeout);
 

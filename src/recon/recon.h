@@ -81,8 +81,9 @@ class ReintegrationManager {
     StatRegistry* stats = nullptr;
     // Resolves a volume id to the site's FileStore (nullptr if not local).
     std::function<FileStore*(VolumeId)> store_for;
-    // Spawns a kernel process at the site (tracked; killed on crash).
-    std::function<void(const std::string&, std::function<void()>)> spawn;
+    // Spawns a kernel process at the site (tracked; killed on crash);
+    // `label`, its name's stem, is a string literal.
+    std::function<void(const char* label, std::function<void()>)> spawn;
   };
 
   explicit ReintegrationManager(Env env);

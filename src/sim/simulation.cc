@@ -80,6 +80,17 @@ std::string EventInfoLabel(const EventInfo& info) {
   return "evt";
 }
 
+std::string ProcessName::Format() const {
+  if (prefix_ == nullptr) {
+    return text_;
+  }
+  std::string name = std::string(prefix_) + ":" + label_;
+  if (number_ >= 0) {
+    name += std::to_string(number_);
+  }
+  return name + "#" + std::to_string(serial_);
+}
+
 const char* ProtocolStepName(ProtocolStep step) {
   switch (step) {
     case ProtocolStep::kCoordLogWritten:
@@ -202,7 +213,7 @@ void SimProcess::RunUntilParked() {
   }
 }
 
-Fiber* Simulation::TakeFiber(const std::string& name) {
+Fiber* Simulation::TakeFiber(const ProcessName& name) {
   if (!idle_fibers_.empty()) {
     Fiber* fiber = idle_fibers_.back();
     idle_fibers_.pop_back();
@@ -215,7 +226,7 @@ Fiber* Simulation::TakeFiber(const std::string& name) {
     fprintf(stderr,
             "sim: cannot allocate a fiber stack for process '%s': %s (errno %d) with %d "
             "processes spawned\n",
-            name.c_str(), strerror(err), err, spawned_process_count());
+            name.Format().c_str(), strerror(err), err, spawned_process_count());
     abort();
   }
   fibers_.push_back(std::make_unique<Fiber>(base));
@@ -310,9 +321,50 @@ void Simulation::RunSlot(uint32_t slot) {
   // The chunk never moves, so the closure may schedule events (taking other
   // slots) while it runs.
   EventSlot& s = SlotAt(slot);
+  s.seq = kNoSeq;  // Running: Cancel no longer matches it.
   s.fn();
   s.fn.Reset();
   free_slots_.push_back(slot);
+}
+
+void Simulation::Cancel(EventId id) {
+  if (policy_ != nullptr || id.seq_ == kNoSeq) {
+    return;
+  }
+  EventSlot& s = SlotAt(id.slot_);
+  if (s.seq != id.seq_) {
+    return;  // It ran or was cancelled; the slot may hold another event now.
+  }
+  s.seq = kNoSeq;
+  s.fn.Reset();
+  free_slots_.push_back(id.slot_);
+  ++(s.in_heap ? heap_tombstones_ : due_now_tombstones_);
+  DropFrontTombstones();
+  if (heap_tombstones_ > 0 && 2 * heap_tombstones_ >= heap_.size()) {
+    RebuildHeap();
+  }
+}
+
+void Simulation::DropFrontTombstones() {
+  while (heap_tombstones_ > 0 && !heap_.empty() && IsTombstone(heap_.front())) {
+    HeapPop();
+    --heap_tombstones_;
+  }
+  while (due_now_tombstones_ > 0 && !due_now_.empty() && IsTombstone(due_now_.front())) {
+    due_now_.pop_front();
+    --due_now_tombstones_;
+  }
+}
+
+void Simulation::RebuildHeap() {
+  std::erase_if(heap_, [this](const EventKey& key) { return IsTombstone(key); });
+  heap_tombstones_ = 0;
+  // Sift every parent down, the last one first.
+  for (size_t i = heap_.size() / 4 + 1; i-- > 0;) {
+    if (4 * i + 1 < heap_.size()) {
+      SiftDown(i, heap_[i]);
+    }
+  }
 }
 
 void Simulation::HeapPush(EventKey key) {
@@ -333,13 +385,15 @@ Simulation::EventKey Simulation::HeapPop() {
   const EventKey top = heap_.front();
   const EventKey last = heap_.back();
   heap_.pop_back();
-  const size_t n = heap_.size();
-  if (n == 0) {
-    return top;
+  if (!heap_.empty()) {
+    SiftDown(0, last);
   }
-  // Sift the last key down from the root, through the least of each node's
-  // (up to) four children.
-  size_t i = 0;
+  return top;
+}
+
+void Simulation::SiftDown(size_t i, EventKey key) {
+  // Through the least of each node's (up to) four children.
+  const size_t n = heap_.size();
   for (;;) {
     const size_t first = 4 * i + 1;
     if (first >= n) {
@@ -351,14 +405,13 @@ Simulation::EventKey Simulation::HeapPop() {
         least = c;
       }
     }
-    if (!Before(heap_[least], last)) {
+    if (!Before(heap_[least], key)) {
       break;
     }
     heap_[i] = heap_[least];
     i = least;
   }
-  heap_[i] = last;
-  return top;
+  heap_[i] = key;
 }
 
 void Simulation::Trace(std::string_view origin, const char* format, ...) {
@@ -378,7 +431,7 @@ void Simulation::VTrace(std::string_view origin, const char* format, va_list arg
   fputc('\n', stderr);
 }
 
-SimProcess* Simulation::NewProcess(std::string name) {
+SimProcess* Simulation::NewProcess(ProcessName name) {
   Fiber* fiber = TakeFiber(name);
   SimProcess* p;
   if (free_processes_.empty()) {
@@ -455,7 +508,11 @@ const Simulation::EventKey& Simulation::PeekNext() const {
 }
 
 Simulation::EventKey Simulation::TakeNext() {
-  return NextIsDueNow() ? due_now_.pop_front() : HeapPop();
+  const EventKey key = NextIsDueNow() ? due_now_.pop_front() : HeapPop();
+  if (heap_tombstones_ + due_now_tombstones_ > 0) {
+    DropFrontTombstones();
+  }
+  return key;
 }
 
 Simulation::EventKey Simulation::PopNext(SimTime limit) {
@@ -500,6 +557,7 @@ Simulation::EventKey Simulation::PopNext(SimTime limit) {
   // queue they came from.
   for (size_t i = 0; i < ties.size(); ++i) {
     if (i != pick) {
+      SlotAt(ties[i].slot).in_heap = true;
       HeapPush(ties[i]);
     }
   }
@@ -542,8 +600,9 @@ void Simulation::CheckDrainWatchdog() {
 
 void Simulation::Run() {
   stop_requested_ = false;
+  run_limit_ = std::numeric_limits<SimTime>::max();
   while (HasEvents() && !stop_requested_) {
-    const EventKey key = PopNext(std::numeric_limits<SimTime>::max());
+    const EventKey key = PopNext(run_limit_);
     // A policy with a TieWindow may run a delayed event first; the passed-over
     // events then execute at the later now_, so only advance time forward.
     now_ = std::max(now_, key.time);
@@ -555,6 +614,7 @@ void Simulation::Run() {
 void Simulation::RunFor(SimTime duration) {
   const SimTime deadline = now_ + duration;
   stop_requested_ = false;
+  run_limit_ = deadline;
   int64_t spin = 0;
   while (HasEvents() && !stop_requested_ && PeekNext().time <= deadline) {
     const EventKey key = PopNext(deadline);
@@ -581,6 +641,15 @@ void Simulation::Sleep(SimTime duration) {
   assert(self != nullptr && "Sleep requires process context");
   assert(duration >= 0);
   if (self->cancelled_) {
+    return;
+  }
+  // The expiry would be the next event, alone at its time: nothing can run
+  // before it, no policy could be offered a tie with it, and ExpireSleep
+  // would resume this process in place. So resume it now, minus the event.
+  const SimTime expiry = now_ + duration;
+  if (due_now_.empty() && (heap_.empty() || heap_.front().time > expiry) && !stop_requested_ &&
+      expiry <= run_limit_) {
+    now_ = expiry;
     return;
   }
   self->state_ = SimProcess::State::kBlocked;

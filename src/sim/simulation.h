@@ -18,7 +18,11 @@
 // place, inside a Callback, in a slot of chunked storage that never moves;
 // the queues order 24-byte (time, seq, slot) keys: a 4-ary heap for events
 // due later, and a FIFO beside it for events due at the current time
-// (process wake-ups, mostly). A slot is reused once its closure has run.
+// (process wake-ups, mostly). A slot is reused once its closure has run or
+// the event is cancelled; a cancelled event's key stays queued as a
+// tombstone, recognized by its seq no longer matching the slot's, until it
+// reaches the front or the heap is rebuilt without it. A sleep whose expiry
+// would be the next event, alone at its time, just advances the clock.
 // AddressSanitizer builds run the same fibers, told about every stack switch.
 
 #ifndef SRC_SIM_SIMULATION_H_
@@ -30,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -239,6 +244,30 @@ class Callback {
   const Ops* ops_ = nullptr;
 };
 
+// What diagnostics (DumpProcesses, the abort when a fiber cannot be mapped)
+// call a process. Either a plain string, or, for processes spawned by the
+// thousand such as a kernel's service processes, the parts of
+// "<prefix>:<label><number>#<serial>" (no number when it is negative), kept
+// as pointers and integers and formatted only when printed. `prefix` and
+// `label` must stay valid for as long as such a process may be printed.
+class ProcessName {
+ public:
+  ProcessName() = default;
+  ProcessName(std::string text) : text_(std::move(text)) {}  // NOLINT(google-explicit-constructor)
+  ProcessName(const char* text) : text_(text) {}  // NOLINT(google-explicit-constructor)
+  ProcessName(const char* prefix, const char* label, int32_t number, uint64_t serial)
+      : prefix_(prefix), label_(label), number_(number), serial_(serial) {}
+
+  std::string Format() const;
+
+ private:
+  std::string text_;
+  const char* prefix_ = nullptr;
+  const char* label_ = nullptr;
+  int32_t number_ = -1;
+  uint64_t serial_ = 0;
+};
+
 // A cooperative simulated thread of control.
 //
 // Created via Simulation::Spawn. The body runs on a fiber, but only while the
@@ -254,7 +283,7 @@ class SimProcess {
   SimProcess(const SimProcess&) = delete;
   SimProcess& operator=(const SimProcess&) = delete;
 
-  const std::string& name() const { return name_; }
+  std::string name() const { return name_.Format(); }
   uint64_t id() const { return id_; }
   State state() const { return state_; }
   Simulation& simulation() const { return *sim_; }
@@ -276,7 +305,7 @@ class SimProcess {
 
   Simulation* sim_;
   uint64_t id_ = 0;
-  std::string name_;
+  ProcessName name_;
   Callback body_;
   State state_ = State::kFinished;
   bool cancelled_ = false;
@@ -308,6 +337,22 @@ class ProcessHandle {
 };
 
 inline ProcessHandle SimProcess::handle() { return ProcessHandle(this, id_); }
+
+// Names one scheduled event, for Simulation::Cancel. A default EventId names
+// no event, and one whose event has run or been cancelled names none either,
+// even once its slot serves another event.
+class EventId {
+ public:
+  EventId() = default;
+
+ private:
+  friend class Simulation;
+
+  EventId(uint32_t slot, uint64_t seq) : slot_(slot), seq_(seq) {}
+
+  uint32_t slot_ = 0;
+  uint64_t seq_ = std::numeric_limits<uint64_t>::max();
+};
 
 // A first-in, first-out queue over one vector, for the engine's hot queues.
 // Unlike std::deque it allocates nothing until the first push and no block
@@ -376,22 +421,23 @@ class Simulation {
   // event context after `delay` of virtual time. Its closure is built once,
   // in an event slot, and destroyed right after it runs. The EventInfo
   // overloads tag the event so an installed SchedulePolicy can tell what it
-  // is deciding between at a same-time tie.
+  // is deciding between at a same-time tie. The returned id cancels the
+  // event.
   template <typename F>
-  void Schedule(SimTime delay, F&& fn) {
-    Schedule(delay, EventInfo{}, std::forward<F>(fn));
+  EventId Schedule(SimTime delay, F&& fn) {
+    return Schedule(delay, EventInfo{}, std::forward<F>(fn));
   }
   template <typename F>
-  void Schedule(SimTime delay, EventInfo info, F&& fn) {
+  EventId Schedule(SimTime delay, EventInfo info, F&& fn) {
     assert(delay >= 0);
-    ScheduleAt(now_ + delay, info, std::forward<F>(fn));
+    return ScheduleAt(now_ + delay, info, std::forward<F>(fn));
   }
   template <typename F>
-  void ScheduleAt(SimTime when, F&& fn) {
-    ScheduleAt(when, EventInfo{}, std::forward<F>(fn));
+  EventId ScheduleAt(SimTime when, F&& fn) {
+    return ScheduleAt(when, EventInfo{}, std::forward<F>(fn));
   }
   template <typename F>
-  void ScheduleAt(SimTime when, EventInfo info, F&& fn) {
+  EventId ScheduleAt(SimTime when, EventInfo info, F&& fn) {
     assert(when >= now_);
     const uint32_t slot = TakeSlot();
     EventSlot& s = SlotAt(slot);
@@ -400,12 +446,22 @@ class Simulation {
     // policy-ok: the one sanctioned seq assignment; ties are later resolved
     // through PopNext's SchedulePolicy consultation.
     const EventKey key{when, next_seq_++, slot};
-    if (when == now_) {
-      due_now_.push_back(key);
-    } else {
+    s.seq = key.seq;
+    s.in_heap = when != now_;
+    if (s.in_heap) {
       HeapPush(key);
+    } else {
+      due_now_.push_back(key);
     }
+    return EventId(slot, key.seq);
   }
+
+  // Drops a pending event: its closure is destroyed now and never runs. A
+  // no-op for an event that has run or was cancelled already. Also a no-op
+  // while a SchedulePolicy is installed, so that a model checker is offered
+  // every tie the event would have been part of (the events cancelled are
+  // time-outs whose closures find nothing left to do).
+  void Cancel(EventId id);
 
   // --- Decision points (schedule-space exploration; src/mc) ---
   // The policy is not owned; it must outlive its installation. Installing
@@ -434,7 +490,10 @@ class Simulation {
   // --- Trace echo (debugging) ---
   // Off by default. When on, Trace prints one "[time] origin message" line to
   // stderr; when off it formats nothing. Either way the run is unchanged.
+  // A caller whose arguments cost work to build (a TxnId's text) checks
+  // trace_echo() first.
   void set_trace_echo(bool echo) { trace_echo_ = echo; }
+  bool trace_echo() const { return trace_echo_; }
   void Trace(std::string_view origin, const char* format, ...)
       __attribute__((format(printf, 3, 4)));
   void VTrace(std::string_view origin, const char* format, va_list args);
@@ -446,7 +505,7 @@ class Simulation {
   // the body captured) is released, and its fiber and record serve later
   // Spawns; the returned handle then reads as finished.
   template <typename F>
-  ProcessHandle Spawn(std::string name, F&& body) {
+  ProcessHandle Spawn(ProcessName name, F&& body) {
     SimProcess* p = NewProcess(std::move(name));
     p->body_.Emplace(std::forward<F>(body));
     MakeReady(p->handle());
@@ -470,7 +529,9 @@ class Simulation {
 
   // --- Primitives callable from process context only ---
 
-  // Advances virtual time for the calling process.
+  // Advances virtual time for the calling process. When its expiry would be
+  // the next event, alone at its time, and within the running Run/RunFor's
+  // reach, it advances the clock and returns without parking the process.
   void Sleep(SimTime duration);
   // Consumes simulated CPU: shorthand for Sleep(InstructionCost(n)).
   void BurnInstructions(int64_t n) { Sleep(InstructionCost(n)); }
@@ -492,6 +553,9 @@ class Simulation {
   }
   // Fibers parked with no process, waiting for the next Spawn.
   int idle_fiber_count() const { return static_cast<int>(idle_fibers_.size()); }
+  // Keys queued for events: pending events, plus the tombstones of cancelled
+  // ones not yet dropped.
+  size_t pending_event_count() const { return heap_.size() + due_now_.size(); }
 
  private:
   friend class SimProcess;
@@ -509,9 +573,15 @@ class Simulation {
     // through the installed SchedulePolicy before this order applies.
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
-  // A pending event's closure and tag; an empty fn marks a free slot.
+  // Stands in for a seq in a slot whose event has run or been cancelled, so
+  // every key still naming the slot reads as a tombstone.
+  static constexpr uint64_t kNoSeq = std::numeric_limits<uint64_t>::max();
+  // A pending event's closure, tag and seq; an empty fn marks a free slot.
   struct EventSlot {
     EventInfo info;
+    uint64_t seq = kNoSeq;
+    // Whether the event's key is in the heap rather than the due-now FIFO.
+    bool in_heap = false;
     Callback fn;
   };
   static constexpr uint32_t kSlotsPerChunkLog2 = 8;
@@ -525,17 +595,26 @@ class Simulation {
   uint32_t TakeSlot();
   // Runs the slot's closure in place, destroys it, and frees the slot.
   void RunSlot(uint32_t slot);
+  // A key left behind by a cancelled event.
+  bool IsTombstone(const EventKey& key) { return SlotAt(key.slot).seq != key.seq; }
   void HeapPush(EventKey key);
   EventKey HeapPop();
+  // Moves `key` down from heap position `i` to where it belongs.
+  void SiftDown(size_t i, EventKey key);
+  // Pops tombstones off the front of both queues, so that the next key of
+  // each is a live event's.
+  void DropFrontTombstones();
+  // Rebuilds the heap from its live keys.
+  void RebuildHeap();
 
   // Takes a process record and a fiber for Spawn, which then gives the
   // record its body.
-  SimProcess* NewProcess(std::string name);
+  SimProcess* NewProcess(ProcessName name);
   // Marks the process runnable at the current time (scheduler will hand it
   // control). A no-op once it has finished.
   void MakeReady(ProcessHandle process);
   // Takes an idle fiber, or maps a new one; aborts if the mapping fails.
-  Fiber* TakeFiber(const std::string& name);
+  Fiber* TakeFiber(const ProcessName& name);
   // Runs on a fiber: saves its registers and returns control to the
   // scheduler; returns when the scheduler resumes the fiber.
   void ParkFiber(Fiber* fiber);
@@ -555,12 +634,16 @@ class Simulation {
   EventKey PopNext(SimTime limit);
   // A sleep's expiry. When nothing else is due now, the process's wake-up
   // event would run next anyway, so the expiry resumes it in place; otherwise
-  // it schedules the wake-up like any other.
+  // it schedules the wake-up like any other. (Sleep skips the expiry event
+  // too when it would run next, alone.)
   void ExpireSleep(ProcessHandle process);
   // Drain-time lost-wakeup check shared by Run and RunFor.
   void CheckDrainWatchdog();
 
   SimTime now_ = 0;
+  // The latest time the running Run/RunFor may reach; a sleep that would
+  // outlast it schedules its expiry.
+  SimTime run_limit_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_pid_ = 1;
   int spawned_ = 0;
@@ -580,6 +663,9 @@ class Simulation {
   // Keys of events due later than when they were scheduled: a 4-ary min-heap
   // in (time, seq) order.
   std::vector<EventKey> heap_;
+  // Tombstones in heap_ and in due_now_.
+  size_t heap_tombstones_ = 0;
+  size_t due_now_tombstones_ = 0;
   // Keys of events scheduled for the then-current time, in schedule order.
   // Now only moves forward and seq only grows, so this queue is
   // (time, seq)-sorted too, and the next event is the lesser of its front

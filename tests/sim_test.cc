@@ -279,6 +279,146 @@ TEST(Callback, AReusedSlotRunsItsNewClosure) {
   EXPECT_EQ(destroyed, 100);
 }
 
+// A cancelled event never runs: its closure is destroyed at once, and its
+// slot serves the next event. Cancelling it again, or cancelling an event
+// that already ran, is a no-op, also once that event's slot holds another.
+TEST(Simulation, CancelledEventNeverRunsAndItsSlotServesTheNext) {
+  Simulation sim;
+  std::vector<std::string> ran;
+  int destroyed = 0;
+  const EventId cancelled = sim.Schedule(Milliseconds(5), [&, counter = DestroyCounter(&destroyed)] {
+    ran.push_back("cancelled");
+  });
+  sim.Schedule(Milliseconds(1), [&] { ran.push_back("kept"); });
+  sim.Cancel(cancelled);
+  EXPECT_EQ(destroyed, 1);
+  // The slot just freed serves this event; the stale id must not reach it.
+  sim.Schedule(Milliseconds(5), [&] { ran.push_back("reused"); });
+  sim.Cancel(cancelled);
+  sim.Cancel(EventId());
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"kept", "reused"}));
+  EXPECT_EQ(sim.Now(), Milliseconds(5));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+
+  // An event that ran cannot be cancelled, not even through the event now
+  // in its slot.
+  const EventId done = sim.Schedule(Milliseconds(1), [&] { ran.push_back("done"); });
+  sim.Run();
+  sim.Schedule(Milliseconds(1), [&] { ran.push_back("next"); });
+  sim.Schedule(0, [&] { ran.push_back("now"); });
+  sim.Cancel(done);
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"kept", "reused", "done", "now", "next"}));
+}
+
+// An event cancelled while it runs is past cancelling, and a zero-delay
+// event cancels like any other.
+TEST(Simulation, CancelSkipsRunningAndZeroDelayEvents) {
+  Simulation sim;
+  std::vector<std::string> ran;
+  EventId self;
+  self = sim.Schedule(Milliseconds(1), [&] {
+    sim.Cancel(self);
+    ran.push_back("self");
+    const EventId zero = sim.Schedule(0, [&] { ran.push_back("zero"); });
+    sim.Schedule(0, [&] { ran.push_back("zero2"); });
+    sim.Cancel(zero);
+  });
+  sim.Run();
+  EXPECT_EQ(ran, (std::vector<std::string>{"self", "zero2"}));
+}
+
+// Under a SchedulePolicy, Cancel does nothing: the event stays to be offered
+// in ties, and runs.
+TEST(Simulation, CancelIsANoOpUnderAPolicy) {
+  Simulation sim;
+  SchedulePolicy policy;
+  sim.set_schedule_policy(&policy);
+  bool ran = false;
+  const EventId id = sim.Schedule(Milliseconds(5), [&] { ran = true; });
+  sim.Cancel(id);
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  sim.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.Now(), Milliseconds(5));
+}
+
+// Differential check of cancellation: events at random, often equal, times
+// (zero delays included), some scheduled and some cancelled from inside
+// events, so many cancelled that the heap is rebuilt again and again, while
+// events that already ran or were cancelled are cancelled again, to no
+// effect. The survivors run exactly in (time, schedule order); the cancelled
+// never run.
+TEST(Simulation, RandomScheduleAndCancelRunsSurvivorsInTimeThenScheduleOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulation sim;
+    Rng rng(seed);
+    struct Scheduled {
+      SimTime time;
+      int order;
+      EventId id;
+      bool cancelled = false;
+    };
+    std::vector<Scheduled> scheduled;
+    // Events neither run nor cancelled, by order.
+    std::vector<int> pending;
+    std::vector<int> ran;
+    auto forget = [&](size_t i) {
+      pending[i] = pending.back();
+      pending.pop_back();
+    };
+    auto cancel_some = [&] {
+      if (!pending.empty() && rng.Chance(0.6)) {
+        const size_t i = rng.Below(pending.size());
+        scheduled[pending[i]].cancelled = true;
+        sim.Cancel(scheduled[pending[i]].id);
+        forget(i);
+      }
+      const Scheduled& any = scheduled[rng.Below(scheduled.size())];
+      if (std::find(pending.begin(), pending.end(), any.order) == pending.end()) {
+        sim.Cancel(any.id);  // It ran or was cancelled: a no-op.
+      }
+    };
+    std::function<void(int)> schedule = [&](int depth) {
+      const SimTime delay = rng.Chance(0.3) ? 0 : rng.Range(0, 4) * 10;
+      const int order = static_cast<int>(scheduled.size());
+      scheduled.push_back(Scheduled{sim.Now() + delay, order, EventId()});
+      pending.push_back(order);
+      scheduled[order].id = sim.Schedule(delay, [&, order, depth] {
+        EXPECT_FALSE(scheduled[order].cancelled) << "seed " << seed << ", event " << order;
+        EXPECT_EQ(sim.Now(), scheduled[order].time);
+        ran.push_back(order);
+        forget(std::find(pending.begin(), pending.end(), order) - pending.begin());
+        for (int i = 0; depth < 3 && i < 3; ++i) {
+          if (rng.Chance(0.6)) {
+            schedule(depth + 1);
+          }
+        }
+        cancel_some();
+      });
+    };
+    for (int i = 0; i < 300; ++i) {
+      schedule(0);
+      cancel_some();
+    }
+    sim.Run();
+    EXPECT_EQ(sim.pending_event_count(), 0u);
+    std::vector<Scheduled> expected;
+    for (const Scheduled& s : scheduled) {
+      if (!s.cancelled) {
+        expected.push_back(s);
+      }
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Scheduled& a, const Scheduled& b) { return a.time < b.time; });
+    ASSERT_EQ(ran.size(), expected.size()) << "seed " << seed;
+    for (size_t i = 0; i < ran.size(); ++i) {
+      ASSERT_EQ(ran[i], expected[i].order) << "seed " << seed << ", event " << i;
+    }
+  }
+}
+
 // A sleep that expires alone resumes its process in place. One that expires
 // where another event is still due at that instant lets that event run
 // first, as the separate wake-up event always did: an event scheduled
@@ -318,6 +458,72 @@ TEST(Simulation, SleepExpiryKeepsTheHistoricalOrder) {
   EXPECT_EQ(run(false, true, false), (Order{"later", "sleeper@5000", "after"}));
   EXPECT_EQ(run(true, true, true),
             (Order{"earlier", "later", "zero", "sleeper@5000", "after"}));
+}
+
+// A sleep that ends where an event is pending ends after that event: one
+// scheduled before the sleep began, or after it, for the expiry's instant.
+TEST(Simulation, SleepEndingAtAPendingEventsTimeRunsAfterIt) {
+  for (bool event_first : {true, false}) {
+    Simulation sim;
+    std::vector<std::string> order;
+    auto event = [&] { order.push_back("event@" + std::to_string(sim.Now())); };
+    if (event_first) {
+      sim.Schedule(Milliseconds(5), event);
+    }
+    sim.Spawn("sleeper", [&] {
+      if (!event_first) {
+        sim.Schedule(Milliseconds(5), event);
+      }
+      sim.Sleep(Milliseconds(5));
+      order.push_back("sleeper@" + std::to_string(sim.Now()));
+    });
+    sim.Run();
+    EXPECT_EQ(order, (std::vector<std::string>{"event@5000", "sleeper@5000"}))
+        << "event scheduled " << (event_first ? "before" : "after") << " the sleep";
+  }
+}
+
+// A sleep past RunFor's deadline parks the process: the clock stops at the
+// deadline, and the next Run resumes the process at its expiry. So does a
+// sleep begun after Stop().
+TEST(Simulation, SleepPastTheDeadlineOrAfterStopParksTheProcess) {
+  Simulation sim;
+  std::vector<SimTime> woke;
+  sim.Spawn("sleeper", [&] {
+    sim.Sleep(Milliseconds(3));
+    woke.push_back(sim.Now());
+    sim.Sleep(Milliseconds(10));
+    woke.push_back(sim.Now());
+    sim.Stop();
+    sim.Sleep(Milliseconds(1));
+    woke.push_back(sim.Now());
+  });
+  sim.RunFor(Milliseconds(5));
+  EXPECT_EQ(sim.Now(), Milliseconds(5));
+  EXPECT_EQ(woke, (std::vector<SimTime>{Milliseconds(3)}));
+  EXPECT_EQ(sim.blocked_process_count(), 1);
+  sim.Run();
+  EXPECT_EQ(woke, (std::vector<SimTime>{Milliseconds(3), Milliseconds(13)}));
+  EXPECT_EQ(sim.Now(), Milliseconds(13));
+  EXPECT_EQ(sim.blocked_process_count(), 1);
+  sim.Run();
+  EXPECT_EQ(woke, (std::vector<SimTime>{Milliseconds(3), Milliseconds(13), Milliseconds(14)}));
+  EXPECT_EQ(sim.blocked_process_count(), 0);
+}
+
+// A process is named by text, or by the parts of a kernel process's name,
+// which are formatted only when the name is read.
+TEST(Simulation, ProcessNamesFormatTextOrParts) {
+  EXPECT_EQ(ProcessName("teller3").Format(), "teller3");
+  EXPECT_EQ(ProcessName(std::string("auditor")).Format(), "auditor");
+  EXPECT_EQ(ProcessName("site2", "svc", 7, 41).Format(), "site2:svc7#41");
+  EXPECT_EQ(ProcessName("site10", "phase2", -1, 5).Format(), "site10:phase2#5");
+  Simulation sim;
+  std::string seen;
+  sim.Spawn(ProcessName("site1", "svc", 12, 3),
+            [&] { seen = Simulation::Current()->name(); });
+  sim.Run();
+  EXPECT_EQ(seen, "site1:svc12#3");
 }
 
 TEST(Simulation, ProcessSleepAdvancesVirtualTime) {

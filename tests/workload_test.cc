@@ -78,6 +78,7 @@ struct EnginePeaks {
   int idle_fibers = 0;
   size_t pending_calls = 0;
   size_t formation_queued = 0;
+  size_t pending_events = 0;
 };
 
 // Runs one debit/credit workload on `system`, sampling every 10 ms of
@@ -90,6 +91,7 @@ EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
     peaks.live_processes = std::max(peaks.live_processes, sim.live_process_count());
     peaks.idle_fibers = std::max(peaks.idle_fibers, sim.idle_fiber_count());
     peaks.pending_calls = std::max(peaks.pending_calls, system.net().pending_call_count());
+    peaks.pending_events = std::max(peaks.pending_events, sim.pending_event_count());
     for (SiteId s = 0; s < system.site_count(); ++s) {
       peaks.formation_queued =
           std::max(peaks.formation_queued, system.kernel(s).form().queued_count());
@@ -112,8 +114,9 @@ EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
 // A long run keeps the engine's state as small as a short one: one
 // Simulation runs a 16-site debit/credit for N transfers, then for 10N
 // (the second run's setup rewrites the same branch files), and the peaks of
-// live process records, idle fibers, pending calls and formation queues stay
-// under one bound for both.
+// live process records, idle fibers, pending calls, formation queues and
+// queued events stay within bounds set by the teller count alone, the same
+// for both.
 TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
   System system(16, SystemOptions{.seed = 5, .formation = true});
   DebitCreditConfig config;
@@ -125,7 +128,10 @@ TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
   // One bound for both runs, from the concurrency alone: each teller has
   // at most a handful of requests, and so processes and calls, in flight.
   // Seed 5 peaks at 121 and 141 live processes, 82 and 94 pending calls,
-  // and 4 and 15 queued messages.
+  // and 4 and 15 queued messages. Queued event keys, cancelled time-outs'
+  // tombstones included, peak at 204 and 272; their bound is twice the
+  // others', for tombstones can be as many as the live keys before the heap
+  // is rebuilt without them.
   const int bound = 8 * config.tellers;
   for (int scale : {1, 10}) {
     config.transfers_per_teller = kTransfersPerTeller * scale;
@@ -136,6 +142,7 @@ TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
     EXPECT_LE(peaks.idle_fibers, bound);
     EXPECT_LE(peaks.pending_calls, static_cast<size_t>(bound));
     EXPECT_LE(peaks.formation_queued, static_cast<size_t>(2 * config.tellers));
+    EXPECT_LE(peaks.pending_events, static_cast<size_t>(2 * bound));
   }
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
 }
