@@ -42,7 +42,8 @@ FIXTURE_OUT="$(timeout 10 python3 scripts/locus_analyze scripts/lint_fixture 2>/
   && { echo "locus_analyze failed to flag the seeded fixture violations" >&2; exit 1; }
 for rule in nondeterminism "hash-order iteration" "stat counter" "decision point" \
     "formation bypass" "non-exhaustive switch" \
-    "hook coverage" "obligation pairing" "bare suppression"; do
+    "hook coverage" "obligation pairing" "bare suppression" \
+    "type-erased payload"; do
   if ! grep -q "$rule" <<<"$FIXTURE_OUT"; then
     echo "locus_analyze no longer detects the seeded '$rule' violation" >&2
     exit 1

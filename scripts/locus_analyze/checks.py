@@ -10,6 +10,9 @@ across lines can never false-negative. The three new families are:
   9. obligation pairing - CFG-checked acquire/release pairing for RPC call
                          ids, lock-call abort withdraws, formation flush
                          registration, and RPC wait timeout arming.
+ 10. type-erased payload - no std::any under src/: messages and log records
+                         are typed (a message row's struct, a LogPayload
+                         variant), so a wrong read fails to compile.
 
 Every finding is `rel:line: <class>: message`; the class strings are the
 contract with ci.sh's fixture self-test and must not drift.
@@ -79,6 +82,8 @@ LOCK_WITHDRAWALS = {"kAbortTxnAtSiteReq", "AbortTxnAtSiteRequest", "RouteAbort"}
 LOCK_CALLS = {"Call", "Call2", "ChannelCall"}
 
 _INCLUDE = re.compile(r'#\s*include\s+"([^"]+)"')
+_ANY_INCLUDE = re.compile(r"#\s*include\s*<any>")
+TYPED_PAYLOAD_DIRS = ("src" + os.sep,)
 
 
 def _in_dirs(rel, dirs):
@@ -143,6 +148,7 @@ class Analyzer:
             self.check_exhaustive_switches(lexed, rel)
             self.check_bare_suppressions(lexed, rel)
             self.check_obligations(lexed, idx, rel)
+            self.check_type_erasure(lexed, rel)
         self.check_hook_coverage()
         self.findings.sort(key=lambda f: (f[0], f[1]))
         return [text for (_rel, _line, text) in self.findings]
@@ -496,6 +502,30 @@ class Analyzer:
                     self.report(rel, line, "bare suppression",
                                 f"'// {tag}' carries no justification; write "
                                 f"'// {tag} <why>'")
+
+    # -- check 10: type-erased payloads --------------------------------------
+
+    def check_type_erasure(self, lexed, rel):
+        if not _in_dirs(rel, TYPED_PAYLOAD_DIRS):
+            return
+        toks = lexed.tokens
+        flagged = set()
+        for i, t in enumerate(toks):
+            what = None
+            if t.kind == PP and _ANY_INCLUDE.match(t.value):
+                what = "<any>"
+            elif t.kind == IDENT and t.value == "any_cast":
+                what = "any_cast"
+            elif t.kind == IDENT and t.value == "any" and i >= 2 \
+                    and toks[i - 1].value == "::" and toks[i - 2].value == "std":
+                what = "std::any"
+            if what is None or t.line in flagged:
+                continue
+            flagged.add(t.line)
+            self.report(rel, t.line, "type-erased payload",
+                        f"{what} hides the payload's type until run time; "
+                        f"use a typed struct or a std::variant of the "
+                        f"record types")
 
     # -- check 8: observer-hook coverage -------------------------------------
 

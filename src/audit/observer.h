@@ -38,7 +38,6 @@ class ProtocolObserver {
   // Virtual so the hub can answer "any registered observer enabled?" through
   // the same pointer type the subsystems hold.
   virtual bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   // ---- Lock-protocol hooks (LockManager at the storage site) ----
   virtual void OnLockGranted(const std::string&, const FileId&,

@@ -10,6 +10,10 @@
 
 namespace locus {
 
+// Site (machine) id: an index into the cluster's site table.
+using SiteId = int32_t;
+inline constexpr SiteId kNoSite = -1;
+
 // Globally unique process id (assigned by the process manager; encodes the
 // birth site so ids never collide across sites).
 using Pid = int64_t;
@@ -61,6 +65,14 @@ struct FileIdHash {
 inline std::string ToString(const FileId& f) {
   return "file:" + std::to_string(f.volume) + "/" + std::to_string(f.ino);
 }
+
+// A file used by a transaction, with its storage site — one element of the
+// file-list the two-phase commit protocol consumes.
+struct UsedFile {
+  FileId file;
+  SiteId storage_site = kNoSite;
+  friend auto operator<=>(const UsedFile&, const UsedFile&) = default;
+};
 
 }  // namespace locus
 

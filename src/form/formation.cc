@@ -40,15 +40,9 @@ RpcResult FormationQueue::Call(SiteId to, Message msg, SimTime timeout) {
   if (!enabled_) {
     return net_->Call(site_, to, std::move(msg), timeout);
   }
-  assert(Simulation::Current() != nullptr && "FormationQueue::Call requires process context");
-  if (!net_->Reachable(site_, to)) {
-    return RpcResult{false, {}};
-  }
-  uint64_t call_id = net_->PrepareCall(site_, to);
-  // No blocking between PrepareCall and WaitCall: the enqueue (and even a
+  // No blocking between BeginCall and FinishCall: the enqueue (and even a
   // size-triggered flush) only schedules future events.
-  Enqueue(to, FormItem{std::move(msg), call_id, /*is_reply=*/false});
-  return net_->WaitCall(call_id, timeout);
+  return FinishCall(BeginCall(to, std::move(msg)), timeout);
 }
 
 uint64_t FormationQueue::BeginCall(SiteId to, Message msg) {

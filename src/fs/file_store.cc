@@ -598,24 +598,6 @@ void FileStore::DiscardIntentions(const IntentionsList& intentions) {
   }
 }
 
-std::vector<ByteRange> FileStore::DirtyRangesOfOthers(const FileId& file,
-                                                      const LockOwner& owner) const {
-  std::vector<ByteRange> out;
-  const FileState* state = FindState(file);
-  if (state == nullptr) {
-    return out;
-  }
-  for (const Writer& w : state->writers) {
-    if (w.owner.SameWriterAs(owner)) {
-      continue;
-    }
-    for (const ByteRange& r : w.dirty.ranges()) {
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
 std::vector<std::pair<TxnId, ByteRange>> FileStore::TransactionalDirtyOfOthers(
     const FileId& file, const ByteRange& range, const LockOwner& owner) const {
   std::vector<std::pair<TxnId, ByteRange>> out;
@@ -732,15 +714,6 @@ void FileStore::PrefetchRange(const FileId& file, const ByteRange& range) {
                                  pool_->Insert(key, std::move(data));
                                });
   }
-}
-
-PageRef FileStore::PageImage(const FileId& file, int32_t slot) {
-  FileState& state = LoadState(file);
-  auto wp = state.working_pages.find(slot);
-  if (wp != state.working_pages.end()) {
-    return wp->second;
-  }
-  return CommittedPage(file, state, slot);
 }
 
 PageRef FileStore::CommittedPageImage(const FileId& file, int32_t slot) {

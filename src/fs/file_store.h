@@ -113,9 +113,6 @@ class FileStore {
   void FinishWriterCommit(const FileId& file, const LockOwner& writer);
 
   // --- Dirty-record bookkeeping (section 3.3 rule 2) ---
-  // Byte ranges of `file` modified-but-uncommitted by writers other than
-  // `owner`.
-  std::vector<ByteRange> DirtyRangesOfOthers(const FileId& file, const LockOwner& owner) const;
   // Uncommitted ranges of *transactional* writers that are not SameAs `owner`,
   // intersected with `range` (audit isolation check). Non-transaction writers
   // are excluded: sharing with them is legal conventional (Unix-mode) sharing.
@@ -138,11 +135,6 @@ class FileStore {
   void PrefetchRange(const FileId& file, const ByteRange& range);
   // Files on which `writer` has uncommitted modifications.
   std::vector<FileId> FilesWithUncommitted(const LockOwner& writer) const;
-
-  // Current content of page `slot` as a shared image: the working page if one
-  // exists, else the committed page (blocking on a disk read if uncached).
-  // Used by replica propagation so page payloads ride messages by ref.
-  PageRef PageImage(const FileId& file, int32_t slot);
 
   // Committed-only content of page `slot` (never working pages), for serving
   // reintegration fetches: a catch-up must ship exactly the committed image,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdarg>
+#include <iterator>
 #include <type_traits>
 
 #include "src/locus/system.h"
@@ -421,15 +422,13 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
   MaybeCrashAt(ProtocolStep::kBeforePrepareLog);
   for (auto& [vol_id, intentions] : by_volume) {
     Volume* volume = FindVolume(vol_id);
-    if (system_->options().prepare_log_per_file) {
-      for (IntentionsList& il : intentions) {
-        PrepareLogRecord rec{req.txn, req.coordinator, {il}};
-        uint64_t id = volume->AppendLog(rec, "prepare_log");
-        prepare_log_index_[req.txn].push_back({vol_id, id});
-      }
-    } else {
-      PrepareLogRecord rec{req.txn, req.coordinator, intentions};
-      uint64_t id = volume->AppendLog(rec, "prepare_log");
+    // One record per volume, or per file in the footnote-10 fidelity mode.
+    const size_t per_record = system_->options().prepare_log_per_file ? 1 : intentions.size();
+    for (size_t first = 0; first < intentions.size(); first += per_record) {
+      auto begin = std::make_move_iterator(intentions.begin() + first);
+      uint64_t id = volume->AppendLog(
+          PrepareLogRecord{req.txn, req.coordinator, {begin, begin + per_record}},
+          "prepare_log");
       if (sim().trace_echo()) {
         Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
               static_cast<unsigned long long>(id));
@@ -461,25 +460,23 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
   auto it = prepare_log_index_.find(txn);
   if (it != prepare_log_index_.end()) {
     for (const auto& [vol_id, record_id] : it->second) {
-      Volume* volume = FindVolume(vol_id);
-      auto log_it = volume->stable_log().find(record_id);
-      if (log_it == volume->stable_log().end()) {
+      const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
+      if (rec == nullptr) {
         continue;  // Duplicate commit message; already resolved (section 4.4).
       }
-      const auto& rec = *std::any_cast<PrepareLogRecord>(&log_it->second.payload);
       if (sim().trace_echo()) {
         Trace("commit %s: installing log record %llu (%zu intentions)",
               ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
-              rec.intentions.size());
+              rec->intentions.size());
       }
-      for (const IntentionsList& il : rec.intentions) {
+      for (const IntentionsList& il : rec->intentions) {
         FileStore* store = StoreFor(il.file.volume);
         store->InstallIntentions(il);
         store->FinishWriterCommit(il.file, owner);
         PropagateReplicas(il.file, il);
         committed_files.push_back(il.file);
       }
-      volume->EraseLog(record_id);
+      FindVolume(vol_id)->EraseLog(record_id);
     }
     prepare_log_index_.erase(txn);
   }
@@ -508,13 +505,11 @@ Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
   auto it = prepare_log_index_.find(txn);
   if (it != prepare_log_index_.end()) {
     for (const auto& [vol_id, record_id] : it->second) {
-      Volume* volume = FindVolume(vol_id);
-      auto log_it = volume->stable_log().find(record_id);
-      if (log_it == volume->stable_log().end()) {
+      const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
+      if (rec == nullptr) {
         continue;
       }
-      const auto& rec = *std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-      for (const IntentionsList& il : rec.intentions) {
+      for (const IntentionsList& il : rec->intentions) {
         FileStore* store = StoreFor(il.file.volume);
         if (store->HasUncommitted(il.file, owner)) {
           store->AbortWriter(il.file, owner);
@@ -522,7 +517,7 @@ Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
           store->DiscardIntentions(il);
         }
       }
-      volume->EraseLog(record_id);
+      FindVolume(vol_id)->EraseLog(record_id);
     }
     prepare_log_index_.erase(txn);
   }
@@ -586,12 +581,8 @@ void Kernel::Serve(const ReplicaPropagateMsg& msg) {
   recon_->ApplyPropagation(msg);
 }
 
-CreateFileReply Kernel::Serve(const CreateFileRequest& req) {
-  FileStore* store = StoreFor(req.volume == kNoVolume ? volumes_[0]->id() : req.volume);
-  if (store == nullptr) {
-    return CreateFileReply{Err::kNoEnt, {}};
-  }
-  return CreateFileReply{Err::kOk, store->CreateFile()};
+CreateFileReply Kernel::Serve(const CreateFileRequest&) {
+  return CreateFileReply{Err::kOk, StoreFor(volumes_[0]->id())->CreateFile()};
 }
 
 Err Kernel::Serve(const RemoveFileRequest& req) {

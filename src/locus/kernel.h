@@ -18,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.h"
@@ -80,10 +81,8 @@ class Kernel {
   // --- Syscall layer (called in the invoking process's context) ---
   Err SysMkdir(OsProcess* p, const std::string& path);
   // Creates a file with replicas on `replication` distinct sites (first at
-  // the caller's site). `volume_hint` places the first replica on a specific
-  // local volume (multi-volume experiments).
-  Err SysCreat(OsProcess* p, const std::string& path, int replication,
-               VolumeId volume_hint = kNoVolume);
+  // the caller's site), each on its site's root volume.
+  Err SysCreat(OsProcess* p, const std::string& path, int replication);
   Err SysUnlink(OsProcess* p, const std::string& path);
   Result<int> SysOpen(OsProcess* p, const std::string& path, OpenFlags flags);
   Err SysClose(OsProcess* p, int fd);
@@ -123,7 +122,6 @@ class Kernel {
   // program). Returns its pid.
   Pid StartProcess(const std::string& name, std::function<void(OsProcess*)> body);
 
-  OsProcess* FindProcess(Pid pid) { return procs_.Find(pid); }
   ProcessTable& process_table() { return procs_; }
   LockManager& lock_manager() { return locks_; }
   TransactionManager& txn_manager() { return txns_; }
@@ -238,7 +236,7 @@ class Kernel {
   Err Serve(const KillProcessRequest& req);
   void Serve(const ReplicaPropagateMsg& msg);
   WaitEdgesReply Serve(const WaitEdgesRequest&) const { return {LocalWaitEdges()}; }
-  CreateFileReply Serve(const CreateFileRequest& req);
+  CreateFileReply Serve(const CreateFileRequest&);
   Err Serve(const RemoveFileRequest& req);
   TxnStatusReply Serve(const TxnStatusRequest& req);
   void Serve(const ReleasePrimaryRequest& req) { MaybeReleasePrimary(req.file); }
@@ -283,6 +281,18 @@ class Kernel {
   // replicas serve reads locally again (section 5.2).
   void MaybeReleasePrimary(const FileId& file);
   void HandleTopologyChange();
+
+  // --- Stable log readers (one per job; sections 4.2, 4.4) ---
+  // The prepare record `record_id` on `volume`, or null once it is resolved
+  // (erased) — a duplicate commit or abort finds nothing left to do.
+  const PrepareLogRecord* PrepareRecord(VolumeId volume, uint64_t record_id);
+  // (txn, coordinator) of each prepared transaction whose coordinator is
+  // another site, in transaction order.
+  std::vector<std::pair<TxnId, SiteId>> PreparedElsewhere();
+  // Asks `coordinator` for the outcome of prepared `txn` and commits or
+  // aborts it here when decided (presumed abort: a coordinator with no log
+  // answers aborted). False when the call failed.
+  bool AskOutcome(const TxnId& txn, SiteId coordinator);
 
   System* system_;
   SiteId site_;

@@ -56,8 +56,7 @@ Err Kernel::SysMkdir(OsProcess* p, const std::string& path) {
   return catalog().MakeDir(path) ? Err::kOk : Err::kExists;
 }
 
-Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
-                     VolumeId volume_hint) {
+Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication) {
   BurnCpu(kSyscallInstructions +
                          kNameResolveInstructionsPerComponent * Catalog::ComponentCount(path));
   if (catalog().Exists(path)) {
@@ -74,15 +73,8 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
   }
   std::vector<Replica> replicas;
   for (SiteId s : sites) {
-    // Only the caller's site honors the volume hint; a bad hint fails the
-    // create instead of dropping a replica.
-    bool here = IsLocal(s);
-    std::optional<CreateFileReply> created =
-        Call<kCreateFileReq>(s, CreateFileRequest{here ? volume_hint : kNoVolume});
+    std::optional<CreateFileReply> created = Call<kCreateFileReq>(s, CreateFileRequest{});
     if (!created || created->err != Err::kOk) {
-      if (here) {
-        return Err::kInvalid;
-      }
       continue;  // Keep whatever replicas we managed; a file needs at least one.
     }
     replicas.push_back(Replica{s, created->file});

@@ -5,6 +5,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <optional>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/locus/kernel.h"
 #include "src/locus/system.h"
@@ -267,7 +272,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   MaybeCrashAt(ProtocolStep::kBeforeCommitMark);
   record->commit_marking = true;
   coord.status = TxnStatus::kCommitted;
-  root->UpdateLog(log_id, coord, "commit_mark");
+  root->UpdateLog(log_id, std::move(coord), "commit_mark");
   record->commit_marking = false;
   MaybeCrashAt(ProtocolStep::kAfterCommitMark);
   if (system_->observers().enabled()) {
@@ -365,10 +370,10 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
     system_->observers().OnAbortDecision(net().SiteName(site_), txn);
   }
   Volume* root = volumes_[0].get();
-  CoordinatorLogRecord coord{txn, TxnStatus::kAborted, record->files};
   // Presumed abort: the abort mark may stay unforced; a crash losing it
   // leaves no decision on disk, which is read as abort anyway.
-  root->UpdateLog(coord_log_id, coord, "abort_mark", Volume::LogForce::kLazy);
+  root->UpdateLog(coord_log_id, CoordinatorLogRecord{txn, TxnStatus::kAborted, record->files},
+                  "abort_mark", Volume::LogForce::kLazy);
   for (SiteId s : participants) {
     Call<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{txn});
   }
@@ -551,7 +556,7 @@ TxnStatusReply Kernel::Serve(const TxnStatusRequest& req) {
   // transaction is still active here / migrated elsewhere.
   TxnStatus status = TxnStatus::kAborted;
   for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-    if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
+    if (const auto* coord = std::get_if<CoordinatorLogRecord>(&rec.payload)) {
       if (coord->txn == req.txn) {
         status = coord->status;
         break;
@@ -609,6 +614,44 @@ void Kernel::SendFileListMerge(OsProcess* p) {
 void Kernel::RouteAbort(const TxnId& txn, const std::string& reason, SiteId first_target) {
   SiteId target = first_target != kNoSite ? first_target : txn.site;
   CallTopLevel<kAbortTxnRouteReq>(target, AbortTxnRouteRequest{txn, reason});
+}
+
+// ---------------------------------------------------------------------------
+// Stable log readers (sections 4.2, 4.4)
+
+const PrepareLogRecord* Kernel::PrepareRecord(VolumeId volume, uint64_t record_id) {
+  const std::map<uint64_t, LogRecord>& log = FindVolume(volume)->stable_log();
+  auto it = log.find(record_id);
+  return it == log.end() ? nullptr : std::get_if<PrepareLogRecord>(&it->second.payload);
+}
+
+std::vector<std::pair<TxnId, SiteId>> Kernel::PreparedElsewhere() {
+  std::vector<std::pair<TxnId, SiteId>> out;
+  for (const auto& [txn, records] : prepare_log_index_) {
+    if (records.empty()) {
+      continue;
+    }
+    const PrepareLogRecord* prep = PrepareRecord(records[0].first, records[0].second);
+    if (prep != nullptr && prep->coordinator != site_) {
+      out.push_back({txn, prep->coordinator});
+    }
+  }
+  return out;
+}
+
+bool Kernel::AskOutcome(const TxnId& txn, SiteId coordinator) {
+  std::optional<TxnStatusReply> reply = Call<kTxnStatusReq>(coordinator, TxnStatusRequest{txn});
+  if (!reply) {
+    return false;
+  }
+  auto status = static_cast<TxnStatus>(reply->status);
+  if (status == TxnStatus::kCommitted) {
+    Serve(CommitTxnRequest{txn});
+  } else if (status == TxnStatus::kAborted) {
+    Serve(AbortTxnAtSiteRequest{txn});
+  }
+  // kUnknown: still deciding; the coordinator will tell us.
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -683,7 +726,7 @@ void Kernel::HandleTopologyChange() {
     if (log_it == volumes_[0]->stable_log().end()) {
       continue;
     }
-    const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload);
+    const auto* coord = std::get_if<CoordinatorLogRecord>(&log_it->second.payload);
     if (coord != nullptr && coord->status == TxnStatus::kCommitted) {
       SpawnPhaseTwo(txn, ParticipantSites(coord->files), log_id);
     }
@@ -695,23 +738,10 @@ void Kernel::HandleTopologyChange() {
   // nothing to re-drive. When the coordinator is reachable after a topology
   // change, ask; a coordinator with no stable record answers abort
   // (section 4.4), while one mid-commit answers unknown and we wait.
-  std::vector<std::pair<TxnId, SiteId>> inquire;
-  for (const auto& [txn, records] : prepare_log_index_) {
-    if (records.empty()) {
+  for (const auto& [txn_ref, coordinator_ref] : PreparedElsewhere()) {
+    if (!net().Reachable(site_, coordinator_ref)) {
       continue;
     }
-    Volume* volume = FindVolume(records[0].first);
-    auto log_it = volume->stable_log().find(records[0].second);
-    if (log_it == volume->stable_log().end()) {
-      continue;
-    }
-    const auto* prep = std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-    if (prep != nullptr && prep->coordinator != site_ &&
-        net().Reachable(site_, prep->coordinator)) {
-      inquire.push_back({txn, prep->coordinator});
-    }
-  }
-  for (const auto& [txn_ref, coordinator_ref] : inquire) {
     TxnId txn = txn_ref;
     SiteId coordinator = coordinator_ref;
     SpawnKernelProcess("txn-inquire", [this, txn, coordinator] {
@@ -724,19 +754,8 @@ void Kernel::HandleTopologyChange() {
         if (!net().Reachable(site_, coordinator)) {
           return;  // Gone again; the next topology change restarts the inquiry.
         }
-        std::optional<TxnStatusReply> reply =
-            Call<kTxnStatusReq>(coordinator, TxnStatusRequest{txn});
-        if (reply) {
-          auto status = static_cast<TxnStatus>(reply->status);
-          if (status == TxnStatus::kCommitted) {
-            Serve(CommitTxnRequest{txn});
-            return;
-          }
-          if (status == TxnStatus::kAborted) {
-            Serve(AbortTxnAtSiteRequest{txn});
-            return;
-          }
-          return;  // kUnknown: still deciding; the coordinator will tell us.
+        if (AskOutcome(txn, coordinator)) {
+          return;
         }
         sim().Sleep(Milliseconds(300));
       }
@@ -809,7 +828,7 @@ void Kernel::OnReboot() {
       v->disk().Read(1, "recovery_scan");
       std::vector<PageId> live;
       for (const auto& [id, rec] : v->stable_log()) {
-        if (const auto* prep = std::any_cast<PrepareLogRecord>(&rec.payload)) {
+        if (const auto* prep = std::get_if<PrepareLogRecord>(&rec.payload)) {
           if (sim().trace_echo()) {
             Trace("recovery: prepare record %llu for %s",
                   static_cast<unsigned long long>(id), ToString(prep->txn).c_str());
@@ -843,7 +862,7 @@ void Kernel::OnReboot() {
     // committed transactions re-enter phase two, others are aborted.
     std::vector<std::pair<uint64_t, CoordinatorLogRecord>> coords;
     for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-      if (const auto* c = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
+      if (const auto* c = std::get_if<CoordinatorLogRecord>(&rec.payload)) {
         coords.push_back({id, *c});
       }
     }
@@ -872,33 +891,12 @@ void Kernel::OnReboot() {
     // Participant-side recovery for prepared transactions whose coordinator
     // is elsewhere: ask for the outcome (presumed abort when the coordinator
     // has no log).
-    std::vector<std::pair<TxnId, SiteId>> ask;
-    for (const auto& [txn, records] : prepare_log_index_) {
-      if (!records.empty()) {
-        auto log_it = FindVolume(records[0].first)->stable_log().find(records[0].second);
-        if (log_it != FindVolume(records[0].first)->stable_log().end()) {
-          const auto* prep = std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-          if (prep != nullptr && prep->coordinator != site_) {
-            ask.push_back({txn, prep->coordinator});
-          }
-        }
+    for (const auto& [txn, coordinator] : PreparedElsewhere()) {
+      // An unreachable coordinator leaves the transaction blocked here until
+      // it comes back (or a later message resolves it).
+      if (net().Reachable(site_, coordinator)) {
+        AskOutcome(txn, coordinator);
       }
-    }
-    for (const auto& [txn, coordinator] : ask) {
-      if (!net().Reachable(site_, coordinator)) {
-        continue;  // Blocked: wait for the coordinator (or a later message).
-      }
-      std::optional<TxnStatusReply> reply = Call<kTxnStatusReq>(coordinator, TxnStatusRequest{txn});
-      if (!reply) {
-        continue;
-      }
-      auto status = static_cast<TxnStatus>(reply->status);
-      if (status == TxnStatus::kCommitted) {
-        Serve(CommitTxnRequest{txn});
-      } else if (status == TxnStatus::kAborted) {
-        Serve(AbortTxnAtSiteRequest{txn});
-      }
-      // kUnknown: outcome pending; the coordinator will tell us.
     }
     // Replica reintegration: local replicas may have missed propagations
     // while this site was down; verify each against its peers and catch up

@@ -230,9 +230,8 @@ struct WaitEdgesReply {
   std::vector<WaitEdge> edges;
 };
 
-struct CreateFileRequest {
-  VolumeId volume = kNoVolume;  // kNoVolume = the site's root volume.
-};
+// Creates an empty file on the serving site's root volume.
+struct CreateFileRequest {};
 struct CreateFileReply {
   Err err = Err::kOk;
   FileId file;

@@ -99,7 +99,6 @@ class System {
   // polling every `period`. It runs until StopDaemons().
   void StartDeadlockDetector(SiteId site, SimTime period);
   void StopDaemons() { daemons_running_ = false; }
-  bool daemons_running() const { return daemons_running_; }
 
   // --- Cross-site registry helpers used by the kernels ---
   Pid AllocPid(SiteId site);

@@ -70,16 +70,6 @@ bool Network::Reachable(SiteId a, SiteId b) const {
          sites_[a].partition_group == sites_[b].partition_group;
 }
 
-std::vector<SiteId> Network::ReachableSites(SiteId from) const {
-  std::vector<SiteId> out;
-  for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
-    if (s != from && Reachable(from, s)) {
-      out.push_back(s);
-    }
-  }
-  return out;
-}
-
 void Network::Send(SiteId from, SiteId to, Message msg) {
   if (!sites_[from].alive) {
     return;
@@ -101,10 +91,7 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   if (!Reachable(from, to)) {
     return RpcResult{false, {}};
   }
-
-  uint64_t id = next_call_id_++;
-  PendingCall& call = pending_calls_.try_emplace(id, from, to, sim_).first->second;
-
+  const uint64_t id = PrepareCall(from, to);
   stats_.Add(messages_id_);
   if (clocks_enabled_) {
     Tick(from);
@@ -112,23 +99,13 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   }
   Responder responder(this, id, to);
   EventInfo deliver_info{EventTag::kNetDeliver, from, to, request.type};
+  // The delivery is scheduled before WaitCall arms the time-out, so the two
+  // events keep their seq order.
   sim_->Schedule(OneWayLatency(request.size_bytes), deliver_info,
                  [this, from, to, responder, request = std::move(request)]() mutable {
                    Deliver(from, to, request, responder);
                  });
-  EventInfo timeout_info{EventTag::kRpcTimeout, from, to, static_cast<int32_t>(id)};
-  const EventId timeout_event = sim_->Schedule(timeout, timeout_info, [this, id] {
-    CompleteCall(id, RpcResult{false, {}});
-  });
-
-  call.wake.Wait();
-  // The call is done: its time-out would find nothing to complete.
-  sim_->Cancel(timeout_event);
-  auto it = pending_calls_.find(id);
-  assert(it != pending_calls_.end() && it->second.done);
-  RpcResult result = std::move(it->second.result);
-  pending_calls_.erase(it);
-  return result;
+  return WaitCall(id, timeout);
 }
 
 void Network::Deliver(SiteId from, SiteId to, Message& msg, Responder responder) {

@@ -29,14 +29,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/ids.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace locus {
-
-using SiteId = int32_t;
-inline constexpr SiteId kNoSite = -1;
 
 // A message's payload: one value of any copyable type up to kInlineBytes,
 // held inline. It remembers the stored type, so a read as another type is
@@ -275,9 +273,6 @@ class Network {
   // Increments on each reboot; feeds transaction-id temporal uniqueness.
   uint32_t BootEpoch(SiteId site) const { return static_cast<uint32_t>(sites_[site].boot_epoch); }
   bool Reachable(SiteId a, SiteId b) const;
-  // All sites `from` can currently reach, excluding itself (reintegration
-  // uses this to find peers worth probing after a heal or reboot).
-  std::vector<SiteId> ReachableSites(SiteId from) const;
   void Crash(SiteId site);
   void Reboot(SiteId site);
   // Splits the network; each inner vector is one partition. Sites not listed

@@ -47,14 +47,6 @@ struct Channel {
   TxnId prefetch_txn = kNoTxn;
 };
 
-// A file used by a transaction, with its storage site — one element of the
-// file-list the two-phase commit protocol consumes.
-struct UsedFile {
-  FileId file;
-  SiteId storage_site = kNoSite;
-  friend auto operator<=>(const UsedFile&, const UsedFile&) = default;
-};
-
 struct OsProcess {
   Pid pid = kNoPid;
   SiteId site = kNoSite;           // Current residence.

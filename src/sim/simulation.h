@@ -467,7 +467,6 @@ class Simulation {
   // The policy is not owned; it must outlive its installation. Installing
   // nullptr restores the historical fixed order.
   void set_schedule_policy(SchedulePolicy* policy) { policy_ = policy; }
-  SchedulePolicy* schedule_policy() const { return policy_; }
   // Consults the installed policy at a protocol step; false with no policy.
   bool AtCrashPoint(ProtocolStep step, int32_t site) {
     return policy_ != nullptr && policy_->CrashAt(step, site);

@@ -79,7 +79,6 @@ class Disk {
   // write-ahead-log baseline and the shadow-vs-log analysis (section 6).
   PageRef ReadSequential(PageId page, const char* category);
   void WriteSequential(PageId page, PageRef data, const char* category);
-  SimTime sequential_latency() const { return sequential_latency_; }
   SimTime access_latency() const { return access_latency_; }
 
   // Async variants usable from event context.

@@ -103,7 +103,7 @@ void Volume::EnableGroupCommit(Simulation* sim) {
   force_wait_ = std::make_unique<WaitQueue>(sim);
 }
 
-uint64_t Volume::AppendLog(std::any payload, const char* category, LogForce force) {
+uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce force) {
   if (sim_ != nullptr) {
     uint64_t id = next_log_id_++;
     uint64_t stamp = ++staged_stamp_;
@@ -113,21 +113,13 @@ uint64_t Volume::AppendLog(std::any payload, const char* category, LogForce forc
     }
     return id;
   }
-  disk_->Write(kLogPage, ZeroPage(), category);
-  if (log_append_mode_ == LogAppendMode::kDoubleWrite) {
-    // Footnote 9: the 1985 implementation also rewrote the log file's inode
-    // on every append.
-    disk_->Write(kInodeTablePage, ZeroPage(), "log_inode");
-  }
-  if (stats_ != nullptr) {
-    stats_->Add(log_forces_id_);
-  }
+  ForceLogPage(category, /*grows_log=*/true);
   uint64_t id = next_log_id_++;
-  log_[id] = LogRecord{id, std::move(payload)};
+  log_.insert_or_assign(id, LogRecord{id, std::move(payload)});
   return id;
 }
 
-void Volume::UpdateLog(uint64_t record_id, std::any payload, const char* category,
+void Volume::UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
                        LogForce force) {
   if (sim_ != nullptr) {
     // The target is either published (its append forced) or still staged (a
@@ -141,11 +133,20 @@ void Volume::UpdateLog(uint64_t record_id, std::any payload, const char* categor
     return;
   }
   assert(log_.count(record_id) == 1);
+  ForceLogPage(category, /*grows_log=*/false);
+  log_[record_id].payload = std::move(payload);
+}
+
+void Volume::ForceLogPage(const char* category, bool grows_log) {
   disk_->Write(kLogPage, ZeroPage(), category);
+  if (grows_log && log_append_mode_ == LogAppendMode::kDoubleWrite) {
+    // Footnote 9: the 1985 implementation also rewrote the log file's inode
+    // on every append.
+    disk_->Write(kInodeTablePage, ZeroPage(), "log_inode");
+  }
   if (stats_ != nullptr) {
     stats_->Add(log_forces_id_);
   }
-  log_[record_id].payload = std::move(payload);
 }
 
 void Volume::ForceCovering(uint64_t stamp, const char* category) {
@@ -163,13 +164,7 @@ void Volume::ForceCovering(uint64_t stamp, const char* category) {
       // These records share one force instead of paying one each.
       stats_->Add(group_records_id_, static_cast<int64_t>(batch));
     }
-    disk_->Write(kLogPage, ZeroPage(), category);
-    if (log_append_mode_ == LogAppendMode::kDoubleWrite) {
-      disk_->Write(kInodeTablePage, ZeroPage(), "log_inode");
-    }
-    if (stats_ != nullptr) {
-      stats_->Add(log_forces_id_);
-    }
+    ForceLogPage(category, /*grows_log=*/true);
     // The write completed: every record staged at capture time is durable.
     // Publication happens here, atomically with the write's completion from
     // the simulation's point of view (no blocking between) — a crash during
@@ -189,7 +184,7 @@ void Volume::PublishThrough(uint64_t covered) {
     if (rec.is_update) {
       log_[rec.id].payload = std::move(rec.payload);
     } else {
-      log_[rec.id] = LogRecord{rec.id, std::move(rec.payload)};
+      log_.insert_or_assign(rec.id, LogRecord{rec.id, std::move(rec.payload)});
     }
     ++n;
   }

@@ -17,7 +17,6 @@
 #ifndef SRC_STORAGE_VOLUME_H_
 #define SRC_STORAGE_VOLUME_H_
 
-#include <any>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +27,7 @@
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/storage/disk.h"
+#include "src/storage/log_records.h"
 
 namespace locus {
 
@@ -52,11 +52,11 @@ struct DiskInode {
   std::vector<PageId> pages;
 };
 
-// One stable log record. `payload` is interpreted by the transaction layer
-// (coordinator records, prepare records); the volume only stores and scans.
+// One stable log record: a coordinator or a prepare record (log_records.h).
+// The transaction layer interprets it; the volume only stores and scans.
 struct LogRecord {
   uint64_t record_id = 0;
-  std::any payload;
+  LogPayload payload;
 };
 
 class Volume {
@@ -88,7 +88,6 @@ class Volume {
   // default; with it off the I/O pattern is bit-identical to the historical
   // one-force-per-record behavior.
   void EnableGroupCommit(Simulation* sim);
-  bool group_commit_enabled() const { return sim_ != nullptr; }
 
   // --- Page allocation (in-memory bitmap; durability via recovery rebuild) ---
   // The lowest free page; aborts with a message when the volume is full.
@@ -106,7 +105,6 @@ class Volume {
   void FreeInode(Ino ino);
   // Stable-state peek for tests/recovery planning; no I/O charged.
   const DiskInode* PeekInode(Ino ino) const;
-  const std::map<Ino, DiskInode>& stable_inodes() const { return inodes_; }
 
   // --- Log region (blocking, process context) ---
   // Force discipline for a log mutation. kForce blocks until the record is on
@@ -119,11 +117,11 @@ class Volume {
   enum class LogForce { kForce, kLazy };
   // Appends a record, charging one or two writes per the append mode, under
   // the given accounting category ("coordinator_log" / "prepare_log" /
-  // "commit_mark"). Returns the record id.
-  uint64_t AppendLog(std::any payload, const char* category,
+  // "commit_mark"). The record is moved into the log. Returns the record id.
+  uint64_t AppendLog(LogPayload payload, const char* category,
                      LogForce force = LogForce::kForce);
   // Rewrites an existing record in place (status marker update), one write.
-  void UpdateLog(uint64_t record_id, std::any payload, const char* category,
+  void UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
                  LogForce force = LogForce::kForce);
   // Removes a resolved record (no I/O modelled; piggybacked housekeeping).
   void EraseLog(uint64_t record_id);
@@ -144,7 +142,7 @@ class Volume {
   struct StagedRecord {
     bool is_update = false;
     uint64_t id = 0;
-    std::any payload;
+    LogPayload payload;
     uint64_t stamp = 0;
   };
   bool StagedContains(uint64_t record_id) const;
@@ -157,6 +155,10 @@ class Volume {
   void ForceCovering(uint64_t stamp, const char* category);
   // Moves staged records with stamp <= covered into the stable log, in order.
   void PublishThrough(uint64_t covered);
+  // One log force, paid in process context: the log page write, then (with
+  // `grows_log`, footnote 9's double-write mode) the log inode rewrite, then
+  // the "form.log_forces" bump.
+  void ForceLogPage(const char* category, bool grows_log);
 
   // Zero metadata page image shared by every inode/log accounting write
   // (contents are modeled beside the disk; the write is for I/O accounting).

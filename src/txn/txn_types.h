@@ -1,42 +1,17 @@
-// Transaction log record types and the per-site transaction table.
-//
-// Section 4.2 describes three levels of logs: the coordinator log (one record
-// per transaction at the coordinator site, carrying the participating files
-// and the status marker whose transition to `committed` IS the commit point),
-// the prepare logs at participant sites (intentions + lock information per
-// volume), and the per-file shadow pages themselves. The first two are the
-// record types here; shadow pages live in the FileStore.
+// The per-site transaction table's record. The stable log record types it
+// resolves into (coordinator and prepare records, section 4.2) live in
+// src/storage/log_records.h, beside the volume log that stores them.
 
 #ifndef SRC_TXN_TXN_TYPES_H_
 #define SRC_TXN_TXN_TYPES_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.h"
-#include "src/fs/intentions.h"
-#include "src/net/network.h"
-#include "src/proc/process.h"
 
 namespace locus {
-
-enum class TxnStatus { kUnknown, kCommitted, kAborted };
-
-// Coordinator log record (stable, one per transaction at the coordinator).
-struct CoordinatorLogRecord {
-  TxnId txn;
-  TxnStatus status = TxnStatus::kUnknown;
-  std::vector<UsedFile> files;
-};
-
-// Prepare log record (stable, one per volume per transaction at each
-// participant site; the 1985 implementation wrote one per file — footnote 10
-// — which the I/O-overhead experiment reproduces as a fidelity mode).
-struct PrepareLogRecord {
-  TxnId txn;
-  SiteId coordinator = kNoSite;
-  std::vector<IntentionsList> intentions;
-};
 
 // Volatile per-transaction state at the site currently hosting the top-level
 // process (it migrates with that process).

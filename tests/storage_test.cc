@@ -1,12 +1,14 @@
 // Disk and Volume tests: FIFO latency model, I/O accounting, crash semantics
 // (in-flight requests lost, stable pages kept), inode-table atomicity, the
-// per-volume log with its single/double-write append modes (footnote 9), and
-// allocation rebuild during recovery (section 4.4).
+// per-volume log with its single/double-write append modes (footnote 9) and
+// its group-commit staging, and allocation rebuild during recovery
+// (section 4.4).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/storage/disk.h"
@@ -175,15 +177,24 @@ TEST_F(VolumeTest, InodeWriteReadRoundTrip) {
   EXPECT_EQ(stats_.Get("io.reads.inode"), 2);
 }
 
+// Log records as the transaction layer writes them (section 4.2).
+CoordinatorLogRecord Coordinator(uint64_t serial, TxnStatus status) {
+  return CoordinatorLogRecord{TxnId{0, 1, serial}, status, {}};
+}
+
+PrepareLogRecord Prepare(uint64_t serial) {
+  return PrepareLogRecord{TxnId{1, 1, serial}, /*coordinator=*/0, {}};
+}
+
 TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
   Run([&] {
-    volume_->AppendLog(std::string("rec1"), "prepare_log");
+    volume_->AppendLog(Prepare(1), "prepare_log");
     EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
     EXPECT_EQ(stats_.Get("io.writes.log_inode"), 0);
 
     // Footnote 9: the 1985 implementation needed two writes per append.
     volume_->set_log_append_mode(Volume::LogAppendMode::kDoubleWrite);
-    volume_->AppendLog(std::string("rec2"), "prepare_log");
+    volume_->AppendLog(Prepare(2), "prepare_log");
     EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 2);
     EXPECT_EQ(stats_.Get("io.writes.log_inode"), 1);
   });
@@ -191,11 +202,11 @@ TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
 
 TEST_F(VolumeTest, LogUpdateAndErase) {
   Run([&] {
-    uint64_t id = volume_->AppendLog(std::string("unknown"), "coordinator_log");
-    volume_->UpdateLog(id, std::string("committed"), "commit_mark");
+    uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
+    volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
-    EXPECT_EQ(*std::any_cast<std::string>(&volume_->stable_log().at(id).payload),
-              "committed");
+    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id).payload).status,
+              TxnStatus::kCommitted);
     volume_->EraseLog(id);
     EXPECT_TRUE(volume_->stable_log().empty());
   });
@@ -208,15 +219,108 @@ TEST_F(VolumeTest, CrashRebuildsVolatileCounters) {
     DiskInode inode;
     inode.ino = i1;
     volume_->WriteInode(inode);
-    volume_->AppendLog(std::string("r"), "prepare_log");
+    volume_->AppendLog(Prepare(1), "prepare_log");
     volume_->OnCrash();
     // Fresh ids must not collide with stable ones.
     EXPECT_GT(volume_->AllocInode(), i1);
     uint64_t id2 = 0;
-    id2 = volume_->AppendLog(std::string("r2"), "prepare_log");
+    id2 = volume_->AppendLog(Prepare(2), "prepare_log");
     EXPECT_EQ(volume_->stable_log().count(id2), 1u);
     EXPECT_EQ(volume_->stable_log().size(), 2u);
   });
+}
+
+// Group commit: records staged by concurrent callers share one log force.
+class GroupCommitLogTest : public VolumeTest {
+ protected:
+  GroupCommitLogTest() {
+    volume_->BindStats(&stats_);
+    volume_->EnableGroupCommit(&sim_);
+  }
+};
+
+// A lazy record is not stable until a later forced one's write covers it.
+TEST_F(GroupCommitLogTest, LazyAppendWaitsForACoveringForce) {
+  Run([&] {
+    uint64_t lazy = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown),
+                                       "coordinator_log", Volume::LogForce::kLazy);
+    EXPECT_TRUE(volume_->stable_log().empty());
+    EXPECT_EQ(stats_.Get("io.writes.coordinator_log"), 0);
+    EXPECT_EQ(stats_.Get("form.log_forces"), 0);
+
+    uint64_t forced = volume_->AppendLog(Prepare(1), "prepare_log");
+    ASSERT_EQ(volume_->stable_log().size(), 2u);
+    EXPECT_TRUE(std::holds_alternative<CoordinatorLogRecord>(
+        volume_->stable_log().at(lazy).payload));
+    EXPECT_TRUE(std::holds_alternative<PrepareLogRecord>(
+        volume_->stable_log().at(forced).payload));
+  });
+  EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
+  EXPECT_EQ(stats_.Get("form.log_forces"), 1);
+  EXPECT_EQ(stats_.Get("form.group_commit_records"), 2);
+}
+
+// Appends staged while a force is in flight wait for it, then share the next.
+TEST_F(GroupCommitLogTest, AppendsDuringAForceShareTheNextOne) {
+  std::vector<SimTime> done_at(3, SimTime{-1});
+  sim_.Spawn("leader", [&] {
+    volume_->AppendLog(Prepare(1), "prepare_log");
+    done_at[0] = sim_.Now();
+    // Only the leader's record was staged when its write started.
+    EXPECT_EQ(volume_->stable_log().size(), 1u);
+  });
+  for (int i = 1; i <= 2; ++i) {
+    sim_.Spawn("follower", [&, i] {
+      sim_.Sleep(Milliseconds(1));  // The leader's 5 ms write is in flight.
+      volume_->AppendLog(Prepare(1 + i), "prepare_log");
+      done_at[i] = sim_.Now();
+    });
+  }
+  sim_.Run();
+  EXPECT_EQ(done_at[0], Milliseconds(5));
+  EXPECT_EQ(done_at[1], Milliseconds(10));
+  EXPECT_EQ(done_at[2], Milliseconds(10));
+  EXPECT_EQ(volume_->stable_log().size(), 3u);
+  EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 2);
+  EXPECT_EQ(stats_.Get("form.log_forces"), 2);
+  // The first force covered one record; the second covered two.
+  EXPECT_EQ(stats_.Get("form.group_commit_records"), 2);
+}
+
+// An update of a record still staged lazily replaces its payload before the
+// covering force publishes it.
+TEST_F(GroupCommitLogTest, UpdateOfAStagedRecordPublishesTheNewPayload) {
+  Run([&] {
+    uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log",
+                                     Volume::LogForce::kLazy);
+    volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
+    ASSERT_EQ(volume_->stable_log().size(), 1u);
+    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id).payload).status,
+              TxnStatus::kCommitted);
+  });
+  EXPECT_EQ(stats_.Get("io.writes.commit_mark"), 1);
+  EXPECT_EQ(stats_.Get("form.log_forces"), 1);
+}
+
+// A crash loses records still staged, and keeps those an earlier force
+// published.
+TEST_F(GroupCommitLogTest, CrashLosesStagedRecordsAndKeepsForcedOnes) {
+  Run([&] {
+    uint64_t forced = volume_->AppendLog(Prepare(1), "prepare_log");
+    uint64_t lazy = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log",
+                                       Volume::LogForce::kLazy);
+    volume_->OnCrash();
+    ASSERT_EQ(volume_->stable_log().size(), 1u);
+    EXPECT_EQ(volume_->stable_log().count(forced), 1u);
+    EXPECT_EQ(volume_->stable_log().count(lazy), 0u);
+    // Nothing staged survives to ride a later force.
+    uint64_t after = volume_->AppendLog(Prepare(2), "prepare_log");
+    ASSERT_EQ(volume_->stable_log().size(), 2u);
+    EXPECT_TRUE(std::holds_alternative<PrepareLogRecord>(
+        volume_->stable_log().at(after).payload));
+  });
+  EXPECT_EQ(stats_.Get("form.log_forces"), 2);
+  EXPECT_EQ(stats_.Get("form.group_commit_records"), 0);
 }
 
 TEST_F(VolumeTest, RecoverAllocationFromInodesAndLogPages) {
