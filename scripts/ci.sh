@@ -18,9 +18,9 @@
 #      any 2PL / 2PC / shadow-page / serializability / recoverability /
 #      external-consistency / shared-state-race violation fails the run),
 #      plus a negative control that a seeded write-skew cycle fails the run
-#   7. UndefinedBehaviorSanitizer build + full test suite
-#   8. AddressSanitizer build + full test suite, on the same fibers as every
-#      other build (the simulator annotates each stack switch)
+#   7. UndefinedBehaviorSanitizer build (-Werror) + full test suite
+#   8. AddressSanitizer build (-Werror) + full test suite, on the same fibers
+#      as every other build (the simulator annotates each stack switch)
 #
 # Build trees (build/, .bench_build/, build-ubsan/, build-asan/) are reused
 # incrementally: a cold run compiles all four (build/ and the two sanitizer
@@ -123,12 +123,12 @@ fi
 echo "certifier negative control: seeded cycle flagged"
 
 echo "=== UBSAN build + full test suite ==="
-cmake -B build-ubsan -S . -DLOCUS_SANITIZE=undefined >/dev/null
+cmake -B build-ubsan -S . -DLOCUS_SANITIZE=undefined -DLOCUS_WERROR=ON >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 (cd build-ubsan && ctest --output-on-failure)
 
 echo "=== ASAN build + full test suite ==="
-cmake -B build-asan -S . -DLOCUS_SANITIZE=address >/dev/null
+cmake -B build-asan -S . -DLOCUS_SANITIZE=address -DLOCUS_WERROR=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure)
 

@@ -61,6 +61,56 @@ struct LockFlags {
   bool non_transaction = false;  // Section 3.4 non-transaction lock.
 };
 
+// LOCUS_SYSCALLS is the one declaration of the process-facing calls that go
+// straight to the kernel: each row names the result, the call, its
+// parameters (with their defaults) and their names as arguments. From it come
+// the Kernel::Sys<Name> declarations below, which take the calling process
+// first, and the Syscalls facade's forwarding methods (system.h). Calls with
+// work of their own on the facade side (Fork, WriteString, Compute) are
+// written out there.
+#define LOCUS_SYSCALLS(X)                                                                      \
+  /* ---- Namespace ---- */                                                                    \
+  X(Err, Mkdir, (const std::string& path), (path))                                             \
+  /* Creates a file with `replication` replicas on distinct sites, the first                   \
+     at the caller's site, each on its site's root volume. */                                  \
+  X(Err, Creat, (const std::string& path, int replication = 1), (path, replication))           \
+  X(Err, Unlink, (const std::string& path), (path))                                            \
+                                                                                               \
+  /* ---- Files ---- */                                                                        \
+  X(Result<int>, Open, (const std::string& path, OpenFlags flags = {}), (path, flags))         \
+  X(Err, Close, (int fd), (fd))                                                                \
+  X(Result<std::vector<uint8_t>>, Read, (int fd, int64_t length), (fd, length))                \
+  X(Err, Write, (int fd, const std::vector<uint8_t>& bytes), (fd, bytes))                      \
+  X(Result<int64_t>, Seek, (int fd, int64_t offset), (fd, offset))                             \
+  X(Result<int64_t>, FileSize, (int fd), (fd))                                                 \
+  /* Section 3.2: the paper's Lock(file, length, mode). The range starts at                    \
+     the channel's current offset; in append mode it is allocated at                           \
+     end-of-file atomically. */                                                                \
+  X(Result<ByteRange>, Lock, (int fd, int64_t length, LockOp op, LockFlags flags = {}),        \
+    (fd, length, op, flags))                                                                   \
+  /* Single-file commit of the calling process's uncommitted records                           \
+     (non-transaction processes; the base Locus commit-at-close mechanism). */                 \
+  X(Err, CommitFile, (int fd), (fd))                                                           \
+  /* Shrinks the file to `size` bytes, durably at once (non-transactional):                    \
+     refused with kBusy while any uncommitted records exist on the file, and                   \
+     with kInvalid inside a transaction. */                                                    \
+  X(Err, Truncate, (int fd, int64_t size), (fd, size))                                         \
+  /* Names of the direct children of a directory. */                                           \
+  X(Result<std::vector<std::string>>, ReadDir, (const std::string& path), (path))              \
+  /* Replica currency of a path (src/recon): one row per replica with its                      \
+     commit ordinal, quarantine flag, reachability from the caller's site,                     \
+     and whether it matches the current maximum. */                                            \
+  X(Result<std::vector<ReplicaStatusEntry>>, ReplicaStatus, (const std::string& path), (path)) \
+                                                                                               \
+  /* ---- Transactions (section 2) ---- */                                                     \
+  X(Err, BeginTrans, (), ())                                                                   \
+  X(Err, EndTrans, (), ())                                                                     \
+  X(Err, AbortTrans, (), ())                                                                   \
+                                                                                               \
+  /* ---- Processes ---- */                                                                    \
+  X(void, WaitChildren, (), ())                                                                \
+  X(Err, Migrate, (SiteId to), (to))
+
 class Kernel {
  public:
   Kernel(System* system, SiteId site);
@@ -79,41 +129,13 @@ class Kernel {
   void Start();
 
   // --- Syscall layer (called in the invoking process's context) ---
-  Err SysMkdir(OsProcess* p, const std::string& path);
-  // Creates a file with replicas on `replication` distinct sites (first at
-  // the caller's site), each on its site's root volume.
-  Err SysCreat(OsProcess* p, const std::string& path, int replication);
-  Err SysUnlink(OsProcess* p, const std::string& path);
-  Result<int> SysOpen(OsProcess* p, const std::string& path, OpenFlags flags);
-  Err SysClose(OsProcess* p, int fd);
-  Result<std::vector<uint8_t>> SysRead(OsProcess* p, int fd, int64_t length);
-  Err SysWrite(OsProcess* p, int fd, const std::vector<uint8_t>& bytes);
-  Result<int64_t> SysSeek(OsProcess* p, int fd, int64_t offset);
-  Result<int64_t> SysFileSize(OsProcess* p, int fd);
-  // The paper's Lock(file, length, mode) interface: the range starts at the
-  // channel's current offset (or at end-of-file in append mode).
-  Result<ByteRange> SysLock(OsProcess* p, int fd, int64_t length, LockOp op, LockFlags flags);
-  // Single-file commit of the calling process's uncommitted records
-  // (non-transaction processes; the base Locus commit-at-close mechanism).
-  Err SysCommitFile(OsProcess* p, int fd);
-  // Shrinks the file to `size` bytes (durable at once; refused while any
-  // uncommitted records exist or when the caller is in a transaction).
-  Err SysTruncate(OsProcess* p, int fd, int64_t size);
-  // Directory listing of the transparent namespace.
-  Result<std::vector<std::string>> SysReadDir(OsProcess* p, const std::string& path);
-  // Replica currency report for a path (src/recon): one row per replica with
-  // its commit ordinal, quarantine flag, and reachability from this site.
-  Result<std::vector<ReplicaStatusEntry>> SysReplicaStatus(OsProcess* p,
-                                                           const std::string& path);
-
-  Err SysBeginTrans(OsProcess* p);
-  Err SysEndTrans(OsProcess* p);
-  Err SysAbortTrans(OsProcess* p);
-
+#define LOCUS_KERNEL_SYSCALL(ret, name, params, args) ret Sys##name LOCUS_SYS_PARAMS params;
+#define LOCUS_SYS_PARAMS(...) (OsProcess* p __VA_OPT__(, ) __VA_ARGS__)
+  LOCUS_SYSCALLS(LOCUS_KERNEL_SYSCALL)
+#undef LOCUS_SYS_PARAMS
+#undef LOCUS_KERNEL_SYSCALL
   Result<Pid> SysFork(OsProcess* p, SiteId target_site,
                       std::function<void(OsProcess*)> body);
-  void SysWaitChildren(OsProcess* p);
-  Err SysMigrate(OsProcess* p, SiteId to);
   // Process teardown; called when a process body returns.
   void SysExit(OsProcess* p);
 

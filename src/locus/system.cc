@@ -181,47 +181,9 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
 // ---------------------------------------------------------------------------
 // Syscalls facade
 
-Err Syscalls::Mkdir(const std::string& path) { return kernel().SysMkdir(process_, path); }
-Err Syscalls::Creat(const std::string& path, int replication) {
-  return kernel().SysCreat(process_, path, replication);
-}
-Err Syscalls::Unlink(const std::string& path) { return kernel().SysUnlink(process_, path); }
-
-Result<int> Syscalls::Open(const std::string& path, OpenFlags flags) {
-  return kernel().SysOpen(process_, path, flags);
-}
-Err Syscalls::Close(int fd) { return kernel().SysClose(process_, fd); }
-Result<std::vector<uint8_t>> Syscalls::Read(int fd, int64_t length) {
-  return kernel().SysRead(process_, fd, length);
-}
-Err Syscalls::Write(int fd, const std::vector<uint8_t>& bytes) {
-  return kernel().SysWrite(process_, fd, bytes);
-}
 Err Syscalls::WriteString(int fd, const std::string& text) {
   return Write(fd, std::vector<uint8_t>(text.begin(), text.end()));
 }
-Result<int64_t> Syscalls::Seek(int fd, int64_t offset) {
-  return kernel().SysSeek(process_, fd, offset);
-}
-Result<int64_t> Syscalls::FileSize(int fd) { return kernel().SysFileSize(process_, fd); }
-Result<ByteRange> Syscalls::Lock(int fd, int64_t length, LockOp op, LockFlags flags) {
-  return kernel().SysLock(process_, fd, length, op, flags);
-}
-Err Syscalls::CommitFile(int fd) { return kernel().SysCommitFile(process_, fd); }
-Err Syscalls::Truncate(int fd, int64_t size) {
-  return kernel().SysTruncate(process_, fd, size);
-}
-Result<std::vector<std::string>> Syscalls::ReadDir(const std::string& path) {
-  return kernel().SysReadDir(process_, path);
-}
-
-Result<std::vector<ReplicaStatusEntry>> Syscalls::ReplicaStatus(const std::string& path) {
-  return kernel().SysReplicaStatus(process_, path);
-}
-
-Err Syscalls::BeginTrans() { return kernel().SysBeginTrans(process_); }
-Err Syscalls::EndTrans() { return kernel().SysEndTrans(process_); }
-Err Syscalls::AbortTrans() { return kernel().SysAbortTrans(process_); }
 
 Result<Pid> Syscalls::Fork(SiteId site, std::function<void(Syscalls&)> body) {
   System* system = system_;
@@ -230,8 +192,6 @@ Result<Pid> Syscalls::Fork(SiteId site, std::function<void(Syscalls&)> body) {
     body(sys);
   });
 }
-void Syscalls::WaitChildren() { kernel().SysWaitChildren(process_); }
-Err Syscalls::Migrate(SiteId to) { return kernel().SysMigrate(process_, to); }
 
 void Syscalls::Compute(SimTime duration) { system_->sim().Sleep(duration); }
 

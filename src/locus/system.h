@@ -129,52 +129,25 @@ class Syscalls {
  public:
   Syscalls(System* system, OsProcess* process) : system_(system), process_(process) {}
 
-  // --- Namespace ---
-  Err Mkdir(const std::string& path);
-  // Creates a file with `replication` replicas on distinct sites, the first
-  // at the caller's site.
-  Err Creat(const std::string& path, int replication = 1);
-  Err Unlink(const std::string& path);
+  // One forwarding method per LOCUS_SYSCALLS row (kernel.h): Name(args) runs
+  // Kernel::SysName(process, args) at the process's current site.
+#define LOCUS_SYSCALL_FORWARD(ret, name, params, args) \
+  ret name params { return kernel().Sys##name LOCUS_SYS_ARGS args; }
+#define LOCUS_SYS_ARGS(...) (process_ __VA_OPT__(, ) __VA_ARGS__)
+  LOCUS_SYSCALLS(LOCUS_SYSCALL_FORWARD)
+#undef LOCUS_SYS_ARGS
+#undef LOCUS_SYSCALL_FORWARD
 
-  // --- Files ---
-  Result<int> Open(const std::string& path, OpenFlags flags = {});
-  Err Close(int fd);
-  Result<std::vector<uint8_t>> Read(int fd, int64_t length);
-  Err Write(int fd, const std::vector<uint8_t>& bytes);
   Err WriteString(int fd, const std::string& text);
-  Result<int64_t> Seek(int fd, int64_t offset);
-  Result<int64_t> FileSize(int fd);
-  // Section 3.2: Lock(file, length, mode) from the current offset; in append
-  // mode the range is allocated at end-of-file atomically.
-  Result<ByteRange> Lock(int fd, int64_t length, LockOp op, LockFlags flags = {});
-  // Single-file commit of this process's non-transaction modifications.
-  Err CommitFile(int fd);
-  // Durable truncation (non-transactional; fails with kBusy while any
-  // uncommitted records exist on the file).
-  Err Truncate(int fd, int64_t size);
-  // Names of the direct children of a directory.
-  Result<std::vector<std::string>> ReadDir(const std::string& path);
-  // Replica currency of a path (src/recon): per-replica commit ordinal,
-  // quarantine flag, reachability, and whether it matches the current maximum.
-  Result<std::vector<ReplicaStatusEntry>> ReplicaStatus(const std::string& path);
+  Result<Pid> Fork(SiteId site, std::function<void(Syscalls&)> body);
+  // Advances this process's virtual time (models computation between calls).
+  void Compute(SimTime duration);
 
-  // --- Transactions (section 2) ---
-  Err BeginTrans();
-  Err EndTrans();
-  Err AbortTrans();
   bool InTransaction() const { return process_->txn.valid(); }
   TxnId CurrentTxn() const { return process_->txn; }
-
-  // --- Processes ---
-  Result<Pid> Fork(SiteId site, std::function<void(Syscalls&)> body);
-  void WaitChildren();
-  Err Migrate(SiteId to);
-
   SiteId CurrentSite() const { return process_->site; }
   Pid pid() const { return process_->pid; }
   System& system() { return *system_; }
-  // Advances this process's virtual time (models computation between calls).
-  void Compute(SimTime duration);
 
  private:
   Kernel& kernel() { return system_->kernel(process_->site); }

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/audit/auditor.h"
+#include "src/audit/observer.h"
 #include "src/locus/system.h"
 #include "src/workload/debit_credit.h"
 
@@ -294,6 +298,91 @@ TEST(AuditCleanTest, DisabledByDefaultCostsNothing) {
   ASSERT_TRUE(counters.count("audit.violations"));
   EXPECT_EQ(counters.at("audit.checks"), 0);
   EXPECT_EQ(counters.at("audit.violations"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The observer hub: every LOCUS_OBSERVER_HOOKS row reaches each registered
+// enabled observer, in registration order, and no disabled one.
+
+// Logs "<tag>:<hook>" for every hook it receives.
+class HookLog : public ProtocolObserver {
+ public:
+  HookLog(std::string tag, bool enabled, std::vector<std::string>* log)
+      : ProtocolObserver(enabled), tag_(std::move(tag)), log_(log) {}
+
+#define LOCUS_HOOK_LOG(name, params, args) \
+  void name params override {              \
+    Ignore args;                           \
+    log_->push_back(tag_ + ":" #name);     \
+  }
+  LOCUS_OBSERVER_HOOKS(LOCUS_HOOK_LOG)
+#undef LOCUS_HOOK_LOG
+
+ private:
+  std::string tag_;
+  std::vector<std::string>* log_;
+};
+
+// Fires `hook` on the hub with value-initialized arguments.
+template <typename... Params>
+void Fire(ObserverHub& hub, void (ProtocolObserver::*hook)(Params...)) {
+  (hub.*hook)(std::remove_cvref_t<Params>{}...);
+}
+
+TEST(ObserverHubTest, EveryHookReachesEachEnabledObserverInOrder) {
+  std::vector<std::string> log;
+  HookLog first("first", true, &log);
+  HookLog off("off", false, &log);
+  HookLog second("second", true, &log);
+  ObserverHub hub;
+  hub.Register(&first);
+  hub.Register(&off);
+  hub.Register(&second);
+  EXPECT_TRUE(hub.enabled());
+  std::vector<std::string> expected;
+#define LOCUS_FIRE_HOOK(name, params, args) \
+  Fire(hub, &ProtocolObserver::name);       \
+  expected.push_back("first:" #name);       \
+  expected.push_back("second:" #name);
+  LOCUS_OBSERVER_HOOKS(LOCUS_FIRE_HOOK)
+#undef LOCUS_FIRE_HOOK
+  EXPECT_EQ(log, expected);
+}
+
+TEST(ObserverHubTest, OnlyDisabledObserversLeaveTheGateOff) {
+  std::vector<std::string> log;
+  HookLog off("off", false, &log);
+  ObserverHub hub;
+  EXPECT_FALSE(hub.enabled());
+  hub.Register(&off);
+  EXPECT_FALSE(hub.enabled());
+  Fire(hub, &ProtocolObserver::OnTxnBegin);
+  EXPECT_TRUE(log.empty());
+}
+
+// An observer registered after the System is built (as a benchmark tracer
+// is) turns the subsystems' gate on and hears the run.
+TEST(ObserverHubTest, RegisteringAfterConstructionTurnsTheGateOn) {
+  System system(1);
+  ASSERT_FALSE(system.observers().enabled());
+  std::vector<std::string> log;
+  HookLog late("late", true, &log);
+  system.observers().Register(&late);
+  EXPECT_TRUE(system.observers().enabled());
+  system.Spawn(0, "txn", [](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/late"), Err::kOk);
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/late", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, "heard"), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);
+  });
+  system.Run();
+  for (const char* hook : {"late:OnTxnBegin", "late:OnLockGranted", "late:OnStoreWrite",
+                           "late:OnCommitPoint", "late:OnInstall"}) {
+    EXPECT_NE(std::find(log.begin(), log.end(), hook), log.end()) << hook;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "src/locus/system.h"
 
@@ -363,6 +365,89 @@ TEST_F(RecoveryTest, WorkingPagePatchedWhenRedoRacesNewWriter) {
   ASSERT_GE(content.size(), 40u);
   EXPECT_EQ(content.substr(0, 8), "AAAAAAAA");
   EXPECT_EQ(content.substr(32, 8), "BBBBBBBB");
+}
+
+// Crashes `site` before each commit message its phase-two driver would send,
+// and at no other protocol step.
+class CrashAtCommitSend : public SchedulePolicy {
+ public:
+  explicit CrashAtCommitSend(SiteId site) : site_(site) {}
+  bool CrashAt(ProtocolStep step, int32_t site) override {
+    return step == ProtocolStep::kBeforeCommitSend && site == site_;
+  }
+
+ private:
+  SiteId site_;
+};
+
+// The committed-answer branch of the participant's outcome inquiry (section
+// 4.4), with no coordinator re-drive to mask it: the participant reboots
+// prepared while the coordinator holds a committed record and no phase-two
+// driver, and the re-drive the reboot's topology change starts crashes the
+// coordinator before its first commit message. Only the participant's own
+// inquiry can commit it.
+TEST(ParticipantInquiryTest, CommittedAnswerCommitsThePreparedParticipant) {
+  SystemOptions options;
+  // Recovery's volume scan plus the inquiry's round trip end before the
+  // coordinator learns of the reboot (Network::kFailureDetectDelay).
+  options.disk_latency = Milliseconds(10);
+  System system(2, options);
+  system.sim().set_drain_watchdog(DrainWatchdog::kFatal);
+  auto log_records = [&system](SiteId site, const TxnId& txn) {
+    std::vector<LogPayload> out;
+    for (const auto& [id, rec] : system.kernel(site).volumes()[0]->stable_log()) {
+      if (std::visit([&txn](const auto& r) { return r.txn == txn; }, rec.payload)) {
+        out.push_back(rec.payload);
+      }
+    }
+    return out;
+  };
+
+  system.Spawn(1, "mk", [](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/inq"), Err::kOk);
+    auto fd = sys.Open("/inq", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, "##########"), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system.RunFor(Seconds(5));
+  TxnId txn;
+  system.Spawn(0, "txn", [&txn](Syscalls& sys) {
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    txn = sys.CurrentTxn();
+    auto fd = sys.Open("/inq", {.read = true, .write = true});
+    ASSERT_EQ(sys.WriteString(fd.value, "inquired!!"), Err::kOk);
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);  // Commit point reached.
+    sys.system().CrashSite(1);            // Before phase two reaches it.
+  });
+  // Phase two retries the dead participant every 300 ms, then gives up.
+  system.RunFor(Seconds(120));
+  ASSERT_EQ(system.stats().Get("txn.phase2_completed"), 0);
+  std::vector<LogPayload> coordinator = log_records(0, txn);
+  ASSERT_EQ(coordinator.size(), 1u);
+  ASSERT_EQ(std::get<CoordinatorLogRecord>(coordinator[0]).status, TxnStatus::kCommitted);
+  std::vector<LogPayload> participant = log_records(1, txn);
+  ASSERT_EQ(participant.size(), 1u);
+  ASSERT_TRUE(std::holds_alternative<PrepareLogRecord>(participant[0]));
+
+  CrashAtCommitSend policy(0);
+  system.sim().set_schedule_policy(&policy);
+  system.RebootSite(1);
+  system.RunFor(Seconds(10));
+  system.sim().set_schedule_policy(nullptr);
+  EXPECT_FALSE(system.net().IsAlive(0));  // The re-drive sent nothing.
+  ASSERT_TRUE(log_records(1, txn).empty());
+  std::string content;
+  system.Spawn(1, "rd", [&content](Syscalls& sys) {
+    auto fd = sys.Open("/inq", {});
+    ASSERT_TRUE(fd.ok());
+    auto data = sys.Read(fd.value, 10);
+    ASSERT_TRUE(data.ok());
+    content = Text(data.value);
+  });
+  system.RunFor(Seconds(5));
+  EXPECT_EQ(content, "inquired!!");
 }
 
 }  // namespace

@@ -677,6 +677,9 @@ TEST(Simulation, SelfCancelUnwindsOnlyTheThrowingProcess) {
   EXPECT_EQ(sim.Now(), Milliseconds(12));
 }
 
+// AddressSanitizer's shadow memory defeats an address-space limit: these
+// helpers, like the death tests that use them, are built only without it.
+#if !defined(__SANITIZE_ADDRESS__)
 // Caps the address space at its current size, leaving no room to map
 // another fiber stack.
 void CapAddressSpace() {
@@ -713,6 +716,7 @@ void RunOnRecycledStackWithAddressSpaceFull() {
   sim.Run();
   exit(ran ? 0 : 1);
 }
+#endif  // !__SANITIZE_ADDRESS__
 
 // A fiber stack that cannot be mapped aborts with a diagnostic in every build
 // type, NDEBUG ones included.
