@@ -47,10 +47,6 @@ namespace locus {
     (const std::string& site, const FileId& file, const ByteRange& range,                       \
      const LockOwner& owner, LockMode mode),                                                    \
     (site, file, range, owner, mode))                                                           \
-  /* A file's whole lock list left (installed=false) or entered                                 \
-     (installed=true) this site's lock table during storage-site migration. */                  \
-  X(OnFileLocksTransferred, (const std::string& site, const FileId& file, bool installed),      \
-    (site, file, installed))                                                                    \
                                                                                                 \
   /* ---- Transaction lifecycle / 2PC hooks (TransactionManager, kernel) ---- */                \
   X(OnTxnBegin, (const TxnId& txn), (txn))                                                      \

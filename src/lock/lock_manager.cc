@@ -147,27 +147,6 @@ std::vector<WaitEdge> LockManager::WaitForEdges() const {
   return edges;
 }
 
-LockList LockManager::TakeFileLocks(const FileId& file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) {
-    return LockList();
-  }
-  LockList list = std::move(it->second);
-  files_.erase(it);
-  if (Audited()) {
-    audit_->OnFileLocksTransferred(site_name_, file, /*installed=*/false);
-  }
-  return list;
-}
-
-void LockManager::InstallFileLocks(const FileId& file, LockList list) {
-  files_[file] = std::move(list);
-  if (Audited()) {
-    audit_->OnFileLocksTransferred(site_name_, file, /*installed=*/true);
-  }
-  RetryWaiters();
-}
-
 const LockList* LockManager::Find(const FileId& file) const {
   auto it = files_.find(file);
   return it == files_.end() ? nullptr : &it->second;

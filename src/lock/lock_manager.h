@@ -83,11 +83,6 @@ class LockManager {
   // detect deadlock; it exposes the data for a system process to do so).
   std::vector<WaitEdge> WaitForEdges() const;
 
-  // Lock-table handoff when the primary storage site for a file moves
-  // (replication, section 5.2).
-  LockList TakeFileLocks(const FileId& file);
-  void InstallFileLocks(const FileId& file, LockList list);
-
   const LockList* Find(const FileId& file) const;
   int64_t waiting_count() const;
   // Read-only view of every file's lock list (diagnostics, tests).

@@ -78,22 +78,6 @@ void Disk::SubmitRead(PageId page, const char* category, std::function<void(Page
   });
 }
 
-void Disk::SubmitWrite(PageId page, PageRef data, const char* category,
-                       std::function<void()> done) {
-  assert(page >= 0 && page < num_pages_);
-  assert(data != nullptr && static_cast<int32_t>(data->size()) == page_size_);
-  CountAccess(writes_, "writes", category);
-  SimTime done_at = QueueRequest(access_latency_);
-  uint64_t epoch = crash_epoch_;
-  sim_->ScheduleAt(done_at, [this, page, epoch, data = std::move(data), done = std::move(done)] {
-    if (epoch != crash_epoch_) {
-      return;
-    }
-    stable_[page] = data;
-    done();
-  });
-}
-
 void Disk::DropPendingRequests() {
   crash_epoch_++;
   busy_until_ = sim_->Now();

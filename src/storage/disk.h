@@ -81,10 +81,8 @@ class Disk {
   void WriteSequential(PageId page, PageRef data, const char* category);
   SimTime access_latency() const { return access_latency_; }
 
-  // Async variants usable from event context.
+  // Async read usable from event context (read-ahead).
   void SubmitRead(PageId page, const char* category, std::function<void(PageRef)> done);
-  void SubmitWrite(PageId page, PageRef data, const char* category,
-                   std::function<void()> done);
 
   // Site crash: drops queued/in-flight requests (their completions never
   // fire) without touching already-written stable pages.

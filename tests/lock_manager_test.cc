@@ -146,18 +146,6 @@ TEST_F(LockManagerTest, AppendRangeRecomputedAtGrantTime) {
   EXPECT_EQ(outcomes_[1].granted, (ByteRange{8, 8}));
 }
 
-TEST_F(LockManagerTest, LockTableHandoffForServiceMigration) {
-  Request(kFileA, {0, 10}, Txn(kT1), LockMode::kExclusive, false, 1);
-  LockList moved = manager_.TakeFileLocks(kFileA);
-  EXPECT_EQ(moved.entries().size(), 1u);
-  EXPECT_EQ(manager_.Find(kFileA), nullptr);
-
-  LockManager other(&stats_, "site1");
-  other.InstallFileLocks(kFileA, std::move(moved));
-  ASSERT_NE(other.Find(kFileA), nullptr);
-  EXPECT_FALSE(other.Find(kFileA)->CanGrant({0, 10}, Proc(9), LockMode::kShared));
-}
-
 TEST_F(LockManagerTest, AccessChecksDelegateToLists) {
   Request(kFileA, {0, 10}, Proc(1), LockMode::kExclusive, false, 1);
   EXPECT_FALSE(manager_.MayRead(kFileA, {0, 5}, Proc(2)));

@@ -68,23 +68,34 @@ TEST_F(DiskTest, FifoQueueSerializesRequests) {
 }
 
 TEST_F(DiskTest, AsyncSubmitCompletes) {
-  bool read_done = false;
-  bool write_done = false;
-  disk_.SubmitWrite(5, MakePage(PageData(64, 9)), "data", [&] { write_done = true; });
-  disk_.SubmitRead(5, "data", [&](PageRef d) {
-    read_done = true;
-    EXPECT_EQ((*d)[0], 9);  // FIFO: the write completed first.
+  SimTime write_done = 0;
+  SimTime read_done = 0;
+  sim_.Spawn("w", [&] {
+    disk_.Write(5, MakePage(PageData(64, 9)), "data");
+    write_done = sim_.Now();
+  });
+  // Submitted while the write is in flight: it queues behind it.
+  sim_.Schedule(Milliseconds(1), [&] {
+    disk_.SubmitRead(5, "data", [&](PageRef d) {
+      read_done = sim_.Now();
+      EXPECT_EQ((*d)[0], 9);  // FIFO: the write completed first.
+    });
   });
   sim_.Run();
-  EXPECT_TRUE(write_done);
-  EXPECT_TRUE(read_done);
+  EXPECT_EQ(write_done, Milliseconds(20));
+  EXPECT_EQ(read_done, Milliseconds(40));
 }
 
 TEST_F(DiskTest, CrashDropsInFlightWrites) {
-  disk_.SubmitWrite(7, MakePage(PageData(64, 0xCC)), "data", [] {});
+  bool returned = false;
+  sim_.Spawn("w", [&] {
+    disk_.Write(7, MakePage(PageData(64, 0xCC)), "data");
+    returned = true;
+  });
   // Crash before the 20 ms access completes.
   sim_.Schedule(Milliseconds(5), [&] { disk_.DropPendingRequests(); });
   sim_.Run();
+  EXPECT_TRUE(returned);
   EXPECT_EQ(disk_.PeekStable(7)[0], 0);  // Never reached stable storage.
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "src/locus/system.h"
@@ -229,20 +230,26 @@ TEST_F(SyscallTest, QueuedLockGrantedOnRelease) {
 }
 
 TEST_F(SyscallTest, AppendModeLockAndExtend) {
-  // Section 3.2: concurrent processes extend a shared log without livelock;
-  // each append-mode lock lands at the then-current end of file.
+  // Section 3.2: concurrent processes at every site extend a shared log
+  // without livelock; each append-mode lock lands at the then-current end of
+  // file, and each record lands in the slot its lock was granted.
+  auto record = [](int64_t slot) {
+    std::string rec = "REC" + std::to_string(slot) + "  \n";
+    rec.resize(8, ' ');
+    return rec;
+  };
+  std::set<int64_t> granted;
   system_.Spawn(0, "prog", [&](Syscalls& sys) {
     ASSERT_EQ(sys.Creat("/log"), Err::kOk);
     for (int i = 0; i < 3; ++i) {
-      sys.Fork(i, [](Syscalls& appender) {
+      sys.Fork(i, [&](Syscalls& appender) {
         auto fd = appender.Open("/log", {.read = true, .write = true, .append = true});
         ASSERT_TRUE(fd.ok());
         for (int j = 0; j < 4; ++j) {
           auto range = appender.Lock(fd.value, 8, LockOp::kExclusive);
           ASSERT_EQ(range.err, Err::kOk);
-          std::string rec = "REC" + std::to_string(range.value.start / 8) + "  \n";
-          rec.resize(8, ' ');
-          ASSERT_EQ(appender.WriteString(fd.value, rec), Err::kOk);
+          granted.insert(range.value.start);
+          ASSERT_EQ(appender.WriteString(fd.value, record(range.value.start / 8)), Err::kOk);
           appender.Seek(fd.value, range.value.start);
           ASSERT_EQ(appender.Lock(fd.value, 8, LockOp::kUnlock).err, Err::kOk);
         }
@@ -253,9 +260,22 @@ TEST_F(SyscallTest, AppendModeLockAndExtend) {
     auto fd = sys.Open("/log", {});
     auto size = sys.FileSize(fd.value);
     EXPECT_EQ(size.value, 96);  // 12 records x 8 bytes, no overlap, no holes.
+    auto data = sys.Read(fd.value, 96);
+    ASSERT_TRUE(data.ok());
+    std::string log = Text(data.value);
+    ASSERT_EQ(log.size(), 96u);
+    // No torn or overwritten record: slot i holds the record granted at 8*i.
+    for (int64_t slot = 0; slot < 12; ++slot) {
+      EXPECT_EQ(log.substr(slot * 8, 8), record(slot)) << "slot " << slot;
+    }
     sys.Close(fd.value);
   });
   RunAll();
+  std::set<int64_t> every_slot;
+  for (int64_t slot = 0; slot < 12; ++slot) {
+    every_slot.insert(slot * 8);
+  }
+  EXPECT_EQ(granted, every_slot);
 }
 
 TEST_F(SyscallTest, ForkSharesChannelOffsets) {

@@ -246,6 +246,28 @@ TEST_F(TxnTest, NonTransactionLockEscapesTwoPhaseDiscipline) {
   RunAll();
 }
 
+TEST_F(TxnTest, WriteUnderNonTransactionLockSurvivesAbort) {
+  // Section 3.4: a write lying wholly under the process's non-transaction
+  // lock belongs to the process, not the transaction. It commits at close
+  // and survives AbortTrans, while a write beside it rolls back.
+  system_.Spawn(0, "prog", [&](Syscalls& sys) {
+    MakeFile(sys, "/audit", "................");
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/audit", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.Lock(fd.value, 8, LockOp::kExclusive, {.non_transaction = true}).err,
+              Err::kOk);
+    ASSERT_EQ(sys.WriteString(fd.value, "escaped!"), Err::kOk);
+    ASSERT_EQ(sys.WriteString(fd.value, "txnbytes"), Err::kOk);
+    sys.Seek(fd.value, 0);
+    ASSERT_EQ(sys.Lock(fd.value, 8, LockOp::kUnlock).err, Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    ASSERT_EQ(sys.AbortTrans(), Err::kOk);
+    EXPECT_EQ(ReadFile(sys, "/audit", 16), "escaped!........");
+  });
+  RunAll();
+}
+
 TEST_F(TxnTest, MultiFileMultiSiteTransactionIsAtomic) {
   system_.Spawn(0, "prog", [&](Syscalls& sys) {
     MakeFile(sys, "/a", "site0!");
