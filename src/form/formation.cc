@@ -88,6 +88,10 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     shared_access_hook_("form.q/" + net_->SiteName(site_), true);
   }
   DestQueue& q = QueueTo(to);
+  if (q.items.capacity() == 0 && !spare_items_.empty()) {
+    q.items = std::move(spare_items_.back());  // A delivered batch's storage.
+    spare_items_.pop_back();
+  }
   q.bytes += item.msg.size_bytes;
   q.items.push_back(std::move(item));
   if (q.bytes >= kFormMaxBatchBytes) {
@@ -140,7 +144,10 @@ void FormationQueue::Flush(SiteId to) {
 }
 
 void FormationQueue::HandleBatch(SiteId from, Message& msg) {
-  for (FormItem& item : msg.As<FormBatch>().items) {
+  // The items leave the envelope first: a handler's own sends may start a
+  // batch here, which takes a spare buffer.
+  std::vector<FormItem> delivered = std::move(msg.As<FormBatch>().items);
+  for (FormItem& item : delivered) {
     if (item.is_reply) {
       // The envelope already paid the wire; complete the caller directly.
       net_->CompleteBatchedCall(item.call_id, std::move(item.msg));
@@ -150,6 +157,12 @@ void FormationQueue::HandleBatch(SiteId from, Message& msg) {
                               ? Responder(net_, item.call_id, site_)
                               : Responder();
     net_->DispatchDelivered(from, site_, item.msg, responder);
+  }
+  // Keep the emptied buffer for the next batch this site starts, so steady
+  // traffic stops allocating batch storage.
+  if (spare_items_.size() < kSpareItemBuffers) {
+    delivered.clear();
+    spare_items_.push_back(std::move(delivered));
   }
 }
 

@@ -142,6 +142,9 @@ class FormationQueue {
   SharedAccessHook shared_access_hook_;
   // Indexed by destination site.
   std::vector<DestQueue> queues_;
+  // Emptied item buffers of batches delivered here, for the next batch.
+  static constexpr size_t kSpareItemBuffers = 8;
+  std::vector<std::vector<FormItem>> spare_items_;
 
   StatRegistry::StatId enqueued_id_;
   StatRegistry::StatId batches_id_;

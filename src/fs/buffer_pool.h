@@ -5,18 +5,19 @@
 // all pages in buffers thanks to LRU. The pool capacity is a knob in the
 // Figure 6 / footnote 11 benches.
 //
-// Lookup/Insert/Erase are O(1): entries live on one recency-ordered list
-// (most recent first) and a hash map points at their list nodes, so a touch
-// is a splice and an eviction pops the tail — no tree walks, and pages are
-// held by ref (PageRef) so hits never copy page bytes.
+// Lookup/Insert/Erase are O(1): entries live in one array of at most
+// `capacity` slots on a recency list linked by slot index (most recent
+// first), and an open-addressing index (linear probing, backward-shift
+// erase), built with the pool, maps keys to slots. A touch relinks a slot,
+// an eviction or erase frees one for the next insert, and the array grows
+// only until it holds `capacity` pages, so a warm pool allocates nothing.
+// Pages are held by ref (PageRef): hits never copy page bytes.
 
 #ifndef SRC_FS_BUFFER_POOL_H_
 #define SRC_FS_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "src/audit/observer.h"
 #include "src/base/ids.h"
@@ -32,13 +33,7 @@ class BufferPool {
     friend auto operator<=>(const Key&, const Key&) = default;
   };
 
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return FileIdHash()(k.file) * 1000003u + static_cast<uint32_t>(k.page_index);
-    }
-  };
-
-  explicit BufferPool(int32_t capacity_pages) : capacity_(capacity_pages) {}
+  explicit BufferPool(int32_t capacity_pages);
 
   // Returns the cached clean copy (nullptr on miss) and refreshes its LRU
   // position.
@@ -52,7 +47,7 @@ class BufferPool {
   // Site crash: all buffers are volatile.
   void Clear();
 
-  int32_t size() const { return static_cast<int32_t>(entries_.size()); }
+  int32_t size() const { return size_; }
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
 
@@ -60,16 +55,42 @@ class BufferPool {
   void set_auditor(ProtocolObserver* audit) { audit_ = audit; }
 
  private:
-  using LruList = std::list<std::pair<Key, PageRef>>;
+  static constexpr int32_t kNone = -1;
+
+  struct Slot {
+    Key key;
+    PageRef data;
+    int32_t prev = kNone;  // Toward the most recent.
+    int32_t next = kNone;  // Toward the least recent; the free list's link.
+  };
 
   bool Audited() const { return audit_ != nullptr && audit_->enabled(); }
+
+  size_t Home(const Key& key) const;
+  // Index position holding `key`'s slot, or the empty position that ends
+  // its probe run.
+  size_t Probe(const Key& key) const;
+  // Removes the slot at index position `pos` from the index.
+  void Unindex(size_t pos);
+  // True if `slot` holds an entry (a freed slot keeps its old key, but the
+  // index no longer leads to it).
+  bool Live(int32_t slot) const;
+  void LinkFront(int32_t slot);
+  void Unlink(int32_t slot);
+  // Drops the slot's page and index entry and returns it to the free list.
+  void Release(int32_t slot);
 
   ProtocolObserver* audit_ = nullptr;
   int32_t capacity_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
-  LruList lru_;  // Front = most recent.
-  std::unordered_map<Key, LruList::iterator, KeyHash> entries_;
+  std::vector<Slot> slots_;
+  std::vector<int32_t> index_;  // Slot numbers; kNone marks an empty position.
+  size_t mask_ = 0;
+  int32_t head_ = kNone;  // Most recent.
+  int32_t tail_ = kNone;  // Least recent.
+  int32_t free_ = kNone;  // Released slots, linked through `next`.
+  int32_t size_ = 0;
 };
 
 }  // namespace locus

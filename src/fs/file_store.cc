@@ -148,10 +148,23 @@ FileStore::Writer& FileStore::WriterFor(FileState& state, const LockOwner& owner
       return w;
     }
   }
-  Writer w;
-  w.owner = owner;
-  state.writers.push_back(std::move(w));
+  if (spare_writers_.empty()) {
+    state.writers.emplace_back();
+  } else {
+    state.writers.splice(state.writers.end(), spare_writers_, spare_writers_.begin());
+  }
+  state.writers.back().Reuse(owner);
   return state.writers.back();
+}
+
+void FileStore::RetireWriters(FileState& state, const LockOwner& owner) {
+  for (auto it = state.writers.begin(); it != state.writers.end();) {
+    auto next = std::next(it);
+    if (it->owner.SameWriterAs(owner)) {
+      spare_writers_.splice(spare_writers_.end(), state.writers, it);
+    }
+    it = next;
+  }
 }
 
 FileStore::Writer* FileStore::FindWriter(FileState& state, const LockOwner& owner) {
@@ -198,6 +211,26 @@ PageRef FileStore::StableCommittedPage(const FileId& file, const FileState& stat
       return data;
     }
   }
+}
+
+bool FileStore::OwnedByLiveWriter(const FileState& state, const std::vector<ByteRange>& ranges,
+                                  const ByteRange& span) const {
+  for (const ByteRange& r : ranges) {
+    ByteRange piece = r.Intersect(span);
+    if (piece.empty()) {
+      continue;
+    }
+    bool owned = false;
+    for (const Writer& w : state.writers) {
+      for (const ByteRange& mine : w.dirty.ranges()) {
+        owned = owned || mine.Contains(piece);
+      }
+    }
+    if (!owned) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool FileStore::OtherWriterOnPage(const FileState& state, const LockOwner& owner,
@@ -257,20 +290,20 @@ void FileStore::Write(const FileId& file, const LockOwner& writer, int64_t offse
     if (wp == state.working_pages.end()) {
       // Copy-on-write: the working page starts as the committed image
       // (version-stable: a racing install must not be frozen out). The ref is
-      // shared with the pool/disk; MutablePage below clones before the write.
+      // shared with the pool/disk; MutableImage below clones before the write.
       PageRef image = StableCommittedPage(file, state, slot, nullptr);
       wp = state.working_pages.find(slot);  // The fetch yielded; re-check.
       if (wp == state.working_pages.end()) {
-        wp = state.working_pages.emplace(slot, std::move(image)).first;
+        wp = state.working_pages.try_emplace(slot, std::move(image)).first;
       }
     }
-    if (!w.shadow_pages.count(slot)) {
-      w.shadow_pages[slot] = volume_->AllocPage();
+    if (auto [shadow, fresh] = w.shadow_pages.try_emplace(slot, kNoPage); fresh) {
+      shadow->second = volume_->AllocPage();
       stats_->Add(ids_.shadow_pages_allocated);
     }
     ByteRange piece = PageSpan(slot).Intersect(range);
     int64_t in_page = piece.start - PageSpan(slot).start;
-    std::memcpy(MutablePage(wp->second).data() + in_page,
+    std::memcpy(volume_->disk().MutableImage(wp->second).data() + in_page,
                 bytes.data() + (piece.start - range.start), piece.length);
   }
   w.dirty.Add(range);
@@ -288,7 +321,9 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
   intentions.new_size = std::max(state.inode.size, writer.max_extent);
   intentions.ranges = writer.dirty.ranges();
 
-  for (const auto& [slot, shadow] : writer.shadow_pages) {
+  // By index, reading each element afresh: the loop yields (disk I/O).
+  for (size_t k = 0; k < writer.shadow_pages.size(); ++k) {
+    const auto [slot, shadow] = *(writer.shadow_pages.begin() + k);
     Cpu(kCommitPerPageInstructions);
     PageRef to_flush;
     if (OtherWriterOnPage(state, writer.owner, slot)) {
@@ -303,12 +338,12 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
       auto wp = state.working_pages.find(slot);
       assert(wp != state.working_pages.end());
       int64_t copied = 0;
-      PageData& flush_buf = MutablePage(to_flush);
-      for (const ByteRange& r : writer.dirty.IntersectionsWith(PageSpan(slot))) {
+      PageData& flush_buf = volume_->disk().MutableImage(to_flush);
+      writer.dirty.ForEachIntersection(PageSpan(slot), [&](const ByteRange& r) {
         int64_t in_page = r.start - PageSpan(slot).start;
         std::memcpy(flush_buf.data() + in_page, wp->second->data() + in_page, r.length);
         copied += r.length;
-      }
+      });
       Cpu(kDiffPerPageInstructions +
                              static_cast<int64_t>(kDiffInstructionsPerByte *
                                                   static_cast<double>(copied)));
@@ -357,7 +392,7 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
       stats_->Add(ids_.commit_remerged_pages);
       PageRef base = StableCommittedPage(intentions.file, state, u.page_index, nullptr);
       PageRef shadow = volume_->disk().Read(u.new_page, "reread");
-      PageData& base_buf = MutablePage(base);
+      PageData& base_buf = volume_->disk().MutableImage(base);
       for (const ByteRange& r : intentions.ranges) {
         ByteRange piece = r.Intersect(PageSpan(u.page_index));
         if (piece.empty()) {
@@ -388,7 +423,8 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
     // image. Patch the installed ranges into the working page wherever no
     // live writer owns them.
     auto wp = state.working_pages.find(u.page_index);
-    if (wp != state.working_pages.end()) {
+    if (wp != state.working_pages.end() &&
+        !OwnedByLiveWriter(state, intentions.ranges, PageSpan(u.page_index))) {
       ByteRange span = PageSpan(u.page_index);
       RangeSet to_patch;
       for (const ByteRange& r : intentions.ranges) {
@@ -410,7 +446,7 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
         // entry could have been erased by a concurrent resolution.
         wp = state.working_pages.find(u.page_index);
         if (wp != state.working_pages.end()) {
-          PageData& working_buf = MutablePage(wp->second);
+          PageData& working_buf = volume_->disk().MutableImage(wp->second);
           for (const ByteRange& piece : to_patch.ranges()) {
             int64_t in_page = piece.start - span.start;
             std::memcpy(working_buf.data() + in_page, installed_image->data() + in_page,
@@ -433,13 +469,10 @@ void FileStore::FinishCommit(const FileId& file, FileState& state, const LockOwn
   if (w == nullptr) {
     return;
   }
-  std::vector<int32_t> slots;
+  // Remove the writer before deciding which working pages can retire; its
+  // retired record still lists the slots.
+  RetireWriters(state, owner);
   for (const auto& [slot, shadow] : w->shadow_pages) {
-    slots.push_back(slot);
-  }
-  // Remove the writer before deciding which working pages can retire.
-  std::erase_if(state.writers, [&](const Writer& x) { return x.owner.SameWriterAs(owner); });
-  for (int32_t slot : slots) {
     bool still_written = false;
     for (const Writer& other : state.writers) {
       if (other.dirty.Intersects(PageSpan(slot))) {
@@ -548,21 +581,24 @@ bool FileStore::AbortWriter(const FileId& file, const LockOwner& writer) {
     audit_->OnAbortWriterEffect(site_name_, file, writer.txn);
   }
   Cpu(kCommitBaseInstructions / 2);
-  for (const auto& [slot, shadow] : w->shadow_pages) {
+  // By index, reading each element afresh: the loop yields (disk I/O).
+  for (size_t k = 0; k < w->shadow_pages.size(); ++k) {
+    const auto [slot, shadow] = *(w->shadow_pages.begin() + k);
     auto wp = state->working_pages.find(slot);
     if (OtherWriterOnPage(*state, writer, slot)) {
       // Conflicting modifications exist: re-fetch the old version and
       // overwrite just this writer's records with their original contents
       // (section 5.2's abort path).
       PageRef previous = StableCommittedPage(file, *state, slot, nullptr);
+      wp = state->working_pages.find(slot);  // The fetch yielded; re-find.
       assert(wp != state->working_pages.end());
       int64_t copied = 0;
-      PageData& working_buf = MutablePage(wp->second);
-      for (const ByteRange& r : w->dirty.IntersectionsWith(PageSpan(slot))) {
+      PageData& working_buf = volume_->disk().MutableImage(wp->second);
+      w->dirty.ForEachIntersection(PageSpan(slot), [&](const ByteRange& r) {
         int64_t in_page = r.start - PageSpan(slot).start;
         std::memcpy(working_buf.data() + in_page, previous->data() + in_page, r.length);
         copied += r.length;
-      }
+      });
       Cpu(kDiffPerPageInstructions +
                              static_cast<int64_t>(kDiffInstructionsPerByte *
                                                   static_cast<double>(copied)));
@@ -573,7 +609,7 @@ bool FileStore::AbortWriter(const FileId& file, const LockOwner& writer) {
     volume_->FreePage(shadow);
     stats_->Add(ids_.shadow_pages_discarded);
   }
-  std::erase_if(state->writers, [&](const Writer& x) { return x.owner.SameWriterAs(writer); });
+  RetireWriters(*state, writer);
   int64_t size = state->inode.size;
   for (const Writer& other : state->writers) {
     size = std::max(size, other.max_extent);
@@ -658,8 +694,8 @@ std::vector<ByteRange> FileStore::AdoptDirtyRanges(const FileId& file, const Byt
     int32_t first = static_cast<int32_t>(piece.start / page_size());
     int32_t last = static_cast<int32_t>((piece.end() - 1) / page_size());
     for (int32_t slot = first; slot <= last; ++slot) {
-      if (!a.shadow_pages.count(slot)) {
-        a.shadow_pages[slot] = volume_->AllocPage();
+      if (auto [shadow, fresh] = a.shadow_pages.try_emplace(slot, kNoPage); fresh) {
+        shadow->second = volume_->AllocPage();
       }
     }
   }

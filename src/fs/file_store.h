@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/audit/observer.h"
+#include "src/base/flat_map.h"
 #include "src/base/ids.h"
 #include "src/fs/buffer_pool.h"
 #include "src/fs/intentions.h"
@@ -154,19 +155,28 @@ class FileStore {
  private:
   struct Writer {
     LockOwner owner;
-    RangeSet dirty;                         // Byte ranges modified, file-wide.
-    std::map<int32_t, PageId> shadow_pages;  // Page slot -> shadow disk page.
+    RangeSet dirty;                          // Byte ranges modified, file-wide.
+    FlatMap<int32_t, PageId> shadow_pages;  // Page slot -> shadow disk page.
     int64_t max_extent = 0;                 // Highest byte written + 1.
     // Set while a commit flush or abort rollback is in progress on this
     // writer. Resolution spans blocking disk I/O, so a duplicate
     // commit/abort message arriving meanwhile must not start a second
     // resolution (it would erase the Writer under the first one's feet).
     bool resolving = false;
+
+    // Readies a retired record for `o`, keeping its storage.
+    void Reuse(const LockOwner& o) {
+      owner = o;
+      dirty.clear();
+      shadow_pages.clear();
+      max_extent = 0;
+      resolving = false;
+    }
   };
 
   struct FileState {
     DiskInode inode;                          // Committed descriptor (cached).
-    std::map<int32_t, PageRef> working_pages;  // Slots with uncommitted bytes.
+    FlatMap<int32_t, PageRef> working_pages;  // Slots with uncommitted bytes.
     // std::list: Writer references stay valid across the blocking disk I/O in
     // the commit path while other processes register new writers.
     std::list<Writer> writers;
@@ -183,15 +193,23 @@ class FileStore {
   FileState& LoadState(const FileId& file);
   Writer& WriterFor(FileState& state, const LockOwner& owner);
   Writer* FindWriter(FileState& state, const LockOwner& owner);
+  // Moves every writer record of `owner` to spare_writers_; WriterFor
+  // clears and reuses them. A retired record stays readable until then.
+  void RetireWriters(FileState& state, const LockOwner& owner);
   // Committed content of a page slot: buffer pool, else disk (charging a
   // read); slots beyond the committed page list read as zeros. Returns a
-  // shared image — callers clone via MutablePage before modifying.
+  // shared image — callers clone via Disk::MutableImage before modifying.
   PageRef CommittedPage(const FileId& file, const FileState& state, int32_t slot);
   // Version-stable committed image: retries the (blocking) fetch until no
   // install replaced the page pointer during the read, so callers never
   // persist a superseded image. Optionally reports the matching version.
   PageRef StableCommittedPage(const FileId& file, const FileState& state, int32_t slot,
                               uint64_t* version_out);
+  // True if each piece of `ranges` inside `span` lies within one dirty range
+  // of a live writer: an install then has nothing to patch into the working
+  // page (the general check unions the writers' ranges).
+  bool OwnedByLiveWriter(const FileState& state, const std::vector<ByteRange>& ranges,
+                         const ByteRange& span) const;
   // True if a writer other than `owner` has dirty bytes on `slot`.
   bool OtherWriterOnPage(const FileState& state, const LockOwner& owner, int32_t slot) const;
   ByteRange PageSpan(int32_t slot) const;
@@ -209,6 +227,8 @@ class FileStore {
   StatRegistry* stats_;
   std::string site_name_;
   std::map<FileId, FileState> files_;
+  // Retired writer records, kept with their storage for the next writer.
+  std::list<Writer> spare_writers_;
 
   // Interned ids for every counter this class bumps; the read/write/commit
   // paths are the hottest stat emitters in the system.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <functional>
 #include <string_view>
 
 namespace locus {
@@ -25,20 +24,16 @@ std::string_view WriteOwnerText(const LockOwner& o, OwnerText& buffer) {
 
 }  // namespace
 
-size_t WaitForGraph::OwnerKeyHash::operator()(const OwnerKey& k) const {
-  size_t h = std::hash<int64_t>()(k.pid);
-  for (uint64_t part : {static_cast<uint64_t>(static_cast<uint32_t>(k.txn.site)),
-                        static_cast<uint64_t>(k.txn.epoch), k.txn.serial}) {
-    h = h * 1000003u ^ std::hash<uint64_t>()(part);
-  }
-  return h;
-}
-
 uint32_t WaitForGraph::Intern(const LockOwner& o) {
   const OwnerKey key = o.txn.valid() ? OwnerKey{o.txn, kNoPid} : OwnerKey{kNoTxn, o.pid};
-  auto [it, added] = ids_.try_emplace(key, static_cast<uint32_t>(nodes_.size()));
+  auto [it, added] = ids_.try_emplace(key, static_cast<uint32_t>(live_));
   if (added) {
-    nodes_.emplace_back();
+    if (live_ < nodes_.size()) {
+      nodes_[live_].out.clear();
+    } else {
+      nodes_.emplace_back();
+    }
+    ++live_;
   }
   nodes_[it->second].owner = o;
   return it->second;
@@ -55,41 +50,48 @@ void WaitForGraph::AddEdges(const std::vector<WaitEdge>& edges) {
   }
 }
 
-void WaitForGraph::Clear() {
-  nodes_.clear();
+void WaitForGraph::Reset() {
+  live_ = 0;
   ids_.clear();
 }
 
 int WaitForGraph::edge_count() const {
   int n = 0;
-  for (const Node& node : nodes_) {
-    n += static_cast<int>(node.out.size());
+  for (size_t id = 0; id < live_; ++id) {
+    n += static_cast<int>(nodes_[id].out.size());
   }
   return n;
 }
 
 std::vector<std::vector<uint32_t>> WaitForGraph::FindCycleIds() const {
-  const size_t n = nodes_.size();
+  const size_t n = live_;
+  Search& w = search_;
   // Search roots in the order of the owners' text.
-  std::vector<OwnerText> text(n);
-  std::vector<std::string_view> keys(n);
-  std::vector<uint32_t> roots(n);
+  w.text.resize(n);
+  w.keys.resize(n);
+  w.roots.resize(n);
+  std::vector<std::string_view>& keys = w.keys;
   for (uint32_t id = 0; id < n; ++id) {
-    keys[id] = WriteOwnerText(nodes_[id].owner, text[id]);
-    roots[id] = id;
+    keys[id] = WriteOwnerText(nodes_[id].owner, w.text[id]);
+    w.roots[id] = id;
   }
-  std::sort(roots.begin(), roots.end(), [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+  std::sort(w.roots.begin(), w.roots.end(),
+            [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
 
   // Iterative DFS with colors; reports each cycle found via the back-edge
   // stack slice. Good enough for the small graphs a detector daemon sees.
   std::vector<std::vector<uint32_t>> cycles;
-  std::vector<bool> done(n, false);
+  std::vector<bool>& done = w.done;
+  done.assign(n, false);
   // A node's position on the stack, or -1 when it is not on it.
-  std::vector<int> stack_pos(n, -1);
-  std::vector<uint32_t> stack;
+  std::vector<int>& stack_pos = w.stack_pos;
+  stack_pos.assign(n, -1);
+  std::vector<uint32_t>& stack = w.stack;
+  stack.clear();
   // Each frame: node + index of next neighbour to visit.
-  std::vector<std::pair<uint32_t, size_t>> frames;
-  for (uint32_t start : roots) {
+  std::vector<std::pair<uint32_t, size_t>>& frames = w.frames;
+  frames.clear();
+  for (uint32_t start : w.roots) {
     if (done[start]) {
       continue;
     }
@@ -137,8 +139,10 @@ std::vector<std::vector<LockOwner>> WaitForGraph::FindCycles() const {
 
 std::vector<LockOwner> WaitForGraph::SelectVictims() const {
   std::vector<LockOwner> victims;
-  std::vector<bool> chosen(nodes_.size(), false);
-  for (const std::vector<uint32_t>& cycle : FindCycleIds()) {
+  const std::vector<std::vector<uint32_t>> cycles = FindCycleIds();
+  std::vector<bool>& chosen = search_.chosen;
+  chosen.assign(live_, false);
+  for (const std::vector<uint32_t>& cycle : cycles) {
     const LockOwner* victim = nullptr;
     uint32_t victim_id = 0;
     for (uint32_t id : cycle) {

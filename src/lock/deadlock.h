@@ -10,10 +10,13 @@
 #ifndef SRC_LOCK_DEADLOCK_H_
 #define SRC_LOCK_DEADLOCK_H_
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/base/flat_map.h"
 #include "src/lock/lock_manager.h"
 
 namespace locus {
@@ -21,11 +24,13 @@ namespace locus {
 // One poll's global wait-for graph. Each owner is interned once, as an
 // integer id, and the search runs over ids; it visits owners in the order of
 // their ToString text, so the cycles it finds, and their order, are those of
-// a graph keyed by that text.
+// a graph keyed by that text. A detector keeps one graph and resets it per
+// poll: the nodes, the intern table and the search's work arrays keep their
+// storage, so polls stop allocating once they have seen their largest graph.
 class WaitForGraph {
  public:
   void AddEdges(const std::vector<WaitEdge>& edges);
-  void Clear();
+  void Reset();
 
   // All distinct owners that appear on a cycle, grouped per cycle.
   std::vector<std::vector<LockOwner>> FindCycles() const;
@@ -35,7 +40,7 @@ class WaitForGraph {
   // largest pid.
   std::vector<LockOwner> SelectVictims() const;
 
-  int node_count() const { return static_cast<int>(nodes_.size()); }
+  int node_count() const { return static_cast<int>(live_); }
   int edge_count() const;
 
  private:
@@ -44,10 +49,7 @@ class WaitForGraph {
   struct OwnerKey {
     TxnId txn;
     Pid pid = kNoPid;
-    friend bool operator==(const OwnerKey&, const OwnerKey&) = default;
-  };
-  struct OwnerKeyHash {
-    size_t operator()(const OwnerKey& k) const;
+    friend auto operator<=>(const OwnerKey&, const OwnerKey&) = default;
   };
   struct Node {
     // The owner as last reported under this key.
@@ -60,8 +62,22 @@ class WaitForGraph {
   // Node ids of each cycle found, in search order.
   std::vector<std::vector<uint32_t>> FindCycleIds() const;
 
+  // Nodes [0, live_) are this poll's; later ones are kept for reuse.
   std::vector<Node> nodes_;
-  std::unordered_map<OwnerKey, uint32_t, OwnerKeyHash> ids_;
+  size_t live_ = 0;
+  FlatMap<OwnerKey, uint32_t> ids_;
+  // FindCycleIds' work arrays, kept between calls.
+  struct Search {
+    std::vector<std::array<char, 48>> text;  // Each owner's ToString text.
+    std::vector<std::string_view> keys;
+    std::vector<uint32_t> roots;
+    std::vector<bool> done;
+    std::vector<int> stack_pos;
+    std::vector<uint32_t> stack;
+    std::vector<std::pair<uint32_t, size_t>> frames;
+    std::vector<bool> chosen;  // SelectVictims: nodes already picked.
+  };
+  mutable Search search_;
 };
 
 }  // namespace locus

@@ -75,8 +75,13 @@ void LockList::Carve(Bucket& bucket, const ByteRange& range, bool* inherits_dirt
                      bool retain_unlocked) {
   size_t i = FirstCandidate(bucket, range);
   size_t j = i;
+  bool overlaps = false;
   while (j < bucket.size() && bucket[j].range.start < range.end()) {
+    overlaps = overlaps || bucket[j].range.Overlaps(range);
     ++j;
+  }
+  if (!overlaps) {
+    return;
   }
   Bucket replaced;
   bool changed = false;
@@ -137,7 +142,7 @@ void LockList::Grant(const ByteRange& range, const LockOwner& owner, LockMode mo
       // what implements upgrade, downgrade, extension and contraction.
       Carve(it->second, range, &inherits_dirty, /*retain_unlocked=*/false);
       if (it->second.empty()) {
-        it = buckets_.erase(it);
+        it = EraseBucket(it);
         continue;
       }
     }
@@ -150,7 +155,7 @@ void LockList::Grant(const ByteRange& range, const LockOwner& owner, LockMode mo
   granted.retained = false;
   granted.non_transaction = non_transaction;
   granted.covers_dirty = inherits_dirty && !non_transaction;
-  Bucket& bucket = buckets_[KeyOf(owner)];
+  Bucket& bucket = BucketOf(owner);
   bucket.insert(std::upper_bound(bucket.begin(), bucket.end(), granted,
                                  [](const Entry& a, const Entry& b) {
                                    return a.range.start < b.range.start;
@@ -164,7 +169,7 @@ void LockList::Unlock(const ByteRange& range, const LockOwner& owner) {
     if (OwnerOf(it->first).SameAs(owner)) {
       Carve(it->second, range, nullptr, /*retain_unlocked=*/true);
       if (it->second.empty()) {
-        it = buckets_.erase(it);
+        it = EraseBucket(it);
         continue;
       }
     }
@@ -190,7 +195,7 @@ void LockList::ReleaseTransaction(const TxnId& txn) {
   for (auto it = buckets_.begin(); it != buckets_.end();) {
     if (it->first.txn == txn) {
       entry_count_ -= static_cast<int64_t>(it->second.size());
-      it = buckets_.erase(it);
+      it = EraseBucket(it);
     } else {
       ++it;
     }
@@ -201,8 +206,31 @@ void LockList::ReleaseProcess(Pid pid) {
   auto it = buckets_.find(OwnerKey{pid, kNoTxn});
   if (it != buckets_.end()) {
     entry_count_ -= static_cast<int64_t>(it->second.size());
-    buckets_.erase(it);
+    EraseBucket(it);
   }
+}
+
+LockList::Bucket& LockList::BucketOf(const LockOwner& owner) {
+  auto [it, inserted] = buckets_.try_emplace(KeyOf(owner));
+  if (inserted && !spare_.empty()) {
+    it->second = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  return it->second;
+}
+
+FlatMap<LockList::OwnerKey, LockList::Bucket>::iterator LockList::EraseBucket(
+    FlatMap<OwnerKey, Bucket>::iterator it) {
+  it->second.clear();
+  spare_.push_back(std::move(it->second));
+  return buckets_.erase(it);
+}
+
+void LockList::Reset() {
+  while (!buckets_.empty()) {
+    EraseBucket(buckets_.begin());
+  }
+  entry_count_ = 0;
 }
 
 LockMode LockList::ActingModeOver(const ByteRange& piece, const LockOwner& owner) const {
@@ -273,17 +301,8 @@ std::vector<LockOwner> LockList::ConflictingOwners(const ByteRange& range,
                                                    const LockOwner& owner,
                                                    LockMode mode) const {
   std::vector<LockOwner> out;
-  for (const auto& [key, bucket] : buckets_) {
-    if (OwnerOf(key).SameAs(owner)) {
-      continue;
-    }
-    for (size_t i = FirstCandidate(bucket, range);
-         i < bucket.size() && bucket[i].range.start < range.end(); ++i) {
-      if (bucket[i].range.Overlaps(range) && !LocksCompatible(bucket[i].mode, mode)) {
-        out.push_back(bucket[i].owner);
-      }
-    }
-  }
+  ForEachConflictingOwner(range, owner, mode,
+                          [&](const LockOwner& holder) { out.push_back(holder); });
   return out;
 }
 
@@ -325,6 +344,9 @@ bool LockList::Holds(const ByteRange& range, const LockOwner& owner, LockMode mo
       if (!strong_enough) {
         continue;
       }
+      if (e.range.Contains(range)) {
+        return true;  // One entry covers it all: the union is the range.
+      }
       ByteRange piece = e.range.Intersect(range);
       if (!piece.empty()) {
         pieces.push_back(piece);
@@ -345,6 +367,9 @@ bool LockList::HoldsNonTransaction(const ByteRange& range, const LockOwner& owne
       const Entry& e = bucket[i];
       if (e.retained || !e.non_transaction) {
         continue;
+      }
+      if (e.range.Contains(range)) {
+        return true;
       }
       ByteRange piece = e.range.Intersect(range);
       if (!piece.empty()) {

@@ -16,15 +16,18 @@
 // Conflict checks therefore touch one bucket per *other* holder and binary
 // search within it, instead of scanning a flat list of every entry on the
 // file. `NaiveLockList` (naive_lock_list.h) retains the original flat-vector
-// implementation as the differential-testing reference.
+// implementation as the differential-testing reference. Buckets sit in a
+// sorted vector (holder order, as a std::map would iterate them), and an
+// emptied bucket's storage is kept for the next holder, so a list that sees
+// one transaction after another stops allocating.
 
 #ifndef SRC_LOCK_LOCK_LIST_H_
 #define SRC_LOCK_LOCK_LIST_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "src/base/flat_map.h"
 #include "src/base/ids.h"
 #include "src/lock/range.h"
 
@@ -128,6 +131,23 @@ class LockList {
   // owner appears once per conflicting lock it holds.
   std::vector<LockOwner> ConflictingOwners(const ByteRange& range, const LockOwner& owner,
                                            LockMode mode) const;
+  // Calls fn(blocking owner) for each of those entries, in the same order,
+  // without building the vector.
+  template <typename Fn>
+  void ForEachConflictingOwner(const ByteRange& range, const LockOwner& owner, LockMode mode,
+                               Fn&& fn) const {
+    for (const auto& [key, bucket] : buckets_) {
+      if (OwnerOf(key).SameAs(owner)) {
+        continue;
+      }
+      for (size_t i = FirstCandidate(bucket, range);
+           i < bucket.size() && bucket[i].range.start < range.end(); ++i) {
+        if (bucket[i].range.Overlaps(range) && !LocksCompatible(bucket[i].mode, mode)) {
+          fn(bucket[i].owner);
+        }
+      }
+    }
+  }
 
   // True if `owner` holds an active (non-retained) entry covering all of
   // `range` with at least `mode` strength.
@@ -142,6 +162,9 @@ class LockList {
   // offset-sorted within each holder).
   std::vector<Entry> entries() const;
   bool empty() const { return entry_count_ == 0; }
+
+  // Drops every entry and keeps the storage for reuse.
+  void Reset();
 
  private:
   // Exact holder identity. Distinct from LockOwner::SameAs: SameAs is not an
@@ -175,7 +198,14 @@ class LockList {
   // (kUnix when uncovered).
   LockMode ActingModeOver(const ByteRange& piece, const LockOwner& owner) const;
 
-  std::map<OwnerKey, Bucket> buckets_;
+  // The bucket of `owner`'s exact identity, created (from spare storage when
+  // there is some) if absent.
+  Bucket& BucketOf(const LockOwner& owner);
+  // Erases the bucket at `it`, keeping its storage; returns the next one.
+  FlatMap<OwnerKey, Bucket>::iterator EraseBucket(FlatMap<OwnerKey, Bucket>::iterator it);
+
+  FlatMap<OwnerKey, Bucket> buckets_;
+  std::vector<Bucket> spare_;  // Emptied buckets' storage.
   int64_t entry_count_ = 0;
 };
 

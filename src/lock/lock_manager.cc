@@ -140,9 +140,9 @@ std::vector<WaitEdge> LockManager::WaitForEdges() const {
     if (it == files_.end()) {
       continue;
     }
-    for (const LockOwner& holder : it->second.ConflictingOwners(w.range, w.owner, w.mode)) {
+    it->second.ForEachConflictingOwner(w.range, w.owner, w.mode, [&](const LockOwner& holder) {
       edges.push_back(WaitEdge{w.owner, holder, w.file});
-    }
+    });
   }
   return edges;
 }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "src/audit/observer.h"
 #include "src/base/ids.h"
 #include "src/lock/lock_list.h"
+#include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 
 namespace locus {
@@ -38,12 +38,13 @@ class LockManager {
  public:
   // Invoked exactly once per request with the actually granted range (append
   // requests land at the end-of-file as of grant time), or with granted ==
-  // false on a no-wait conflict or a cancelled waiter.
-  using GrantCallback = std::function<void(bool granted, ByteRange range)>;
+  // false on a no-wait conflict or a cancelled waiter. Held inline: the
+  // kernel's grant closure (its reply callback included) fits the buffer.
+  using GrantCallback = Callback<void(bool granted, ByteRange range), 112>;
   // Recomputes a request's range at each grant attempt. Section 3.2: append
   // ("lock and extend") requests are interpreted relative to the end of file,
   // which may move while the request is queued.
-  using RangeFn = std::function<ByteRange()>;
+  using RangeFn = Callback<ByteRange(), 32>;
 
   LockManager(StatRegistry* stats, std::string site_name)
       : stats_(stats),

@@ -6,33 +6,47 @@ void RangeSet::Add(ByteRange r) {
   if (r.empty()) {
     return;
   }
-  std::vector<ByteRange> merged;
-  for (const ByteRange& existing : ranges_) {
-    // Merge anything overlapping or exactly adjacent.
-    if (existing.end() >= r.start && r.end() >= existing.start) {
-      int64_t new_end = std::max(r.end(), existing.end());
-      r.start = std::min(r.start, existing.start);
-      r.length = new_end - r.start;
-    } else {
-      merged.push_back(existing);
-    }
+  // In place: the run of ranges overlapping or exactly adjacent to `r`
+  // collapses into one, so a set that keeps its storage never allocates.
+  auto lo = std::lower_bound(ranges_.begin(), ranges_.end(), r.start,
+                             [](const ByteRange& e, int64_t s) { return e.end() < s; });
+  auto hi = lo;
+  while (hi != ranges_.end() && hi->start <= r.end()) {
+    ++hi;
   }
-  merged.push_back(r);
-  std::sort(merged.begin(), merged.end());
-  ranges_ = std::move(merged);
+  if (lo == hi) {
+    ranges_.insert(lo, r);
+    return;
+  }
+  int64_t new_end = std::max(r.end(), (hi - 1)->end());
+  lo->start = std::min(r.start, lo->start);
+  lo->length = new_end - lo->start;
+  ranges_.erase(lo + 1, hi);
 }
 
 void RangeSet::Remove(const ByteRange& r) {
   if (r.empty()) {
     return;
   }
-  std::vector<ByteRange> out;
-  for (const ByteRange& existing : ranges_) {
-    for (const ByteRange& piece : existing.Subtract(r)) {
-      out.push_back(piece);
-    }
+  auto lo = std::lower_bound(ranges_.begin(), ranges_.end(), r.start,
+                             [](const ByteRange& e, int64_t s) { return e.end() <= s; });
+  auto hi = lo;
+  while (hi != ranges_.end() && hi->start < r.end()) {
+    ++hi;
   }
-  ranges_ = std::move(out);
+  if (lo == hi) {
+    return;
+  }
+  // What survives of the run: a piece before `r` and a piece after it.
+  ByteRange before{lo->start, r.start - lo->start};
+  ByteRange after{r.end(), (hi - 1)->end() - r.end()};
+  auto at = ranges_.erase(lo, hi);
+  if (!after.empty()) {
+    at = ranges_.insert(at, after);
+  }
+  if (!before.empty()) {
+    ranges_.insert(at, before);
+  }
 }
 
 bool RangeSet::Intersects(const ByteRange& r) const {
@@ -46,12 +60,7 @@ bool RangeSet::Intersects(const ByteRange& r) const {
 
 std::vector<ByteRange> RangeSet::IntersectionsWith(const ByteRange& r) const {
   std::vector<ByteRange> out;
-  for (const ByteRange& existing : ranges_) {
-    ByteRange i = existing.Intersect(r);
-    if (!i.empty()) {
-      out.push_back(i);
-    }
-  }
+  ForEachIntersection(r, [&](const ByteRange& piece) { out.push_back(piece); });
   return out;
 }
 

@@ -62,8 +62,20 @@ class RangeSet {
   bool Intersects(const ByteRange& r) const;
   // The portions of `r` present in the set.
   std::vector<ByteRange> IntersectionsWith(const ByteRange& r) const;
+  // Calls fn(piece) for each of those portions, in offset order, without
+  // building the vector.
+  template <typename Fn>
+  void ForEachIntersection(const ByteRange& r, Fn&& fn) const {
+    for (const ByteRange& existing : ranges_) {
+      ByteRange piece = existing.Intersect(r);
+      if (!piece.empty()) {
+        fn(piece);
+      }
+    }
+  }
   bool empty() const { return ranges_.empty(); }
-  void Clear() { ranges_.clear(); }
+  // Drops every range and keeps the storage.
+  void clear() { ranges_.clear(); }
   const std::vector<ByteRange>& ranges() const { return ranges_; }
   // Total bytes covered.
   int64_t TotalBytes() const;

@@ -241,7 +241,7 @@ ReadReply Kernel::Serve(const ReadRequest& req) {
   }
   // A request from a transaction already aborted at this site raced the
   // abort cascade; serving it would expose rolled-back state.
-  if (req.owner.txn.valid() && locally_aborted_.count(req.owner.txn) != 0) {
+  if (req.owner.txn.valid() && locally_aborted_.Contains(req.owner.txn)) {
     return ReadReply{Err::kAborted, {}};
   }
   if (system_->observers().enabled()) {
@@ -262,7 +262,7 @@ WriteReply Kernel::Serve(const WriteRequest& req) {
     stats().Add(ids_.lock_write_denied);
     return WriteReply{Err::kAccess, 0};
   }
-  if (req.owner.txn.valid() && locally_aborted_.count(req.owner.txn) != 0) {
+  if (req.owner.txn.valid() && locally_aborted_.Contains(req.owner.txn)) {
     return WriteReply{Err::kAborted, 0};
   }
   store->Write(req.file, req.owner, req.offset, req.bytes);
@@ -284,7 +284,7 @@ LockReply Kernel::Serve(const LockRequest& req) {
   return reply;
 }
 
-void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> done) {
+void Kernel::ServeLock(const LockRequest& req, LockReplyFn done) {
   BurnCpu(kLockServiceInstructions);
   FileStore* store = StoreFor(req.file.volume);
   if (store == nullptr) {
@@ -308,8 +308,8 @@ void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> do
   }
   int64_t fetch_bytes = req.fetch_bytes;
   locks_.Request(file, req.range, owner, req.mode, req.non_transaction, req.wait,
-                 [this, store, file, owner, adopt, fetch_bytes, done](bool ok,
-                                                                     ByteRange granted) {
+                 [this, store, file, owner, adopt, fetch_bytes,
+                  done = std::move(done)](bool ok, ByteRange granted) mutable {
                    if (!ok) {
                      LockReply conflict;
                      conflict.err = Err::kConflict;
@@ -386,17 +386,26 @@ void Kernel::MaybeReleasePrimary(const FileId& file) {
   catalog().ReleasePrimaryIfIdle(*path);
 }
 
+std::optional<std::pair<VolumeId, uint64_t>> Kernel::PrepareLogRef(const TxnId& txn,
+                                                                   size_t k) const {
+  auto it = prepare_log_index_.find(txn);
+  if (it == prepare_log_index_.end() || k >= it->second.size()) {
+    return std::nullopt;
+  }
+  return it->second[k];
+}
+
 PrepareReply Kernel::Serve(const PrepareRequest& req) {
   LockOwner owner{kNoPid, req.txn};
   if (system_->observers().enabled()) {
     system_->observers().OnPrepareRequest(net().SiteName(site_), req.txn);
   }
-  if (locally_aborted_.count(req.txn) != 0) {
+  if (locally_aborted_.Contains(req.txn)) {
     return PrepareReply{Err::kAborted};  // The topology protocol aborted it here already.
   }
   // Group this site's intentions by volume: one prepare log per logical
   // volume (section 4.4) unless the footnote-10 per-file fidelity mode is on.
-  std::map<VolumeId, std::vector<IntentionsList>> by_volume;
+  FlatMap<VolumeId, std::vector<IntentionsList>> by_volume;
   for (const FileId& file : req.files) {
     FileStore* store = StoreFor(file.volume);
     if (store == nullptr) {
@@ -407,7 +416,7 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
       by_volume[file.volume].push_back(std::move(*intentions));
     }
   }
-  if (locally_aborted_.count(req.txn) != 0) {
+  if (locally_aborted_.Contains(req.txn)) {
     // The abort arrived while we were flushing (the rollback was deferred to
     // us); undo the flush and refuse to prepare.
     for (auto& [vol_id, intentions] : by_volume) {
@@ -425,10 +434,14 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
     // One record per volume, or per file in the footnote-10 fidelity mode.
     const size_t per_record = system_->options().prepare_log_per_file ? 1 : intentions.size();
     for (size_t first = 0; first < intentions.size(); first += per_record) {
-      auto begin = std::make_move_iterator(intentions.begin() + first);
-      uint64_t id = volume->AppendLog(
-          PrepareLogRecord{req.txn, req.coordinator, {begin, begin + per_record}},
-          "prepare_log");
+      PrepareLogRecord record{req.txn, req.coordinator, {}};
+      if (per_record == intentions.size()) {
+        record.intentions = std::move(intentions);  // The whole group: no copy.
+      } else {
+        auto begin = std::make_move_iterator(intentions.begin() + first);
+        record.intentions.assign(begin, begin + per_record);
+      }
+      uint64_t id = volume->AppendLog(std::move(record), "prepare_log");
       if (sim().trace_echo()) {
         Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
               static_cast<unsigned long long>(id));
@@ -451,35 +464,33 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
   if (system_->observers().enabled()) {
     system_->observers().OnCommitMessage(net().SiteName(site_), txn);
   }
-  if (!txn_resolution_in_progress_.insert(txn).second) {
+  if (!txn_resolution_in_progress_.insert(txn)) {
     return Err::kOk;  // A duplicate message raced an in-flight resolution.
   }
   MaybeCrashAt(ProtocolStep::kBeforeCommitInstall);
   LockOwner owner{kNoPid, txn};
   std::vector<FileId> committed_files;
-  auto it = prepare_log_index_.find(txn);
-  if (it != prepare_log_index_.end()) {
-    for (const auto& [vol_id, record_id] : it->second) {
-      const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
-      if (rec == nullptr) {
-        continue;  // Duplicate commit message; already resolved (section 4.4).
-      }
-      if (sim().trace_echo()) {
-        Trace("commit %s: installing log record %llu (%zu intentions)",
-              ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
-              rec->intentions.size());
-      }
-      for (const IntentionsList& il : rec->intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        store->InstallIntentions(il);
-        store->FinishWriterCommit(il.file, owner);
-        PropagateReplicas(il.file, il);
-        committed_files.push_back(il.file);
-      }
-      FindVolume(vol_id)->EraseLog(record_id);
+  for (size_t k = 0; auto ref = PrepareLogRef(txn, k); ++k) {
+    const auto [vol_id, record_id] = *ref;
+    const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
+    if (rec == nullptr) {
+      continue;  // Duplicate commit message; already resolved (section 4.4).
     }
-    prepare_log_index_.erase(txn);
+    if (sim().trace_echo()) {
+      Trace("commit %s: installing log record %llu (%zu intentions)",
+            ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
+            rec->intentions.size());
+    }
+    for (const IntentionsList& il : rec->intentions) {
+      FileStore* store = StoreFor(il.file.volume);
+      store->InstallIntentions(il);
+      store->FinishWriterCommit(il.file, owner);
+      PropagateReplicas(il.file, il);
+      committed_files.push_back(il.file);
+    }
+    FindVolume(vol_id)->EraseLog(record_id);
   }
+  prepare_log_index_.erase(txn);
   MaybeCrashAt(ProtocolStep::kAfterCommitInstall);
   // Phase two releases the retained locks (section 4.2).
   locks_.ReleaseTransaction(txn);
@@ -495,32 +506,30 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
 
 Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
   const TxnId& txn = req.txn;
-  if (!txn_resolution_in_progress_.insert(txn).second) {
+  if (!txn_resolution_in_progress_.insert(txn)) {
     return Err::kOk;  // A duplicate message raced an in-flight resolution.
   }
-  locally_aborted_.insert(txn);
+  locally_aborted_.Set(txn, true, sim().Now());
   LockOwner owner{kNoPid, txn};
   // Prepared state first: roll back via writer state if we still have it
   // (pre-crash) or free the logged shadow pages (post-crash).
-  auto it = prepare_log_index_.find(txn);
-  if (it != prepare_log_index_.end()) {
-    for (const auto& [vol_id, record_id] : it->second) {
-      const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
-      if (rec == nullptr) {
-        continue;
-      }
-      for (const IntentionsList& il : rec->intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        if (store->HasUncommitted(il.file, owner)) {
-          store->AbortWriter(il.file, owner);
-        } else {
-          store->DiscardIntentions(il);
-        }
-      }
-      FindVolume(vol_id)->EraseLog(record_id);
+  for (size_t k = 0; auto ref = PrepareLogRef(txn, k); ++k) {
+    const auto [vol_id, record_id] = *ref;
+    const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
+    if (rec == nullptr) {
+      continue;
     }
-    prepare_log_index_.erase(txn);
+    for (const IntentionsList& il : rec->intentions) {
+      FileStore* store = StoreFor(il.file.volume);
+      if (store->HasUncommitted(il.file, owner)) {
+        store->AbortWriter(il.file, owner);
+      } else {
+        store->DiscardIntentions(il);
+      }
+    }
+    FindVolume(vol_id)->EraseLog(record_id);
   }
+  prepare_log_index_.erase(txn);
   // Unprepared uncommitted modifications. A writer mid-prepare-flush cannot
   // be rolled back immediately; retry until every rollback lands — the locks
   // below must NOT be released while transactional dirty data remains.

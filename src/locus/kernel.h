@@ -16,11 +16,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/base/expiring_map.h"
+#include "src/base/flat_map.h"
 #include "src/base/ids.h"
 #include "src/form/formation.h"
 #include "src/fs/buffer_pool.h"
@@ -169,6 +170,12 @@ class Kernel {
   // Deadlock-detector entry point: wait-for edges at this site.
   std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
 
+  // Sizes of the per-transaction and per-process memory this site keeps
+  // past a transaction or process (diagnostics; long-run bounds).
+  size_t abort_tombstone_count() const { return locally_aborted_.size(); }
+  size_t txn_forward_count() const { return txn_forward_.size(); }
+  size_t process_forward_count() const { return procs_.forwarding_count(); }
+
  private:
   friend class System;
 
@@ -266,8 +273,9 @@ class Kernel {
   ReplicaVersionReply Serve(const ReplicaVersionRequest& req) { return recon_->ServeVersion(req); }
   ReplicaFetchReply Serve(const ReplicaFetchRequest& req) { return recon_->ServeFetch(req); }
   // Processes a lock request at the storage site; `done` fires when granted,
-  // denied, or cancelled.
-  void ServeLock(const LockRequest& req, std::function<void(LockReply)> done);
+  // denied, or cancelled. It holds an RPC responder or a waiter's references.
+  using LockReplyFn = Callback<void(LockReply), 32>;
+  void ServeLock(const LockRequest& req, LockReplyFn done);
 
   // --- Requester-side helpers ---
   Result<ByteRange> RequestLock(OsProcess* p, Channel& ch, LockRequest req);
@@ -364,28 +372,39 @@ class Kernel {
   // Message formation queue (src/form); created in Start().
   std::unique_ptr<FormationQueue> form_;
   // Coordinator-log record ids by transaction (volatile index of the root
-  // volume's stable log).
-  std::map<TxnId, uint64_t> coordinator_log_index_;
+  // volume's stable log). This and the tables below hold the few
+  // transactions in flight at this site, in sorted vectors that keep their
+  // storage from one transaction to the next.
+  FlatMap<TxnId, uint64_t> coordinator_log_index_;
   // Prepared-transaction index: txn -> (volume, prepare log record id) pairs
   // (several per volume in the footnote-10 per-file fidelity mode).
-  std::map<TxnId, std::vector<std::pair<VolumeId, uint64_t>>> prepare_log_index_;
-  // Forwarding for migrated transaction records (top-level process moved).
-  std::map<TxnId, SiteId> txn_forward_;
+  FlatMap<TxnId, std::vector<std::pair<VolumeId, uint64_t>>> prepare_log_index_;
+  // The k-th (volume, record id) of `txn` in prepare_log_index_, or nullopt
+  // past its last. Resolution walks the records by position and looks each
+  // up afresh, for its installs yield and other transactions' prepares may
+  // reorganize the index meanwhile.
+  std::optional<std::pair<VolumeId, uint64_t>> PrepareLogRef(const TxnId& txn, size_t k) const;
+  // Forwarding for migrated transaction records (top-level process moved),
+  // forgotten kForgetAfter after the move.
+  ExpiringMap<TxnId, SiteId> txn_forward_{kForgetAfter};
   // Transactions with a phase-two driver currently running here.
-  std::set<TxnId> phase2_active_;
+  FlatSet<TxnId> phase2_active_;
   // Transactions whose local commit/abort resolution is currently executing
   // (it spans blocking disk I/O). Duplicate commit or abort messages —
   // coordinator retries racing participant recovery — must not start a
   // second concurrent resolution: installs would double-free pages.
-  std::set<TxnId> txn_resolution_in_progress_;
+  FlatSet<TxnId> txn_resolution_in_progress_;
+  // Closed channels no process shares, reused by the next open.
+  std::vector<std::shared_ptr<Channel>> spare_channels_;
   // Abort cascades in flight; AbortTrans waits on these so rollback is
   // visible when the call returns.
   std::map<TxnId, std::shared_ptr<WaitQueue>> abort_done_;
   // Tombstones of transactions aborted at this site. A prepare that was
   // already in flight when the abort arrived consults these before writing
   // its prepare log, closing the window where an aborted transaction could
-  // end up locally prepared with its locks already released.
-  std::set<TxnId> locally_aborted_;
+  // end up locally prepared with its locks already released. Forgotten
+  // kForgetAfter after the abort (the value is unused).
+  ExpiringMap<TxnId, bool> locally_aborted_{kForgetAfter};
   // Kernel processes spawned here, for OnCrash to kill. Finished entries are
   // swept once the list reaches kernel_procs_sweep_at_.
   static constexpr size_t kMinKernelProcsSweep = 64;

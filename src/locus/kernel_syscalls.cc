@@ -169,7 +169,13 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
     }
     return {err, -1};
   }
-  auto ch = std::make_shared<Channel>();
+  std::shared_ptr<Channel> ch;
+  if (spare_channels_.empty()) {
+    ch = std::make_shared<Channel>();
+  } else {
+    ch = std::move(spare_channels_.back());
+    spare_channels_.pop_back();
+  }
   ch->path = path;
   ch->file = replica->file;
   ch->storage_site = replica->site;
@@ -211,6 +217,10 @@ Err Kernel::SysClose(OsProcess* p, int fd) {
     } else {
       Post<kReleasePrimaryReq>(ch->storage_site, ReleasePrimaryRequest{ch->file});
     }
+  }
+  if (ch.use_count() == 1) {
+    *ch = Channel{};
+    spare_channels_.push_back(std::move(ch));  // The next open reuses it.
   }
   return Err::kOk;
 }
@@ -418,7 +428,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
     req.fetch_bytes = req.range.length;
   }
   std::optional<LockReply> granted =
-      ChannelCall<kLockReq>(ch, req, kControlMsgBytes, /*timeout=*/Seconds(600));
+      ChannelCall<kLockReq>(ch, req, kControlMsgBytes, Network::kLockCallTimeout);
   if (!granted) {
     // Withdraw the queued request. After a timeout nobody is listening for
     // the grant, and a still-queued entry would later be granted to this
@@ -445,7 +455,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
     stats().Add(ids_.lock_stale_grants_undone);
     return {Err::kAborted, {}};
   }
-  p->lock_cache[ch.file].Grant(reply.granted, req.owner, req.mode, req.non_transaction);
+  p->CachedLocks(ch.file).Grant(reply.granted, req.owner, req.mode, req.non_transaction);
   p->lock_sites.insert(ch.storage_site);
   if (reply.fetched) {
     // Data shipped with the grant: park it on the channel for the next read
@@ -669,11 +679,11 @@ Err Kernel::SysMigrate(OsProcess* p, SiteId to) {
   }
   std::unique_ptr<OsProcess> moved = procs_.Take(p->pid);
   assert(moved != nullptr);
-  procs_.SetForwarding(p->pid, to);
+  procs_.SetForwarding(p->pid, to, sim().Now());
   std::unique_ptr<TxnRecord> record;
   if (p->txn.valid() && p->txn_top_level) {
     record = txns_.Take(p->txn);
-    txn_forward_[p->txn] = to;
+    txn_forward_.Set(p->txn, to, sim().Now());
   }
   moved->site = to;
   moved->in_transit = false;
@@ -683,7 +693,7 @@ Err Kernel::SysMigrate(OsProcess* p, SiteId to) {
   target.procs_.Add(std::move(moved));
   if (record != nullptr) {
     target.txns_.Install(std::move(record));
-    target.txn_forward_.erase(p->txn);
+    target.txn_forward_.Erase(p->txn);
   }
   Trace("pid %lld migrated to %s", static_cast<long long>(p->pid),
         net().SiteName(to).c_str());

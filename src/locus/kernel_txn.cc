@@ -154,7 +154,7 @@ void Kernel::ClearTxnState(OsProcess* p) {
   p->txn_aborted = false;
   p->txn_top_site_hint = kNoSite;
   p->file_list.clear();
-  p->lock_cache.clear();
+  p->ResetLockCache();
 }
 
 // ---------------------------------------------------------------------------
@@ -196,21 +196,18 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // calls — all requests leave in one flush window, so the prepare phase
   // costs one round trip instead of one per participant.
   FlushReleaseHints(p);
-  std::vector<SiteId> prepared;
   Err failure = Err::kOk;
   if (system_->options().formation) {
     // Remote prepares first (they are non-blocking to issue), then the local
     // participant's prepare — its log force overlaps the replies in flight.
     std::vector<std::pair<SiteId, uint64_t>> in_flight;
-    std::vector<SiteId> local_sites;
     for (SiteId s : participants) {
       if (record->abort_requested) {
         failure = Err::kAborted;
         break;
       }
       if (IsLocal(s)) {
-        local_sites.push_back(s);  // Prepared after every remote request is out.
-        continue;
+        continue;  // Prepared after every remote request is out.
       }
       uint64_t id =
           form().BeginCall(s, MakeMsg<kPrepareReq>(PrepareRequestFor(*record, site_, s)));
@@ -220,15 +217,12 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
       }
       in_flight.emplace_back(s, id);
     }
-    for (SiteId s : local_sites) {
+    for (SiteId s : participants) {
       if (failure != Err::kOk || record->abort_requested) {
         break;
       }
-      Err err = Serve(PrepareRequestFor(*record, site_, s)).err;
-      if (err == Err::kOk) {
-        prepared.push_back(s);
-      } else {
-        failure = err;
+      if (IsLocal(s)) {
+        failure = Serve(PrepareRequestFor(*record, site_, s)).err;
       }
     }
     // Every begun call must be finished, failure or not, so the pending-call
@@ -236,9 +230,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
     for (const auto& [s, id] : in_flight) {
       RpcResult res = form().FinishCall(id);
       Err err = res.ok ? ReplyIn<kPrepareReq>(res.reply).err : Err::kUnreachable;
-      if (err == Err::kOk) {
-        prepared.push_back(s);
-      } else if (failure == Err::kOk) {
+      if (err != Err::kOk && failure == Err::kOk) {
         failure = err;
       }
     }
@@ -255,7 +247,6 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         failure = err;
         break;
       }
-      prepared.push_back(s);
     }
   }
   if (failure != Err::kOk || record->abort_requested) {
@@ -293,14 +284,14 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // returns at the commit point (section 6.1's I/O accounting depends on
   // this split).
   txns_.Erase(txn);
-  SpawnPhaseTwo(txn, participants, log_id);
+  SpawnPhaseTwo(txn, std::move(participants), log_id);
   (void)p;
   return Err::kOk;
 }
 
 void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
                            uint64_t log_id) {
-  if (!phase2_active_.insert(txn).second) {
+  if (!phase2_active_.insert(txn)) {
     return;  // A driver for this transaction is already running here.
   }
   if (system_->observers().enabled()) {
@@ -310,8 +301,9 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
     net().StampLocalEvent(site_);
     system_->observers().OnCommitPoint(net().SiteName(site_), txn, {}, 1);
   }
-  SpawnKernelProcess("phase2", [this, txn, participants, log_id] {
-    std::vector<SiteId> remaining = participants;
+  SpawnKernelProcess("phase2", [this, txn, participants = std::move(participants),
+                                log_id]() mutable {
+    std::vector<SiteId> remaining = std::move(participants);
     int idle_rounds = 0;
     while (!remaining.empty() && idle_rounds < 200) {
       std::vector<SiteId> still;
@@ -500,8 +492,8 @@ Err Kernel::Serve(const KillProcessRequest& req) {
 MemberJoinReply Kernel::Serve(const MemberJoinRequest& req) {
   TxnRecord* record = txns_.Find(req.txn);
   if (record == nullptr) {
-    auto it = txn_forward_.find(req.txn);
-    return MemberJoinReply{Err::kNoEnt, it == txn_forward_.end() ? kNoSite : it->second};
+    const SiteId* forward = txn_forward_.Find(req.txn);
+    return MemberJoinReply{Err::kNoEnt, forward == nullptr ? kNoSite : *forward};
   }
   if (record->abort_requested) {
     return MemberJoinReply{Err::kAborted, kNoSite};
@@ -518,8 +510,8 @@ MemberJoinReply Kernel::Serve(const MemberJoinRequest& req) {
 MergeFileListReply Kernel::Serve(const MergeFileListRequest& req) {
   TxnRecord* record = txns_.Find(req.txn);
   if (record == nullptr) {
-    auto it = txn_forward_.find(req.txn);
-    return MergeFileListReply{Err::kNoEnt, it == txn_forward_.end() ? kNoSite : it->second};
+    const SiteId* forward = txn_forward_.Find(req.txn);
+    return MergeFileListReply{Err::kNoEnt, forward == nullptr ? kNoSite : *forward};
   }
   OsProcess* top = procs_.Find(record->top_pid);
   if (top == nullptr) {
@@ -546,8 +538,8 @@ AbortTxnRouteReply Kernel::Serve(const AbortTxnRouteRequest& req) {
     AbortTransactionLocal(req.txn, req.reason);
     return AbortTxnRouteReply{Err::kOk, kNoSite};
   }
-  auto it = txn_forward_.find(req.txn);
-  return AbortTxnRouteReply{Err::kNoEnt, it == txn_forward_.end() ? kNoSite : it->second};
+  const SiteId* forward = txn_forward_.Find(req.txn);
+  return AbortTxnRouteReply{Err::kNoEnt, forward == nullptr ? kNoSite : *forward};
 }
 
 TxnStatusReply Kernel::Serve(const TxnStatusRequest& req) {
@@ -564,7 +556,7 @@ TxnStatusReply Kernel::Serve(const TxnStatusRequest& req) {
     }
   }
   if (status == TxnStatus::kAborted &&
-      (txns_.Find(req.txn) != nullptr || txn_forward_.count(req.txn) != 0)) {
+      (txns_.Find(req.txn) != nullptr || txn_forward_.Contains(req.txn))) {
     status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
   }
   return TxnStatusReply{static_cast<int>(status)};
@@ -800,11 +792,11 @@ void Kernel::OnCrash() {
   }
   coordinator_log_index_.clear();
   prepare_log_index_.clear();
-  txn_forward_.clear();
+  txn_forward_.Clear();
   phase2_active_.clear();
   abort_done_.clear();
   txn_resolution_in_progress_.clear();
-  locally_aborted_.clear();
+  locally_aborted_.Clear();
   if (recon_ != nullptr) {
     recon_->OnCrash();
   }

@@ -118,10 +118,13 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
   daemons_running_ = true;
   Kernel* kernel = kernels_[site].get();
   kernel->SpawnKernelProcess("deadlock-detector", [this, site, kernel, period] {
+    // Cleared per poll, keeping their storage.
+    WaitForGraph graph;
+    // Edges per reporting site, for the orphan-lock reaper below.
+    std::vector<std::pair<SiteId, WaitEdge>> sited_edges;
     while (daemons_running_ && net_.IsAlive(site)) {
-      WaitForGraph graph;
-      // Edges per reporting site, for the orphan-lock reaper below.
-      std::vector<std::pair<SiteId, WaitEdge>> sited_edges;
+      graph.Reset();
+      sited_edges.clear();
       for (SiteId s = 0; s < site_count(); ++s) {
         std::vector<WaitEdge> edges;
         if (s == site) {

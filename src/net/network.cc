@@ -134,7 +134,20 @@ void Network::DispatchDelivered(SiteId from, SiteId to, Message& msg, Responder 
 uint64_t Network::PrepareCall(SiteId from, SiteId to) {
   assert(Simulation::Current() != nullptr && "Network::PrepareCall requires process context");
   uint64_t id = next_call_id_++;
-  pending_calls_.try_emplace(id, from, to, sim_);
+  if (spare_calls_.empty()) {
+    pending_calls_.try_emplace(id, from, to, sim_);
+    return id;
+  }
+  // Reuse a finished call's node (and its wait queue's storage).
+  PendingCallMap::node_type node = std::move(spare_calls_.back());
+  spare_calls_.pop_back();
+  node.key() = id;
+  PendingCall& call = node.mapped();
+  call.from = from;
+  call.to = to;
+  call.done = false;
+  call.result = RpcResult{};
+  pending_calls_.insert(std::move(node));
   return id;
 }
 
@@ -157,7 +170,7 @@ RpcResult Network::WaitCall(uint64_t call_id, SimTime timeout) {
   auto it = pending_calls_.find(call_id);
   assert(it != pending_calls_.end() && it->second.done);
   RpcResult result = std::move(it->second.result);
-  pending_calls_.erase(it);
+  spare_calls_.push_back(pending_calls_.extract(it));
   return result;
 }
 

@@ -221,6 +221,8 @@ class Network {
   static constexpr int64_t kWireNsPerByte = 800;  // 10 Mb/s
   static constexpr SimTime kFailureDetectDelay = Milliseconds(40);
   static constexpr SimTime kDefaultRpcTimeout = Seconds(5);
+  // The longest RPC time-out: a lock call, which may queue behind holders.
+  static constexpr SimTime kLockCallTimeout = Seconds(600);
 
   explicit Network(Simulation* sim);
 
@@ -346,7 +348,11 @@ class Network {
   StatRegistry::StatId messages_id_;  // "net.messages": bumped per message.
   std::vector<Site> sites_;
   uint64_t next_call_id_ = 1;
-  std::unordered_map<uint64_t, PendingCall> pending_calls_;
+  using PendingCallMap = std::unordered_map<uint64_t, PendingCall>;
+  PendingCallMap pending_calls_;
+  // Nodes of finished calls, reused by PrepareCall: at most as many as were
+  // ever in flight at once.
+  std::vector<PendingCallMap::node_type> spare_calls_;
   bool clocks_enabled_ = false;
 };
 

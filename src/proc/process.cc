@@ -4,7 +4,7 @@ namespace locus {
 
 void ProcessTable::Add(std::unique_ptr<OsProcess> process) {
   Pid pid = process->pid;
-  forwarding_.erase(pid);  // The process is here now; drop any stale pointer.
+  forwarding_.Erase(pid);  // The process is here now; drop any stale pointer.
   table_[pid] = std::move(process);
 }
 
@@ -29,8 +29,8 @@ const OsProcess* ProcessTable::Find(Pid pid) const {
 }
 
 SiteId ProcessTable::ForwardingFor(Pid pid) const {
-  auto it = forwarding_.find(pid);
-  return it == forwarding_.end() ? kNoSite : it->second;
+  const SiteId* site = forwarding_.Find(pid);
+  return site == nullptr ? kNoSite : *site;
 }
 
 std::vector<OsProcess*> ProcessTable::All() {

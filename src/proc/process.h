@@ -17,12 +17,19 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/expiring_map.h"
+#include "src/base/flat_map.h"
 #include "src/base/ids.h"
 #include "src/lock/lock_list.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 
 namespace locus {
+
+// How long a site remembers a transaction it aborted, or where a transaction
+// or process it no longer hosts went: twice the longest RPC time-out, so a
+// message still in flight for it finds the entry.
+inline constexpr SimTime kForgetAfter = 2 * Network::kLockCallTimeout;
 
 // An open-file channel (Unix file-table entry). Shared between parent and
 // child after fork, so the offset is shared, matching Unix semantics the
@@ -70,12 +77,14 @@ struct OsProcess {
   // Short-duration anti-migration latch taken while a merge is applied.
   int migration_locks = 0;
 
-  std::map<int, std::shared_ptr<Channel>> fds;
+  FlatMap<int, std::shared_ptr<Channel>> fds;
   int next_fd = 3;
 
   // Requester-side lock cache (section 5.1): grants are cached here so read
   // and write requests validate locally without a storage-site exchange.
-  std::map<FileId, LockList> lock_cache;
+  FlatMap<FileId, LockList> lock_cache;
+  // Lists emptied when a transaction ended, kept with their storage.
+  std::vector<LockList> spare_lock_lists;
   // Files this process has modified outside any transaction; the base Locus
   // single-file commit runs for them at close.
   std::set<FileId> nontxn_dirty;
@@ -89,6 +98,24 @@ struct OsProcess {
 
   ProcessHandle sim_process;
   std::unique_ptr<WaitQueue> children_exited;  // Signalled on each child exit.
+
+  // The cached lock list of `file`, built on spare storage if it is new.
+  LockList& CachedLocks(const FileId& file) {
+    auto [it, inserted] = lock_cache.try_emplace(file);
+    if (inserted && !spare_lock_lists.empty()) {
+      it->second = std::move(spare_lock_lists.back());
+      spare_lock_lists.pop_back();
+    }
+    return it->second;
+  }
+  // Empties the lock cache, keeping the lists' storage for later grants.
+  void ResetLockCache() {
+    for (auto& [file, list] : lock_cache) {
+      list.Reset();
+      spare_lock_lists.push_back(std::move(list));
+    }
+    lock_cache.clear();
+  }
 
   void NoteFileUsed(const FileId& file, SiteId storage_site) {
     UsedFile uf{file, storage_site};
@@ -110,17 +137,21 @@ class ProcessTable {
   OsProcess* Find(Pid pid);
   const OsProcess* Find(Pid pid) const;
 
-  // Forwarding pointer left behind when a process migrates away.
-  void SetForwarding(Pid pid, SiteId new_site) { forwarding_[pid] = new_site; }
+  // Forwarding pointer left behind when a process migrates away at virtual
+  // time `now`; forgotten kForgetAfter later.
+  void SetForwarding(Pid pid, SiteId new_site, SimTime now) {
+    forwarding_.Set(pid, new_site, now);
+  }
   SiteId ForwardingFor(Pid pid) const;
+  size_t forwarding_count() const { return forwarding_.size(); }
 
   std::vector<OsProcess*> All();
   int count() const { return static_cast<int>(table_.size()); }
-  void Clear() { table_.clear(); forwarding_.clear(); }
+  void Clear() { table_.clear(); forwarding_.Clear(); }
 
  private:
   std::map<Pid, std::unique_ptr<OsProcess>> table_;
-  std::map<Pid, SiteId> forwarding_;
+  ExpiringMap<Pid, SiteId> forwarding_{kForgetAfter};
 };
 
 }  // namespace locus

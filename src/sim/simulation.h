@@ -158,17 +158,25 @@ enum class DrainWatchdog {
 // Process bodies must be exception safe (RAII) but should not catch this.
 struct SimCancelled {};
 
-// A move-only `void()` callable stored inline: the engine's events and
-// process bodies. The buffer fits the largest closure the engine carries (a
-// message delivery, which holds the whole Message); a closure that does not
-// fit is a compile error, never a heap allocation.
-class Callback {
+// A move-only callable stored inline, of signature `Signature` in a buffer of
+// `kBytes`: the engine's events and process bodies (`Callback<>`, a `void()`
+// of 144 bytes, which fits the largest closure the engine carries: a message
+// delivery holding the whole Message), and the protocol layers' completion
+// callbacks (a lock grant, its reply, an append range). A closure that does
+// not fit is a compile error, never a heap allocation.
+template <typename Signature = void(), size_t kBytes = 144>
+class Callback;
+
+template <typename R, typename... Args, size_t kBytes>
+class Callback<R(Args...), kBytes> {
  public:
-  static constexpr size_t kInlineBytes = 144;
+  static constexpr size_t kInlineBytes = kBytes;
 
   Callback() = default;
+  Callback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor): an empty callable.
   template <typename F>
-    requires(!std::is_same_v<std::decay_t<F>, Callback>)
+    requires(!std::is_same_v<std::decay_t<F>, Callback> &&
+             !std::is_same_v<std::decay_t<F>, std::nullptr_t>)
   Callback(F&& fn) {  // NOLINT(google-explicit-constructor): any callable converts.
     Emplace(std::forward<F>(fn));
   }
@@ -187,10 +195,11 @@ class Callback {
   void Emplace(F&& fn) {
     using Fn = std::decay_t<F>;
     static_assert(!std::is_same_v<Fn, Callback>, "move a Callback, do not nest it");
-    static_assert(std::is_invocable_v<Fn&>, "a Callback runs with no arguments");
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                  "the closure does not match the Callback's signature");
     static_assert(sizeof(Fn) <= kInlineBytes,
                   "closure too large for Callback's inline buffer: capture less "
-                  "(or by reference) or raise kInlineBytes");
+                  "(or by reference) or raise its size");
     static_assert(alignof(Fn) <= alignof(void*), "closure over-aligned for Callback");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "a Callback closure must move without throwing");
@@ -199,7 +208,7 @@ class Callback {
     ops_ = &kOps<Fn>;
   }
 
-  void operator()() { ops_->invoke(buffer_); }
+  R operator()(Args... args) { return ops_->invoke(buffer_, std::forward<Args>(args)...); }
   explicit operator bool() const { return ops_ != nullptr; }
 
   // Destroys the held closure (and what it captured), leaving this empty.
@@ -212,7 +221,7 @@ class Callback {
 
  private:
   struct Ops {
-    void (*invoke)(void* fn);
+    R (*invoke)(void* fn, Args&&... args);
     // Move-constructs `from`'s closure into `to` and destroys it in `from`.
     void (*relocate)(void* to, void* from);
     void (*destroy)(void* fn);
@@ -224,7 +233,9 @@ class Callback {
   }
   template <typename Fn>
   static constexpr Ops kOps = {
-      [](void* fn) { (*Held<Fn>(fn))(); },
+      [](void* fn, Args&&... args) -> R {
+        return (*Held<Fn>(fn))(std::forward<Args>(args)...);
+      },
       [](void* to, void* from) {
         ::new (to) Fn(std::move(*Held<Fn>(from)));
         Held<Fn>(from)->~Fn();
@@ -306,7 +317,7 @@ class SimProcess {
   Simulation* sim_;
   uint64_t id_ = 0;
   ProcessName name_;
-  Callback body_;
+  Callback<> body_;
   State state_ = State::kFinished;
   bool cancelled_ = false;
   // The fiber the body runs on; back in the idle list (and null here) once
@@ -581,7 +592,7 @@ class Simulation {
     uint64_t seq = kNoSeq;
     // Whether the event's key is in the heap rather than the due-now FIFO.
     bool in_heap = false;
-    Callback fn;
+    Callback<> fn;
   };
   static constexpr uint32_t kSlotsPerChunkLog2 = 8;
   static constexpr uint32_t kSlotsPerChunk = 1u << kSlotsPerChunkLog2;

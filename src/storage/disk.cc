@@ -1,6 +1,8 @@
 #include "src/storage/disk.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace locus {
 
@@ -62,7 +64,30 @@ void Disk::Write(PageId page, PageRef data, const char* category) {
   if (epoch != crash_epoch_) {
     return;  // Crash raced the write; the page never reached stable storage.
   }
-  stable_[page] = std::move(data);
+  ReplaceStable(page, std::move(data));
+}
+
+void Disk::ReplaceStable(PageId page, PageRef data) {
+  PageRef old = std::exchange(stable_[page], std::move(data));
+  if (old.use_count() == 1 && spare_images_.size() < kSpareImages) {
+    spare_images_.push_back(std::move(old));
+  }
+}
+
+PageData& Disk::MutableImage(PageRef& ref) {
+  if (ref == nullptr) {
+    ref = std::make_shared<PageData>();
+  } else if (ref.use_count() > 1) {
+    if (!spare_images_.empty() && spare_images_.back()->size() == ref->size()) {
+      PageRef clone = std::move(spare_images_.back());
+      spare_images_.pop_back();
+      std::copy(ref->begin(), ref->end(), clone->begin());
+      ref = std::move(clone);
+    } else {
+      ref = std::make_shared<PageData>(*ref);
+    }
+  }
+  return *ref;
 }
 
 void Disk::SubmitRead(PageId page, const char* category, std::function<void(PageRef)> done) {
@@ -103,7 +128,7 @@ void Disk::WriteSequential(PageId page, PageRef data, const char* category) {
   if (epoch != crash_epoch_) {
     return;
   }
-  stable_[page] = std::move(data);
+  ReplaceStable(page, std::move(data));
 }
 
 }  // namespace locus

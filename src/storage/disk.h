@@ -36,23 +36,11 @@ using PageData = std::vector<uint8_t>;
 // Shared page image. Page-sized payloads flow through the disk, the buffer
 // pool, the file store and replica-propagation messages by reference; a page
 // is treated as immutable while shared and cloned on modification
-// (MutablePage), so handing a ref to another layer never copies 4 KB.
+// (Disk::MutableImage), so handing a ref to another layer never copies 4 KB.
 using PageRef = std::shared_ptr<PageData>;
 
 inline PageRef MakePage(PageData data) {
   return std::make_shared<PageData>(std::move(data));
-}
-
-// Copy-on-write access: returns a mutable image, cloning it first if it is
-// shared with another holder. The simulation is single-threaded, so
-// use_count() is exact.
-inline PageData& MutablePage(PageRef& ref) {
-  if (ref == nullptr) {
-    ref = std::make_shared<PageData>();
-  } else if (ref.use_count() > 1) {
-    ref = std::make_shared<PageData>(*ref);
-  }
-  return *ref;
 }
 
 class Disk {
@@ -93,8 +81,18 @@ class Disk {
   const PageData& PeekStable(PageId page) const { return *stable_[page]; }
 
   // The all-zero image every never-written page shares. Like any shared
-  // page it is cloned before modification (MutablePage).
+  // page it is cloned before modification (MutableImage).
   const PageRef& zero_page() const { return zero_page_; }
+
+  // Copy-on-write access to an image of one of this disk's pages: returns
+  // it mutable, cloning it first if it is shared with another holder (the
+  // simulation is single-threaded, so use_count() is exact). The clone goes
+  // into a recycled image when there is one: a write that replaces a page's
+  // stable image nobody else holds keeps that image (up to kSpareImages of
+  // them), so a steady stream of page updates stops allocating. Recycled
+  // images are overwritten whole before reuse.
+  PageData& MutableImage(PageRef& ref);
+  static constexpr size_t kSpareImages = 4;
 
   int64_t reads() const { return stats_->Get("disk." + name_ + ".reads"); }
   int64_t writes() const { return stats_->Get("disk." + name_ + ".writes"); }
@@ -106,6 +104,9 @@ class Disk {
 
   // Returns the completion time for a newly queued request.
   SimTime QueueRequest(SimTime latency);
+  // Stores `data` as the page's stable image, keeping the replaced image
+  // for MutableImage if nothing else holds it.
+  void ReplaceStable(PageId page, PageRef data);
   void CountAccess(KindStats& ks, const char* kind, const char* category);
 
   Simulation* sim_;
@@ -120,6 +121,8 @@ class Disk {
   PageRef zero_page_;
   // Starts out sparse: every page refers to zero_page_ until written.
   std::vector<PageRef> stable_;
+  // Replaced page images no one holds, for MutableImage.
+  std::vector<PageRef> spare_images_;
   // Interned hot counters: "disk.<name>.<kind>" and "io.<kind>" per access
   // kind, so CountAccess builds no strings on the common path. Per-category
   // ids are interned lazily and cached by literal address (the category set

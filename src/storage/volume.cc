@@ -1,6 +1,7 @@
 #include "src/storage/volume.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -18,19 +19,44 @@ constexpr int32_t kReservedPages = 2;
 
 Volume::Volume(VolumeId id, std::string name, std::unique_ptr<Disk> disk)
     : id_(id), name_(std::move(name)), disk_(std::move(disk)), first_free_hint_(kReservedPages) {
-  allocated_.assign(disk_->num_pages(), false);
+  ResetAllocation();
+}
+
+void Volume::MarkAllocated(PageId page, bool allocated) {
+  const uint64_t bit = uint64_t{1} << (page & 63);
+  if (allocated) {
+    allocated_[page >> 6] |= bit;
+  } else {
+    allocated_[page >> 6] &= ~bit;
+  }
+}
+
+void Volume::ResetAllocation() {
+  allocated_.assign((static_cast<size_t>(disk_->num_pages()) + 63) / 64, 0);
   for (PageId p = 0; p < kReservedPages; ++p) {
-    allocated_[p] = true;
+    MarkAllocated(p, true);
   }
 }
 
 PageId Volume::AllocPage() {
-  for (PageId p = first_free_hint_; p < disk_->num_pages(); ++p) {
-    if (!allocated_[p]) {
-      allocated_[p] = true;
-      first_free_hint_ = p + 1;
-      return p;
+  // First fit from the hint, a word at a time: the first clear bit at or
+  // past the hint is the lowest free page there.
+  const size_t words = allocated_.size();
+  for (size_t w = static_cast<size_t>(first_free_hint_) >> 6; w < words; ++w) {
+    uint64_t word = allocated_[w];
+    if (w == static_cast<size_t>(first_free_hint_) >> 6) {
+      word |= (uint64_t{1} << (first_free_hint_ & 63)) - 1;  // Pages below the hint.
     }
+    if (word == ~uint64_t{0}) {
+      continue;
+    }
+    const PageId p = static_cast<PageId>(w * 64 + std::countr_one(word));
+    if (p >= disk_->num_pages()) {
+      break;
+    }
+    MarkAllocated(p, true);
+    first_free_hint_ = p + 1;
+    return p;
   }
   // No caller can place a write without a page, and handing out kNoPage
   // would corrupt whatever used it, so a full volume stops the run in every
@@ -42,25 +68,23 @@ PageId Volume::AllocPage() {
 
 void Volume::FreePage(PageId page) {
   assert(page >= kReservedPages && page < disk_->num_pages());
-  if (!allocated_[page]) {
+  if (!IsAllocated(page)) {
     // Double-free would silently hand one page to two files; refuse and make
     // it visible (tests assert this stays zero).
     double_frees_++;
     assert(false && "double free of volume page");
     return;
   }
-  allocated_[page] = false;
+  MarkAllocated(page, false);
   first_free_hint_ = std::min(first_free_hint_, page);
 }
 
 int32_t Volume::free_page_count() const {
-  int32_t n = 0;
-  for (bool a : allocated_) {
-    if (!a) {
-      ++n;
-    }
+  int32_t allocated = 0;
+  for (uint64_t word : allocated_) {
+    allocated += std::popcount(word);
   }
-  return n;
+  return disk_->num_pages() - allocated;
 }
 
 Ino Volume::AllocInode() { return next_ino_++; }
@@ -230,20 +254,17 @@ void Volume::OnCrash() {
 
 void Volume::RecoverAllocation(const std::vector<PageId>& extra_live_pages) {
   first_free_hint_ = kReservedPages;
-  allocated_.assign(disk_->num_pages(), false);
-  for (PageId p = 0; p < kReservedPages; ++p) {
-    allocated_[p] = true;
-  }
+  ResetAllocation();
   for (const auto& [ino, inode] : inodes_) {
     for (PageId p : inode.pages) {
       if (p != kNoPage) {
-        allocated_[p] = true;
+        MarkAllocated(p, true);
       }
     }
   }
   for (PageId p : extra_live_pages) {
     if (p != kNoPage) {
-      allocated_[p] = true;
+      MarkAllocated(p, true);
     }
   }
 }

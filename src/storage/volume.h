@@ -93,7 +93,9 @@ class Volume {
   // The lowest free page; aborts with a message when the volume is full.
   PageId AllocPage();
   void FreePage(PageId page);
-  bool IsAllocated(PageId page) const { return allocated_[page]; }
+  bool IsAllocated(PageId page) const {
+    return (allocated_[page >> 6] >> (page & 63)) & 1;
+  }
   int32_t free_page_count() const;
   // Refused double-frees (see FreePage); must stay zero in a correct run.
   int64_t double_frees() const { return double_frees_; }
@@ -168,9 +170,15 @@ class Volume {
   std::string name_;
   std::unique_ptr<Disk> disk_;
   LogAppendMode log_append_mode_ = LogAppendMode::kSingleWrite;
-  std::vector<bool> allocated_;
+  // Allocation bitmap, 64 pages a word (bit p % 64 of word p / 64); bits
+  // past the last page stay clear.
+  std::vector<uint64_t> allocated_;
+  // Sets or clears one page's bit.
+  void MarkAllocated(PageId page, bool allocated);
+  // Clears the bitmap and marks the reserved metadata pages.
+  void ResetAllocation();
   // Every page below this one is allocated: AllocPage's first-fit scan
-  // starts here, and FreePage lowers it.
+  // starts here, a word at a time, and FreePage lowers it.
   PageId first_free_hint_;
   int64_t double_frees_ = 0;
   Ino next_ino_ = 1;

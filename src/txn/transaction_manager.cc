@@ -6,7 +6,14 @@ namespace locus {
 
 TxnRecord* TransactionManager::Begin(Pid top_pid, uint32_t boot_epoch) {
   boot_epoch_ = boot_epoch;
-  auto record = std::make_unique<TxnRecord>();
+  std::unique_ptr<TxnRecord> record;
+  if (spare_records_.empty()) {
+    record = std::make_unique<TxnRecord>();
+  } else {
+    record = std::move(spare_records_.back());
+    spare_records_.pop_back();
+    record->Reuse();
+  }
   record->id = TxnId{site_, boot_epoch_, next_serial_++};
   record->top_pid = top_pid;
   TxnRecord* raw = record.get();
@@ -50,9 +57,13 @@ void TransactionManager::Install(std::unique_ptr<TxnRecord> record) {
 }
 
 void TransactionManager::Erase(const TxnId& txn) {
-  // hook-ok record removal is the tail of a commit/abort whose decision the
-  // caller already reported via OnCommitPoint/OnAbortDecision.
-  records_.erase(txn);
+  auto record = records_.find(txn);
+  if (record != records_.end()) {
+    // hook-ok record removal is the tail of a commit/abort whose decision the
+    // caller already reported via OnCommitPoint/OnAbortDecision.
+    spare_records_.push_back(std::move(record->second));
+    records_.erase(record);
+  }
   auto it = member_barriers_.find(txn);
   if (it != member_barriers_.end()) {
     it->second->NotifyAll();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/audit/observer.h"
+#include "src/base/flat_map.h"
 #include "src/sim/simulation.h"
 #include "src/txn/txn_types.h"
 
@@ -58,7 +59,10 @@ class TransactionManager {
   SiteId site_;
   uint32_t boot_epoch_ = 0;
   uint64_t next_serial_ = 1;
-  std::map<TxnId, std::unique_ptr<TxnRecord>> records_;
+  // The site's live transactions: a few at a time, so a sorted vector.
+  FlatMap<TxnId, std::unique_ptr<TxnRecord>> records_;
+  // Erased records, kept with their storage for the next Begin.
+  std::vector<std::unique_ptr<TxnRecord>> spare_records_;
   std::map<TxnId, std::unique_ptr<WaitQueue>> member_barriers_;
 };
 

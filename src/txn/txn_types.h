@@ -33,6 +33,19 @@ struct TxnRecord {
   std::vector<UsedFile> files;
   // Live member processes (pid, last known site), for the abort cascade.
   std::vector<std::pair<Pid, SiteId>> members;
+
+  // Returns a finished record to its initial state, keeping its storage.
+  void Reuse() {
+    id = TxnId{};
+    top_pid = kNoPid;
+    phase = Phase::kActive;
+    abort_requested = false;
+    commit_marking = false;
+    abort_reason.clear();
+    active_members = 1;
+    files.clear();
+    members.clear();
+  }
 };
 
 }  // namespace locus

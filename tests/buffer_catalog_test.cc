@@ -3,8 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "src/audit/observer.h"
+
 #include "src/fs/buffer_pool.h"
 #include "src/fs/catalog.h"
+#include "src/sim/random.h"
 
 namespace locus {
 namespace {
@@ -67,6 +76,132 @@ TEST(BufferPool, ClearOnCrash) {
   pool.Insert(Key(kF1, 0), Page(1));
   pool.Clear();
   EXPECT_EQ(pool.size(), 0);
+}
+
+// Records the pool's forget hooks (evictions, erases, invalidations).
+class ForgetRecorder : public ProtocolObserver {
+ public:
+  ForgetRecorder() : ProtocolObserver(true) {}
+  void OnPoolForget(const FileId& file, int32_t page_index) override {
+    forgotten.push_back(BufferPool::Key{file, page_index});
+  }
+  std::vector<BufferPool::Key> forgotten;
+};
+
+// The reference LRU the slot table must match: a recency list (front = most
+// recent) and a map from key to list position.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(int32_t capacity) : capacity_(capacity) {}
+
+  PageRef Lookup(const BufferPool::Key& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses;
+      return nullptr;
+    }
+    ++hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+  void Insert(const BufferPool::Key& key, PageRef data, std::vector<BufferPool::Key>* forgotten) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->second = std::move(data);
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (capacity_ <= 0) {
+      return;
+    }
+    if (static_cast<int32_t>(index_.size()) == capacity_) {
+      forgotten->push_back(lru_.back().first);
+      index_.erase(lru_.back().first);
+      lru_.pop_back();
+    }
+    lru_.emplace_front(key, std::move(data));
+    index_[key] = lru_.begin();
+  }
+  void Erase(const BufferPool::Key& key, std::vector<BufferPool::Key>* forgotten) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      forgotten->push_back(key);
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+  }
+  // `file` = nullptr clears everything.
+  void Drop(const FileId* file, std::vector<BufferPool::Key>* forgotten) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (file == nullptr || it->first.file == *file) {
+        forgotten->push_back(it->first);
+        index_.erase(it->first);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  int32_t size() const { return static_cast<int32_t>(index_.size()); }
+
+  int64_t hits = 0;
+  int64_t misses = 0;
+
+ private:
+  int32_t capacity_;
+  std::list<std::pair<BufferPool::Key, PageRef>> lru_;
+  std::map<BufferPool::Key, std::list<std::pair<BufferPool::Key, PageRef>>::iterator> index_;
+};
+
+// Random Lookup/Insert/Erase/InvalidateFile/Clear sequences over a few
+// files and slots: every returned ref, the hit and miss counts, the size and
+// every eviction match the reference LRU. InvalidateFile and Clear report
+// their forgets in no promised order, so those are compared as sets.
+TEST(BufferPool, MatchesAReferenceLruUnderRandomOperations) {
+  for (int32_t capacity : {0, 1, 7}) {
+    SCOPED_TRACE(capacity);
+    BufferPool pool(capacity);
+    ForgetRecorder recorder;
+    pool.set_auditor(&recorder);
+    ReferenceLru ref(capacity);
+    Rng rng(static_cast<uint64_t>(capacity) + 1);
+    auto sorted = [](std::vector<BufferPool::Key> keys) {
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      SCOPED_TRACE(step);
+      BufferPool::Key key{FileId{0, static_cast<int32_t>(1 + rng.Below(3))},
+                          static_cast<int32_t>(rng.Below(6))};
+      std::vector<BufferPool::Key> expected;
+      recorder.forgotten.clear();
+      uint64_t op = rng.Below(100);
+      if (op < 45) {
+        ASSERT_EQ(pool.Lookup(key), ref.Lookup(key));
+      } else if (op < 85) {
+        PageRef page = Page(static_cast<uint8_t>(step));
+        ref.Insert(key, page, &expected);
+        pool.Insert(key, page);
+      } else if (op < 95) {
+        ref.Erase(key, &expected);
+        pool.Erase(key);
+      } else if (op < 99) {
+        ref.Drop(&key.file, &expected);
+        pool.InvalidateFile(key.file);
+        expected = sorted(expected);
+        recorder.forgotten = sorted(recorder.forgotten);
+      } else {
+        ref.Drop(nullptr, &expected);
+        pool.Clear();
+        expected = sorted(expected);
+        recorder.forgotten = sorted(recorder.forgotten);
+      }
+      ASSERT_EQ(recorder.forgotten, expected);
+      ASSERT_EQ(pool.size(), ref.size());
+      ASSERT_EQ(pool.hits(), ref.hits);
+      ASSERT_EQ(pool.misses(), ref.misses);
+    }
+  }
 }
 
 // --- Catalog ---

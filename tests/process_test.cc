@@ -200,12 +200,30 @@ TEST_F(ProcessTest, ProcessTableBookkeeping) {
   auto taken = table.Take(42);
   ASSERT_NE(taken, nullptr);
   EXPECT_EQ(table.Find(42), nullptr);
-  table.SetForwarding(42, 2);
+  table.SetForwarding(42, 2, /*now=*/0);
   EXPECT_EQ(table.ForwardingFor(42), 2);
   EXPECT_EQ(table.ForwardingFor(7), kNoSite);
   // Re-adding clears the stale forwarding pointer.
   table.Add(std::move(taken));
   EXPECT_EQ(table.ForwardingFor(42), kNoSite);
+}
+
+// A forwarding pointer outlives every RPC time-out, then goes: the table
+// holds only the pointers set within the last kForgetAfter.
+TEST(ProcessTable, ForwardingPointersAreForgottenAfterTheirLifetime) {
+  ProcessTable table;
+  table.SetForwarding(1, 2, /*now=*/0);
+  table.SetForwarding(2, 3, /*now=*/Seconds(1));
+  table.SetForwarding(1, 4, /*now=*/Seconds(2));  // Moved again: a new lifetime.
+  ASSERT_GT(kForgetAfter, Network::kLockCallTimeout);
+  table.SetForwarding(3, 1, /*now=*/kForgetAfter + Seconds(1));
+  EXPECT_EQ(table.ForwardingFor(2), kNoSite);  // Set at 1 s: forgotten.
+  EXPECT_EQ(table.ForwardingFor(1), 4);        // Reset at 2 s: still held.
+  EXPECT_EQ(table.ForwardingFor(3), 1);
+  EXPECT_EQ(table.forwarding_count(), 2u);
+  table.SetForwarding(4, 1, /*now=*/kForgetAfter + Seconds(2));
+  EXPECT_EQ(table.ForwardingFor(1), kNoSite);
+  EXPECT_EQ(table.forwarding_count(), 2u);
 }
 
 }  // namespace

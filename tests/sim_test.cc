@@ -214,8 +214,8 @@ struct DestroyCounter {
 
 TEST(Callback, RunsAMoveOnlyCaptureAndMovesWithIt) {
   int got = 0;
-  Callback cb = [value = std::make_unique<int>(7), &got] { got = *value; };
-  Callback moved = std::move(cb);
+  Callback<> cb = [value = std::make_unique<int>(7), &got] { got = *value; };
+  Callback<> moved = std::move(cb);
   EXPECT_FALSE(cb);  // NOLINT(bugprone-use-after-move): a moved-from Callback is empty.
   ASSERT_TRUE(moved);
   moved();

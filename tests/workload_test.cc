@@ -79,6 +79,11 @@ struct EnginePeaks {
   size_t pending_calls = 0;
   size_t formation_queued = 0;
   size_t pending_events = 0;
+  // Kernel memory kept past a transaction or process, summed over sites.
+  size_t abort_tombstones = 0;
+  size_t txn_forwards = 0;
+  size_t process_forwards = 0;
+  int aborted_attempts = 0;  // The run's, from its results.
 };
 
 // Runs one debit/credit workload on `system`, sampling every 10 ms of
@@ -92,10 +97,19 @@ EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
     peaks.idle_fibers = std::max(peaks.idle_fibers, sim.idle_fiber_count());
     peaks.pending_calls = std::max(peaks.pending_calls, system.net().pending_call_count());
     peaks.pending_events = std::max(peaks.pending_events, sim.pending_event_count());
+    size_t tombstones = 0;
+    size_t txn_forwards = 0;
+    size_t process_forwards = 0;
     for (SiteId s = 0; s < system.site_count(); ++s) {
-      peaks.formation_queued =
-          std::max(peaks.formation_queued, system.kernel(s).form().queued_count());
+      Kernel& kernel = system.kernel(s);
+      peaks.formation_queued = std::max(peaks.formation_queued, kernel.form().queued_count());
+      tombstones += kernel.abort_tombstone_count();
+      txn_forwards += kernel.txn_forward_count();
+      process_forwards += kernel.process_forward_count();
     }
+    peaks.abort_tombstones = std::max(peaks.abort_tombstones, tombstones);
+    peaks.txn_forwards = std::max(peaks.txn_forwards, txn_forwards);
+    peaks.process_forwards = std::max(peaks.process_forwards, process_forwards);
     if (sim.live_process_count() > 0) {
       sim.Schedule(Milliseconds(10), sample);
     }
@@ -108,6 +122,7 @@ EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
   EXPECT_TRUE(results.conserved()) << results.audited_total << " != " << results.expected_total;
   EXPECT_EQ(sim.live_process_count(), 0);
   EXPECT_EQ(system.net().pending_call_count(), 0u);
+  peaks.aborted_attempts = results.aborted_attempts;
   return peaks;
 }
 
@@ -116,7 +131,11 @@ EnginePeaks RunSampled(System& system, const DebitCreditConfig& config) {
 // (the second run's setup rewrites the same branch files), and the peaks of
 // live process records, idle fibers, pending calls, formation queues and
 // queued events stay within bounds set by the teller count alone, the same
-// for both.
+// for both. The kernels' memory of finished transactions holds no more than
+// its sources left: an abort tombstone per aborted attempt and branch site
+// and per orphan-lock reap, all still inside the kForgetAfter they are kept
+// (process_test shows the forgetting), and no forwarding pointer, for
+// nothing migrates.
 TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
   System system(16, SystemOptions{.seed = 5, .formation = true});
   DebitCreditConfig config;
@@ -133,6 +152,7 @@ TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
   // others', for tombstones can be as many as the live keys before the heap
   // is rebuilt without them.
   const int bound = 8 * config.tellers;
+  int aborted_so_far = 0;
   for (int scale : {1, 10}) {
     config.transfers_per_teller = kTransfersPerTeller * scale;
     SCOPED_TRACE("run of " + std::to_string(config.tellers * config.transfers_per_teller) +
@@ -143,6 +163,11 @@ TEST(DebitCreditWorkload, LongRunKeepsEngineStateBounded) {
     EXPECT_LE(peaks.pending_calls, static_cast<size_t>(bound));
     EXPECT_LE(peaks.formation_queued, static_cast<size_t>(2 * config.tellers));
     EXPECT_LE(peaks.pending_events, static_cast<size_t>(2 * bound));
+    aborted_so_far += peaks.aborted_attempts;
+    const int64_t reaps = system.stats().Get("deadlock.orphan_locks_reaped");
+    EXPECT_LE(peaks.abort_tombstones, static_cast<size_t>(2 * aborted_so_far + reaps));
+    EXPECT_EQ(peaks.txn_forwards, 0u);
+    EXPECT_EQ(peaks.process_forwards, 0u);
   }
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
 }
