@@ -6,7 +6,7 @@
 //   liveness     — no process remains wedged after the faults clear;
 //   currency     — with replicated branch files, every replica converges to
 //                  the latest committed image after crashes/partitions heal
-//                  (src/recon reintegration).
+//                  (kernel_recon.cc reintegration).
 //
 // With --json=<path> the per-scenario rows are also written for the
 // regression harness; main() exits nonzero if a replicated scenario violates
@@ -231,7 +231,7 @@ bool RunTables(JsonReport* report) {
            }),
            report);
 
-  // Replicated scenarios (src/recon): a replica site dies or is partitioned
+  // Replicated scenarios (kernel_recon.cc): a replica site dies or is partitioned
   // away while commits keep landing at the surviving primary; after the
   // reboot/heal, reintegration must bring every replica back to the latest
   // committed image — checked through ReplicaStatus and raw byte comparison.

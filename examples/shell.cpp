@@ -177,6 +177,8 @@ begin
 write /home/notes 0 TRANSACTIONAL REWRITE......
 abort
 cat /home/notes 32
+# The lock adopts the still-uncommitted first line (rule 2): it commits with
+# the transaction, under the shorter rewrite.
 begin
 lock /home/notes 0 32 excl
 write /home/notes 0 committed from site two!

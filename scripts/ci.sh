@@ -133,9 +133,9 @@ cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure)
 
 if command -v clang-tidy >/dev/null 2>&1; then
-  echo "=== clang-tidy (lock, txn, sim, net, form, recon, mc, serial) ==="
+  echo "=== clang-tidy (lock, txn, sim, net, form, kernel_recon, mc, serial) ==="
   clang-tidy -p build src/lock/*.cc src/txn/*.cc src/sim/*.cc src/net/*.cc \
-      src/form/*.cc src/recon/*.cc src/mc/*.cc src/serial/*.cc \
+      src/form/*.cc src/locus/kernel_recon.cc src/mc/*.cc src/serial/*.cc \
       -- -std=c++20 -I.
 else
   echo "SKIPPED: clang-tidy not installed"

@@ -83,9 +83,9 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     return;  // Matches Network::Send: a dead site's messages vanish.
   }
   stats_->Add(enqueued_id_);
-  if (shared_access_hook_) {
+  if (Audited()) {
     net_->StampLocalEvent(site_);
-    shared_access_hook_("form.q/" + net_->SiteName(site_), true);
+    audit_->OnSharedAccess(net_->SiteName(site_), "form.q/" + net_->SiteName(site_), true);
   }
   DestQueue& q = QueueTo(to);
   if (q.items.capacity() == 0 && !spare_items_.empty()) {

@@ -23,11 +23,11 @@
 #define SRC_FORM_FORMATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/audit/observer.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
@@ -112,13 +112,10 @@ class FormationQueue {
   // the stranded state PendingSummary exists to catch.
   void TestInjectWithoutTimer(SiteId to, Message msg);
 
-  // Observer seam (src/serial): reports each enqueue as a write access to
-  // this site's queue object for the happens-before race oracle. locus_form
-  // does not link the observer library, so the kernel injects a closure.
-  using SharedAccessHook = std::function<void(const std::string& key, bool is_write)>;
-  void set_shared_access_hook(SharedAccessHook hook) {
-    shared_access_hook_ = std::move(hook);
-  }
+  // Protocol observer (the System hub; may be null): each enqueue is
+  // reported as a write access to this site's queue object, for the
+  // happens-before race oracle (src/serial).
+  void set_auditor(ProtocolObserver* audit) { audit_ = audit; }
 
  private:
   struct DestQueue {
@@ -135,11 +132,13 @@ class FormationQueue {
   // The queue to `to`, created (with any below it) on first use.
   DestQueue& QueueTo(SiteId to);
 
+  bool Audited() const { return audit_ != nullptr && audit_->enabled(); }
+
+  ProtocolObserver* audit_ = nullptr;
   Network* net_;
   StatRegistry* stats_;
   SiteId site_;
   bool enabled_;
-  SharedAccessHook shared_access_hook_;
   // Indexed by destination site.
   std::vector<DestQueue> queues_;
   // Emptied item buffers of batches delivered here, for the next batch.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 
 namespace locus {
 
@@ -231,6 +232,28 @@ bool FileStore::OwnedByLiveWriter(const FileState& state, const std::vector<Byte
     }
   }
   return true;
+}
+
+std::vector<uint8_t> FileStore::WorkingBytes(const FileState& state,
+                                             const ByteRange& range) const {
+  std::vector<uint8_t> out(range.length);
+  int32_t first = static_cast<int32_t>(range.start / page_size());
+  int32_t last = static_cast<int32_t>((range.end() - 1) / page_size());
+  for (int32_t slot = first; slot <= last; ++slot) {
+    ByteRange piece = PageSpan(slot).Intersect(range);
+    auto wp = state.working_pages.find(slot);
+    assert(wp != state.working_pages.end());
+    std::memcpy(out.data() + (piece.start - range.start),
+                wp->second->data() + (piece.start - PageSpan(slot).start), piece.length);
+  }
+  return out;
+}
+
+void FileStore::DropAdoptionsFrom(FileState& state, const LockOwner& donor) {
+  for (Writer& w : state.writers) {
+    std::erase_if(w.adopted,
+                  [&](const AdoptedRecord& rec) { return rec.donor.SameWriterAs(donor); });
+  }
 }
 
 bool FileStore::OtherWriterOnPage(const FileState& state, const LockOwner& owner,
@@ -523,6 +546,9 @@ bool FileStore::Truncate(const FileId& file, int64_t size) {
 
 IntentionsList FileStore::CommitWriter(const FileId& file, const LockOwner& writer) {
   FileState& state = LoadState(file);
+  if (!writer.txn.valid()) {
+    DropAdoptionsFrom(state, writer);
+  }
   Writer* w = FindWriter(state, writer);
   if (w == nullptr || w->resolving) {
     IntentionsList empty;
@@ -569,6 +595,9 @@ bool FileStore::AbortWriter(const FileId& file, const LockOwner& writer) {
   if (state == nullptr) {
     return true;
   }
+  if (!writer.txn.valid()) {
+    DropAdoptionsFrom(*state, writer);
+  }
   Writer* w = FindWriter(*state, writer);
   if (w == nullptr) {
     return true;
@@ -609,6 +638,7 @@ bool FileStore::AbortWriter(const FileId& file, const LockOwner& writer) {
     volume_->FreePage(shadow);
     stats_->Add(ids_.shadow_pages_discarded);
   }
+  std::vector<AdoptedRecord> adopted = std::move(w->adopted);
   RetireWriters(*state, writer);
   int64_t size = state->inode.size;
   for (const Writer& other : state->writers) {
@@ -616,6 +646,10 @@ bool FileStore::AbortWriter(const FileId& file, const LockOwner& writer) {
   }
   state->working_size = size;
   stats_->Add(ids_.aborts);
+  // Rule-2 adoptions return to their writers as they were when adopted.
+  for (const AdoptedRecord& rec : adopted) {
+    Write(file, rec.donor, rec.offset, rec.bytes);
+  }
   return true;
 }
 
@@ -659,6 +693,7 @@ std::vector<ByteRange> FileStore::AdoptDirtyRanges(const FileId& file, const Byt
     return {};
   }
   std::vector<ByteRange> adopted;
+  std::vector<AdoptedRecord> records;
   for (Writer& w : state->writers) {
     if (w.owner.SameWriterAs(adopter) || w.resolving || w.owner.txn.valid()) {
       // Rule 2 adopts only CONVENTIONAL (non-transaction) uncommitted data.
@@ -673,6 +708,7 @@ std::vector<ByteRange> FileStore::AdoptDirtyRanges(const FileId& file, const Byt
     for (const ByteRange& piece : pieces) {
       w.dirty.Remove(piece);
       adopted.push_back(piece);
+      records.push_back({w.owner, piece.start, WorkingBytes(*state, piece)});
     }
     // Release the donor's shadow claims on pages it no longer writes.
     for (auto it = w.shadow_pages.begin(); it != w.shadow_pages.end();) {
@@ -688,6 +724,7 @@ std::vector<ByteRange> FileStore::AdoptDirtyRanges(const FileId& file, const Byt
     return adopted;
   }
   Writer& a = WriterFor(*state, adopter);
+  std::move(records.begin(), records.end(), std::back_inserter(a.adopted));
   for (const ByteRange& piece : adopted) {
     a.dirty.Add(piece);
     a.max_extent = std::max(a.max_extent, piece.end());
@@ -761,7 +798,10 @@ std::vector<FileId> FileStore::FilesWithUncommitted(const LockOwner& writer) con
   std::vector<FileId> out;
   for (const auto& [file, state] : files_) {
     for (const Writer& w : state.writers) {
-      if (w.owner.SameWriterAs(writer) && !w.dirty.empty()) {
+      if ((w.owner.SameWriterAs(writer) && !w.dirty.empty()) ||
+          std::ranges::any_of(w.adopted, [&](const AdoptedRecord& rec) {
+            return rec.donor.SameWriterAs(writer);
+          })) {
         out.push_back(file);
         break;
       }

@@ -121,7 +121,10 @@ class FileStore {
       const FileId& file, const ByteRange& range, const LockOwner& owner) const;
   // Transfers the dirty ranges overlapping `range` (and the shadow-page
   // claims backing them) from their current writers to `adopter`, so they
-  // commit or abort with the adopter (rule 2). Returns the adopted ranges.
+  // commit with the adopter (rule 2). Aborting the adopter hands them back to
+  // their writers as they were when adopted, unless a writer has resolved
+  // meanwhile (section 3.4: an abort undoes the transaction's changes only).
+  // Returns the adopted ranges.
   std::vector<ByteRange> AdoptDirtyRanges(const FileId& file, const ByteRange& range,
                                           const LockOwner& adopter);
 
@@ -134,7 +137,8 @@ class FileStore {
   // pages covering `range` using asynchronous disk reads, in anticipation of
   // access after a lock grant. Non-blocking; safe from event context.
   void PrefetchRange(const FileId& file, const ByteRange& range);
-  // Files on which `writer` has uncommitted modifications.
+  // Files on which `writer` has uncommitted modifications, or records a
+  // transaction adopted from it.
   std::vector<FileId> FilesWithUncommitted(const LockOwner& writer) const;
 
   // Committed-only content of page `slot` (never working pages), for serving
@@ -153,6 +157,13 @@ class FileStore {
   void set_auditor(ProtocolObserver* audit) { audit_ = audit; }
 
  private:
+  // Conventional records a transaction adopted (rule 2), as they were then.
+  struct AdoptedRecord {
+    LockOwner donor;
+    int64_t offset = 0;
+    std::vector<uint8_t> bytes;
+  };
+
   struct Writer {
     LockOwner owner;
     RangeSet dirty;                          // Byte ranges modified, file-wide.
@@ -163,6 +174,8 @@ class FileStore {
     // commit/abort message arriving meanwhile must not start a second
     // resolution (it would erase the Writer under the first one's feet).
     bool resolving = false;
+    // Records this (transactional) writer adopted; an abort hands them back.
+    std::vector<AdoptedRecord> adopted;
 
     // Readies a retired record for `o`, keeping its storage.
     void Reuse(const LockOwner& o) {
@@ -171,6 +184,7 @@ class FileStore {
       shadow_pages.clear();
       max_extent = 0;
       resolving = false;
+      adopted.clear();
     }
   };
 
@@ -210,6 +224,12 @@ class FileStore {
   // page (the general check unions the writers' ranges).
   bool OwnedByLiveWriter(const FileState& state, const std::vector<ByteRange>& ranges,
                          const ByteRange& span) const;
+  // The working-page bytes of `range`, every page of which a live writer
+  // has dirtied (non-blocking).
+  std::vector<uint8_t> WorkingBytes(const FileState& state, const ByteRange& range) const;
+  // Forgets the adopted records of `donor`, which is resolving: they stay
+  // with their adopters whatever the adopters' outcome.
+  static void DropAdoptionsFrom(FileState& state, const LockOwner& donor);
   // True if a writer other than `owner` has dirty bytes on `slot`.
   bool OtherWriterOnPage(const FileState& state, const LockOwner& owner, int32_t slot) const;
   ByteRange PageSpan(int32_t slot) const;

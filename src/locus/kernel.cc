@@ -10,6 +10,20 @@
 
 namespace locus {
 
+namespace {
+// Simulated wire footprint of a fetch reply: control header plus the bytes
+// that are meaningful under committed_size (the last page is partial).
+int32_t FetchWireBytes(const ReplicaFetchReply& reply, int32_t page_size) {
+  int32_t total = kControlMsgBytes;
+  for (const auto& [slot, page] : reply.pages) {
+    int64_t start = static_cast<int64_t>(slot) * page_size;
+    total += static_cast<int32_t>(
+        std::clamp<int64_t>(reply.committed_size - start, 0, page_size));
+  }
+  return total;
+}
+}  // namespace
+
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
@@ -43,6 +57,13 @@ Kernel::Kernel(System* system, SiteId site)
   ids_.proc_remote_forks = stats().Intern("proc.remote_forks");
   ids_.proc_killed = stats().Intern("proc.killed");
   ids_.proc_migrations = stats().Intern("proc.migrations");
+  ids_.fs_replica_propagations = stats().Intern("fs.replica_propagations");
+  ids_.recon_catchup_pages = stats().Intern("recon.catchup_pages");
+  ids_.recon_duplicate_drops = stats().Intern("recon.duplicate_propagations_dropped");
+  ids_.recon_gap_quarantines = stats().Intern("recon.gap_quarantines");
+  ids_.recon_reintegrations = stats().Intern("recon.reintegrations");
+  ids_.recon_stale_marks = stats().Intern("recon.stale_marks");
+  ids_.recon_stale_reads_blocked = stats().Intern("recon.stale_reads_blocked");
   locks_.set_auditor(&system->observers());
   txns_.set_auditor(&system->observers());
   pool_.set_auditor(&system->observers());
@@ -192,24 +213,7 @@ void Kernel::Start() {
   form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_,
                                            system_->options().formation);
   form_->Start();
-  if (system_->observers().enabled()) {
-    form_->set_shared_access_hook([this](const std::string& key, bool is_write) {
-      system_->observers().OnSharedAccess(net().SiteName(site_), key, is_write);
-    });
-  }
-
-  ReintegrationManager::Env env;
-  env.site = site_;
-  env.site_name = net().SiteName(site_);
-  env.sim = &sim();
-  env.net = &net();
-  env.catalog = &catalog();
-  env.stats = &stats();
-  env.store_for = [this](VolumeId v) { return StoreFor(v); };
-  env.spawn = [this](const char* label, std::function<void()> body) {
-    SpawnKernelProcess(label, std::move(body));
-  };
-  recon_ = std::make_unique<ReintegrationManager>(std::move(env));
+  form_->set_auditor(&system_->observers());
 
 #define LOCUS_REGISTER_HANDLER(type, request, reply, route, context) RegisterHandler<type>();
   LOCUS_MESSAGES(LOCUS_REGISTER_HANDLER)
@@ -219,7 +223,7 @@ void Kernel::Start() {
 
 // ---------------------------------------------------------------------------
 // Service: one function per message row (the transaction control-plane rows
-// are in kernel_txn.cc)
+// are in kernel_txn.cc, the replica rows in kernel_recon.cc)
 
 OpenReply Kernel::Serve(const OpenRequest& req) {
   FileStore* store = StoreFor(req.file.volume);
@@ -572,24 +576,6 @@ Err Kernel::Serve(const ReleaseProcessRequest& req) {
   return Err::kOk;
 }
 
-void Kernel::Serve(const ReplicaPropagateMsg& msg) {
-  if (system_->observers().enabled()) {
-    std::optional<std::string> path = catalog().PathOf(msg.replica_file);
-    if (path.has_value()) {
-      // Each replica's version stamp is its own state object (sibling
-      // replicas apply the primary's propagations independently), so the key
-      // carries the owning site. The race oracle then verifies no *other*
-      // site ever touches this stamp without a message chain ordering it.
-      net().StampLocalEvent(site_);
-      system_->observers().OnSharedAccess(
-          net().SiteName(site_), "recon.ver@" + net().SiteName(site_) + *path, true);
-    }
-  }
-  // The version gate (duplicate drop / gap quarantine) and the shadow-page
-  // apply live in the reintegration manager.
-  recon_->ApplyPropagation(msg);
-}
-
 CreateFileReply Kernel::Serve(const CreateFileRequest&) {
   return CreateFileReply{Err::kOk, StoreFor(volumes_[0]->id())->CreateFile()};
 }
@@ -608,52 +594,6 @@ Err Kernel::Serve(const TruncateRequest& req) {
     return Err::kNoEnt;
   }
   return store->Truncate(req.file, req.size) ? Err::kOk : Err::kBusy;
-}
-
-void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& intentions) {
-  if (intentions.updates.empty()) {
-    return;
-  }
-  std::optional<std::string> path = catalog().PathOf(primary);
-  if (!path.has_value()) {
-    return;
-  }
-  CatalogEntry* entry = catalog().Find(*path);
-  if (entry == nullptr || entry->replicas.size() < 2) {
-    return;
-  }
-  FileStore* store = StoreFor(primary.volume);
-  if (system_->observers().enabled()) {
-    net().StampLocalEvent(site_);
-    system_->observers().OnSharedAccess(
-        net().SiteName(site_), "recon.ver@" + net().SiteName(site_) + *path, true);
-  }
-  ReplicaPropagateMsg base;
-  base.new_size = store->CommittedSize(primary);
-  // Stamp the primary's post-install ordinal: the replica-side gate applies
-  // this message only in sequence (see ReintegrationManager::ApplyPropagation).
-  base.commit_version = store->CommitVersion(primary);
-  int32_t total_bytes = kControlMsgBytes;
-  for (const PageUpdate& u : intentions.updates) {
-    int64_t offset = static_cast<int64_t>(u.page_index) * store->page_size();
-    PageRef bytes = MakePage(store->Read(primary, ByteRange{offset, store->page_size()}));
-    total_bytes += static_cast<int32_t>(bytes->size());
-    base.pages.push_back({u.page_index, std::move(bytes)});
-  }
-  for (const Replica& r : entry->replicas) {
-    if (r.site == site_) {
-      continue;
-    }
-    if (!net().Reachable(site_, r.site)) {
-      // The one-way propagation would be dropped on the floor; quarantine the
-      // replica so it cannot serve the old image, until reintegration.
-      recon_->NotePropagationSkipped(*path, r.site);
-      continue;
-    }
-    ReplicaPropagateMsg msg = base;
-    msg.replica_file = r.file;
-    Post<kReplicaPropagate>(r.site, std::move(msg), total_bytes);
-  }
 }
 
 }  // namespace locus

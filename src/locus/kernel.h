@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +33,6 @@
 #include "src/locus/messages.h"
 #include "src/net/network.h"
 #include "src/proc/process.h"
-#include "src/recon/recon.h"
 #include "src/sim/simulation.h"
 #include "src/storage/volume.h"
 #include "src/txn/transaction_manager.h"
@@ -60,6 +60,18 @@ enum class LockOp { kShared, kExclusive, kUnlock };
 struct LockFlags {
   bool wait = true;             // Queue on conflict rather than fail.
   bool non_transaction = false;  // Section 3.4 non-transaction lock.
+};
+
+// One row of the ReplicaStatus syscall: the caller-visible currency of each
+// replica of a path.
+struct ReplicaStatusEntry {
+  SiteId site = kNoSite;
+  uint64_t commit_version = 0;
+  bool stale = false;      // Quarantined by the staleness gate.
+  bool reachable = false;  // From the calling site, at probe time.
+  // Version matches the maximum among the replicas whose version could be
+  // learned, and the replica is not quarantined.
+  bool current = false;
 };
 
 // LOCUS_SYSCALLS is the one declaration of the process-facing calls that go
@@ -98,9 +110,9 @@ struct LockFlags {
   X(Err, Truncate, (int fd, int64_t size), (fd, size))                                         \
   /* Names of the direct children of a directory. */                                           \
   X(Result<std::vector<std::string>>, ReadDir, (const std::string& path), (path))              \
-  /* Replica currency of a path (src/recon): one row per replica with its                      \
-     commit ordinal, quarantine flag, reachability from the caller's site,                     \
-     and whether it matches the current maximum. */                                            \
+  /* Replica currency of a path (kernel_recon.cc): one row per replica with                    \
+     its commit ordinal, quarantine flag, reachability from the caller's                       \
+     site, and whether it matches the current maximum. */                                      \
   X(Result<std::vector<ReplicaStatusEntry>>, ReplicaStatus, (const std::string& path), (path)) \
                                                                                                \
   /* ---- Transactions (section 2) ---- */                                                     \
@@ -149,7 +161,6 @@ class Kernel {
   LockManager& lock_manager() { return locks_; }
   TransactionManager& txn_manager() { return txns_; }
   BufferPool& buffer_pool() { return pool_; }
-  ReintegrationManager& recon() { return *recon_; }
   // This site's formation queue (src/form); created in Start(). Control-plane
   // protocol messages route through it instead of Network::Send directly.
   FormationQueue& form() { return *form_; }
@@ -167,8 +178,18 @@ class Kernel {
   // multiple times.
   void AbortTransactionLocal(const TxnId& txn, const std::string& reason);
 
-  // Deadlock-detector entry point: wait-for edges at this site.
-  std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
+  // --- Replica reintegration (kernel_recon.cc; section 5.2 extended) ---
+  // Applies one replica propagation under the version gate: next-in-sequence
+  // installs through the shadow-page path, a duplicate is dropped, a gap
+  // quarantines this site's replica and starts an out-of-band catch-up.
+  // Blocking; kernel process context.
+  void ApplyPropagation(const ReplicaPropagateMsg& msg);
+  // Applies a fetched committed image atomically (one shadow-page commit).
+  // Idempotent: an image at or below the local ordinal is dropped. Blocking.
+  Err ApplyCatchup(const FileId& local_file, const ReplicaFetchReply& image);
+  // The kReplicaFetchReq service: the whole committed image of a local
+  // replica, never torn by a concurrent install. Blocking.
+  ReplicaFetchReply Serve(const ReplicaFetchRequest& req);
 
   // Sizes of the per-transaction and per-process memory this site keeps
   // past a transaction or process (diagnostics; long-run bounds).
@@ -264,14 +285,14 @@ class Kernel {
   // Kills a process subtree resident here (abort cascade, section 4.3).
   Err Serve(const KillProcessRequest& req);
   void Serve(const ReplicaPropagateMsg& msg);
-  WaitEdgesReply Serve(const WaitEdgesRequest&) const { return {LocalWaitEdges()}; }
+  // Deadlock-detector support: the wait-for edges at this site.
+  WaitEdgesReply Serve(const WaitEdgesRequest&) const { return {locks_.WaitForEdges()}; }
   CreateFileReply Serve(const CreateFileRequest&);
   Err Serve(const RemoveFileRequest& req);
   TxnStatusReply Serve(const TxnStatusRequest& req);
   void Serve(const ReleasePrimaryRequest& req) { MaybeReleasePrimary(req.file); }
   Err Serve(const TruncateRequest& req);
-  ReplicaVersionReply Serve(const ReplicaVersionRequest& req) { return recon_->ServeVersion(req); }
-  ReplicaFetchReply Serve(const ReplicaFetchRequest& req) { return recon_->ServeFetch(req); }
+  ReplicaVersionReply Serve(const ReplicaVersionRequest& req);
   // Processes a lock request at the storage site; `done` fires when granted,
   // denied, or cancelled. It holds an RPC responder or a waiter's references.
   using LockReplyFn = Callback<void(LockReply), 32>;
@@ -299,7 +320,6 @@ class Kernel {
   // Sends the exiting member's file-list to the top-level site with retries
   // for the in-transit race (section 4.1).
   void SendFileListMerge(OsProcess* p);
-  void PropagateReplicas(const FileId& primary, const IntentionsList& intentions);
   void ClearTxnState(OsProcess* p);
   // Sends the primary-release hints SysClose held back during the process's
   // transaction (formation): called just before the prepare fan-out so each
@@ -311,6 +331,43 @@ class Kernel {
   // replicas serve reads locally again (section 5.2).
   void MaybeReleasePrimary(const FileId& file);
   void HandleTopologyChange();
+
+  // --- Replication (kernel_recon.cc) ---
+  // Ships a committed install's pages to the file's other replicas; a
+  // replica whose site is unreachable is quarantined instead.
+  void PropagateReplicas(const FileId& primary, const IntentionsList& intentions);
+  // Reports a write of this site's version stamp of replica `path` to the
+  // race oracle (observers enabled only). Each replica's stamp is its own
+  // state object (sibling replicas apply the primary's propagations
+  // independently), so the key carries the owning site: the oracle then
+  // verifies no other site touches it without a message chain ordering it.
+  void StampReplicaVersion(const std::string& path);
+  // One replica of a path, snapshotted from the catalog (whose pointers do
+  // not survive the probe calls), with its commit ordinal if it answered.
+  struct ReplicaProbe {
+    SiteId site;
+    FileId file;
+    bool stale;
+    bool reachable;  // From this site, at probe time.
+    std::optional<uint64_t> version;
+  };
+  // Asks every reachable replica of `entry` for its commit ordinal, in
+  // catalog order (the local one without a message). Blocking.
+  std::vector<ReplicaProbe> ProbeReplicas(const CatalogEntry& entry);
+  // Brings this site's replica of `path` to currency: probes reachable peers
+  // for ordinals, fetches from the most current, applies, and lifts the
+  // quarantine once a non-quarantined peer vouches for the result. Returns
+  // true if the local replica is verified current on return. Blocking.
+  bool ReconcileFile(const std::string& path);
+  // Reboot-time sweep (blocking; runs inside the recovery kernel process):
+  // verifies every local replica of a multi-replica file against its peers
+  // and catches up the behind ones. Files whose primary designation is this
+  // site are skipped — no commit can have happened while the primary was
+  // down, so the local stable state is authoritative.
+  void ReconcileAfterReboot();
+  // Topology change (event context): if any local replica is quarantined,
+  // spawns a catch-up process — this is how a healed partition reconciles.
+  void ReconcileStaleReplicas();
 
   // --- Stable log readers (one per job; sections 4.2, 4.4) ---
   // The prepare record `record_id` on `volume`, or null once it is resolved
@@ -358,6 +415,13 @@ class Kernel {
     StatRegistry::StatId proc_remote_forks;
     StatRegistry::StatId proc_killed;
     StatRegistry::StatId proc_migrations;
+    StatRegistry::StatId fs_replica_propagations;
+    StatRegistry::StatId recon_catchup_pages;
+    StatRegistry::StatId recon_duplicate_drops;
+    StatRegistry::StatId recon_gap_quarantines;
+    StatRegistry::StatId recon_reintegrations;
+    StatRegistry::StatId recon_stale_marks;
+    StatRegistry::StatId recon_stale_reads_blocked;
   };
   Ids ids_;
   bool alive_ = true;
@@ -367,8 +431,9 @@ class Kernel {
   BufferPool pool_;
   std::vector<std::unique_ptr<Volume>> volumes_;
   std::map<VolumeId, std::unique_ptr<FileStore>> stores_;
-  // Replica reconciliation driver (src/recon); created in Start().
-  std::unique_ptr<ReintegrationManager> recon_;
+  // Paths with a reconcile in flight here (the reboot sweep and the gap
+  // trigger may race; the second caller backs off). Volatile.
+  std::set<std::string> reconciling_;
   // Message formation queue (src/form); created in Start().
   std::unique_ptr<FormationQueue> form_;
   // Coordinator-log record ids by transaction (volatile index of the root

@@ -145,7 +145,7 @@ Result<int> Kernel::SysOpen(OsProcess* p, const std::string& path, OpenFlags fla
     // quarantined, so the read is served elsewhere until reintegration.
     const Replica* local = catalog().ReplicaAt(path, p->site);
     if (local != nullptr && local->stale) {
-      recon_->NoteStaleReadBlocked();
+      stats().Add(ids_.recon_stale_reads_blocked);
     }
   }
   Err err = Err::kOk;
@@ -247,7 +247,7 @@ Result<std::vector<uint8_t>> Kernel::SysRead(OsProcess* p, int fd, int64_t lengt
         // was quarantined, count the blocked stale read.
         const Replica* local = catalog().ReplicaAt(ch->path, p->site);
         if (local != nullptr && local->stale) {
-          recon_->NoteStaleReadBlocked();
+          stats().Add(ids_.recon_stale_reads_blocked);
         }
       }
       ch->storage_site = replica->site;
@@ -407,7 +407,17 @@ Result<std::vector<ReplicaStatusEntry>> Kernel::SysReplicaStatus(OsProcess* p,
   if (entry == nullptr || entry->is_dir) {
     return {Err::kNoEnt, {}};
   }
-  return {Err::kOk, recon_->CollectStatus(path)};
+  std::vector<ReplicaProbe> probes = ProbeReplicas(*entry);
+  uint64_t max_version = 0;
+  for (const ReplicaProbe& r : probes) {
+    max_version = std::max(max_version, r.version.value_or(0));
+  }
+  std::vector<ReplicaStatusEntry> rows;
+  for (const ReplicaProbe& r : probes) {
+    rows.push_back({r.site, r.version.value_or(0), r.stale, r.reachable,
+                    r.version.has_value() && !r.stale && *r.version == max_version});
+  }
+  return {Err::kOk, std::move(rows)};
 }
 
 // ---------------------------------------------------------------------------

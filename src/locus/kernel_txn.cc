@@ -754,9 +754,7 @@ void Kernel::HandleTopologyChange() {
     });
   }
   // Partition heal / peer reboot: catch up any quarantined local replicas.
-  if (recon_ != nullptr) {
-    recon_->OnTopologyChange();
-  }
+  ReconcileStaleReplicas();
 }
 
 void Kernel::OnCrash() {
@@ -797,9 +795,7 @@ void Kernel::OnCrash() {
   abort_done_.clear();
   txn_resolution_in_progress_.clear();
   locally_aborted_.Clear();
-  if (recon_ != nullptr) {
-    recon_->OnCrash();
-  }
+  reconciling_.clear();
   stats().Add("sys.crashes");
 }
 
@@ -892,8 +888,8 @@ void Kernel::OnReboot() {
     }
     // Replica reintegration: local replicas may have missed propagations
     // while this site was down; verify each against its peers and catch up
-    // (section 5.2 extended — see src/recon).
-    recon_->OnReboot();
+    // (section 5.2 extended — see kernel_recon.cc).
+    ReconcileAfterReboot();
     stats().Add("recovery.completed");
   });
 }

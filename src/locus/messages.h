@@ -24,8 +24,8 @@
 //   - a hint to a (possibly former) primary update site that the last update
 //     open closed, so it may release the primary designation once idle;
 //   - immediate durable truncation at the storage site;
-//   - replica reintegration (src/recon): version probe and committed-image
-//     fetch used to bring a behind replica back to currency.
+//   - replica reintegration (kernel_recon.cc): version probe and
+//     committed-image fetch used to bring a behind replica back to currency.
 
 #ifndef SRC_LOCUS_MESSAGES_H_
 #define SRC_LOCUS_MESSAGES_H_

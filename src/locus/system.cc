@@ -1,6 +1,8 @@
 #include "src/locus/system.h"
 
 #include <cassert>
+#include <optional>
+#include <utility>
 
 #include "src/lock/deadlock.h"
 
@@ -127,12 +129,9 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
       sited_edges.clear();
       for (SiteId s = 0; s < site_count(); ++s) {
         std::vector<WaitEdge> edges;
-        if (s == site) {
-          edges = kernel->LocalWaitEdges();
-        } else if (net_.Reachable(site, s)) {
-          RpcResult res = net_.Call(site, s, MakeMsg<kWaitEdgesReq>({}));
-          if (res.ok) {
-            edges = ReplyIn<kWaitEdgesReq>(res.reply).edges;
+        if (net_.Reachable(site, s)) {
+          if (std::optional<WaitEdgesReply> reply = kernel->Call<kWaitEdgesReq>(s, {})) {
+            edges = std::move(reply->edges);
           }
         }
         graph.AddEdges(edges);

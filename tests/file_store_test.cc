@@ -300,8 +300,33 @@ TEST_F(FileStoreTest, AdoptEverythingRemovesDonor) {
     store_->AdoptDirtyRanges(f, {0, 9}, Txn(1));
     EXPECT_FALSE(store_->HasUncommitted(f, Proc(1)));
     EXPECT_TRUE(store_->HasUncommitted(f, Txn(1)));
-    // Aborting the transaction rolls back the donor's writes too.
+    // Aborting the transaction hands the donor's writes back as they were
+    // (section 3.4: an abort undoes only the transaction's changes).
+    store_->Write(f, Txn(1), 0, Bytes("TXN"));
     store_->AbortWriter(f, Txn(1));
+    EXPECT_TRUE(store_->HasUncommitted(f, Proc(1)));
+    EXPECT_EQ(store_->WorkingSize(f), 9);
+    EXPECT_EQ(Text(store_->Read(f, {0, 9})), "all of it");
+    // They commit with the donor again.
+    store_->CommitWriter(f, Proc(1));
+    EXPECT_FALSE(store_->HasUncommitted(f, Proc(1)));
+    EXPECT_EQ(store_->CommittedSize(f), 9);
+  });
+}
+
+TEST_F(FileStoreTest, AdoptionsStayWithTheTransactionOnceTheDonorResolves) {
+  Run([&] {
+    FileId f = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, Bytes("all of it"));
+    store_->AdoptDirtyRanges(f, {0, 9}, Txn(1));
+    // The donor's exit must reach the adoption it left behind.
+    EXPECT_EQ(store_->FilesWithUncommitted(Proc(1)), std::vector<FileId>{f});
+    // The donor resolves first: the adopted bytes are the transaction's
+    // alone from now on, and its abort leaves no writer behind.
+    store_->AbortWriter(f, Proc(1));
+    EXPECT_TRUE(store_->FilesWithUncommitted(Proc(1)).empty());
+    store_->AbortWriter(f, Txn(1));
+    EXPECT_FALSE(store_->HasAnyWriters(f));
     EXPECT_EQ(store_->WorkingSize(f), 0);
   });
 }

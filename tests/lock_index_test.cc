@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/lock/lock_list.h"
-#include "src/lock/naive_lock_list.h"
+#include "tests/naive_lock_list.h"
 
 namespace locus {
 namespace {

@@ -1,4 +1,4 @@
-#include "src/lock/naive_lock_list.h"
+#include "tests/naive_lock_list.h"
 
 namespace locus {
 

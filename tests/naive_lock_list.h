@@ -4,8 +4,8 @@
 // easy to audit against the paper but O(entries) per call. The indexed
 // LockList (lock_list.h) must answer every query identically.
 
-#ifndef SRC_LOCK_NAIVE_LOCK_LIST_H_
-#define SRC_LOCK_NAIVE_LOCK_LIST_H_
+#ifndef TESTS_NAIVE_LOCK_LIST_H_
+#define TESTS_NAIVE_LOCK_LIST_H_
 
 #include <vector>
 
@@ -44,4 +44,4 @@ class NaiveLockList {
 
 }  // namespace locus
 
-#endif  // SRC_LOCK_NAIVE_LOCK_LIST_H_
+#endif  // TESTS_NAIVE_LOCK_LIST_H_

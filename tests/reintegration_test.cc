@@ -1,4 +1,4 @@
-// Replica reconciliation tests (src/recon): a replica that misses committed
+// Replica reconciliation tests (src/locus/kernel_recon.cc): a replica that misses committed
 // propagations while its site is crashed or partitioned away is quarantined
 // by the staleness gate, catches up automatically on reboot / partition heal,
 // and only then serves reads locally again — with the latest committed bytes.
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/locus/system.h"
-#include "src/recon/recon.h"
 
 namespace locus {
 namespace {
@@ -224,15 +223,15 @@ TEST_F(ReintegrationTest, DuplicateCatchupDeliveryIsIdempotent) {
   system_.Spawn(2, "dup-catchup", [&, primary_file, behind_file](Syscalls& sys) {
     System& sys_ref = sys.system();
     ReplicaFetchReply image =
-        sys_ref.kernel(0).recon().ServeFetch(ReplicaFetchRequest{primary_file});
+        sys_ref.kernel(0).Serve(ReplicaFetchRequest{primary_file});
     ASSERT_EQ(image.err, Err::kOk);
     FileStore* store = sys_ref.kernel(2).StoreFor(behind_file.volume);
     uint64_t before = store->CommitVersion(behind_file);
-    ASSERT_EQ(sys_ref.kernel(2).recon().ApplyCatchup(behind_file, image), Err::kOk);
+    ASSERT_EQ(sys_ref.kernel(2).ApplyCatchup(behind_file, image), Err::kOk);
     uint64_t after_first = store->CommitVersion(behind_file);
     EXPECT_GT(after_first, before);
     int64_t installs = sys_ref.stats().Get("fs.commits_installed");
-    ASSERT_EQ(sys_ref.kernel(2).recon().ApplyCatchup(behind_file, image), Err::kOk);
+    ASSERT_EQ(sys_ref.kernel(2).ApplyCatchup(behind_file, image), Err::kOk);
     EXPECT_EQ(store->CommitVersion(behind_file), after_first);
     EXPECT_EQ(sys_ref.stats().Get("fs.commits_installed"), installs);
     EXPECT_GE(sys_ref.stats().Get("recon.duplicate_propagations_dropped"), 1);
@@ -253,7 +252,7 @@ TEST_F(ReintegrationTest, DuplicateCatchupDeliveryIsIdempotent) {
     msg.new_size = pstore->CommittedSize(primary_file);
     msg.commit_version = pstore->CommitVersion(primary_file);
     msg.pages.push_back({0, pstore->CommittedPageImage(primary_file, 0)});
-    sys_ref.kernel(2).recon().ApplyPropagation(msg);
+    sys_ref.kernel(2).ApplyPropagation(msg);
   });
   system_.RunFor(Seconds(5));
   EXPECT_GT(system_.stats().Get("recon.duplicate_propagations_dropped"), drops_before);
@@ -284,7 +283,7 @@ TEST_F(ReintegrationTest, PropagationGapTriggersSelfQuarantineAndCatchup) {
     msg.new_size = pstore->CommittedSize(primary_file);
     msg.commit_version = pstore->CommitVersion(primary_file) + 2;
     msg.pages.push_back({0, pstore->CommittedPageImage(primary_file, 0)});
-    sys_ref.kernel(2).recon().ApplyPropagation(msg);
+    sys_ref.kernel(2).ApplyPropagation(msg);
   });
   system_.RunFor(Seconds(10));
 

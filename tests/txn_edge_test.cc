@@ -171,6 +171,49 @@ TEST_F(TxnEdgeTest, TransactionWritesThroughChannelOpenedBeforeBegin) {
   RunAll();
 }
 
+// Section 3.4: AbortTrans undoes the transaction's changes, not the
+// conventional write the process made before BeginTrans. That write is still
+// uncommitted (the channel stays open) when the transaction rewrites the same
+// bytes, so the transaction's lock adopts it (section 3.3 rule 2); the abort
+// must hand back the pre-transaction bytes, not the committed (empty) image.
+void AbortKeepsEarlierConventionalWrite(System& system, bool migrate) {
+  system.Spawn(0, "prog", [migrate](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/notes", /*replication=*/3), Err::kOk);
+    auto fd = sys.Open("/notes", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, "first line from site zero"), Err::kOk);
+    if (migrate) {
+      ASSERT_EQ(sys.Migrate(2), Err::kOk);
+    }
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    sys.Seek(fd.value, 0);
+    ASSERT_EQ(sys.WriteString(fd.value, "TRANSACTIONAL REWRITE......"), Err::kOk);
+    ASSERT_EQ(sys.AbortTrans(), Err::kOk);
+    sys.Seek(fd.value, 0);
+    auto data = sys.Read(fd.value, 32);
+    ASSERT_TRUE(data.ok());
+    EXPECT_EQ(Text(data.value), "first line from site zero");
+    // Closing commits the conventional write (commit at close).
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    auto again = sys.Open("/notes", {});
+    ASSERT_TRUE(again.ok());
+    auto committed = sys.Read(again.value, 32);
+    ASSERT_TRUE(committed.ok());
+    EXPECT_EQ(Text(committed.value), "first line from site zero");
+    sys.Close(again.value);
+  });
+}
+
+TEST_F(TxnEdgeTest, AbortKeepsConventionalWriteMadeBeforeBegin) {
+  AbortKeepsEarlierConventionalWrite(system_, /*migrate=*/false);
+  RunAll();
+}
+
+TEST_F(TxnEdgeTest, AbortKeepsConventionalWriteMadeBeforeBeginAcrossMigration) {
+  AbortKeepsEarlierConventionalWrite(system_, /*migrate=*/true);
+  RunAll();
+}
+
 TEST_F(TxnEdgeTest, CoordinatorRecoveryAbortsUnknownStatusLog) {
   // Crash the coordinator BETWEEN the coordinator-log write and the commit
   // mark: recovery must treat the unknown-status log as an abort
