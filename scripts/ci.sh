@@ -41,8 +41,7 @@ timeout 10 python3 scripts/locus_analyze
 FIXTURE_OUT="$(timeout 10 python3 scripts/locus_analyze scripts/lint_fixture 2>/dev/null)" \
   && { echo "locus_analyze failed to flag the seeded fixture violations" >&2; exit 1; }
 for rule in nondeterminism "hash-order iteration" "stat counter" "decision point" \
-    "formation bypass" "non-exhaustive switch" \
-    "hook coverage" "obligation pairing" "bare suppression" \
+    "formation bypass" "hook coverage" "obligation pairing" "bare suppression" \
     "type-erased payload"; do
   if ! grep -q "$rule" <<<"$FIXTURE_OUT"; then
     echo "locus_analyze no longer detects the seeded '$rule' violation" >&2
@@ -71,8 +70,8 @@ echo "=== model-checker smoke (schedule + crash-point exploration) ==="
 # Fixed-seed PCT batch on a 3-site scenario: deterministic sampling, clean.
 ./build/src/mc/locus_mc --mode=pct --sites=3 --tellers=3 --transfers=1 \
     --window-us=2000 --batch=15 --pct-seed=7
-# Full crash-point enumeration of a 3-site commit (every 2PC protocol step
-# of every site): recovery must restore a consistent state at each point.
+# Full crash-point enumeration of a 3-site commit (every LOCUS_CRASH_POINTS
+# row of every site): recovery must restore a consistent state at each point.
 ./build/src/mc/locus_mc --mode=crash --sites=3 --tellers=2 --transfers=1 \
     --disk-us=60000 --seed=5
 # Same sweep with RPC formation on: crashes landing between batch enqueue

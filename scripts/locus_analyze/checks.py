@@ -1,8 +1,11 @@
 """All analyzer checks.
 
-Rules 1-6 are the retired regex linter's rules, re-implemented on the token
+Rules 1-5 are the retired regex linter's rules, re-implemented on the token
 stream so comments/strings can never false-positive and statements wrapped
-across lines can never false-negative. The three new families are:
+across lines can never false-negative. (Its rule 6, exhaustive switches over
+the engine's enums, went once EventTag and the crash points became tables
+whose switches are generated; a hand-written switch that misses a case
+fails -Wswitch under -Werror.) The newer families are:
 
   7. bare suppression  - every suppression tag must carry a justification.
   8. hook coverage     - protocol-state writes must reach an observer
@@ -42,8 +45,6 @@ FORMATION_DIRS = (os.path.join("src", "locus") + os.sep,)
 # keeps off the raw Network.
 MESSAGE_TABLE_SOURCE = os.path.join("src", "locus", "messages.h")
 _MESSAGE_ROW = re.compile(r"X\(\s*(\w+)\s*,\s*\w+\s*,\s*\w+\s*,\s*(\w+)\s*,")
-EXHAUSTIVE_ENUMS = ("EventTag", "ProtocolStep")
-EXHAUSTIVE_ENUM_SOURCE = os.path.join("src", "sim", "simulation.h")
 
 SUPPRESSION_TAGS = ("hook-ok", "obligation-ok", "form-ok", "policy-ok",
                     "nondet-ok")
@@ -145,7 +146,6 @@ class Analyzer:
             self.check_stat_names(lexed, rel)
             self.check_decision_points(lexed, rel)
             self.check_formation_bypass(lexed, rel)
-            self.check_exhaustive_switches(lexed, rel)
             self.check_bare_suppressions(lexed, rel)
             self.check_obligations(lexed, idx, rel)
             self.check_type_erasure(lexed, rel)
@@ -412,81 +412,6 @@ class Analyzer:
                         f"direct Network Send/Call of {msg} must route "
                         f"through the FormationQueue (form().Send / "
                         f"form().Call); suppress with '// form-ok'")
-
-    # -- rule 6: exhaustive EventTag/ProtocolStep switches -------------------
-
-    def _case_labels(self, toks, start=0, end=None):
-        """k-prefixed identifiers used as `case` labels in [start, end)."""
-        labels = set()
-        n = end if end is not None else len(toks)
-        i = start
-        while i < n:
-            t = toks[i]
-            if t.kind == IDENT and t.value == "case":
-                j = i + 1
-                while j < n and not (toks[j].kind == PUNCT and
-                                     toks[j].value == ":"):
-                    if toks[j].kind == IDENT and toks[j].value.startswith("k"):
-                        labels.add(toks[j].value)
-                    j += 1
-                i = j
-            i += 1
-        return labels
-
-    def _exhaustive_enum_values(self):
-        source = os.path.join(self.root, EXHAUSTIVE_ENUM_SOURCE)
-        values = {}
-        if os.path.isfile(source):
-            idx = index_file(self.lexed(source))
-            for name in EXHAUSTIVE_ENUMS:
-                if name in idx.enums:
-                    values[name] = [e for e in idx.enums[name].enumerators
-                                    if e.startswith("k")]
-        return values
-
-    def check_exhaustive_switches(self, lexed, rel):
-        toks = lexed.tokens
-        n = len(toks)
-        enum_values = None
-        i = 0
-        while i < n:
-            t = toks[i]
-            if not (t.kind == IDENT and t.value == "switch" and i + 1 < n
-                    and toks[i + 1].value == "("):
-                i += 1
-                continue
-            cond_close = _match_fwd(toks, i + 1, "(", ")")
-            body_open = cond_close + 1
-            while body_open < n and toks[body_open].value != "{":
-                body_open += 1
-            body_close = _match_fwd(toks, body_open, "{", "}")
-            region = range(i, body_close + 1)
-            used = [e for e in EXHAUSTIVE_ENUMS
-                    if any(toks[k].kind == IDENT and toks[k].value == e and
-                           k + 1 <= body_close and toks[k + 1].value == "::"
-                           for k in region)]
-            if used:
-                has_default = any(
-                    toks[k].kind == IDENT and toks[k].value == "default" and
-                    toks[k + 1].value == ":" for k in
-                    range(body_open, body_close))
-                for enum_name in used:
-                    if has_default:
-                        self.report(rel, t.line, "non-exhaustive switch",
-                                    f"default case swallows {enum_name} "
-                                    f"enumerators added later; enumerate "
-                                    f"every case explicitly")
-                        continue
-                    if enum_values is None:
-                        enum_values = self._exhaustive_enum_values()
-                    covered = self._case_labels(toks, i, body_close + 1)
-                    missing = [v for v in enum_values.get(enum_name, [])
-                               if v not in covered]
-                    if missing:
-                        self.report(rel, t.line, "non-exhaustive switch",
-                                    f"missing {enum_name} case(s) "
-                                    f"{', '.join(missing)}")
-            i = body_close + 1
 
     # -- check 7: bare suppression tags --------------------------------------
 

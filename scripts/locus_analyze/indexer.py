@@ -2,7 +2,7 @@
 
 Recovers the structural skeleton the checks need from the controlled house
 style of src/: namespaces, classes with their member fields (trailing `_`),
-enums with their enumerator lists, and every function definition — free
+and every function definition — free
 functions, out-of-line `Class::Method` definitions, in-class inline methods,
 constructors/destructors, operators, and lambdas nested inside any of them.
 
@@ -58,23 +58,12 @@ class ClassInfo:
         self.field_types = {}   # field name -> declared type ident (or None).
 
 
-class EnumInfo:
-    __slots__ = ("name", "file", "line", "enumerators")
-
-    def __init__(self, name, file, line, enumerators):
-        self.name = name
-        self.file = file
-        self.line = line
-        self.enumerators = enumerators
-
-
 class FileIndex:
     def __init__(self, lexed):
         self.lexed = lexed
         self.path = lexed.path
         self.functions = []   # Named functions and lambdas, in source order.
         self.classes = {}     # name -> ClassInfo
-        self.enums = {}       # name -> EnumInfo
 
 
 def _match_forward(tokens, i, open_p, close_p):
@@ -238,38 +227,15 @@ class Indexer:
             i += 1
 
     def _scan_enum(self, i, end):
+        """Skips an enum declaration or definition; returns the index past
+        it, so enumerators are never taken for functions."""
         tokens = self.tokens
         j = i + 1
-        if j < end and tokens[j].kind == IDENT and tokens[j].value in ("class", "struct"):
-            j += 1
-        name = None
-        if j < end and tokens[j].kind == IDENT:
-            name = tokens[j].value
-            j += 1
         while j < end and not (tokens[j].kind == PUNCT and tokens[j].value in ("{", ";")):
             j += 1
         if j >= end or tokens[j].value == ";":
             return j + 1
-        close = _match_forward(tokens, j, "{", "}")
-        enumerators = []
-        expect = True  # Next IDENT at depth 0 of the body is an enumerator.
-        depth = 0
-        for k in range(j + 1, close - 1):
-            tk = tokens[k]
-            if tk.kind == PUNCT:
-                if tk.value in ("(", "{", "["):
-                    depth += 1
-                elif tk.value in (")", "}", "]"):
-                    depth -= 1
-                elif tk.value == "," and depth == 0:
-                    expect = True
-            elif tk.kind == IDENT and expect and depth == 0:
-                enumerators.append(tk.value)
-                expect = False
-        if name:
-            self.index.enums[name] = EnumInfo(name, self.lexed.path,
-                                              tokens[i].line, enumerators)
-        return close
+        return _match_forward(tokens, j, "{", "}")
 
     def _scan_class(self, i, end, class_stack):
         """Returns index past the class definition, or None if this `class`

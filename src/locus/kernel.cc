@@ -127,11 +127,22 @@ void Kernel::TrackKernelProcess(ProcessHandle p) {
   kernel_procs_.push_back(p);
 }
 
-void Kernel::MaybeCrashAt(ProtocolStep step) {
-  if (!alive_ || !sim().AtCrashPoint(step, site_)) {
+const char* CrashPointName(int32_t point) {
+  switch (point) {
+#define LOCUS_CRASH_POINT_CASE(id, name) \
+  case id:                               \
+    return name;
+    LOCUS_CRASH_POINTS(LOCUS_CRASH_POINT_CASE)
+#undef LOCUS_CRASH_POINT_CASE
+  }
+  return "unknown_step";
+}
+
+void Kernel::MaybeCrashAt(CrashPoint point) {
+  if (!alive_ || !sim().AtCrashPoint(point, site_)) {
     return;
   }
-  Trace("crash injected at %s", ProtocolStepName(step));
+  Trace("crash injected at %s", CrashPointName(point));
   system_->CrashSite(site_);
   // CrashSite self-kills the calling process (cancelled_ set, no unwinding);
   // throw so the protocol stops here rather than at the next blocking point.
@@ -165,7 +176,7 @@ void Kernel::Handle<kLockReq>(const LockRequest& req, Responder r) {
 template <>
 void Kernel::Handle<kPrepareReq>(const PrepareRequest& req, Responder r) {
   r(MakeReply<kPrepareReq>(Serve(req)));
-  MaybeCrashAt(ProtocolStep::kPrepareReplySent);
+  MaybeCrashAt(kPrepareReplySent);
 }
 
 // A remote member join or file-list merge costs the top-level site's
@@ -432,7 +443,7 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
     locks_.ReleaseTransaction(req.txn);
     return PrepareReply{Err::kAborted};
   }
-  MaybeCrashAt(ProtocolStep::kBeforePrepareLog);
+  MaybeCrashAt(kBeforePrepareLog);
   for (auto& [vol_id, intentions] : by_volume) {
     Volume* volume = FindVolume(vol_id);
     // One record per volume, or per file in the footnote-10 fidelity mode.
@@ -453,7 +464,7 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
       prepare_log_index_[req.txn].push_back({vol_id, id});
     }
   }
-  MaybeCrashAt(ProtocolStep::kAfterPrepareLog);
+  MaybeCrashAt(kAfterPrepareLog);
   if (sim().trace_echo()) {
     Trace("prepared %s (%zu files)", ToString(req.txn).c_str(), req.files.size());
   }
@@ -471,7 +482,7 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
   if (!txn_resolution_in_progress_.insert(txn)) {
     return Err::kOk;  // A duplicate message raced an in-flight resolution.
   }
-  MaybeCrashAt(ProtocolStep::kBeforeCommitInstall);
+  MaybeCrashAt(kBeforeCommitInstall);
   LockOwner owner{kNoPid, txn};
   std::vector<FileId> committed_files;
   for (size_t k = 0; auto ref = PrepareLogRef(txn, k); ++k) {
@@ -495,7 +506,7 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
     FindVolume(vol_id)->EraseLog(record_id);
   }
   prepare_log_index_.erase(txn);
-  MaybeCrashAt(ProtocolStep::kAfterCommitInstall);
+  MaybeCrashAt(kAfterCommitInstall);
   // Phase two releases the retained locks (section 4.2).
   locks_.ReleaseTransaction(txn);
   for (const FileId& file : committed_files) {

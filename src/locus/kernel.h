@@ -124,6 +124,35 @@ struct ReplicaStatusEntry {
   X(void, WaitChildren, (), ())                                                                \
   X(Err, Migrate, (SiteId to), (to))
 
+// LOCUS_CRASH_POINTS is the one declaration of the points at which a
+// SchedulePolicy may crash a site: each row gives the id and the name a
+// counterexample trace carries, and its comment places it among the section 4
+// log writes. The kernel consults Simulation::AtCrashPoint at each; src/mc
+// sweeps every (point, site) occurrence of a run. Rows keep their ids, so a
+// recorded trace reads the same: new rows go at the end.
+#define LOCUS_CRASH_POINTS(X)                                                                  \
+  /* ---- Coordinator (kernel_txn.cc) ---- */                                                  \
+  X(kCoordLogWritten, "coord_log_written")          /* After the coordinator log append. */    \
+  X(kBeforeCommitMark, "before_commit_mark")        /* Before the commit-mark log update. */   \
+  X(kAfterCommitMark, "after_commit_mark")          /* After the commit mark is durable. */    \
+  X(kBeforeCommitSend, "before_commit_send")        /* Before sending one commit message. */   \
+  /* ---- Participant (kernel.cc) ---- */                                                      \
+  X(kBeforePrepareLog, "before_prepare_log")        /* Before the prepare log append. */       \
+  X(kAfterPrepareLog, "after_prepare_log")          /* After the prepare record is durable. */ \
+  X(kPrepareReplySent, "prepare_reply_sent")        /* After the prepare reply left. */        \
+  X(kBeforeCommitInstall, "before_commit_install")  /* Before installing intentions. */        \
+  X(kAfterCommitInstall, "after_commit_install")    /* After installing intentions. */
+
+// Rows number from 0 in table order.
+enum CrashPoint : int32_t {
+#define LOCUS_CRASH_POINT_ENUMERATOR(id, name) id,
+  LOCUS_CRASH_POINTS(LOCUS_CRASH_POINT_ENUMERATOR)
+#undef LOCUS_CRASH_POINT_ENUMERATOR
+};
+
+// The name column of row `point`; "unknown_step" for a number no row has.
+const char* CrashPointName(int32_t point);
+
 class Kernel {
  public:
   Kernel(System* system, SiteId site);
@@ -227,9 +256,9 @@ class Kernel {
   }
   void TrackKernelProcess(ProcessHandle p);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
-  // two-phase-commit protocol step; if it elects a crash, the site goes down
-  // and the calling process unwinds via SimCancelled. No-op with no policy.
-  void MaybeCrashAt(ProtocolStep step);
+  // LOCUS_CRASH_POINTS row; if it elects a crash, the site goes down and the
+  // calling process unwinds via SimCancelled. No-op with no policy.
+  void MaybeCrashAt(CrashPoint point);
 
   // --- One call path per message row ---
   // A kType request to site `to`: run by the row's Serve in the caller's

@@ -594,7 +594,7 @@ Err Kernel::SysCommitFile(OsProcess* p, int fd) {
 
 Pid Kernel::StartProcess(const std::string& name, std::function<void(OsProcess*)> body) {
   auto proc = std::make_unique<OsProcess>();
-  proc->pid = system_->AllocPid(site_);
+  proc->pid = system_->AllocPid();
   proc->site = site_;
   proc->children_exited = std::make_unique<WaitQueue>(&sim());
   OsProcess* raw = proc.get();
@@ -624,7 +624,7 @@ Result<Pid> Kernel::SysFork(OsProcess* p, SiteId target_site,
       return {Err::kUnreachable, kNoPid};
     }
   }
-  Pid child_pid = system_->AllocPid(target_site);
+  Pid child_pid = system_->AllocPid();
   if (p->txn.valid()) {
     // Register the member with the transaction's top-level site before the
     // child starts (section 3.1: all processes created from within a

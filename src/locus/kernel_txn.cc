@@ -188,7 +188,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // treats as abort. The commit mark's force below covers it.
   uint64_t log_id = root->AppendLog(coord, "coordinator_log", Volume::LogForce::kLazy);
   coordinator_log_index_[txn] = log_id;
-  MaybeCrashAt(ProtocolStep::kCoordLogWritten);
+  MaybeCrashAt(kCoordLogWritten);
 
   // Step 2: prepare messages to every participant site. With formation on,
   // the close-time primary-release hints go out first (they merge into the
@@ -260,12 +260,12 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // then install shadow pages that were already freed and reused. The
   // commit_marking flag makes AbortTransactionLocal defer; once the mark is
   // durable the commit simply wins.
-  MaybeCrashAt(ProtocolStep::kBeforeCommitMark);
+  MaybeCrashAt(kBeforeCommitMark);
   record->commit_marking = true;
   coord.status = TxnStatus::kCommitted;
   root->UpdateLog(log_id, std::move(coord), "commit_mark");
   record->commit_marking = false;
-  MaybeCrashAt(ProtocolStep::kAfterCommitMark);
+  MaybeCrashAt(kAfterCommitMark);
   if (system_->observers().enabled()) {
     net().StampLocalEvent(site_);
     std::vector<std::string> participant_names;
@@ -312,7 +312,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
         // of one round trip per participant.
         std::vector<std::pair<SiteId, uint64_t>> in_flight;
         for (SiteId s : remaining) {
-          MaybeCrashAt(ProtocolStep::kBeforeCommitSend);
+          MaybeCrashAt(kBeforeCommitSend);
           if (IsLocal(s)) {
             Serve(CommitTxnRequest{txn});  // Installs while the remote notices fly.
             continue;
@@ -331,7 +331,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
         }
       } else {
         for (SiteId s : remaining) {
-          MaybeCrashAt(ProtocolStep::kBeforeCommitSend);
+          MaybeCrashAt(kBeforeCommitSend);
           if (!Call<kCommitTxnReq>(s, CommitTxnRequest{txn})) {
             still.push_back(s);
           }

@@ -96,11 +96,6 @@ void System::Partition(const std::vector<std::vector<SiteId>>& groups) {
 
 void System::HealPartitions() { net_.ClearPartitions(); }
 
-Pid System::AllocPid(SiteId site) {
-  (void)site;
-  return next_pid_++;
-}
-
 OsProcess* System::Locate(Pid pid) {
   if (pid == kNoPid) {
     return nullptr;

@@ -101,7 +101,7 @@ class System {
   void StopDaemons() { daemons_running_ = false; }
 
   // --- Cross-site registry helpers used by the kernels ---
-  Pid AllocPid(SiteId site);
+  Pid AllocPid() { return next_pid_++; }
   VolumeId AllocVolumeId() { return next_volume_id_++; }
   // Finds a process anywhere in the cluster (stands in for the low-level
   // process-location protocol).

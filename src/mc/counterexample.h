@@ -23,7 +23,7 @@ namespace mc {
 
 struct CrashSpec {
   int64_t ordinal = -1;          // CrashAt consultation ordinal (0-based).
-  std::string step;              // ProtocolStepName at that ordinal (advisory).
+  std::string step;              // CrashPointName at that ordinal (advisory).
   int32_t site = -1;             // Site crashed (advisory).
 };
 

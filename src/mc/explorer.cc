@@ -2,46 +2,18 @@
 
 #include <algorithm>
 
+#include "src/locus/kernel.h"
+
 namespace locus {
 namespace mc {
 
 namespace {
 
+// The events a tie window widens over, less flush deadlines: those branch at
+// their own tie-window consultation in the engine; the DFS frontier treats
+// them as internal here.
 bool IsNetworkEvent(const EventInfo& info) {
-  switch (info.tag) {
-    case EventTag::kNetDeliver:
-    case EventTag::kRpcReply:
-    case EventTag::kRpcTimeout:
-    case EventTag::kTopology:
-      return true;
-    case EventTag::kGeneric:
-    case EventTag::kWakeup:
-    case EventTag::kSleepDone:
-    // Flush deadlines branch at their own IsNetworkTag consultation in the
-    // engine; the DFS frontier treats them as internal here.
-    case EventTag::kFormFlush:
-      return false;
-  }
-  return false;
-}
-
-int32_t ActorSite(const EventInfo& info) {
-  switch (info.tag) {
-    case EventTag::kNetDeliver:
-      return info.b;
-    case EventTag::kRpcReply:
-      return info.b;
-    case EventTag::kRpcTimeout:
-      return info.a;
-    case EventTag::kTopology:
-      return info.a;
-    case EventTag::kGeneric:
-    case EventTag::kWakeup:
-    case EventTag::kSleepDone:
-    case EventTag::kFormFlush:
-      return -1;
-  }
-  return -1;
+  return TieWindowWidens(info.tag) && info.tag != EventTag::kFormFlush;
 }
 
 // Candidates for one tie. The search space is the message-passing model
@@ -93,8 +65,7 @@ CounterexampleTrace TraceFromRun(const ScenarioConfig& config, const GuidedPolic
   }
   if (policy.crash_fired_at >= 0) {
     const CrashConsult& consult = policy.crash_consults[policy.crash_fired_at];
-    trace.crash = CrashSpec{policy.crash_fired_at, ProtocolStepName(consult.step),
-                            consult.site};
+    trace.crash = CrashSpec{policy.crash_fired_at, CrashPointName(consult.point), consult.site};
   }
   trace.expect_digest = result.digest;
   trace.expect_violation = result.violation;

@@ -10,7 +10,7 @@
 //   - PctSampler: randomized priority schedules (PCT) for configurations too
 //     large to enumerate; each sample is reproducible from its recorded
 //     decision sequence, not from the RNG.
-//   - CrashSweep: enumerates every (2PC protocol step x site) crash point a
+//   - CrashSweep: enumerates every (crash point x site) occurrence a
 //     reference run encounters and re-runs the scenario crashing at each.
 //
 // All strategies stop at the first oracle violation and return it as a

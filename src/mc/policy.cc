@@ -20,9 +20,9 @@ size_t GuidedPolicy::PickNext(SimTime now, const std::vector<EventInfo>& options
   return choice;
 }
 
-bool GuidedPolicy::CrashAt(ProtocolStep step, int32_t site) {
+bool GuidedPolicy::CrashAt(int32_t point, int32_t site) {
   int64_t ordinal = static_cast<int64_t>(crash_consults.size());
-  crash_consults.push_back(CrashConsult{step, site});
+  crash_consults.push_back(CrashConsult{point, site});
   if (ordinal == crash_ordinal && crash_fired_at < 0) {
     crash_fired_at = ordinal;
     return true;
@@ -42,26 +42,6 @@ PctChooser::PctChooser(uint64_t seed, int num_sites, int depth, uint64_t horizon
     int32_t site = static_cast<int32_t>(rng_.Below(priority_.size()));
     change_points_[at] = site;
   }
-}
-
-int32_t PctChooser::ActorSite(const EventInfo& info) {
-  switch (info.tag) {
-    case EventTag::kNetDeliver:
-      return info.b;  // Delivery runs at the destination site.
-    case EventTag::kRpcReply:
-      return info.b;  // Completion runs at the caller's site.
-    case EventTag::kRpcTimeout:
-      return info.a;  // Timeout fires at the caller's site.
-    case EventTag::kFormFlush:
-      return info.a;  // Flush runs at the batching (sender) site.
-    case EventTag::kTopology:
-      return info.a;
-    case EventTag::kGeneric:
-    case EventTag::kWakeup:
-    case EventTag::kSleepDone:
-      return -1;
-  }
-  return -1;
 }
 
 size_t PctChooser::operator()(size_t index, const std::vector<EventInfo>& options) {

@@ -31,10 +31,13 @@ struct Decision {
   size_t chosen = 0;
 };
 
-// One crash-point consultation: a (protocol step, site) pair the kernel hit.
+// One crash-point consultation: a (point, site) pair the kernel hit, the
+// point a LOCUS_CRASH_POINTS row (src/locus/kernel.h).
 struct CrashConsult {
-  ProtocolStep step = ProtocolStep::kCoordLogWritten;
+  int32_t point = -1;
   int32_t site = -1;
+
+  bool operator==(const CrashConsult&) const = default;
 };
 
 class GuidedPolicy : public SchedulePolicy {
@@ -63,16 +66,17 @@ class GuidedPolicy : public SchedulePolicy {
   int64_t crash_fired_at = -1;  // Consultation ordinal that crashed, or -1.
 
   size_t PickNext(SimTime now, const std::vector<EventInfo>& options) override;
-  bool CrashAt(ProtocolStep step, int32_t site) override;
+  bool CrashAt(int32_t point, int32_t site) override;
   SimTime TieWindow() const override { return tie_window; }
 };
 
 // PCT-style randomized chooser (Burckhardt et al.'s probabilistic concurrency
 // testing, adapted to site-level scheduling): each site draws a random
-// priority at construction; a tie resolves to the option whose "actor" site
-// has the highest priority. `depth` priority-change points, at random
-// consultation indices below `horizon`, each demote one random site to the
-// lowest priority — covering bugs that need a specific site to lag.
+// priority at construction; a tie resolves to the option whose actor site
+// (ActorSite, the actor column of LOCUS_EVENT_TAGS) has the highest
+// priority. `depth` priority-change points, at random consultation indices
+// below `horizon`, each demote one random site to the lowest priority —
+// covering bugs that need a specific site to lag.
 class PctChooser {
  public:
   PctChooser(uint64_t seed, int num_sites, int depth, uint64_t horizon);
@@ -80,10 +84,6 @@ class PctChooser {
   size_t operator()(size_t index, const std::vector<EventInfo>& options);
 
  private:
-  // The site whose relative progress an option controls (delivery target,
-  // reply/timeout receiver, topology observer); -1 for non-site events.
-  static int32_t ActorSite(const EventInfo& info);
-
   Rng rng_;
   std::vector<uint64_t> priority_;            // Per site.
   std::map<uint64_t, int32_t> change_points_;  // Consultation index -> site.

@@ -50,34 +50,45 @@ void UnpoisonStack(void*, size_t) {}
 #endif
 }  // namespace
 
+// One generated switch per LOCUS_EVENT_TAGS column; a row's fields and actor
+// name the EventInfo members bound here.
 std::string EventInfoLabel(const EventInfo& info) {
-  char buf[64];
-  switch (info.tag) {
-    case EventTag::kGeneric:
-      return "evt";
-    case EventTag::kWakeup:
-      snprintf(buf, sizeof(buf), "wake:p%d", info.a);
-      return buf;
-    case EventTag::kSleepDone:
-      snprintf(buf, sizeof(buf), "sleep:p%d", info.a);
-      return buf;
-    case EventTag::kNetDeliver:
-      snprintf(buf, sizeof(buf), "dlv:%d>%d:t%d", info.a, info.b, info.c);
-      return buf;
-    case EventTag::kRpcReply:
-      snprintf(buf, sizeof(buf), "rpy:%d>%d:c%d", info.a, info.b, info.c);
-      return buf;
-    case EventTag::kRpcTimeout:
-      snprintf(buf, sizeof(buf), "tmo:%d>%d:c%d", info.a, info.b, info.c);
-      return buf;
-    case EventTag::kTopology:
-      snprintf(buf, sizeof(buf), "topo:s%d", info.a);
-      return buf;
-    case EventTag::kFormFlush:
-      snprintf(buf, sizeof(buf), "form:%d>%d", info.a, info.b);
-      return buf;
+  const auto [tag, a, b, c] = info;
+  char buf[64] = "evt";
+  switch (tag) {
+#define LOCUS_EVENT_FIELDS(...) __VA_OPT__(, ) __VA_ARGS__
+#define LOCUS_EVENT_LABEL(name, format, fields, widens, actor)     \
+  case EventTag::name:                                            \
+    snprintf(buf, sizeof(buf), format LOCUS_EVENT_FIELDS fields); \
+    break;
+    LOCUS_EVENT_TAGS(LOCUS_EVENT_LABEL)
+#undef LOCUS_EVENT_LABEL
+#undef LOCUS_EVENT_FIELDS
   }
-  return "evt";
+  return buf;
+}
+
+bool TieWindowWidens(EventTag tag) {
+  switch (tag) {
+#define LOCUS_EVENT_WIDENS(name, format, fields, widens, actor) \
+  case EventTag::name:                                         \
+    return widens;
+    LOCUS_EVENT_TAGS(LOCUS_EVENT_WIDENS)
+#undef LOCUS_EVENT_WIDENS
+  }
+  return false;
+}
+
+int32_t ActorSite(const EventInfo& info) {
+  const auto [tag, a, b, c] = info;
+  switch (tag) {
+#define LOCUS_EVENT_ACTOR(name, format, fields, widens, actor) \
+  case EventTag::name:                                        \
+    return actor;
+    LOCUS_EVENT_TAGS(LOCUS_EVENT_ACTOR)
+#undef LOCUS_EVENT_ACTOR
+  }
+  return -1;
 }
 
 std::string ProcessName::Format() const {
@@ -89,30 +100,6 @@ std::string ProcessName::Format() const {
     name += std::to_string(number_);
   }
   return name + "#" + std::to_string(serial_);
-}
-
-const char* ProtocolStepName(ProtocolStep step) {
-  switch (step) {
-    case ProtocolStep::kCoordLogWritten:
-      return "coord_log_written";
-    case ProtocolStep::kBeforeCommitMark:
-      return "before_commit_mark";
-    case ProtocolStep::kAfterCommitMark:
-      return "after_commit_mark";
-    case ProtocolStep::kBeforeCommitSend:
-      return "before_commit_send";
-    case ProtocolStep::kBeforePrepareLog:
-      return "before_prepare_log";
-    case ProtocolStep::kAfterPrepareLog:
-      return "after_prepare_log";
-    case ProtocolStep::kPrepareReplySent:
-      return "prepare_reply_sent";
-    case ProtocolStep::kBeforeCommitInstall:
-      return "before_commit_install";
-    case ProtocolStep::kAfterCommitInstall:
-      return "after_commit_install";
-  }
-  return "unknown_step";
 }
 
 // ---------------------------------------------------------------------------
@@ -477,28 +464,6 @@ void Simulation::MakeReady(ProcessHandle process) {
   });
 }
 
-namespace {
-
-bool IsNetworkTag(EventTag tag) {
-  switch (tag) {
-    case EventTag::kNetDeliver:
-    case EventTag::kRpcReply:
-    case EventTag::kRpcTimeout:
-    case EventTag::kTopology:
-    // A flush deadline races the deliveries it would batch behind; letting
-    // the checker reorder it against network events explores both sides.
-    case EventTag::kFormFlush:
-      return true;
-    case EventTag::kGeneric:
-    case EventTag::kWakeup:
-    case EventTag::kSleepDone:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
-
 bool Simulation::NextIsDueNow() const {
   return !due_now_.empty() && (heap_.empty() || Before(due_now_.front(), heap_.front()));
 }
@@ -529,12 +494,12 @@ Simulation::EventKey Simulation::PopNext(SimTime limit) {
   // events in (time, seq) order, one sitting inside the window also caps it.
   const SimTime window = policy_->TieWindow();
   const SimTime base = key.time;
-  const bool widen = window > 0 && IsNetworkTag(SlotAt(key.slot).info.tag);
+  const bool widen = window > 0 && TieWindowWidens(SlotAt(key.slot).info.tag);
   auto joins_tie = [&](const EventKey& top) {
     if (top.time == base) {
       return true;
     }
-    return widen && IsNetworkTag(SlotAt(top.slot).info.tag) && top.time <= base + window &&
+    return widen && TieWindowWidens(SlotAt(top.slot).info.tag) && top.time <= base + window &&
            top.time <= limit;
   };
   if (!joins_tie(PeekNext())) {

@@ -65,18 +65,38 @@ struct Fiber;
 // installed (the default) the engine's behavior is bit-for-bit identical to
 // the historical fixed order, and the hot path is untouched.
 
-// What a schedulable event represents, so policies can tell message traffic
-// from process wake-ups without parsing strings. The int fields are
-// tag-specific (see comments); -1 means "not applicable".
+// LOCUS_EVENT_TAGS is the one declaration of what a schedulable event
+// represents, so policies can tell message traffic from process wake-ups
+// without parsing strings. Each row gives the tag; its label format with the
+// EventInfo fields that format reads (the compact "dlv:0>1:t7" a
+// counterexample trace carries); whether a policy's tie window widens over it
+// (see SchedulePolicy::TieWindow); and the field naming its actor, the site
+// whose progress the event controls (-1: none). The int fields are
+// tag-specific; -1 means "not applicable".
+#define LOCUS_EVENT_TAGS(X)                                                                 \
+  /* Untagged internal event. */                                                            \
+  X(kGeneric, "evt", (), false, -1)                                                         \
+  /* Process becomes runnable: a = pid. */                                                  \
+  X(kWakeup, "wake:p%d", (a), false, -1)                                                    \
+  /* Sleep timer expiry: a = pid. */                                                        \
+  X(kSleepDone, "sleep:p%d", (a), false, -1)                                                \
+  /* Message delivery: a = from, b = to, c = msg type. Runs at the destination. */          \
+  X(kNetDeliver, "dlv:%d>%d:t%d", (a, b, c), true, b)                                       \
+  /* RPC reply completion: a = responder site, b = caller site, c = call id. */             \
+  X(kRpcReply, "rpy:%d>%d:c%d", (a, b, c), true, b)                                         \
+  /* RPC time-out or failure firing: a = caller site, b = dest site, c = call id. */        \
+  X(kRpcTimeout, "tmo:%d>%d:c%d", (a, b, c), true, a)                                       \
+  /* Topology-change notification: a = site. */                                             \
+  X(kTopology, "topo:s%d", (a), true, a)                                                    \
+  /* Formation flush deadline: a = site, b = dest site. Runs at the batching site. A        \
+     flush deadline races the deliveries it would batch behind; letting a policy            \
+     reorder it against network events explores both sides. */                             \
+  X(kFormFlush, "form:%d>%d", (a, b), true, a)
+
 enum class EventTag : uint8_t {
-  kGeneric = 0,   // Untagged internal event.
-  kWakeup,        // Process becomes runnable.       a = pid
-  kSleepDone,     // Sleep timer expiry.             a = pid
-  kNetDeliver,    // Message delivery.               a = from, b = to, c = msg type
-  kRpcReply,      // RPC reply completion.           a = responder site, b = caller site, c = call id
-  kRpcTimeout,    // RPC timeout / failure firing.   a = caller site, b = dest site, c = call id
-  kTopology,      // Topology-change notification.   a = site
-  kFormFlush,     // Formation flush deadline.       a = site, b = dest site
+#define LOCUS_EVENT_TAG_ENUMERATOR(tag, format, fields, widens, actor) tag,
+  LOCUS_EVENT_TAGS(LOCUS_EVENT_TAG_ENUMERATOR)
+#undef LOCUS_EVENT_TAG_ENUMERATOR
 };
 
 struct EventInfo {
@@ -86,28 +106,11 @@ struct EventInfo {
   int32_t c = -1;
 };
 
-// Compact human-readable label ("dlv:0>1:t7", "wake:p12") used in
-// counterexample traces and sleep-set bookkeeping.
+// The columns of an event's LOCUS_EVENT_TAGS row: its label, whether a tie
+// window widens over it, and its actor site.
 std::string EventInfoLabel(const EventInfo& info);
-
-// Two-phase-commit protocol steps at which a site crash may be injected,
-// aligned with the section 4 log writes (see DESIGN.md). The kernel consults
-// Simulation::AtCrashPoint at each; the crash-point enumerator in src/mc
-// sweeps every (step, site) occurrence of a run.
-enum class ProtocolStep : uint8_t {
-  kCoordLogWritten = 0,  // Coordinator: after the coordinator log append.
-  kBeforeCommitMark,     // Coordinator: before the commit-mark log update.
-  kAfterCommitMark,      // Coordinator: after the commit mark is durable.
-  kBeforeCommitSend,     // Coordinator: before sending one commit message.
-  kBeforePrepareLog,     // Participant: before the prepare log append.
-  kAfterPrepareLog,      // Participant: after the prepare record is durable.
-  kPrepareReplySent,     // Participant: after the prepare reply left.
-  kBeforeCommitInstall,  // Participant: before installing intentions.
-  kAfterCommitInstall,   // Participant: after installing intentions.
-};
-inline constexpr int kProtocolStepCount = 9;
-
-const char* ProtocolStepName(ProtocolStep step);
+bool TieWindowWidens(EventTag tag);
+int32_t ActorSite(const EventInfo& info);
 
 // Pluggable resolver for the engine's decision points. Stateless by default:
 // the base implementation reproduces the historical fixed order exactly.
@@ -124,17 +127,19 @@ class SchedulePolicy {
     return 0;
   }
 
-  // Called at each two-phase-commit protocol step; returning true crashes
-  // `site` at that instant (the caller performs the crash and unwinds).
-  virtual bool CrashAt(ProtocolStep step, int32_t site) {
-    (void)step;
+  // Called at each crash point (an id the caller defines; the kernel's are
+  // its LOCUS_CRASH_POINTS rows); returning true crashes `site` at that
+  // instant (the caller performs the crash and unwinds).
+  virtual bool CrashAt(int32_t point, int32_t site) {
+    (void)point;
     (void)site;
     return false;
   }
 
   // Tie-widening window. Exact-time ties are rare in a discrete-event
-  // simulation, so a policy may declare that network events (deliveries,
-  // replies, timeouts, topology) within this much virtual time of the
+  // simulation, so a policy may declare that network events (the tags
+  // whose LOCUS_EVENT_TAGS row widens: deliveries, replies, timeouts,
+  // topology and flush deadlines) within this much virtual time of the
   // earliest pending event count as one tie: picking a later one first
   // models that message being delayed by up to the window, and the passed-
   // over events then run at the chosen event's (later) time. 0 (the
@@ -478,9 +483,9 @@ class Simulation {
   // The policy is not owned; it must outlive its installation. Installing
   // nullptr restores the historical fixed order.
   void set_schedule_policy(SchedulePolicy* policy) { policy_ = policy; }
-  // Consults the installed policy at a protocol step; false with no policy.
-  bool AtCrashPoint(ProtocolStep step, int32_t site) {
-    return policy_ != nullptr && policy_->CrashAt(step, site);
+  // Consults the installed policy at a crash point; false with no policy.
+  bool AtCrashPoint(int32_t point, int32_t site) {
+    return policy_ != nullptr && policy_->CrashAt(point, site);
   }
 
   // --- Lost-wakeup watchdog ---

@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "src/locus/kernel.h"
 #include "src/mc/counterexample.h"
 #include "src/mc/explorer.h"
 #include "src/mc/policy.h"
@@ -73,7 +79,63 @@ TEST(McScenario, RunIsDeterministic) {
   EXPECT_TRUE(a.ok()) << a.violation << ": " << a.violation_detail;
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(p1.decisions.size(), p2.decisions.size());
-  EXPECT_EQ(p1.crash_consults.size(), p2.crash_consults.size());
+  EXPECT_FALSE(p1.crash_consults.empty());
+  EXPECT_EQ(p1.crash_consults, p2.crash_consults);
+}
+
+// Every LOCUS_CRASH_POINTS row keeps its id and name: a counterexample trace
+// records the name, and recorded traces read the same only while rows keep
+// their places.
+TEST(McCrashPoints, RowsKeepTheirIdsAndNames) {
+  const std::pair<CrashPoint, const char*> rows[] = {
+      {kCoordLogWritten, "coord_log_written"},
+      {kBeforeCommitMark, "before_commit_mark"},
+      {kAfterCommitMark, "after_commit_mark"},
+      {kBeforeCommitSend, "before_commit_send"},
+      {kBeforePrepareLog, "before_prepare_log"},
+      {kAfterPrepareLog, "after_prepare_log"},
+      {kPrepareReplySent, "prepare_reply_sent"},
+      {kBeforeCommitInstall, "before_commit_install"},
+      {kAfterCommitInstall, "after_commit_install"},
+  };
+  for (int32_t id = 0; id < static_cast<int32_t>(std::size(rows)); ++id) {
+    EXPECT_EQ(rows[id].first, id);
+    EXPECT_STREQ(CrashPointName(id), rows[id].second);
+  }
+  EXPECT_STREQ(CrashPointName(static_cast<int32_t>(std::size(rows))), "unknown_step");
+  EXPECT_STREQ(CrashPointName(-1), "unknown_step");
+}
+
+// How often a clean run of the ci.sh crash-sweep scenario passes each
+// LOCUS_CRASH_POINTS row, formation off and on: every row is reached (none
+// is dead), as often as the two transfers' commits imply (none is
+// misplaced; the prepare reply is sent, and crashed after, only by a remote
+// participant). The counts sum to the sweep's 29 crash points.
+TEST(McCrashPoints, SweepScenarioReachesEveryRow) {
+  const std::map<std::string, int> expected = {
+      {"coord_log_written", 2},     {"before_commit_mark", 2},   {"after_commit_mark", 2},
+      {"before_commit_send", 4},    {"before_prepare_log", 4},   {"after_prepare_log", 4},
+      {"prepare_reply_sent", 3},    {"before_commit_install", 4}, {"after_commit_install", 4},
+  };
+  for (bool formation : {false, true}) {
+    SCOPED_TRACE(formation ? "formation on" : "formation off");
+    ScenarioConfig config;
+    config.sites = 3;
+    config.tellers = 2;
+    config.transfers_per_teller = 1;
+    config.seed = 5;
+    config.disk_latency_us = 60000;
+    config.formation = formation;
+
+    GuidedPolicy policy;
+    RunResult run = RunScenario(config, &policy);
+    EXPECT_TRUE(run.ok()) << run.violation;
+    std::map<std::string, int> counts;
+    for (const CrashConsult& consult : policy.crash_consults) {
+      ++counts[CrashPointName(consult.point)];
+    }
+    EXPECT_EQ(counts, expected);
+  }
 }
 
 // With the commit-marking guard intact, sweeping a crash through every

@@ -368,12 +368,12 @@ TEST_F(RecoveryTest, WorkingPagePatchedWhenRedoRacesNewWriter) {
 }
 
 // Crashes `site` before each commit message its phase-two driver would send,
-// and at no other protocol step.
+// and at no other crash point.
 class CrashAtCommitSend : public SchedulePolicy {
  public:
   explicit CrashAtCommitSend(SiteId site) : site_(site) {}
-  bool CrashAt(ProtocolStep step, int32_t site) override {
-    return step == ProtocolStep::kBeforeCommitSend && site == site_;
+  bool CrashAt(int32_t point, int32_t site) override {
+    return point == kBeforeCommitSend && site == site_;
   }
 
  private:

@@ -155,6 +155,44 @@ TEST(Simulation, PolicySeesTiesAcrossHeapAndZeroDelayEventsInSeqOrder) {
   EXPECT_EQ(order, (std::vector<int32_t>{7, 8, 101}));
 }
 
+// Every LOCUS_EVENT_TAGS row's columns, pinned: the labels are what a
+// counterexample trace carries, the actor site is what PCT and the DFS's
+// partial-order reduction group by, and the widening tags are the ones a tie
+// window may reorder across time. Distinct field values show which field each
+// label and actor reads.
+TEST(EventTags, EveryRowsLabelActorAndTieWindowColumn) {
+  struct Row {
+    EventTag tag;
+    const char* label;
+    int32_t actor;
+    bool widens;
+  };
+  const Row rows[] = {
+      {EventTag::kGeneric, "evt", -1, false},
+      {EventTag::kWakeup, "wake:p4", -1, false},
+      {EventTag::kSleepDone, "sleep:p4", -1, false},
+      {EventTag::kNetDeliver, "dlv:4>5:t6", 5, true},
+      {EventTag::kRpcReply, "rpy:4>5:c6", 5, true},
+      {EventTag::kRpcTimeout, "tmo:4>5:c6", 4, true},
+      {EventTag::kTopology, "topo:s4", 4, true},
+      {EventTag::kFormFlush, "form:4>5", 4, true},
+  };
+  for (size_t i = 0; i < std::size(rows); ++i) {
+    const Row& row = rows[i];
+    SCOPED_TRACE(row.label);
+    EXPECT_EQ(static_cast<size_t>(row.tag), i);
+    const EventInfo info{row.tag, 4, 5, 6};
+    EXPECT_EQ(EventInfoLabel(info), row.label);
+    EXPECT_EQ(ActorSite(info), row.actor);
+    EXPECT_EQ(TieWindowWidens(row.tag), row.widens);
+  }
+  // A tag no row has reads as an untagged event.
+  const EventInfo unknown{static_cast<EventTag>(std::size(rows)), 4, 5, 6};
+  EXPECT_EQ(EventInfoLabel(unknown), "evt");
+  EXPECT_EQ(ActorSite(unknown), -1);
+  EXPECT_FALSE(TieWindowWidens(unknown.tag));
+}
+
 // Differential check of the queues against their specification: events at
 // random, often equal, times, some of them scheduled from inside events
 // (zero-delay ones included), run exactly in (time, schedule order).
