@@ -1,6 +1,7 @@
 // Sorted-vector map and set for the small per-transaction tables (a
 // transaction's page slots, a process's descriptors and cached lock lists,
-// the few transactions a site is resolving). They iterate in key order like
+// the few transactions a site is resolving, a volume's unresolved log
+// records). They iterate in key order like
 // std::map/std::set, but hold their elements in one vector, so a table that
 // is filled and emptied once per transaction keeps its storage and stops
 // allocating after the first. Insert and erase shift the elements behind the
@@ -10,6 +11,7 @@
 #define SRC_BASE_FLAT_MAP_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <tuple>
 #include <utility>
@@ -42,6 +44,12 @@ class FlatMap {
     return it != items_.end() && it->first == key ? it : items_.end();
   }
   size_t count(const K& key) const { return find(key) != end() ? 1 : 0; }
+  // The value of `key`, which must be present.
+  const V& at(const K& key) const {
+    const_iterator it = find(key);
+    assert(it != items_.end());
+    return it->second;
+  }
 
   // Inserts (key, V(args...)) unless `key` is present; returns the element
   // and whether it was inserted, like std::map::try_emplace.

@@ -21,8 +21,8 @@ void FormationQueue::Start() {
                           HandleBatch(from, msg);
                         });
   if (enabled_) {
-    net_->set_reply_router(site_, [this](SiteId dest, Message reply, uint64_t call_id) {
-      Enqueue(dest, FormItem{std::move(reply), call_id, /*is_reply=*/true});
+    net_->set_reply_router(site_, [this](SiteId dest, Message reply, CallHandle call) {
+      Enqueue(dest, FormItem{std::move(reply), call, /*is_reply=*/true});
     });
   }
   net_->simulation().RegisterDrainCheck([this] { return PendingSummary(); });
@@ -33,7 +33,7 @@ void FormationQueue::Send(SiteId to, Message msg) {
     net_->Send(site_, to, std::move(msg));
     return;
   }
-  Enqueue(to, FormItem{std::move(msg), 0, /*is_reply=*/false});
+  Enqueue(to, FormItem{std::move(msg), {}, /*is_reply=*/false});
 }
 
 RpcResult FormationQueue::Call(SiteId to, Message msg, SimTime timeout) {
@@ -45,23 +45,23 @@ RpcResult FormationQueue::Call(SiteId to, Message msg, SimTime timeout) {
   return FinishCall(BeginCall(to, std::move(msg)), timeout);
 }
 
-uint64_t FormationQueue::BeginCall(SiteId to, Message msg) {
+CallHandle FormationQueue::BeginCall(SiteId to, Message msg) {
   assert(enabled_ && "BeginCall is a formation-only fast path");
   assert(Simulation::Current() != nullptr &&
          "FormationQueue::BeginCall requires process context");
   if (!net_->Reachable(site_, to)) {
-    return 0;
+    return CallHandle{};
   }
-  uint64_t call_id = net_->PrepareCall(site_, to);
-  Enqueue(to, FormItem{std::move(msg), call_id, /*is_reply=*/false});
-  return call_id;
+  CallHandle call = net_->PrepareCall(site_, to);
+  Enqueue(to, FormItem{std::move(msg), call, /*is_reply=*/false});
+  return call;
 }
 
-RpcResult FormationQueue::FinishCall(uint64_t call_id, SimTime timeout) {
-  if (call_id == 0) {
+RpcResult FormationQueue::FinishCall(CallHandle call, SimTime timeout) {
+  if (!call) {
     return RpcResult{false, {}};
   }
-  return net_->WaitCall(call_id, timeout);
+  return net_->WaitCall(call, timeout);
 }
 
 std::pair<RpcResult, RpcResult> FormationQueue::Call2(SiteId to, Message first,
@@ -71,10 +71,10 @@ std::pair<RpcResult, RpcResult> FormationQueue::Call2(SiteId to, Message first,
     RpcResult b = net_->Call(site_, to, std::move(second), timeout);
     return {std::move(a), std::move(b)};
   }
-  uint64_t id_a = BeginCall(to, std::move(first));
-  uint64_t id_b = id_a != 0 ? BeginCall(to, std::move(second)) : 0;
-  RpcResult a = FinishCall(id_a, timeout);
-  RpcResult b = FinishCall(id_b, timeout);
+  CallHandle call_a = BeginCall(to, std::move(first));
+  CallHandle call_b = call_a ? BeginCall(to, std::move(second)) : CallHandle{};
+  RpcResult a = FinishCall(call_a, timeout);
+  RpcResult b = FinishCall(call_b, timeout);
   return {std::move(a), std::move(b)};
 }
 
@@ -89,7 +89,7 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
   }
   DestQueue& q = QueueTo(to);
   if (q.items.capacity() == 0 && !spare_items_.empty()) {
-    q.items = std::move(spare_items_.back());  // A delivered batch's storage.
+    q.items = std::move(spare_items_.back());  // A sent batch's storage.
     spare_items_.pop_back();
   }
   q.bytes += item.msg.size_bytes;
@@ -128,8 +128,7 @@ void FormationQueue::Flush(SiteId to) {
   if (q.items.empty()) {
     return;
   }
-  FormBatch batch;
-  batch.items = std::move(q.items);
+  FormBatch batch{std::move(q.items), this};
   q.items.clear();
   const int32_t wire_bytes = kFormEnvelopeBytes + q.bytes;
   q.bytes = 0;
@@ -146,23 +145,23 @@ void FormationQueue::Flush(SiteId to) {
 void FormationQueue::HandleBatch(SiteId from, Message& msg) {
   // The items leave the envelope first: a handler's own sends may start a
   // batch here, which takes a spare buffer.
-  std::vector<FormItem> delivered = std::move(msg.As<FormBatch>().items);
+  FormBatch& batch = msg.As<FormBatch>();
+  std::vector<FormItem> delivered = std::move(batch.items);
+  FormationQueue* const origin = batch.origin;
   for (FormItem& item : delivered) {
     if (item.is_reply) {
       // The envelope already paid the wire; complete the caller directly.
-      net_->CompleteBatchedCall(item.call_id, std::move(item.msg));
+      net_->CompleteBatchedCall(item.call, std::move(item.msg));
       continue;
     }
-    Responder responder = item.call_id != 0
-                              ? Responder(net_, item.call_id, site_)
-                              : Responder();
+    Responder responder = item.call ? Responder(net_, item.call, site_) : Responder();
     net_->DispatchDelivered(from, site_, item.msg, responder);
   }
-  // Keep the emptied buffer for the next batch this site starts, so steady
+  // The sender keeps the emptied buffer for its next batch, so steady
   // traffic stops allocating batch storage.
-  if (spare_items_.size() < kSpareItemBuffers) {
+  if (origin->spare_items_.size() < kSpareItemBuffers) {
     delivered.clear();
-    spare_items_.push_back(std::move(delivered));
+    origin->spare_items_.push_back(std::move(delivered));
   }
 }
 
@@ -208,7 +207,7 @@ void FormationQueue::TestInjectWithoutTimer(SiteId to, Message msg) {
   q.bytes += msg.size_bytes;
   // obligation-ok test seam: deliberately enqueues with no flush registered
   // so crash tests can cover the batch-stranded window.
-  q.items.push_back(FormItem{std::move(msg), 0, false});
+  q.items.push_back(FormItem{std::move(msg), {}, false});
 }
 
 }  // namespace locus

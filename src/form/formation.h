@@ -45,19 +45,25 @@ inline constexpr SimTime kFormFlushDelay = Microseconds(1500);
 // Size flush: a queue reaching this many payload bytes leaves at once.
 inline constexpr int32_t kFormMaxBatchBytes = 4096;
 
-// One coalesced message. call_id links the item to a pending RPC at the
+class FormationQueue;
+
+// One coalesced message. `call` links the item to a pending RPC at the
 // origin site: requests carry it so the receiver can build a Responder,
-// replies carry it so the receiver can complete the waiting caller. 0 means
-// a plain datagram (no reply expected).
+// replies carry it so the receiver can complete the waiting caller (by
+// slot, without a lookup). A default handle means a plain datagram (no reply
+// expected).
 struct FormItem {
   Message msg;
-  uint64_t call_id = 0;
+  CallHandle call;
   bool is_reply = false;
 };
 
-// Payload of a kFormBatchMsgType envelope.
+// Payload of a kFormBatchMsgType envelope. The receiver hands the emptied
+// item buffer back to the queue that sent it, so a site that sends more
+// batches than it receives still reuses its buffers.
 struct FormBatch {
   std::vector<FormItem> items;
+  FormationQueue* origin = nullptr;
 };
 
 class FormationQueue {
@@ -85,11 +91,11 @@ class FormationQueue {
   // Split RPC (enabled-only): BeginCall registers the pending call and queues
   // the request without blocking, so several requests — to one site or many —
   // leave in the same flush window; FinishCall blocks for the reply. Returns
-  // 0 (and FinishCall(0) fails) when the destination is unreachable. Callers
-  // must FinishCall every nonzero id they were given, even after a failure,
-  // or the pending-call record leaks.
-  uint64_t BeginCall(SiteId to, Message msg);
-  RpcResult FinishCall(uint64_t call_id, SimTime timeout = Network::kDefaultRpcTimeout);
+  // a default handle (and FinishCall of it fails) when the destination is
+  // unreachable. Callers must FinishCall every live handle they were given,
+  // even after a failure, or the pending-call record leaks.
+  CallHandle BeginCall(SiteId to, Message msg);
+  RpcResult FinishCall(CallHandle call, SimTime timeout = Network::kDefaultRpcTimeout);
 
   // Two requests to one destination in one envelope, awaited in order.
   // Forwards to two sequential Network::Calls when disabled.
@@ -127,7 +133,8 @@ class FormationQueue {
 
   void Enqueue(SiteId to, FormItem item);
   void Flush(SiteId to);
-  // Unpacks a batch, moving each item to its caller or handler.
+  // Unpacks a batch, moving each item to its caller or handler, and hands
+  // the emptied buffer back to the sending queue.
   void HandleBatch(SiteId from, Message& msg);
   // The queue to `to`, created (with any below it) on first use.
   DestQueue& QueueTo(SiteId to);
@@ -141,8 +148,11 @@ class FormationQueue {
   bool enabled_;
   // Indexed by destination site.
   std::vector<DestQueue> queues_;
-  // Emptied item buffers of batches delivered here, for the next batch.
-  static constexpr size_t kSpareItemBuffers = 8;
+  // Emptied item buffers of batches this queue sent, back from their
+  // receivers, for the next batch. A site holds one buffer per destination
+  // queue being filled and one per batch in flight, so the bound covers a
+  // site sending to every other site of a 16-site cluster at once.
+  static constexpr size_t kSpareItemBuffers = 32;
   std::vector<std::vector<FormItem>> spare_items_;
 
   StatRegistry::StatId enqueued_id_;

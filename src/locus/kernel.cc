@@ -401,13 +401,40 @@ void Kernel::MaybeReleasePrimary(const FileId& file) {
   catalog().ReleasePrimaryIfIdle(*path);
 }
 
+std::vector<Kernel::PrepareLogEntry>::const_iterator Kernel::FirstPrepareLog(
+    const TxnId& txn) const {
+  return std::lower_bound(
+      prepare_log_index_.begin(), prepare_log_index_.end(), txn,
+      [](const PrepareLogEntry& entry, const TxnId& key) { return entry.txn < key; });
+}
+
+void Kernel::IndexPrepareLog(const TxnId& txn, VolumeId volume, uint64_t record_id) {
+  // After the transaction's last entry, keeping its records in log order.
+  auto after = std::upper_bound(
+      prepare_log_index_.begin(), prepare_log_index_.end(), txn,
+      [](const TxnId& key, const PrepareLogEntry& entry) { return key < entry.txn; });
+  prepare_log_index_.insert(after, PrepareLogEntry{txn, volume, record_id});
+}
+
+void Kernel::ForgetPrepareLogs(const TxnId& txn) {
+  auto first = FirstPrepareLog(txn);
+  auto last = std::find_if(first, prepare_log_index_.cend(),
+                           [&txn](const PrepareLogEntry& entry) { return entry.txn != txn; });
+  prepare_log_index_.erase(first, last);
+}
+
+bool Kernel::HasPrepareLogs(const TxnId& txn) const {
+  auto first = FirstPrepareLog(txn);
+  return first != prepare_log_index_.end() && first->txn == txn;
+}
+
 std::optional<std::pair<VolumeId, uint64_t>> Kernel::PrepareLogRef(const TxnId& txn,
                                                                    size_t k) const {
-  auto it = prepare_log_index_.find(txn);
-  if (it == prepare_log_index_.end() || k >= it->second.size()) {
+  auto it = FirstPrepareLog(txn);
+  if (static_cast<size_t>(prepare_log_index_.end() - it) <= k || it[k].txn != txn) {
     return std::nullopt;
   }
-  return it->second[k];
+  return std::pair{it[k].volume, it[k].record_id};
 }
 
 PrepareReply Kernel::Serve(const PrepareRequest& req) {
@@ -420,48 +447,54 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
   }
   // Group this site's intentions by volume: one prepare log per logical
   // volume (section 4.4) unless the footnote-10 per-file fidelity mode is on.
-  FlatMap<VolumeId, std::vector<IntentionsList>> by_volume;
+  // Each list goes after the last of its volume, so the groups run in
+  // volume order and keep the request's file order within.
+  std::unique_ptr<CommitScratch> scratch = TakeCommitScratch();
+  std::vector<IntentionsList>& intentions = scratch->intentions;
   for (const FileId& file : req.files) {
     FileStore* store = StoreFor(file.volume);
     if (store == nullptr) {
+      KeepCommitScratch(std::move(scratch));
       return PrepareReply{Err::kNoEnt};
     }
-    std::optional<IntentionsList> intentions = store->PrepareWriter(file, owner);
-    if (intentions.has_value() && !intentions->updates.empty()) {
-      by_volume[file.volume].push_back(std::move(*intentions));
+    std::optional<IntentionsList> flushed = store->PrepareWriter(file, owner);
+    if (flushed.has_value() && !flushed->updates.empty()) {
+      auto after = std::upper_bound(
+          intentions.begin(), intentions.end(), file.volume,
+          [](VolumeId volume, const IntentionsList& il) { return volume < il.file.volume; });
+      intentions.insert(after, std::move(*flushed));
     }
   }
   if (locally_aborted_.Contains(req.txn)) {
     // The abort arrived while we were flushing (the rollback was deferred to
     // us); undo the flush and refuse to prepare.
-    for (auto& [vol_id, intentions] : by_volume) {
-      for (const IntentionsList& il : intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        store->AbortWriter(il.file, owner);
-      }
+    for (const IntentionsList& il : intentions) {
+      FileStore* store = StoreFor(il.file.volume);
+      store->AbortWriter(il.file, owner);
     }
     locks_.ReleaseTransaction(req.txn);
+    KeepCommitScratch(std::move(scratch));
     return PrepareReply{Err::kAborted};
   }
   MaybeCrashAt(kBeforePrepareLog);
-  for (auto& [vol_id, intentions] : by_volume) {
+  for (auto group = intentions.begin(); group != intentions.end();) {
+    const VolumeId vol_id = group->file.volume;
+    const auto group_end =
+        std::find_if(group, intentions.end(),
+                     [vol_id](const IntentionsList& il) { return il.file.volume != vol_id; });
     Volume* volume = FindVolume(vol_id);
     // One record per volume, or per file in the footnote-10 fidelity mode.
-    const size_t per_record = system_->options().prepare_log_per_file ? 1 : intentions.size();
-    for (size_t first = 0; first < intentions.size(); first += per_record) {
+    const auto per_record = system_->options().prepare_log_per_file ? 1 : group_end - group;
+    for (; group != group_end; group += per_record) {
       PrepareLogRecord record{req.txn, req.coordinator, {}};
-      if (per_record == intentions.size()) {
-        record.intentions = std::move(intentions);  // The whole group: no copy.
-      } else {
-        auto begin = std::make_move_iterator(intentions.begin() + first);
-        record.intentions.assign(begin, begin + per_record);
-      }
+      record.intentions.assign(std::make_move_iterator(group),
+                               std::make_move_iterator(group + per_record));
       uint64_t id = volume->AppendLog(std::move(record), "prepare_log");
       if (sim().trace_echo()) {
         Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
               static_cast<unsigned long long>(id));
       }
-      prepare_log_index_[req.txn].push_back({vol_id, id});
+      IndexPrepareLog(req.txn, vol_id, id);
     }
   }
   MaybeCrashAt(kAfterPrepareLog);
@@ -471,6 +504,7 @@ PrepareReply Kernel::Serve(const PrepareRequest& req) {
   if (system_->observers().enabled()) {
     system_->observers().OnPrepared(net().SiteName(site_), req.txn);
   }
+  KeepCommitScratch(std::move(scratch));
   return PrepareReply{Err::kOk};
 }
 
@@ -484,7 +518,8 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
   }
   MaybeCrashAt(kBeforeCommitInstall);
   LockOwner owner{kNoPid, txn};
-  std::vector<FileId> committed_files;
+  std::unique_ptr<CommitScratch> scratch = TakeCommitScratch();
+  std::vector<FileId>& committed_files = scratch->files;
   for (size_t k = 0; auto ref = PrepareLogRef(txn, k); ++k) {
     const auto [vol_id, record_id] = *ref;
     const PrepareLogRecord* rec = PrepareRecord(vol_id, record_id);
@@ -505,7 +540,7 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
     }
     FindVolume(vol_id)->EraseLog(record_id);
   }
-  prepare_log_index_.erase(txn);
+  ForgetPrepareLogs(txn);
   MaybeCrashAt(kAfterCommitInstall);
   // Phase two releases the retained locks (section 4.2).
   locks_.ReleaseTransaction(txn);
@@ -516,6 +551,7 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
   if (sim().trace_echo()) {
     Trace("committed %s locally", ToString(txn).c_str());
   }
+  KeepCommitScratch(std::move(scratch));
   return Err::kOk;
 }
 
@@ -544,7 +580,7 @@ Err Kernel::Serve(const AbortTxnAtSiteRequest& req) {
     }
     FindVolume(vol_id)->EraseLog(record_id);
   }
-  prepare_log_index_.erase(txn);
+  ForgetPrepareLogs(txn);
   // Unprepared uncommitted modifications. A writer mid-prepare-flush cannot
   // be rolled back immediately; retry until every rollback lands — the locks
   // below must NOT be released while transactional dirty data remains.

@@ -337,12 +337,35 @@ class Kernel {
   // --- Transaction machinery ---
   // Registers a forked child with the transaction's top-level site.
   Err RegisterMember(OsProcess* p, Pid child, SiteId child_site);
+  // Storage for one run of the commit path, kept for the next. Several
+  // transactions commit, and several prepares run, at a site at once, each
+  // blocking on disk and network, so each run takes its own from a pool and
+  // gives it back at its end; the coordinator's passes from
+  // RunTwoPhaseCommit to its phase-two process. A run cut short by
+  // SimCancelled just frees its storage.
+  struct CommitScratch {
+    std::vector<SiteId> participants;
+    // A round's split calls, and the participants phase two must retry.
+    std::vector<std::pair<SiteId, CallHandle>> in_flight;
+    std::vector<SiteId> still;
+    // The coordinator's prepare message for one participant, and a
+    // prepare's intentions lists, in volume order.
+    PrepareRequest prepare;
+    std::vector<IntentionsList> intentions;
+    // The files a commit installed.
+    std::vector<FileId> files;
+  };
+  std::unique_ptr<CommitScratch> TakeCommitScratch();
+  // Empties `scratch` and returns it to the pool.
+  void KeepCommitScratch(std::unique_ptr<CommitScratch> scratch);
+
   Err RunTwoPhaseCommit(OsProcess* p, TxnRecord* record);
   void AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
                          const std::vector<SiteId>& prepared_sites);
   // Asynchronous phase two: sends commit messages until every participant
-  // acknowledges, then erases the coordinator log (section 4.2).
-  void SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants, uint64_t log_id);
+  // in scratch->participants acknowledges, then erases the coordinator log
+  // (section 4.2).
+  void SpawnPhaseTwo(const TxnId& txn, std::unique_ptr<CommitScratch> scratch, uint64_t log_id);
   // Routes an abort request toward the top-level process's site, following
   // forwarding pointers left by migrations.
   void RouteAbort(const TxnId& txn, const std::string& reason, SiteId first_target = kNoSite);
@@ -470,9 +493,21 @@ class Kernel {
   // transactions in flight at this site, in sorted vectors that keep their
   // storage from one transaction to the next.
   FlatMap<TxnId, uint64_t> coordinator_log_index_;
-  // Prepared-transaction index: txn -> (volume, prepare log record id) pairs
-  // (several per volume in the footnote-10 per-file fidelity mode).
-  FlatMap<TxnId, std::vector<std::pair<VolumeId, uint64_t>>> prepare_log_index_;
+  // Prepared-transaction index: one (txn, volume, prepare log record id)
+  // entry per prepare record here (several per volume in the footnote-10
+  // per-file fidelity mode), in transaction order and, within one
+  // transaction, in log order.
+  struct PrepareLogEntry {
+    TxnId txn;
+    VolumeId volume = kNoVolume;
+    uint64_t record_id = 0;
+  };
+  std::vector<PrepareLogEntry> prepare_log_index_;
+  // The first entry of `txn` in prepare_log_index_, or where it would go.
+  std::vector<PrepareLogEntry>::const_iterator FirstPrepareLog(const TxnId& txn) const;
+  void IndexPrepareLog(const TxnId& txn, VolumeId volume, uint64_t record_id);
+  void ForgetPrepareLogs(const TxnId& txn);
+  bool HasPrepareLogs(const TxnId& txn) const;
   // The k-th (volume, record id) of `txn` in prepare_log_index_, or nullopt
   // past its last. Resolution walks the records by position and looks each
   // up afresh, for its installs yield and other transactions' prepares may
@@ -490,6 +525,8 @@ class Kernel {
   FlatSet<TxnId> txn_resolution_in_progress_;
   // Closed channels no process shares, reused by the next open.
   std::vector<std::shared_ptr<Channel>> spare_channels_;
+  // Commit-path storage not on loan: at most the most runs ever in flight.
+  std::vector<std::unique_ptr<CommitScratch>> spare_commit_scratch_;
   // Abort cascades in flight; AbortTrans waits on these so rollback is
   // visible when the call returns.
   std::map<TxnId, std::shared_ptr<WaitQueue>> abort_done_;

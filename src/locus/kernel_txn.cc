@@ -27,21 +27,24 @@ void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& sr
   }
 }
 
-// The distinct storage sites of `files`, in first-use order.
-std::vector<SiteId> ParticipantSites(const std::vector<UsedFile>& files) {
-  std::vector<SiteId> sites;
+// Fills `sites` with the distinct storage sites of `files`, in first-use
+// order.
+void ParticipantSites(const std::vector<UsedFile>& files, std::vector<SiteId>& sites) {
+  sites.clear();
   for (const UsedFile& f : files) {
     if (std::find(sites.begin(), sites.end(), f.storage_site) == sites.end()) {
       sites.push_back(f.storage_site);
     }
   }
-  return sites;
 }
 
-// The prepare message for one participant: the transaction's files stored there.
-PrepareRequest PrepareRequestFor(const TxnRecord& record, SiteId coordinator,
-                                 SiteId participant) {
-  PrepareRequest req{record.id, coordinator, {}};
+// Fills `req` with the prepare message for one participant: the
+// transaction's files stored there.
+const PrepareRequest& PrepareRequestFor(const TxnRecord& record, SiteId coordinator,
+                                        SiteId participant, PrepareRequest& req) {
+  req.txn = record.id;
+  req.coordinator = coordinator;
+  req.files.clear();
   for (const UsedFile& f : record.files) {
     if (f.storage_site == participant) {
       req.files.push_back(f.file);
@@ -176,7 +179,9 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   }
   BurnCpu(kTwoPhaseCommitInstructions);
   record->phase = TxnRecord::Phase::kPreparing;
-  std::vector<SiteId> participants = ParticipantSites(record->files);
+  std::unique_ptr<CommitScratch> scratch = TakeCommitScratch();
+  std::vector<SiteId>& participants = scratch->participants;
+  ParticipantSites(record->files, participants);
   std::sort(participants.begin(), participants.end());
 
   // Step 1: the coordinator log, naming every file and storage site, with the
@@ -200,7 +205,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   if (system_->options().formation) {
     // Remote prepares first (they are non-blocking to issue), then the local
     // participant's prepare — its log force overlaps the replies in flight.
-    std::vector<std::pair<SiteId, uint64_t>> in_flight;
+    std::vector<std::pair<SiteId, CallHandle>>& in_flight = scratch->in_flight;
     for (SiteId s : participants) {
       if (record->abort_requested) {
         failure = Err::kAborted;
@@ -209,26 +214,26 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
       if (IsLocal(s)) {
         continue;  // Prepared after every remote request is out.
       }
-      uint64_t id =
-          form().BeginCall(s, MakeMsg<kPrepareReq>(PrepareRequestFor(*record, site_, s)));
-      if (id == 0) {
+      CallHandle call = form().BeginCall(
+          s, MakeMsg<kPrepareReq>(PrepareRequestFor(*record, site_, s, scratch->prepare)));
+      if (!call) {
         failure = Err::kUnreachable;
         break;
       }
-      in_flight.emplace_back(s, id);
+      in_flight.emplace_back(s, call);
     }
     for (SiteId s : participants) {
       if (failure != Err::kOk || record->abort_requested) {
         break;
       }
       if (IsLocal(s)) {
-        failure = Serve(PrepareRequestFor(*record, site_, s)).err;
+        failure = Serve(PrepareRequestFor(*record, site_, s, scratch->prepare)).err;
       }
     }
     // Every begun call must be finished, failure or not, so the pending-call
     // records are reaped.
-    for (const auto& [s, id] : in_flight) {
-      RpcResult res = form().FinishCall(id);
+    for (const auto& [s, call] : in_flight) {
+      RpcResult res = form().FinishCall(call);
       Err err = res.ok ? ReplyIn<kPrepareReq>(res.reply).err : Err::kUnreachable;
       if (err != Err::kOk && failure == Err::kOk) {
         failure = err;
@@ -241,7 +246,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
         break;
       }
       std::optional<PrepareReply> reply =
-          Call<kPrepareReq>(s, PrepareRequestFor(*record, site_, s));
+          Call<kPrepareReq>(s, PrepareRequestFor(*record, site_, s, scratch->prepare));
       Err err = reply ? reply->err : Err::kUnreachable;
       if (err != Err::kOk) {
         failure = err;
@@ -251,6 +256,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   }
   if (failure != Err::kOk || record->abort_requested) {
     AbortDuringCommit(record, log_id, participants);
+    KeepCommitScratch(std::move(scratch));
     return Err::kAborted;
   }
 
@@ -284,14 +290,34 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // returns at the commit point (section 6.1's I/O accounting depends on
   // this split).
   txns_.Erase(txn);
-  SpawnPhaseTwo(txn, std::move(participants), log_id);
+  SpawnPhaseTwo(txn, std::move(scratch), log_id);
   (void)p;
   return Err::kOk;
 }
 
-void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
+std::unique_ptr<Kernel::CommitScratch> Kernel::TakeCommitScratch() {
+  if (spare_commit_scratch_.empty()) {
+    return std::make_unique<CommitScratch>();
+  }
+  std::unique_ptr<CommitScratch> scratch = std::move(spare_commit_scratch_.back());
+  spare_commit_scratch_.pop_back();
+  return scratch;
+}
+
+void Kernel::KeepCommitScratch(std::unique_ptr<CommitScratch> scratch) {
+  scratch->participants.clear();
+  scratch->in_flight.clear();
+  scratch->still.clear();
+  scratch->intentions.clear();
+  scratch->files.clear();
+  scratch->prepare.files.clear();
+  spare_commit_scratch_.push_back(std::move(scratch));
+}
+
+void Kernel::SpawnPhaseTwo(const TxnId& txn, std::unique_ptr<CommitScratch> scratch,
                            uint64_t log_id) {
   if (!phase2_active_.insert(txn)) {
+    KeepCommitScratch(std::move(scratch));
     return;  // A driver for this transaction is already running here.
   }
   if (system_->observers().enabled()) {
@@ -301,31 +327,32 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
     net().StampLocalEvent(site_);
     system_->observers().OnCommitPoint(net().SiteName(site_), txn, {}, 1);
   }
-  SpawnKernelProcess("phase2", [this, txn, participants = std::move(participants),
-                                log_id]() mutable {
-    std::vector<SiteId> remaining = std::move(participants);
+  SpawnKernelProcess("phase2", [this, txn, scratch = std::move(scratch), log_id]() mutable {
+    std::vector<SiteId>& remaining = scratch->participants;
+    std::vector<SiteId>& still = scratch->still;
     int idle_rounds = 0;
     while (!remaining.empty() && idle_rounds < 200) {
-      std::vector<SiteId> still;
+      still.clear();
       if (system_->options().formation) {
         // Split calls: all commit notices leave in one flush window instead
         // of one round trip per participant.
-        std::vector<std::pair<SiteId, uint64_t>> in_flight;
+        std::vector<std::pair<SiteId, CallHandle>>& in_flight = scratch->in_flight;
+        in_flight.clear();
         for (SiteId s : remaining) {
           MaybeCrashAt(kBeforeCommitSend);
           if (IsLocal(s)) {
             Serve(CommitTxnRequest{txn});  // Installs while the remote notices fly.
             continue;
           }
-          uint64_t id = form().BeginCall(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
-          if (id == 0) {
+          CallHandle call = form().BeginCall(s, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
+          if (!call) {
             still.push_back(s);
             continue;
           }
-          in_flight.emplace_back(s, id);
+          in_flight.emplace_back(s, call);
         }
-        for (const auto& [s, id] : in_flight) {
-          if (!form().FinishCall(id).ok) {
+        for (const auto& [s, call] : in_flight) {
+          if (!form().FinishCall(call).ok) {
             still.push_back(s);
           }
         }
@@ -337,7 +364,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
           }
         }
       }
-      remaining = std::move(still);
+      remaining.assign(still.begin(), still.end());
       if (!remaining.empty()) {
         idle_rounds++;
         sim().Sleep(Milliseconds(300));
@@ -352,6 +379,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
       stats().Add(ids_.txn_phase2_completed);
     }
     // Otherwise the log stays; recovery or a topology change re-drives it.
+    KeepCommitScratch(std::move(scratch));
   });
 }
 
@@ -548,7 +576,7 @@ TxnStatusReply Kernel::Serve(const TxnStatusRequest& req) {
   // transaction is still active here / migrated elsewhere.
   TxnStatus status = TxnStatus::kAborted;
   for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-    if (const auto* coord = std::get_if<CoordinatorLogRecord>(&rec.payload)) {
+    if (const auto* coord = std::get_if<CoordinatorLogRecord>(&rec->payload)) {
       if (coord->txn == req.txn) {
         status = coord->status;
         break;
@@ -612,20 +640,21 @@ void Kernel::RouteAbort(const TxnId& txn, const std::string& reason, SiteId firs
 // Stable log readers (sections 4.2, 4.4)
 
 const PrepareLogRecord* Kernel::PrepareRecord(VolumeId volume, uint64_t record_id) {
-  const std::map<uint64_t, LogRecord>& log = FindVolume(volume)->stable_log();
+  const auto& log = FindVolume(volume)->stable_log();
   auto it = log.find(record_id);
-  return it == log.end() ? nullptr : std::get_if<PrepareLogRecord>(&it->second.payload);
+  return it == log.end() ? nullptr : std::get_if<PrepareLogRecord>(&it->second->payload);
 }
 
 std::vector<std::pair<TxnId, SiteId>> Kernel::PreparedElsewhere() {
   std::vector<std::pair<TxnId, SiteId>> out;
-  for (const auto& [txn, records] : prepare_log_index_) {
-    if (records.empty()) {
-      continue;
+  for (size_t i = 0; i < prepare_log_index_.size(); ++i) {
+    const PrepareLogEntry& first = prepare_log_index_[i];
+    if (i > 0 && prepare_log_index_[i - 1].txn == first.txn) {
+      continue;  // Not the transaction's first record.
     }
-    const PrepareLogRecord* prep = PrepareRecord(records[0].first, records[0].second);
+    const PrepareLogRecord* prep = PrepareRecord(first.volume, first.record_id);
     if (prep != nullptr && prep->coordinator != site_) {
-      out.push_back({txn, prep->coordinator});
+      out.push_back({first.txn, prep->coordinator});
     }
   }
   return out;
@@ -675,7 +704,7 @@ void Kernel::HandleTopologyChange() {
   // home is unreachable: abort unless already prepared (a prepared
   // participant must block for the coordinator — standard two-phase commit).
   for (const TxnId& txn : locks_.TransactionsWithLocks()) {
-    if (txn.site == site_ || prepare_log_index_.count(txn) != 0) {
+    if (txn.site == site_ || HasPrepareLogs(txn)) {
       continue;
     }
     if (!net().Reachable(site_, txn.site)) {
@@ -718,9 +747,11 @@ void Kernel::HandleTopologyChange() {
     if (log_it == volumes_[0]->stable_log().end()) {
       continue;
     }
-    const auto* coord = std::get_if<CoordinatorLogRecord>(&log_it->second.payload);
+    const auto* coord = std::get_if<CoordinatorLogRecord>(&log_it->second->payload);
     if (coord != nullptr && coord->status == TxnStatus::kCommitted) {
-      SpawnPhaseTwo(txn, ParticipantSites(coord->files), log_id);
+      std::unique_ptr<CommitScratch> scratch = TakeCommitScratch();
+      ParticipantSites(coord->files, scratch->participants);
+      SpawnPhaseTwo(txn, std::move(scratch), log_id);
     }
   }
   // Presumed-abort inquiry: a prepared participant whose coordinator rebooted
@@ -740,7 +771,7 @@ void Kernel::HandleTopologyChange() {
       // The coordinator may still be mid-recovery (its handlers drop requests
       // until the volatile indexes are rebuilt), so retry for a while.
       for (int attempt = 0; attempt < 50; ++attempt) {
-        if (prepare_log_index_.count(txn) == 0) {
+        if (!HasPrepareLogs(txn)) {
           return;  // Resolved while this process was waiting.
         }
         if (!net().Reachable(site_, coordinator)) {
@@ -816,12 +847,12 @@ void Kernel::OnReboot() {
       v->disk().Read(1, "recovery_scan");
       std::vector<PageId> live;
       for (const auto& [id, rec] : v->stable_log()) {
-        if (const auto* prep = std::get_if<PrepareLogRecord>(&rec.payload)) {
+        if (const auto* prep = std::get_if<PrepareLogRecord>(&rec->payload)) {
           if (sim().trace_echo()) {
             Trace("recovery: prepare record %llu for %s",
                   static_cast<unsigned long long>(id), ToString(prep->txn).c_str());
           }
-          prepare_log_index_[prep->txn].push_back({v->id(), id});
+          IndexPrepareLog(prep->txn, v->id(), id);
           for (const IntentionsList& il : prep->intentions) {
             for (PageId page : FileStore::PagesNamedBy(il)) {
               live.push_back(page);
@@ -850,18 +881,21 @@ void Kernel::OnReboot() {
     // committed transactions re-enter phase two, others are aborted.
     std::vector<std::pair<uint64_t, CoordinatorLogRecord>> coords;
     for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-      if (const auto* c = std::get_if<CoordinatorLogRecord>(&rec.payload)) {
+      if (const auto* c = std::get_if<CoordinatorLogRecord>(&rec->payload)) {
         coords.push_back({id, *c});
       }
     }
     for (auto& [log_id, coord] : coords) {
       coordinator_log_index_[coord.txn] = log_id;
-      std::vector<SiteId> participants = ParticipantSites(coord.files);
+      std::vector<SiteId> participants;
+      ParticipantSites(coord.files, participants);
       if (coord.status == TxnStatus::kCommitted) {
         if (sim().trace_echo()) {
           Trace("recovery: re-driving commit of %s", ToString(coord.txn).c_str());
         }
-        SpawnPhaseTwo(coord.txn, participants, log_id);
+        std::unique_ptr<CommitScratch> scratch = TakeCommitScratch();
+        scratch->participants = participants;
+        SpawnPhaseTwo(coord.txn, std::move(scratch), log_id);
       } else {
         if (sim().trace_echo()) {
           Trace("recovery: aborting %s", ToString(coord.txn).c_str());

@@ -9,13 +9,14 @@ void Responder::operator()(Message reply) const {
   if (net_ == nullptr) {
     return;
   }
-  auto it = net_->pending_calls_.find(call_id_);
-  if (it == net_->pending_calls_.end()) {
-    return;  // Call already completed (timeout or failure) — drop the reply.
+  const CallHandle handle{call_id_, call_slot_};
+  const Network::PendingCall* call = net_->FindCall(handle);
+  if (call == nullptr) {
+    return;  // The caller has waited the call out (time-out or failure): drop the reply.
   }
-  Network::PendingCall& call = it->second;
+  const SiteId caller = call->from;
   // The reply travels back over the wire from the responder's site.
-  if (!net_->Reachable(site_, call.from)) {
+  if (!net_->Reachable(site_, caller)) {
     return;  // Reply lost; the caller's timeout / failure detection fires.
   }
   if (net_->clocks_enabled_ && site_ != kNoSite) {
@@ -25,16 +26,15 @@ void Responder::operator()(Message reply) const {
   if (site_ != kNoSite && net_->sites_[site_].reply_router) {
     // Formation is on at the responding site: the reply rides a batch
     // envelope (which pays the wire accounting) instead of its own message.
-    net_->sites_[site_].reply_router(call.from, std::move(reply), call_id_);
+    net_->sites_[site_].reply_router(caller, std::move(reply), handle);
     return;
   }
   net_->stats().Add(net_->messages_id_);
   Network* net = net_;
-  uint64_t id = call_id_;
-  EventInfo info{EventTag::kRpcReply, site_, call.from, static_cast<int32_t>(call_id_)};
+  EventInfo info{EventTag::kRpcReply, site_, caller, static_cast<int32_t>(call_id_)};
   net->sim_->Schedule(net->OneWayLatency(reply.size_bytes), info,
-                      [net, id, reply = std::move(reply)]() mutable {
-                        net->CompleteCall(id, RpcResult{true, std::move(reply)});
+                      [net, handle, reply = std::move(reply)]() mutable {
+                        net->CompleteCall(handle, RpcResult{true, std::move(reply)});
                       });
 }
 
@@ -91,13 +91,13 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   if (!Reachable(from, to)) {
     return RpcResult{false, {}};
   }
-  const uint64_t id = PrepareCall(from, to);
+  const CallHandle call = PrepareCall(from, to);
   stats_.Add(messages_id_);
   if (clocks_enabled_) {
     Tick(from);
     request.vclock = sites_[from].clock;
   }
-  Responder responder(this, id, to);
+  Responder responder(this, call, to);
   EventInfo deliver_info{EventTag::kNetDeliver, from, to, request.type};
   // The delivery is scheduled before WaitCall arms the time-out, so the two
   // events keep their seq order.
@@ -105,7 +105,7 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
                  [this, from, to, responder, request = std::move(request)]() mutable {
                    Deliver(from, to, request, responder);
                  });
-  return WaitCall(id, timeout);
+  return WaitCall(call, timeout);
 }
 
 void Network::Deliver(SiteId from, SiteId to, Message& msg, Responder responder) {
@@ -131,70 +131,70 @@ void Network::DispatchDelivered(SiteId from, SiteId to, Message& msg, Responder 
   dest.handlers[msg.type](from, msg, responder);
 }
 
-uint64_t Network::PrepareCall(SiteId from, SiteId to) {
+CallHandle Network::PrepareCall(SiteId from, SiteId to) {
   assert(Simulation::Current() != nullptr && "Network::PrepareCall requires process context");
-  uint64_t id = next_call_id_++;
-  if (spare_calls_.empty()) {
-    pending_calls_.try_emplace(id, from, to, sim_);
-    return id;
+  uint32_t slot;
+  if (free_call_slots_.empty()) {
+    slot = static_cast<uint32_t>(calls_.size());
+    calls_.emplace_back(sim_);
+  } else {
+    // A waited-out call's slot (and its wait queue's storage).
+    slot = free_call_slots_.back();
+    free_call_slots_.pop_back();
   }
-  // Reuse a finished call's node (and its wait queue's storage).
-  PendingCallMap::node_type node = std::move(spare_calls_.back());
-  spare_calls_.pop_back();
-  node.key() = id;
-  PendingCall& call = node.mapped();
+  PendingCall& call = calls_[slot];
+  call.id = next_call_id_++;
   call.from = from;
   call.to = to;
   call.done = false;
   call.result = RpcResult{};
-  pending_calls_.insert(std::move(node));
-  return id;
+  return CallHandle{call.id, slot};
 }
 
-RpcResult Network::WaitCall(uint64_t call_id, SimTime timeout) {
-  auto prepared = pending_calls_.find(call_id);
-  assert(prepared != pending_calls_.end());
+RpcResult Network::WaitCall(CallHandle handle, SimTime timeout) {
+  PendingCall* call = FindCall(handle);
+  assert(call != nullptr);
   // A reply may have arrived between PrepareCall and now (split calls wait
   // for their replies one at a time): the completion already notified an
   // empty wait queue, so waiting would sleep forever — and the timeout must
   // not be armed, because its CompleteCall would no-op instead of waking us.
-  if (!prepared->second.done) {
-    EventInfo timeout_info{EventTag::kRpcTimeout, prepared->second.from,
-                           prepared->second.to, static_cast<int32_t>(call_id)};
-    const EventId timeout_event = sim_->Schedule(timeout, timeout_info, [this, call_id] {
-      CompleteCall(call_id, RpcResult{false, {}});
+  if (!call->done) {
+    EventInfo timeout_info{EventTag::kRpcTimeout, call->from, call->to,
+                           static_cast<int32_t>(handle.id)};
+    const EventId timeout_event = sim_->Schedule(timeout, timeout_info, [this, handle] {
+      CompleteCall(handle, RpcResult{false, {}});
     });
-    prepared->second.wake.Wait();
+    call->wake.Wait();
     sim_->Cancel(timeout_event);
+    call = FindCall(handle);  // Other calls may have grown the table meanwhile.
   }
-  auto it = pending_calls_.find(call_id);
-  assert(it != pending_calls_.end() && it->second.done);
-  RpcResult result = std::move(it->second.result);
-  spare_calls_.push_back(pending_calls_.extract(it));
+  assert(call != nullptr && call->done);
+  RpcResult result = std::move(call->result);
+  call->id = 0;
+  free_call_slots_.push_back(handle.slot);
   return result;
 }
 
-void Network::CompleteBatchedCall(uint64_t call_id, Message reply) {
-  CompleteCall(call_id, RpcResult{true, std::move(reply)});
+void Network::CompleteBatchedCall(CallHandle call, Message reply) {
+  CompleteCall(call, RpcResult{true, std::move(reply)});
 }
 
 void Network::set_reply_router(SiteId site, ReplyRouter router) {
   sites_[site].reply_router = std::move(router);
 }
 
-void Network::CompleteCall(uint64_t call_id, RpcResult result) {
-  auto it = pending_calls_.find(call_id);
-  if (it == pending_calls_.end() || it->second.done) {
+void Network::CompleteCall(CallHandle handle, RpcResult result) {
+  PendingCall* call = FindCall(handle);
+  if (call == nullptr || call->done) {
     return;
   }
-  PendingCall& call = it->second;
-  call.done = true;
-  call.result = std::move(result);
-  if (clocks_enabled_ && call.result.ok && !call.result.reply.vclock.empty()) {
-    MergeClock(call.from, call.result.reply.vclock);
-    Tick(call.from);
+  call->done = true;
+  call->result = std::move(result);
+  if (clocks_enabled_ && call->result.ok && !call->result.reply.vclock.empty()) {
+    MergeClock(call->from, call->result.reply.vclock);
+    Tick(call->from);
   }
-  call.wake.NotifyAll();
+  call->wake.NotifyAll();
 }
 
 void Network::Crash(SiteId site) {
@@ -259,21 +259,23 @@ void Network::NotifyTopologyChanged() {
 }
 
 void Network::FailUnreachableCalls() {
-  std::vector<uint64_t> failed;
-  for (const auto& [id, call] : pending_calls_) {  // order-insensitive: sorted below
-    if (!call.done && !Reachable(call.from, call.to)) {
-      failed.push_back(id);
+  std::vector<CallHandle> failed;
+  for (uint32_t slot = 0; slot < calls_.size(); ++slot) {
+    const PendingCall& call = calls_[slot];
+    if (call.id != 0 && !call.done && !Reachable(call.from, call.to)) {
+      failed.push_back(CallHandle{call.id, slot});
     }
   }
-  // Hashed map: sort by call id so failure completions schedule in issue
-  // order, keeping partition runs deterministic.
-  std::sort(failed.begin(), failed.end());
-  for (uint64_t id : failed) {
-    auto call_it = pending_calls_.find(id);
-    EventInfo info{EventTag::kRpcTimeout, call_it->second.from, call_it->second.to,
-                   static_cast<int32_t>(id)};
+  // Slots are reused out of issue order: sort by call id so failure
+  // completions schedule in issue order, keeping partition runs
+  // deterministic.
+  std::sort(failed.begin(), failed.end(),
+            [](const CallHandle& a, const CallHandle& b) { return a.id < b.id; });
+  for (const CallHandle& handle : failed) {
+    const PendingCall& call = calls_[handle.slot];
+    EventInfo info{EventTag::kRpcTimeout, call.from, call.to, static_cast<int32_t>(handle.id)};
     sim_->Schedule(kFailureDetectDelay, info,
-                   [this, id] { CompleteCall(id, RpcResult{false, {}}); });
+                   [this, handle] { CompleteCall(handle, RpcResult{false, {}}); });
   }
 }
 

@@ -10,6 +10,13 @@
 // crash and reboot, the network can partition, and surviving sites receive
 // topology-change notifications which the transaction mechanism uses to abort
 // transactions that span lost sites.
+//
+// An RPC waits in a slot of the call table, a vector with a free list. The
+// slot index travels with the call (CallHandle, Responder, a batched item),
+// so a reply or time-out reaches its call without hashing; the slot also
+// remembers the call id, and a reply or time-out for a call already waited
+// out is dropped even when a later call holds the slot. Call ids are handed
+// out in issue order, which is what event labels and traces print.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
@@ -25,7 +32,6 @@
 #include <string>
 #include <type_traits>
 #include <typeinfo>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -188,14 +194,25 @@ struct Message {
 
 class Network;
 
+// Names one pending RPC: its call id, which the Network hands out in issue
+// order and traces print, and the slot of the Network's call table that
+// holds it. A slot serves one call after another, so the id tells the call
+// apart from a later one in the same slot. A default handle names no call.
+struct CallHandle {
+  uint64_t id = 0;
+  uint32_t slot = 0;
+
+  explicit operator bool() const { return id != 0; }
+};
+
 // Handle for replying to an RPC. Copyable; may be stored and invoked later
 // (e.g. a lock request queued until the lock is granted replies only when the
 // conflicting lock is released).
 class Responder {
  public:
   Responder() = default;
-  Responder(Network* net, uint64_t call_id, SiteId responder_site)
-      : net_(net), call_id_(call_id), site_(responder_site) {}
+  Responder(Network* net, CallHandle call, SiteId responder_site)
+      : net_(net), call_id_(call.id), call_slot_(call.slot), site_(responder_site) {}
 
   // Sends the reply back to the caller. At most one reply per call is
   // delivered; extras are ignored (duplicate grant after an abort race).
@@ -204,8 +221,11 @@ class Responder {
   bool valid() const { return net_ != nullptr; }
 
  private:
+  // The call's handle, stored as two fields so a Responder stays 24 bytes
+  // (a delivery closure holds one beside a whole Message).
   Network* net_ = nullptr;
   uint64_t call_id_ = 0;
+  uint32_t call_slot_ = 0;
   SiteId site_ = kNoSite;
 };
 
@@ -229,7 +249,7 @@ class Network {
   SiteId AddSite(const std::string& name);
   int site_count() const { return static_cast<int>(sites_.size()); }
   // RPCs issued and not yet waited out (diagnostic).
-  size_t pending_call_count() const { return pending_calls_.size(); }
+  size_t pending_call_count() const { return calls_.size() - free_call_slots_.size(); }
   const std::string& SiteName(SiteId site) const { return sites_[site].name; }
 
   // Handler for one message type at one site; runs in event context when the
@@ -252,22 +272,23 @@ class Network {
   // --- Split-call interface (formation layer; src/form) ---
   // The formation queue carries the request inside a batch envelope instead of
   // letting Call schedule its own delivery, so the call setup and the wait are
-  // split: PrepareCall registers the pending-call record (and returns its id
-  // for the envelope), the sender enqueues the request, and WaitCall parks the
-  // caller with the usual timeout / failure-detection semantics.
-  uint64_t PrepareCall(SiteId from, SiteId to);
-  RpcResult WaitCall(uint64_t call_id, SimTime timeout = kDefaultRpcTimeout);
+  // split: PrepareCall registers the pending-call record (and returns its
+  // handle for the envelope), the sender enqueues the request, and WaitCall
+  // parks the caller with the usual timeout / failure-detection semantics.
+  CallHandle PrepareCall(SiteId from, SiteId to);
+  RpcResult WaitCall(CallHandle call, SimTime timeout = kDefaultRpcTimeout);
   // Completes a split call whose reply arrived inside a batch envelope (the
-  // envelope already paid the wire latency; no further delay is charged).
-  void CompleteBatchedCall(uint64_t call_id, Message reply);
+  // envelope already paid the wire latency; no further delay is charged). A
+  // call already completed or waited out drops the reply.
+  void CompleteBatchedCall(CallHandle call, Message reply);
   // Hands an unpacked batch item to the destination site's handler table,
   // exactly as if it had been delivered as its own wire message. Event
   // context; reachability was already checked when the envelope arrived.
   void DispatchDelivered(SiteId from, SiteId to, Message& msg, Responder responder);
   // When installed, replies issued by `site` are diverted to the router
   // (which enqueues them for batching) instead of being sent directly. The
-  // router receives the destination site, the reply, and the call id.
-  using ReplyRouter = std::function<void(SiteId dest, Message reply, uint64_t call_id)>;
+  // router receives the destination site, the reply, and the call's handle.
+  using ReplyRouter = std::function<void(SiteId dest, Message reply, CallHandle call)>;
   void set_reply_router(SiteId site, ReplyRouter router);
 
   // --- Failure injection & topology ---
@@ -323,19 +344,26 @@ class Network {
     std::vector<uint32_t> clock;
   };
 
+  // One slot of the call table.
   struct PendingCall {
-    PendingCall(SiteId caller_site, SiteId callee_site, Simulation* sim)
-        : from(caller_site), to(callee_site), wake(sim) {}
+    explicit PendingCall(Simulation* sim) : wake(sim) {}
 
-    SiteId from;
-    SiteId to;
-    WaitQueue wake;
+    uint64_t id = 0;  // 0 while the slot is free.
+    SiteId from = kNoSite;
+    SiteId to = kNoSite;
     bool done = false;
+    WaitQueue wake;
     RpcResult result;
   };
 
+  // The pending call `call` names, or null once it has been waited out.
+  PendingCall* FindCall(CallHandle call) {
+    return call.slot < calls_.size() && calls_[call.slot].id == call.id ? &calls_[call.slot]
+                                                                         : nullptr;
+  }
   void Deliver(SiteId from, SiteId to, Message& msg, Responder responder);
-  void CompleteCall(uint64_t call_id, RpcResult result);
+  // Completes the call unless it is done or gone; a late duplicate is dropped.
+  void CompleteCall(CallHandle call, RpcResult result);
   void NotifyTopologyChanged();
   // Fails outstanding calls whose endpoints can no longer communicate.
   void FailUnreachableCalls();
@@ -348,11 +376,12 @@ class Network {
   StatRegistry::StatId messages_id_;  // "net.messages": bumped per message.
   std::vector<Site> sites_;
   uint64_t next_call_id_ = 1;
-  using PendingCallMap = std::unordered_map<uint64_t, PendingCall>;
-  PendingCallMap pending_calls_;
-  // Nodes of finished calls, reused by PrepareCall: at most as many as were
-  // ever in flight at once.
-  std::vector<PendingCallMap::node_type> spare_calls_;
+  // The call table: a slot per call issued and not yet waited out, and the
+  // free slots, most recently freed last. Both stay within the most calls
+  // ever pending at once. A waiting caller finds its slot again by index, so
+  // the table may grow (and move) while it waits.
+  std::vector<PendingCall> calls_;
+  std::vector<uint32_t> free_call_slots_;
   bool clocks_enabled_ = false;
 };
 

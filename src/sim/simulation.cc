@@ -113,35 +113,61 @@ namespace {
 // live processes touched, not one stack per process ever spawned.
 constexpr size_t kFiberStackBytes = 512 * 1024;
 
+// The most stacks a thread keeps mapped between Simulations (see
+// StackPool); each is two mappings, so this stays far below the kernel's
+// default vm.max_map_count of 65530.
+constexpr size_t kMaxPooledStacks = 1024;
+
 size_t PageBytes() {
   static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
   return page;
 }
 
-// Bytes mapped per stack: the usable stack plus its guard page.
-size_t MappedStackBytes() { return kFiberStackBytes + PageBytes(); }
+// Stacks mapped by this thread so far (Simulation::mapped_stack_count).
+thread_local uint64_t t_mapped_stacks = 0;
 }  // namespace
 
 // A guarded stack and the registers of the code parked on it: a blocked
-// process, or FiberMain waiting for its next process.
+// process, or FiberMain waiting for its next process. It outlives the
+// Simulation that mapped it when a later one on the thread reuses it.
 struct Fiber {
-  explicit Fiber(void* base) : stack_base(base) {}
-  ~Fiber() { munmap(stack_base, MappedStackBytes()); }
+  // `base` is the mapping, whose first page is the guard.
+  explicit Fiber(void* base) : stack_base(base), stack(static_cast<char*>(base) + PageBytes()) {}
+  ~Fiber() { munmap(stack_base, kFiberStackBytes + PageBytes()); }
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  // The usable stack, above the guard page.
-  char* stack() const { return static_cast<char*>(stack_base) + PageBytes(); }
-
-  // mmap'd region whose first page is the guard page.
-  void* stack_base;
-  // False until the first process enters FiberMain through makecontext.
+  void* const stack_base;
+  // The usable stack, kFiberStackBytes above the guard page.
+  char* const stack;
+  // False until a process enters FiberMain through makecontext; cleared
+  // again when the stack passes to another Simulation.
   bool started = false;
   // Saved registers while the fiber is switched out.
   jmp_buf context;
   // AddressSanitizer's saved fake stack while the fiber is switched out.
   void* asan_fake_stack = nullptr;
 };
+
+namespace {
+// Set once the thread's pool is destroyed (at thread exit), so a Simulation
+// torn down after that unmaps its stacks instead.
+thread_local bool t_stack_pool_gone = false;
+
+// The stacks of Simulations torn down on this thread, for the next one's
+// TakeFiber: a program that builds one cluster after another maps, guards
+// and first-touches its stacks once. It keeps at most the most stacks one
+// Simulation has held, and never more than kMaxPooledStacks; the rest are
+// unmapped. Only the mapping crosses over: a pooled stack is unpoisoned and
+// entered afresh through makecontext.
+struct StackPool {
+  ~StackPool() { t_stack_pool_gone = true; }
+
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  size_t bound = 0;
+};
+thread_local StackPool t_stack_pool;
+}  // namespace
 
 // Entry point of every fiber; runs with g_current_process already set. It
 // runs one process body after another: when a body ends, the fiber parks
@@ -177,7 +203,7 @@ void SimProcess::RunUntilParked() {
   SimProcess* const prev = g_current_process;
   g_current_process = this;
   Fiber* const fiber = fiber_;
-  StartSwitch(&sim_->scheduler_fake_stack_, fiber->stack(), kFiberStackBytes);
+  StartSwitch(&sim_->scheduler_fake_stack_, fiber->stack, kFiberStackBytes);
   if (_setjmp(sim_->scheduler_context_) == 0) {
     if (fiber->started) {
       _longjmp(fiber->context, 1);
@@ -186,7 +212,7 @@ void SimProcess::RunUntilParked() {
     fiber->started = true;
     ucontext_t entry;
     getcontext(&entry);
-    entry.uc_stack.ss_sp = fiber->stack();
+    entry.uc_stack.ss_sp = fiber->stack;
     entry.uc_stack.ss_size = kFiberStackBytes;
     entry.uc_link = nullptr;  // FiberMain never returns.
     makecontext(&entry, reinterpret_cast<void (*)()>(&SimProcess::FiberMain), 0);
@@ -206,7 +232,12 @@ Fiber* Simulation::TakeFiber(const ProcessName& name) {
     idle_fibers_.pop_back();
     return fiber;
   }
-  void* base = mmap(nullptr, MappedStackBytes(), PROT_READ | PROT_WRITE,
+  if (!t_stack_pool_gone && !t_stack_pool.fibers.empty()) {
+    fibers_.push_back(std::move(t_stack_pool.fibers.back()));
+    t_stack_pool.fibers.pop_back();
+    return fibers_.back().get();
+  }
+  void* base = mmap(nullptr, kFiberStackBytes + PageBytes(), PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   if (base == MAP_FAILED || mprotect(base, PageBytes(), PROT_NONE) != 0) {
     const int err = errno;
@@ -216,9 +247,32 @@ Fiber* Simulation::TakeFiber(const ProcessName& name) {
             name.Format().c_str(), strerror(err), err, spawned_process_count());
     abort();
   }
+  ++t_mapped_stacks;
   fibers_.push_back(std::make_unique<Fiber>(base));
   return fibers_.back().get();
 }
+
+void Simulation::PoolFibers() {
+  if (t_stack_pool_gone) {
+    return;  // The thread is exiting; fibers_ unmaps the stacks.
+  }
+  StackPool& pool = t_stack_pool;
+  pool.bound = std::min(kMaxPooledStacks, std::max(pool.bound, fibers_.size()));
+  for (std::unique_ptr<Fiber>& fiber : fibers_) {
+    if (pool.fibers.size() >= pool.bound) {
+      break;
+    }
+    // The code parked on the stack is abandoned; clear the redzones its
+    // frames left before another Simulation enters the stack afresh.
+    UnpoisonStack(fiber->stack, kFiberStackBytes);
+    fiber->started = false;
+    fiber->asan_fake_stack = nullptr;
+    pool.fibers.push_back(std::move(fiber));
+  }
+  fibers_.clear();
+}
+
+uint64_t Simulation::mapped_stack_count() { return t_mapped_stacks; }
 
 void Simulation::ParkFiber(Fiber* fiber) {
   StartSwitch(&fiber->asan_fake_stack, scheduler_stack_bottom_, scheduler_stack_size_);
@@ -233,7 +287,7 @@ void Simulation::Reap(SimProcess* p) {
   // through SimCancelled can leave redzones on the stack; clear them before
   // the fiber runs another body.
   p->body_.Reset();
-  UnpoisonStack(p->fiber_->stack(), kFiberStackBytes);
+  UnpoisonStack(p->fiber_->stack, kFiberStackBytes);
   idle_fibers_.push_back(p->fiber_);
   p->fiber_ = nullptr;
   free_processes_.push_back(p);
@@ -288,8 +342,10 @@ Simulation::~Simulation() {
     p->cancelled_ = true;
     p->RunUntilParked();
   }
-  // Records (and any body never run) go before the fibers' stacks.
+  // Records (and any body never run) go before the fibers' stacks, which
+  // then wait on this thread for the next Simulation.
   processes_.clear();
+  PoolFibers();
 }
 
 uint32_t Simulation::TakeSlot() {

@@ -11,6 +11,9 @@
 // run at memory speed. A fiber outlives its process: when a body ends, the
 // fiber parks in a per-Simulation idle list and the next Spawn resumes it
 // with the new body, so only a fiber's first entry goes through makecontext.
+// A stack outlives its Simulation too: at teardown the stacks go to a
+// bounded per-thread pool, and the next Simulation on the thread takes them
+// before it maps new ones, entering each afresh through makecontext.
 // Process records are reused the same way; a ProcessHandle tells a reused
 // record from the process it once held.
 //
@@ -568,6 +571,10 @@ class Simulation {
   }
   // Fibers parked with no process, waiting for the next Spawn.
   int idle_fiber_count() const { return static_cast<int>(idle_fibers_.size()); }
+  // Fiber stacks mapped on the calling thread so far, by every Simulation.
+  // Stacks outlive their Simulation and serve the next one on the thread, so
+  // this stops growing once one Simulation has needed as many as any later.
+  static uint64_t mapped_stack_count();
   // Keys queued for events: pending events, plus the tombstones of cancelled
   // ones not yet dropped.
   size_t pending_event_count() const { return heap_.size() + due_now_.size(); }
@@ -628,8 +635,12 @@ class Simulation {
   // Marks the process runnable at the current time (scheduler will hand it
   // control). A no-op once it has finished.
   void MakeReady(ProcessHandle process);
-  // Takes an idle fiber, or maps a new one; aborts if the mapping fails.
+  // Takes an idle fiber, a stack left by an earlier Simulation on this
+  // thread, or maps a new one; aborts if the mapping fails.
   Fiber* TakeFiber(const ProcessName& name);
+  // At teardown: leaves the fibers' stacks to the next Simulation on this
+  // thread, up to the pool's bound, and unmaps the rest.
+  void PoolFibers();
   // Runs on a fiber: saves its registers and returns control to the
   // scheduler; returns when the scheduler resumes the fiber.
   void ParkFiber(Fiber* fiber);
@@ -691,7 +702,7 @@ class Simulation {
   // live processes.
   std::vector<std::unique_ptr<SimProcess>> processes_;
   std::vector<SimProcess*> free_processes_;
-  // Every fiber ever mapped, and those parked with no process.
+  // Every fiber this Simulation has used, and those parked with no process.
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Fiber*> idle_fibers_;
 

@@ -15,7 +15,7 @@ Disk::Disk(Simulation* sim, StatRegistry* stats, std::string name, int32_t num_p
       page_size_(page_size),
       access_latency_(access_latency),
       zero_page_(MakePage(PageData(page_size, 0))),
-      stable_(num_pages, zero_page_) {
+      stable_(static_cast<size_t>(num_pages)) {
   auto init = [&](KindStats& ks, const char* kind) {
     ks.disk_id = stats_->Intern("disk." + name_ + "." + kind);
     ks.io_id = stats_->Intern(std::string("io.") + kind);
@@ -51,7 +51,7 @@ PageRef Disk::Read(PageId page, const char* category) {
   // If the site crashed while we slept the process was killed, so reaching
   // here in the same epoch means the request completed.
   assert(epoch == crash_epoch_);
-  return stable_[page];
+  return StableRef(page);
 }
 
 void Disk::Write(PageId page, PageRef data, const char* category) {
@@ -99,7 +99,7 @@ void Disk::SubmitRead(PageId page, const char* category, std::function<void(Page
     if (epoch != crash_epoch_) {
       return;
     }
-    done(stable_[page]);
+    done(StableRef(page));
   });
 }
 
@@ -115,7 +115,7 @@ PageRef Disk::ReadSequential(PageId page, const char* category) {
   [[maybe_unused]] uint64_t epoch = crash_epoch_;
   sim_->Sleep(done_at - sim_->Now());
   assert(epoch == crash_epoch_);
-  return stable_[page];
+  return StableRef(page);
 }
 
 void Disk::WriteSequential(PageId page, PageRef data, const char* category) {

@@ -11,6 +11,8 @@
 //
 // A new disk is sparse: every page shares one zero image until its first
 // write, so a large volume costs memory only for the pages it has written.
+// An unwritten page holds no reference to that image, so building and
+// tearing down a disk touches no reference counts.
 
 #ifndef SRC_STORAGE_DISK_H_
 #define SRC_STORAGE_DISK_H_
@@ -78,7 +80,7 @@ class Disk {
 
   // Direct access to stable state for tests and recovery assertions; does not
   // model latency or count I/O.
-  const PageData& PeekStable(PageId page) const { return *stable_[page]; }
+  const PageData& PeekStable(PageId page) const { return *StableRef(page); }
 
   // The all-zero image every never-written page shares. Like any shared
   // page it is cloned before modification (MutableImage).
@@ -104,6 +106,10 @@ class Disk {
 
   // Returns the completion time for a newly queued request.
   SimTime QueueRequest(SimTime latency);
+  // The page's stable image: zero_page_ until its first write.
+  const PageRef& StableRef(PageId page) const {
+    return stable_[page] != nullptr ? stable_[page] : zero_page_;
+  }
   // Stores `data` as the page's stable image, keeping the replaced image
   // for MutableImage if nothing else holds it.
   void ReplaceStable(PageId page, PageRef data);
@@ -119,7 +125,7 @@ class Disk {
   SimTime busy_until_ = 0;
   uint64_t crash_epoch_ = 0;
   PageRef zero_page_;
-  // Starts out sparse: every page refers to zero_page_ until written.
+  // Starts out sparse: a page is null, read as zero_page_, until written.
   std::vector<PageRef> stable_;
   // Replaced page images no one holds, for MutableImage.
   std::vector<PageRef> spare_images_;

@@ -131,7 +131,7 @@ uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce fo
   if (sim_ != nullptr) {
     uint64_t id = next_log_id_++;
     uint64_t stamp = ++staged_stamp_;
-    staged_.push_back(StagedRecord{false, id, std::move(payload), stamp});
+    staged_.push_back(StagedRecord{id, std::move(payload), stamp});
     if (force == LogForce::kForce) {
       ForceCovering(stamp, category);
     }
@@ -139,7 +139,7 @@ uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce fo
   }
   ForceLogPage(category, /*grows_log=*/true);
   uint64_t id = next_log_id_++;
-  log_.insert_or_assign(id, LogRecord{id, std::move(payload)});
+  PutLog(id, std::move(payload));
   return id;
 }
 
@@ -150,7 +150,7 @@ void Volume::UpdateLog(uint64_t record_id, LogPayload payload, const char* categ
     // lazy append, e.g. an abort mark overwriting an unforced begin record).
     assert(log_.count(record_id) == 1 || StagedContains(record_id));
     uint64_t stamp = ++staged_stamp_;
-    staged_.push_back(StagedRecord{true, record_id, std::move(payload), stamp});
+    staged_.push_back(StagedRecord{record_id, std::move(payload), stamp});
     if (force == LogForce::kForce) {
       ForceCovering(stamp, category);
     }
@@ -158,7 +158,21 @@ void Volume::UpdateLog(uint64_t record_id, LogPayload payload, const char* categ
   }
   assert(log_.count(record_id) == 1);
   ForceLogPage(category, /*grows_log=*/false);
-  log_[record_id].payload = std::move(payload);
+  PutLog(record_id, std::move(payload));
+}
+
+void Volume::PutLog(uint64_t id, LogPayload payload) {
+  std::unique_ptr<LogRecord>& box = log_[id];
+  if (box == nullptr) {
+    if (spare_log_records_.empty()) {
+      box = std::make_unique<LogRecord>();
+    } else {
+      box = std::move(spare_log_records_.back());
+      spare_log_records_.pop_back();
+    }
+    box->record_id = id;
+  }
+  box->payload = std::move(payload);
 }
 
 void Volume::ForceLogPage(const char* category, bool grows_log) {
@@ -205,11 +219,7 @@ void Volume::PublishThrough(uint64_t covered) {
   size_t n = 0;
   while (n < staged_.size() && staged_[n].stamp <= covered) {
     StagedRecord& rec = staged_[n];
-    if (rec.is_update) {
-      log_[rec.id].payload = std::move(rec.payload);
-    } else {
-      log_.insert_or_assign(rec.id, LogRecord{rec.id, std::move(rec.payload)});
-    }
+    PutLog(rec.id, std::move(rec.payload));
     ++n;
   }
   staged_.erase(staged_.begin(), staged_.begin() + n);
@@ -225,7 +235,12 @@ bool Volume::StagedContains(uint64_t record_id) const {
 }
 
 void Volume::EraseLog(uint64_t record_id) {
-  log_.erase(record_id);
+  auto it = log_.find(record_id);
+  if (it != log_.end()) {
+    it->second->payload = LogPayload{};
+    spare_log_records_.push_back(std::move(it->second));
+    log_.erase(it);
+  }
   // Purge staged mutations of the erased record too, or a later force would
   // resurrect it (e.g. an abort path that appends lazily and erases at once).
   std::erase_if(staged_, [record_id](const StagedRecord& rec) {

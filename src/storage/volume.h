@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/flat_map.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/storage/disk.h"
@@ -127,7 +128,12 @@ class Volume {
                  LogForce force = LogForce::kForce);
   // Removes a resolved record (no I/O modelled; piggybacked housekeeping).
   void EraseLog(uint64_t record_id);
-  const std::map<uint64_t, LogRecord>& stable_log() const { return log_; }
+  // The records in id order: a table ordered by record id, whose storage
+  // is kept as records resolve (ids only grow, so an append lands at its
+  // end). Each record is boxed and keeps its address while others come and
+  // go, since a commit installs from its prepare record across disk writes;
+  // an erased record's box serves a later append.
+  const FlatMap<uint64_t, std::unique_ptr<LogRecord>>& stable_log() const { return log_; }
 
   // --- Crash / recovery support ---
   // Called at site crash: volatile allocation state is lost with the buffer
@@ -139,15 +145,18 @@ class Volume {
   void RecoverAllocation(const std::vector<PageId>& extra_live_pages);
 
  private:
-  // A log mutation staged for the next shared force. Stamps order staging;
-  // a force covers every record staged at or before its capture point.
+  // A log mutation (an append or an in-place update of record `id`) staged
+  // for the next shared force. Stamps order staging; a force covers every
+  // record staged at or before its capture point.
   struct StagedRecord {
-    bool is_update = false;
     uint64_t id = 0;
     LogPayload payload;
     uint64_t stamp = 0;
   };
   bool StagedContains(uint64_t record_id) const;
+  // Stores `payload` as record `id` of the stable log, boxing a new record
+  // in a spare box when there is one.
+  void PutLog(uint64_t id, LogPayload payload);
 
   // Blocks until a force covering `stamp` has completed. The first caller to
   // find no force in flight becomes the leader: it captures the current
@@ -184,7 +193,9 @@ class Volume {
   Ino next_ino_ = 1;
   std::map<Ino, DiskInode> inodes_;  // Stable inode table contents.
   uint64_t next_log_id_ = 1;
-  std::map<uint64_t, LogRecord> log_;  // Stable log contents.
+  FlatMap<uint64_t, std::unique_ptr<LogRecord>> log_;  // Stable log contents.
+  // Boxes of erased records, emptied, for PutLog.
+  std::vector<std::unique_ptr<LogRecord>> spare_log_records_;
 
   // --- Group commit state (active iff sim_ != nullptr) ---
   Simulation* sim_ = nullptr;

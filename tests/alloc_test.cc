@@ -1,8 +1,12 @@
-// Steady-state allocation bound for the local storage-site path: a one-site
-// debit/credit run, where every transfer locks, writes and commits at its
-// own site (section 3 record locks, section 4 shadow-page commit, no wire
-// and no two-phase fan-out), allocates only a few times per committed
-// transfer once its per-transaction state is reused.
+// Steady-state allocation bounds for the two transfer paths, once their
+// per-transaction and per-site state is reused:
+//   - the local storage-site path: a one-site debit/credit run, where every
+//     transfer locks, writes and commits at its own site (section 3 record
+//     locks, section 4 shadow-page commit, no wire and no two-phase
+//     fan-out);
+//   - the cross-site path: a four-site run with formation on and no local
+//     transfers, where a transfer locks and writes remote records and its
+//     commit sends prepares and commits to the storage sites (section 4.2).
 //
 // The test replaces the global operator new/delete with counting wrappers
 // and counts from just before a System is built to just after its run
@@ -85,20 +89,12 @@ struct CountedRun {
   int commits = 0;
 };
 
-// One site, two one-page branch files (64 accounts each), so every transfer
-// takes the local storage-site path.
-CountedRun RunOneSite(int transfers_per_teller) {
-  DebitCreditConfig config;
-  config.branches = 2;
-  config.accounts_per_branch = 64;
-  config.tellers = 4;
-  config.transfers_per_teller = transfers_per_teller;
-  config.seed = 11;
+CountedRun CountRun(int sites, const SystemOptions& options, const DebitCreditConfig& config) {
   allocations = 0;
   counting = true;
   DebitCreditResults results;
   {
-    System system(1, SystemOptions{.seed = 11});
+    System system(sites, options);
     DebitCreditWorkload workload(&system, config);
     results = workload.Execute();
   }
@@ -107,22 +103,62 @@ CountedRun RunOneSite(int transfers_per_teller) {
   return CountedRun{allocations, results.committed};
 }
 
+// Allocations per committed transfer: the runs with `config` at N and 10N
+// transfers per teller, their difference over the difference in commits.
+double AllocationsPerTransfer(int sites, const SystemOptions& options, DebitCreditConfig config) {
+  const int transfers_per_teller = config.transfers_per_teller;
+  CountedRun short_run = CountRun(sites, options, config);
+  config.transfers_per_teller = 10 * transfers_per_teller;
+  CountedRun long_run = CountRun(sites, options, config);
+  EXPECT_GT(long_run.commits, short_run.commits);
+  if (long_run.commits <= short_run.commits) {
+    return 0;
+  }
+  const double per_transfer = static_cast<double>(long_run.allocations - short_run.allocations) /
+                              (long_run.commits - short_run.commits);
+  std::printf("%d sites, %d and %d commits: %lld and %lld allocations, %.2f per transfer\n",
+              sites, short_run.commits, long_run.commits,
+              static_cast<long long>(short_run.allocations),
+              static_cast<long long>(long_run.allocations), per_transfer);
+  return per_transfer;
+}
+
+// One site, two one-page branch files (64 accounts each), so every transfer
+// takes the local storage-site path.
 TEST(Allocation, LocalTransfersAllocateAFewTimesEach) {
   if (!LOCUS_ALLOC_COUNTING) {
     GTEST_SKIP() << "AddressSanitizer owns the allocator; nothing is counted";
   }
-  constexpr int kTransfersPerTeller = 25;
-  CountedRun short_run = RunOneSite(kTransfersPerTeller);
-  CountedRun long_run = RunOneSite(10 * kTransfersPerTeller);
-  ASSERT_GT(long_run.commits, short_run.commits);
-  const double per_transfer = static_cast<double>(long_run.allocations - short_run.allocations) /
-                              (long_run.commits - short_run.commits);
-  std::printf("%d and %d commits: %lld and %lld allocations, %.2f per transfer\n",
-              short_run.commits, long_run.commits,
-              static_cast<long long>(short_run.allocations),
-              static_cast<long long>(long_run.allocations), per_transfer);
+  DebitCreditConfig config;
+  config.branches = 2;
+  config.accounts_per_branch = 64;
+  config.tellers = 4;
+  config.transfers_per_teller = 25;
+  config.seed = 11;
   // 99.4 before per-transaction state was reused, 28.6 after.
-  EXPECT_LE(per_transfer, 36.0);
+  EXPECT_LE(AllocationsPerTransfer(1, SystemOptions{.seed = 11}, config), 36.0);
+}
+
+// Four sites, a one-page branch file (64 accounts) at each, formation on and
+// no local transfers: nearly every transfer's records and commit span sites,
+// so the count covers the wire, the formation queues, the pending-call table
+// and the two-phase commit's fan-out at the coordinator and the
+// participants.
+TEST(Allocation, CrossSiteTransfersAllocateAFewTimesEach) {
+  if (!LOCUS_ALLOC_COUNTING) {
+    GTEST_SKIP() << "AddressSanitizer owns the allocator; nothing is counted";
+  }
+  DebitCreditConfig config;
+  config.branches = 4;
+  config.accounts_per_branch = 64;
+  config.tellers = 8;
+  config.transfers_per_teller = 25;
+  config.seed = 11;
+  config.local_fraction = 0.0;
+  // 39.6 before the call table, the batch buffers and the commit path's
+  // storage were reused (32.6 with formation off).
+  EXPECT_LE(AllocationsPerTransfer(4, SystemOptions{.seed = 11, .formation = true}, config),
+            25.0);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/form/formation.h"
+#include "src/sim/random.h"
 
 namespace locus {
 namespace {
@@ -254,6 +258,114 @@ TEST_F(NetworkTest, HandlerMovesThePayloadOutOfABatchedItem) {
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.reply.As<Bulk>().values, (std::vector<int>{7, 8}));
   EXPECT_GE(net_.stats().Get("form.batches"), 2);
+}
+
+// The pending-call table against a reference model (a std::map by call id),
+// under a random script of split calls, replies, time-outs, partitions and
+// heals, and late duplicate replies through every responder ever made. Slots
+// are reused, so a stale reply names a slot that may hold a later call: it
+// must be dropped, never complete that call. Checked: every call returns
+// exactly once; a call that succeeds gets its own reply; the table's count
+// matches the model's at every step; the calls one partition fails return in
+// call-id order.
+TEST(PendingCallTable, MatchesAReferenceModel) {
+  Simulation sim;
+  Network net(&sim);
+  const std::vector<SiteId> sites = {net.AddSite("a"), net.AddSite("b"), net.AddSite("c"),
+                                     net.AddSite("d")};
+  struct ModelCall {
+    SiteId from = kNoSite;
+    SiteId to = kNoSite;
+    int returns = 0;
+    bool ok = false;
+    SimTime returned_at = -1;
+  };
+  std::map<uint64_t, ModelCall> model;
+  std::vector<std::pair<Responder, uint64_t>> responders;
+  std::set<uint32_t> slots;
+  std::vector<uint64_t> return_order;
+  size_t wrong_replies = 0;
+  size_t count_mismatches = 0;
+  Rng rng(23);
+  constexpr int kSteps = 3000;
+  for (int step = 0; step < kSteps; ++step) {
+    // Whole milliseconds: a partition's failures land on one, and time-outs
+    // (whole milliseconds plus 7 µs) never do.
+    sim.ScheduleAt(Milliseconds(step), [&] {
+      const uint64_t op = rng.Next() % 10;
+      if (op < 4) {
+        const SiteId from = sites[rng.Next() % sites.size()];
+        const SiteId to = sites[rng.Next() % sites.size()];
+        const SimTime timeout = Milliseconds(5 + static_cast<int64_t>(rng.Next() % 60)) + 7;
+        sim.Spawn("caller", [&, from, to, timeout] {
+          const CallHandle call = net.PrepareCall(from, to);
+          model[call.id] = ModelCall{from, to};
+          slots.insert(call.slot);
+          responders.emplace_back(Responder(&net, call, to), call.id);
+          RpcResult result = net.WaitCall(call, timeout);
+          ModelCall& m = model[call.id];
+          ++m.returns;
+          m.ok = result.ok;
+          m.returned_at = sim.Now();
+          return_order.push_back(call.id);
+          if (result.ok && static_cast<uint64_t>(result.reply.As<Ping>().value) != call.id) {
+            ++wrong_replies;
+          }
+        });
+      } else if (op < 8 && !responders.empty()) {
+        // Mostly a recent call's responder (a first reply or a duplicate),
+        // otherwise any one ever made (most of them stale).
+        const size_t recent = std::min<size_t>(8, responders.size());
+        const size_t pick = rng.Next() % 4 != 0
+                                ? responders.size() - 1 - rng.Next() % recent
+                                : rng.Next() % responders.size();
+        const auto& [responder, id] = responders[pick];
+        Message reply;
+        reply.type = 2;
+        reply.payload = Ping{static_cast<int>(id)};
+        responder(std::move(reply));
+      } else if (op == 8) {
+        std::vector<SiteId> group;
+        for (SiteId s : sites) {
+          if (rng.Next() % 2 == 0) {
+            group.push_back(s);
+          }
+        }
+        net.SetPartitions({group});
+      } else {
+        net.ClearPartitions();
+      }
+      size_t open = 0;
+      for (const auto& [id, m] : model) {
+        open += m.returns == 0 ? 1 : 0;
+      }
+      count_mismatches += open != net.pending_call_count() ? 1 : 0;
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(wrong_replies, 0u);
+  EXPECT_EQ(count_mismatches, 0u);
+  EXPECT_EQ(net.pending_call_count(), 0u);
+  size_t ok = 0;
+  for (const auto& [id, m] : model) {
+    EXPECT_EQ(m.returns, 1) << "call " << id;
+    ok += m.ok ? 1 : 0;
+  }
+  // The script exercised what it claims: successes, failures, slot reuse.
+  EXPECT_GT(model.size(), 1000u);
+  EXPECT_GT(ok, 100u);
+  EXPECT_LT(ok, model.size());
+  EXPECT_LT(slots.size(), model.size() / 10);
+  // Failures returning at one whole millisecond came from one partition's
+  // failure batch, and return in call-id order.
+  for (size_t i = 1; i < return_order.size(); ++i) {
+    const ModelCall& prev = model[return_order[i - 1]];
+    const ModelCall& cur = model[return_order[i]];
+    if (!prev.ok && !cur.ok && prev.returned_at == cur.returned_at &&
+        cur.returned_at % Milliseconds(1) == 0) {
+      EXPECT_LT(return_order[i - 1], return_order[i]);
+    }
+  }
 }
 
 }  // namespace

@@ -396,8 +396,8 @@ TEST(ParticipantInquiryTest, CommittedAnswerCommitsThePreparedParticipant) {
   auto log_records = [&system](SiteId site, const TxnId& txn) {
     std::vector<LogPayload> out;
     for (const auto& [id, rec] : system.kernel(site).volumes()[0]->stable_log()) {
-      if (std::visit([&txn](const auto& r) { return r.txn == txn; }, rec.payload)) {
-        out.push_back(rec.payload);
+      if (std::visit([&txn](const auto& r) { return r.txn == txn; }, rec->payload)) {
+        out.push_back(rec->payload);
       }
     }
     return out;

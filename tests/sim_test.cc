@@ -731,7 +731,9 @@ void CapAddressSpace() {
   ASSERT_EQ(setrlimit(RLIMIT_AS, &limit), 0);
 }
 
-// Spawns one more process with the address space full.
+// Spawns one more process with the address space full. Stacks pooled by
+// earlier Simulations on the thread would serve it without a mapping; gtest
+// runs the *DeathTest suites first, before any other test has pooled one.
 void SpawnWithAddressSpaceFull() {
   Simulation sim;
   sim.Spawn("warm-up", [] {});  // Grows the heap before the cap.
@@ -887,6 +889,52 @@ TEST(Simulation, FibersRunTheNextBodyHoweverTheLastOneEnded) {
 // finished and Kill through it does nothing; a queue entry it left behind
 // when killed takes its notification with it rather than waking the
 // record's new process.
+// Stacks outlive their Simulation: back-to-back Simulations on one thread
+// map no new stacks once one of them has mapped as many as any needs, and a
+// stack whose last body unwound through SimCancelled (killed while blocked,
+// or still blocked at teardown) runs the next Simulation's bodies cleanly.
+// Under AddressSanitizer a redzone left on a reused stack, or a fiber entered
+// without its switch annotated, is reported here.
+TEST(Simulation, StacksOutliveTheirSimulation) {
+  static constexpr int kLive = 6;
+  // Runs kLive processes at once: each touches a deep frame, throws and
+  // catches an exception from depth, and sleeps. The last one is killed
+  // while blocked; with `leave_blocked` the rest are left blocked for the
+  // teardown to unwind.
+  auto run_one = [](bool leave_blocked) {
+    Simulation sim;
+    WaitQueue never_notified(&sim);
+    int ran = 0;
+    std::vector<ProcessHandle> processes;
+    for (int i = 0; i < kLive; ++i) {
+      processes.push_back(sim.Spawn("worker", [&, i] {
+        volatile char frame[4096];
+        frame[0] = 1;
+        frame[sizeof(frame) - 1] = frame[0];
+        try {
+          ThrowFromDepth(8);
+        } catch (const std::runtime_error&) {
+        }
+        sim.Sleep(Microseconds(1));
+        ++ran;
+        if (leave_blocked || i == kLive - 1) {
+          never_notified.Wait();
+        }
+      }));
+    }
+    sim.Schedule(Milliseconds(1), [&] { sim.Kill(processes.back()); });
+    sim.Run();
+    EXPECT_EQ(ran, kLive);
+    EXPECT_EQ(sim.blocked_process_count(), leave_blocked ? kLive - 1 : 0);
+  };
+  run_one(/*leave_blocked=*/true);
+  const uint64_t mapped = Simulation::mapped_stack_count();
+  for (int round = 0; round < 4; ++round) {
+    run_one(/*leave_blocked=*/round % 2 == 0);
+  }
+  EXPECT_EQ(Simulation::mapped_stack_count(), mapped);
+}
+
 TEST(Simulation, StaleHandleAndQueueEntryMissTheRecordsNextProcess) {
   Simulation sim;
   WaitQueue left_behind(&sim);

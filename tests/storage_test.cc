@@ -273,7 +273,7 @@ TEST_F(VolumeTest, LogUpdateAndErase) {
     uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
     volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
-    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id).payload).status,
+    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id)->payload).status,
               TxnStatus::kCommitted);
     volume_->EraseLog(id);
     EXPECT_TRUE(volume_->stable_log().empty());
@@ -319,9 +319,9 @@ TEST_F(GroupCommitLogTest, LazyAppendWaitsForACoveringForce) {
     uint64_t forced = volume_->AppendLog(Prepare(1), "prepare_log");
     ASSERT_EQ(volume_->stable_log().size(), 2u);
     EXPECT_TRUE(std::holds_alternative<CoordinatorLogRecord>(
-        volume_->stable_log().at(lazy).payload));
+        volume_->stable_log().at(lazy)->payload));
     EXPECT_TRUE(std::holds_alternative<PrepareLogRecord>(
-        volume_->stable_log().at(forced).payload));
+        volume_->stable_log().at(forced)->payload));
   });
   EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
   EXPECT_EQ(stats_.Get("form.log_forces"), 1);
@@ -363,7 +363,7 @@ TEST_F(GroupCommitLogTest, UpdateOfAStagedRecordPublishesTheNewPayload) {
                                      Volume::LogForce::kLazy);
     volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
-    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id).payload).status,
+    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id)->payload).status,
               TxnStatus::kCommitted);
   });
   EXPECT_EQ(stats_.Get("io.writes.commit_mark"), 1);
@@ -385,7 +385,7 @@ TEST_F(GroupCommitLogTest, CrashLosesStagedRecordsAndKeepsForcedOnes) {
     uint64_t after = volume_->AppendLog(Prepare(2), "prepare_log");
     ASSERT_EQ(volume_->stable_log().size(), 2u);
     EXPECT_TRUE(std::holds_alternative<PrepareLogRecord>(
-        volume_->stable_log().at(after).payload));
+        volume_->stable_log().at(after)->payload));
   });
   EXPECT_EQ(stats_.Get("form.log_forces"), 2);
   EXPECT_EQ(stats_.Get("form.group_commit_records"), 0);
