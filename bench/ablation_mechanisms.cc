@@ -154,11 +154,11 @@ void RunTables() {
     printf("%-28d %14.1f %14lld\n", pool, r.commit_latency_ms,
            static_cast<long long>(r.rereads));
   }
-  printf("-> every install invalidates the buffered previous version while\n");
-  printf("   another writer stays on the page, so under permanent overlap\n");
-  printf("   the pool only saves the first round of re-reads. The paper's\n");
-  printf("   Figure 6 'buffered' case corresponds to transient overlap,\n");
-  printf("   where the re-read disappears entirely (see bench/fig6_commit).\n");
+  printf("-> an install leaves the page it publishes in the pool, so once\n");
+  printf("   the file's 16 pages fit, every differencing commit finds its\n");
+  printf("   previous version buffered and the re-reads vanish even under\n");
+  printf("   permanent overlap: the paper's Figure 6 'buffered' case (see\n");
+  printf("   bench/fig6_commit). A smaller pool re-reads every page.\n");
 }
 
 void BM_AblationPipeline(benchmark::State& state) {

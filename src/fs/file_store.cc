@@ -34,6 +34,17 @@ void FileStore::Cpu(int64_t instructions) {
   sim_->BurnInstructions(instructions);
 }
 
+PageRef FileStore::FlushedImage(const FileState& state, const PageUpdate& u) const {
+  for (const Writer& w : state.writers) {
+    auto shadow = w.shadow_pages.find(u.page_index);
+    if (shadow != w.shadow_pages.end() && shadow->second == u.new_page) {
+      auto image = w.flushed.find(u.page_index);
+      return image == w.flushed.end() ? nullptr : image->second;
+    }
+  }
+  return nullptr;
+}
+
 ByteRange FileStore::PageSpan(int32_t slot) const {
   return ByteRange{static_cast<int64_t>(slot) * page_size(), page_size()};
 }
@@ -162,6 +173,7 @@ void FileStore::RetireWriters(FileState& state, const LockOwner& owner) {
   for (auto it = state.writers.begin(); it != state.writers.end();) {
     auto next = std::next(it);
     if (it->owner.SameWriterAs(owner)) {
+      it->flushed.clear();  // Resolved: its flush snapshots go.
       spare_writers_.splice(spare_writers_.end(), state.writers, it);
     }
     it = next;
@@ -188,7 +200,7 @@ PageRef FileStore::CommittedPage(const FileId& file, const FileState& state, int
   }
   // The disk read blocks; a commit install may replace the page pointer
   // meanwhile. Cache the image only if it is still current — a stale insert
-  // would outlive the install's invalidation.
+  // would replace the page the install buffered.
   uint64_t version_before = state.inode.version;
   PageRef data = volume_->disk().Read(state.inode.pages[slot], "data");
   if (state.inode.version == version_before) {
@@ -380,6 +392,9 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
       assert(wp != state.working_pages.end());
       to_flush = wp->second;
     }
+    // The writer keeps the image it flushes: the install publishes it into
+    // the buffer pool and re-merges from it, so neither re-reads the shadow.
+    writer.flushed.try_emplace(slot).first->second = to_flush;
     volume_->disk().Write(shadow, std::move(to_flush), "data");
     intentions.updates.push_back(PageUpdate{slot, shadow});
   }
@@ -405,7 +420,10 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
         state.inode.pages[u.page_index] == u.new_page) {
       continue;  // Duplicate commit message / redo after crash (section 4.4).
     }
-    PageRef installed_image;
+    // The image this install publishes: the live writer's flush snapshot,
+    // re-merged below if its base went stale. Redo after a crash has no
+    // writer, so it reads the shadow page back where it needs the bytes.
+    PageRef image = FlushedImage(state, u);
     if (version_at_entry != intentions.base_version) {
       // Another writer committed this file between our flush and now; the
       // shadow page was merged against a stale base, so re-difference it
@@ -414,7 +432,9 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
       // lists ... to guarantee that the files can be committed").
       stats_->Add(ids_.commit_remerged_pages);
       PageRef base = StableCommittedPage(intentions.file, state, u.page_index, nullptr);
-      PageRef shadow = volume_->disk().Read(u.new_page, "reread");
+      if (image == nullptr) {
+        image = volume_->disk().Read(u.new_page, "reread");
+      }
       PageData& base_buf = volume_->disk().MutableImage(base);
       for (const ByteRange& r : intentions.ranges) {
         ByteRange piece = r.Intersect(PageSpan(u.page_index));
@@ -422,9 +442,9 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
           continue;
         }
         int64_t in_page = piece.start - PageSpan(u.page_index).start;
-        std::memcpy(base_buf.data() + in_page, shadow->data() + in_page, piece.length);
+        std::memcpy(base_buf.data() + in_page, image->data() + in_page, piece.length);
       }
-      installed_image = base;
+      image = base;
       volume_->disk().Write(u.new_page, std::move(base), "data");
     }
     PageId old = kNoPage;
@@ -437,7 +457,13 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
     if (old != kNoPage && old != u.new_page) {
       volume_->FreePage(old);
     }
-    pool_->Erase(BufferPool::Key{intentions.file, u.page_index});
+    // The published image is the slot's clean buffered copy from here on
+    // (section 6.3's common case). Redo without one drops the stale copy.
+    if (image != nullptr) {
+      pool_->Insert(BufferPool::Key{intentions.file, u.page_index}, image);
+    } else {
+      pool_->Erase(BufferPool::Key{intentions.file, u.page_index});
+    }
     // A working page may have been created from the PREVIOUS committed image
     // while this install was in flight (a writer of a different record on
     // the page). Normally the installing writer's bytes are already in the
@@ -462,8 +488,8 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
         }
       }
       if (!to_patch.empty()) {
-        if (installed_image == nullptr) {
-          installed_image = volume_->disk().Read(u.new_page, "reread");
+        if (image == nullptr) {
+          image = volume_->disk().Read(u.new_page, "reread");
         }
         // Re-find: the read above may yield; the map node is stable but the
         // entry could have been erased by a concurrent resolution.
@@ -472,8 +498,7 @@ void FileStore::InstallIntentions(const IntentionsList& intentions) {
           PageData& working_buf = volume_->disk().MutableImage(wp->second);
           for (const ByteRange& piece : to_patch.ranges()) {
             int64_t in_page = piece.start - span.start;
-            std::memcpy(working_buf.data() + in_page, installed_image->data() + in_page,
-                        piece.length);
+            std::memcpy(working_buf.data() + in_page, image->data() + in_page, piece.length);
           }
           stats_->Add(ids_.install_working_page_patches);
         }

@@ -10,7 +10,9 @@
 //   - pages carrying other writers' uncommitted records: the previous version
 //     is fetched (buffer pool, else a disk re-read) and only the writer's
 //     byte ranges are copied onto it before flushing (Figure 4b);
-// and then the inode is atomically rewritten to name the shadow pages.
+// and then the inode is atomically rewritten to name the shadow pages. The
+// install caches each page image it publishes in the buffer pool, so the
+// next commit on the page finds its previous version buffered (section 6.3).
 // Aborting a writer reverts its byte ranges in the working pages from the
 // previous version and frees its shadow pages.
 //
@@ -168,6 +170,9 @@ class FileStore {
     LockOwner owner;
     RangeSet dirty;                          // Byte ranges modified, file-wide.
     FlatMap<int32_t, PageId> shadow_pages;  // Page slot -> shadow disk page.
+    // Page slot -> the image the flush wrote to its shadow page, kept until
+    // the writer resolves (shared copy-on-write, like every page image).
+    FlatMap<int32_t, PageRef> flushed;
     int64_t max_extent = 0;                 // Highest byte written + 1.
     // Set while a commit flush or abort rollback is in progress on this
     // writer. Resolution spans blocking disk I/O, so a duplicate
@@ -182,6 +187,7 @@ class FileStore {
       owner = o;
       dirty.clear();
       shadow_pages.clear();
+      flushed.clear();
       max_extent = 0;
       resolving = false;
       adopted.clear();
@@ -233,6 +239,9 @@ class FileStore {
   // True if a writer other than `owner` has dirty bytes on `slot`.
   bool OtherWriterOnPage(const FileState& state, const LockOwner& owner, int32_t slot) const;
   ByteRange PageSpan(int32_t slot) const;
+  // The image a live writer's flush wrote to `u.new_page`, or null if no
+  // writer holds it (crash-recovery redo).
+  PageRef FlushedImage(const FileState& state, const PageUpdate& u) const;
   // Flush phase shared by CommitWriter and PrepareWriter.
   IntentionsList FlushWriter(const FileId& file, FileState& state, Writer& writer);
   // Post-install cleanup of writer/working state after a commit.

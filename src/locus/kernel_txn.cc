@@ -187,11 +187,12 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // Step 1: the coordinator log, naming every file and storage site, with the
   // status marker initially unknown.
   Volume* root = volumes_[0].get();
-  CoordinatorLogRecord coord{txn, TxnStatus::kUnknown, record->files};
   // Presumed abort: the begin record need not hit disk before prepares go
   // out — losing it in a crash reads back as "no decision", which recovery
   // treats as abort. The commit mark's force below covers it.
-  uint64_t log_id = root->AppendLog(coord, "coordinator_log", Volume::LogForce::kLazy);
+  uint64_t log_id =
+      root->AppendLog(CoordinatorLogRecord{txn, TxnStatus::kUnknown, record->files},
+                      "coordinator_log", Volume::LogForce::kLazy);
   coordinator_log_index_[txn] = log_id;
   MaybeCrashAt(kCoordLogWritten);
 
@@ -268,8 +269,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   // durable the commit simply wins.
   MaybeCrashAt(kBeforeCommitMark);
   record->commit_marking = true;
-  coord.status = TxnStatus::kCommitted;
-  root->UpdateLog(log_id, std::move(coord), "commit_mark");
+  root->MarkLog(log_id, TxnStatus::kCommitted, "commit_mark");
   record->commit_marking = false;
   MaybeCrashAt(kAfterCommitMark);
   if (system_->observers().enabled()) {
@@ -392,8 +392,7 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
   Volume* root = volumes_[0].get();
   // Presumed abort: the abort mark may stay unforced; a crash losing it
   // leaves no decision on disk, which is read as abort anyway.
-  root->UpdateLog(coord_log_id, CoordinatorLogRecord{txn, TxnStatus::kAborted, record->files},
-                  "abort_mark", Volume::LogForce::kLazy);
+  root->MarkLog(coord_log_id, TxnStatus::kAborted, "abort_mark", Volume::LogForce::kLazy);
   for (SiteId s : participants) {
     Call<kAbortTxnAtSiteReq>(s, AbortTxnAtSiteRequest{txn});
   }

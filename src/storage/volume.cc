@@ -131,7 +131,7 @@ uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce fo
   if (sim_ != nullptr) {
     uint64_t id = next_log_id_++;
     uint64_t stamp = ++staged_stamp_;
-    staged_.push_back(StagedRecord{id, std::move(payload), stamp});
+    staged_.push_back(StagedRecord{id, std::move(payload), stamp, std::nullopt});
     if (force == LogForce::kForce) {
       ForceCovering(stamp, category);
     }
@@ -143,22 +143,21 @@ uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce fo
   return id;
 }
 
-void Volume::UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
-                       LogForce force) {
+void Volume::MarkLog(uint64_t record_id, TxnStatus status, const char* category,
+                     LogForce force) {
   if (sim_ != nullptr) {
     // The target is either published (its append forced) or still staged (a
-    // lazy append, e.g. an abort mark overwriting an unforced begin record).
+    // lazy append, e.g. an abort mark on an unforced begin record).
     assert(log_.count(record_id) == 1 || StagedContains(record_id));
     uint64_t stamp = ++staged_stamp_;
-    staged_.push_back(StagedRecord{record_id, std::move(payload), stamp});
+    staged_.push_back(StagedRecord{record_id, LogPayload{}, stamp, status});
     if (force == LogForce::kForce) {
       ForceCovering(stamp, category);
     }
     return;
   }
-  assert(log_.count(record_id) == 1);
   ForceLogPage(category, /*grows_log=*/false);
-  PutLog(record_id, std::move(payload));
+  PutMark(record_id, status);
 }
 
 void Volume::PutLog(uint64_t id, LogPayload payload) {
@@ -173,6 +172,10 @@ void Volume::PutLog(uint64_t id, LogPayload payload) {
     box->record_id = id;
   }
   box->payload = std::move(payload);
+}
+
+void Volume::PutMark(uint64_t id, TxnStatus status) {
+  std::get<CoordinatorLogRecord>(log_.at(id)->payload).status = status;
 }
 
 void Volume::ForceLogPage(const char* category, bool grows_log) {
@@ -219,7 +222,11 @@ void Volume::PublishThrough(uint64_t covered) {
   size_t n = 0;
   while (n < staged_.size() && staged_[n].stamp <= covered) {
     StagedRecord& rec = staged_[n];
-    PutLog(rec.id, std::move(rec.payload));
+    if (rec.mark.has_value()) {
+      PutMark(rec.id, *rec.mark);  // Its append was published first.
+    } else {
+      PutLog(rec.id, std::move(rec.payload));
+    }
     ++n;
   }
   staged_.erase(staged_.begin(), staged_.begin() + n);

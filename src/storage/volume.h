@@ -82,7 +82,7 @@ class Volume {
   // (records that shared a force with at least one other).
   void BindStats(StatRegistry* stats);
 
-  // Turns on per-volume group commit: concurrent AppendLog/UpdateLog callers
+  // Turns on per-volume group commit: concurrent AppendLog/MarkLog callers
   // stage their records and share a single log force (one ~26 ms disk write
   // covers every record staged when the force starts) instead of each paying
   // its own. Callers must run in process context, same as before. Disabled by
@@ -123,9 +123,10 @@ class Volume {
   // "commit_mark"). The record is moved into the log. Returns the record id.
   uint64_t AppendLog(LogPayload payload, const char* category,
                      LogForce force = LogForce::kForce);
-  // Rewrites an existing record in place (status marker update), one write.
-  void UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
-                 LogForce force = LogForce::kForce);
+  // Sets the status marker of coordinator record `record_id` in place, one
+  // write. The record keeps its file list, so a mark copies nothing.
+  void MarkLog(uint64_t record_id, TxnStatus status, const char* category,
+               LogForce force = LogForce::kForce);
   // Removes a resolved record (no I/O modelled; piggybacked housekeeping).
   void EraseLog(uint64_t record_id);
   // The records in id order: a table ordered by record id, whose storage
@@ -145,18 +146,21 @@ class Volume {
   void RecoverAllocation(const std::vector<PageId>& extra_live_pages);
 
  private:
-  // A log mutation (an append or an in-place update of record `id`) staged
-  // for the next shared force. Stamps order staging; a force covers every
-  // record staged at or before its capture point.
+  // A log mutation (an append of record `id`, or a status mark of it)
+  // staged for the next shared force. Stamps order staging; a force covers
+  // every record staged at or before its capture point.
   struct StagedRecord {
     uint64_t id = 0;
-    LogPayload payload;
+    LogPayload payload;  // The appended record; unused by a mark.
     uint64_t stamp = 0;
+    std::optional<TxnStatus> mark;
   };
   bool StagedContains(uint64_t record_id) const;
   // Stores `payload` as record `id` of the stable log, boxing a new record
   // in a spare box when there is one.
   void PutLog(uint64_t id, LogPayload payload);
+  // Sets the status marker of stable coordinator record `id`.
+  void PutMark(uint64_t id, TxnStatus status);
 
   // Blocks until a force covering `stamp` has completed. The first caller to
   // find no force in flight becomes the leader: it captures the current

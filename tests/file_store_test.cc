@@ -254,6 +254,71 @@ TEST_F(FileStoreTest, ConcurrentPreparesOnSamePageBothSurvive) {
   });
 }
 
+// Section 6.3's common case: an install leaves the page it publishes in the
+// buffer pool, even while another writer still has uncommitted records on
+// it, so the next commit on the page finds its previous version buffered.
+TEST_F(FileStoreTest, InstallBuffersThePageItPublishes) {
+  Run([&] {
+    FileId f = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, std::vector<uint8_t>(kPageSize, '.'));
+    store_->CommitWriter(f, Proc(1));
+
+    store_->Write(f, Txn(1), 0, Bytes("AAAA"));
+    store_->Write(f, Txn(2), 10, Bytes("BBBB"));  // Still live after txn 1.
+    auto intentions = store_->PrepareWriter(f, Txn(1));
+    ASSERT_TRUE(intentions.has_value());
+    store_->InstallIntentions(*intentions);
+    store_->FinishWriterCommit(f, Txn(1));
+
+    const PageId published = volume_->PeekInode(f.ino)->pages[0];
+    PageRef pooled = pool_->Lookup(BufferPool::Key{f, 0});
+    ASSERT_NE(pooled, nullptr);
+    EXPECT_EQ(*pooled, volume_->disk().PeekStable(published));
+    stats_.Reset();
+    PageRef committed = store_->CommittedPageImage(f, 0);
+    EXPECT_EQ(stats_.Get("io.reads.data"), 0);
+    EXPECT_EQ(std::string(committed->begin(), committed->begin() + 14), "AAAA..........");
+  });
+}
+
+// The re-merge of a stale-base install takes the writer's bytes from the
+// image its prepare flushed, not from a disk re-read of the shadow page.
+// Redo after a crash has no writer and reads each shadow page back.
+TEST_F(FileStoreTest, RemergeReadsTheShadowBackOnlyAfterACrash) {
+  for (bool crash : {false, true}) {
+    Run([&] {
+      FileId f = store_->CreateFile();
+      store_->Write(f, Proc(1), 0, std::vector<uint8_t>(2 * kPageSize, '.'));
+      store_->CommitWriter(f, Proc(1));
+
+      store_->Write(f, Txn(1), 0, Bytes("AAAA"));
+      store_->Write(f, Txn(2), 10, Bytes("BBBB"));
+      store_->Write(f, Txn(2), kPageSize + 10, Bytes("CCCC"));
+      auto i1 = store_->PrepareWriter(f, Txn(1));
+      auto i2 = store_->PrepareWriter(f, Txn(2));
+      ASSERT_TRUE(i1 && i2);
+      store_->InstallIntentions(*i1);
+      store_->FinishWriterCommit(f, Txn(1));
+      if (crash) {
+        // Writer state and buffers are volatile; the prepare log keeps i2.
+        store_->OnCrash();
+        pool_->Clear();
+      }
+      stats_.Reset();
+      store_->InstallIntentions(*i2);
+      store_->FinishWriterCommit(f, Txn(2));
+      EXPECT_EQ(stats_.Get("fs.commit.remerged_pages"), 2);
+      EXPECT_EQ(stats_.Get("io.reads.reread"), crash ? 2 : 0);
+
+      const DiskInode* inode = volume_->PeekInode(f.ino);
+      const PageData& first = volume_->disk().PeekStable(inode->pages[0]);
+      const PageData& second = volume_->disk().PeekStable(inode->pages[1]);
+      EXPECT_EQ(std::string(first.begin(), first.begin() + 14), "AAAA......BBBB");
+      EXPECT_EQ(std::string(second.begin(), second.begin() + 14), "..........CCCC");
+    });
+  }
+}
+
 TEST_F(FileStoreTest, DiscardIntentionsFreesShadowPages) {
   Run([&] {
     FileId f = store_->CreateFile();

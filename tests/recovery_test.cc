@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -365,6 +366,81 @@ TEST_F(RecoveryTest, WorkingPagePatchedWhenRedoRacesNewWriter) {
   ASSERT_GE(content.size(), 40u);
   EXPECT_EQ(content.substr(0, 8), "AAAAAAAA");
   EXPECT_EQ(content.substr(32, 8), "BBBBBBBB");
+}
+
+// Crashes `site` at the `nth` install a commit message starts there.
+class CrashAtNthInstall : public SchedulePolicy {
+ public:
+  CrashAtNthInstall(SiteId site, int nth) : site_(site), left_(nth) {}
+  bool CrashAt(int32_t point, int32_t site) override {
+    return point == kBeforeCommitInstall && site == site_ && --left_ == 0;
+  }
+
+ private:
+  SiteId site_;
+  int left_;
+};
+
+// Two transactions at sites 0 and 2 write different records of one page
+// stored at site 1 and prepare before either installs, so the second install
+// re-merges its page onto the first one's (a stale base). The re-merge takes
+// the writer's bytes from the image its prepare flushed and reads nothing
+// back; after a crash between the installs, redo has no writer and reads the
+// shadow page back, once.
+TEST(RemergeTest, ReadsTheShadowBackOnlyInRedo) {
+  for (bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash before the second install" : "no crash");
+    System system(3);
+    system.sim().set_drain_watchdog(DrainWatchdog::kFatal);
+    system.Spawn(1, "mk", [](Syscalls& sys) {
+      ASSERT_EQ(sys.Creat("/pair"), Err::kOk);
+      auto fd = sys.Open("/pair", {.read = true, .write = true});
+      ASSERT_TRUE(fd.ok());
+      ASSERT_EQ(sys.WriteString(fd.value, std::string(64, '0')), Err::kOk);
+      ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    });
+    system.RunFor(Seconds(5));
+    CrashAtNthInstall policy(1, 2);
+    if (crash) {
+      system.sim().set_schedule_policy(&policy);
+    }
+    int committed = 0;
+    for (auto [site, offset, text] : {std::tuple{SiteId{0}, 0, "AAAAAAAA"},
+                                      std::tuple{SiteId{2}, 32, "BBBBBBBB"}}) {
+      system.Spawn(site, "txn", [&committed, offset, text](Syscalls& sys) {
+        ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+        auto fd = sys.Open("/pair", {.read = true, .write = true});
+        ASSERT_TRUE(fd.ok());
+        sys.Seek(fd.value, offset);
+        ASSERT_EQ(sys.WriteString(fd.value, text), Err::kOk);
+        sys.Close(fd.value);
+        ASSERT_EQ(sys.EndTrans(), Err::kOk);
+        ++committed;
+      });
+    }
+    system.RunFor(Seconds(5));
+    ASSERT_EQ(committed, 2);
+    if (crash) {
+      system.sim().set_schedule_policy(nullptr);
+      ASSERT_FALSE(system.net().IsAlive(1));
+      system.RebootSite(1);
+      system.RunFor(Seconds(30));
+    }
+    EXPECT_EQ(system.stats().Get("fs.commit.remerged_pages"), 1);
+    EXPECT_EQ(system.stats().Get("io.reads.reread"), crash ? 1 : 0);
+    std::string content;
+    system.Spawn(1, "rd", [&content](Syscalls& sys) {
+      auto fd = sys.Open("/pair", {});
+      ASSERT_TRUE(fd.ok());
+      auto data = sys.Read(fd.value, 40);
+      ASSERT_TRUE(data.ok());
+      content = Text(data.value);
+    });
+    system.RunFor(Seconds(5));
+    ASSERT_EQ(content.size(), 40u);
+    EXPECT_EQ(content.substr(0, 8), "AAAAAAAA");
+    EXPECT_EQ(content.substr(32, 8), "BBBBBBBB");
+  }
 }
 
 // Crashes `site` before each commit message its phase-two driver would send,

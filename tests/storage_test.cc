@@ -271,7 +271,7 @@ TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
 TEST_F(VolumeTest, LogUpdateAndErase) {
   Run([&] {
     uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
-    volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
+    volume_->MarkLog(id, TxnStatus::kCommitted, "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
     EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id)->payload).status,
               TxnStatus::kCommitted);
@@ -355,16 +355,20 @@ TEST_F(GroupCommitLogTest, AppendsDuringAForceShareTheNextOne) {
   EXPECT_EQ(stats_.Get("form.group_commit_records"), 2);
 }
 
-// An update of a record still staged lazily replaces its payload before the
-// covering force publishes it.
+// A status mark on a record still staged lazily applies once the covering
+// force publishes the record, and keeps the record's file list.
 TEST_F(GroupCommitLogTest, UpdateOfAStagedRecordPublishesTheNewPayload) {
+  const UsedFile used{FileId{0, 7}, /*storage_site=*/2};
   Run([&] {
-    uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log",
+    CoordinatorLogRecord begin = Coordinator(1, TxnStatus::kUnknown);
+    begin.files.push_back(used);
+    uint64_t id = volume_->AppendLog(std::move(begin), "coordinator_log",
                                      Volume::LogForce::kLazy);
-    volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
+    volume_->MarkLog(id, TxnStatus::kCommitted, "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
-    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id)->payload).status,
-              TxnStatus::kCommitted);
+    const auto& record = std::get<CoordinatorLogRecord>(volume_->stable_log().at(id)->payload);
+    EXPECT_EQ(record.status, TxnStatus::kCommitted);
+    EXPECT_EQ(record.files, std::vector<UsedFile>{used});
   });
   EXPECT_EQ(stats_.Get("io.writes.commit_mark"), 1);
   EXPECT_EQ(stats_.Get("form.log_forces"), 1);
