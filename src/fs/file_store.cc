@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 #include <iterator>
+#include <ranges>
+#include <span>
 
 namespace locus {
 
@@ -23,6 +25,8 @@ FileStore::FileStore(Simulation* sim, Volume* volume, BufferPool* pool, StatRegi
   ids_.commit_remerged_pages = stats_->Intern("fs.commit.remerged_pages");
   ids_.commits_installed = stats_->Intern("fs.commits_installed");
   ids_.install_working_page_patches = stats_->Intern("fs.install.working_page_patches");
+  ids_.install_groups = stats_->Intern("fs.install.groups");
+  ids_.install_grouped = stats_->Intern("fs.install.grouped");
   ids_.truncates = stats_->Intern("fs.truncates");
   ids_.aborts = stats_->Intern("fs.aborts");
   ids_.rule2_adoptions = stats_->Intern("fs.rule2_adoptions");
@@ -55,12 +59,12 @@ FileId FileStore::CreateFile() {
   inode.ino = ino;
   volume_->WriteInode(inode);
   FileId id{volume_->id(), ino};
-  FileState state;
+  FileState state(sim_);
   state.inode = inode;
   state.working_size = 0;
   // hook-ok a fresh empty inode no transaction can reach until SysCreat
   // publishes the catalog entry naming it (reported as catalog.entry).
-  files_[id] = std::move(state);
+  files_.insert_or_assign(id, std::move(state));
   return id;
 }
 
@@ -145,7 +149,7 @@ FileStore::FileState& FileStore::LoadState(const FileId& file) {
   // (section 5.1).
   std::optional<DiskInode> inode = volume_->ReadInode(file.ino);
   assert(inode.has_value() && "LoadState on nonexistent file");
-  FileState state;
+  FileState state(sim_);
   state.inode = *inode;
   state.working_size = inode->size;
   // hook-ok deterministic first-touch cache fill from the on-disk inode, not
@@ -402,114 +406,242 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
 }
 
 void FileStore::InstallIntentions(const IntentionsList& intentions) {
+  Install(intentions, /*logged=*/true);
+}
+
+void FileStore::Install(const IntentionsList& intentions, bool logged) {
   if (Audited()) {
     audit_->OnInstall(site_name_, intentions);
   }
   FileState& state = LoadState(intentions.file);
+  PendingInstall self{&intentions, logged};
+  state.install_queue.push_back(&self);
+  // Group commit for installs, as Volume::ForceCovering does for log forces:
+  // whoever finds no group in flight leads every install queued so far.
+  // Only a site crash kills a process in here, and it drops the FileState
+  // with its queue.
+  while (!self.done) {
+    if (state.installing) {
+      state.install_done.Wait();
+      continue;
+    }
+    state.installing = true;
+    state.group.swap(state.install_queue);
+    InstallGroup(intentions.file, state);
+    for (PendingInstall* member : state.group) {
+      member->done = true;
+    }
+    state.group.clear();
+    state.installing = false;
+    state.install_done.NotifyAll();
+  }
+}
+
+void FileStore::InstallGroup(const FileId& file, FileState& state) {
   const uint64_t version_at_entry = state.inode.version;
   // Bump the version FIRST: concurrent version-validated page fetches must
   // notice this install the moment any pointer could have changed.
   state.inode.version++;
-  // Advance the replication ordinal. max() keeps redo of an already-installed
+  // Advance the replication ordinal once for the group: replicas receive the
+  // group's pages as one propagation. max() keeps redo of an already-installed
   // intentions list from double-counting, and lets a replica applying an
   // out-of-band catch-up land exactly on the primary's ordinal.
-  state.inode.commit_version =
-      std::max(state.inode.commit_version + 1, intentions.commit_version);
-  for (const PageUpdate& u : intentions.updates) {
-    if (u.page_index < static_cast<int32_t>(state.inode.pages.size()) &&
-        state.inode.pages[u.page_index] == u.new_page) {
-      continue;  // Duplicate commit message / redo after crash (section 4.4).
-    }
-    // The image this install publishes: the live writer's flush snapshot,
-    // re-merged below if its base went stale. Redo after a crash has no
-    // writer, so it reads the shadow page back where it needs the bytes.
-    PageRef image = FlushedImage(state, u);
-    if (version_at_entry != intentions.base_version) {
-      // Another writer committed this file between our flush and now; the
-      // shadow page was merged against a stale base, so re-difference it
-      // against the current committed image using the logged lock ranges
-      // (the prepare log "stor[es] enough of the intentions lists and lock
-      // lists ... to guarantee that the files can be committed").
-      stats_->Add(ids_.commit_remerged_pages);
-      PageRef base = StableCommittedPage(intentions.file, state, u.page_index, nullptr);
-      if (image == nullptr) {
-        image = volume_->disk().Read(u.new_page, "reread");
+  uint64_t commit_version = state.inode.commit_version + 1;
+  int64_t new_size = state.inode.size;
+  state.slot_table.clear();
+  for (size_t m = 0; m < state.group.size(); ++m) {
+    const IntentionsList& il = *state.group[m]->intentions;
+    commit_version = std::max(commit_version, il.commit_version);
+    new_size = std::max(new_size, il.new_size);
+    for (const PageUpdate& u : il.updates) {
+      if (state.group[m]->logged) {
+        held_pages_.try_emplace(u.new_page, false);
       }
-      PageData& base_buf = volume_->disk().MutableImage(base);
-      for (const ByteRange& r : intentions.ranges) {
-        ByteRange piece = r.Intersect(PageSpan(u.page_index));
-        if (piece.empty()) {
-          continue;
-        }
-        int64_t in_page = piece.start - PageSpan(u.page_index).start;
-        std::memcpy(base_buf.data() + in_page, image->data() + in_page, piece.length);
-      }
-      image = base;
-      volume_->disk().Write(u.new_page, std::move(base), "data");
-    }
-    PageId old = kNoPage;
-    if (u.page_index < static_cast<int32_t>(state.inode.pages.size())) {
-      old = state.inode.pages[u.page_index];
-    } else {
-      state.inode.pages.resize(u.page_index + 1, kNoPage);
-    }
-    state.inode.pages[u.page_index] = u.new_page;
-    if (old != kNoPage && old != u.new_page) {
-      volume_->FreePage(old);
-    }
-    // The published image is the slot's clean buffered copy from here on
-    // (section 6.3's common case). Redo without one drops the stale copy.
-    if (image != nullptr) {
-      pool_->Insert(BufferPool::Key{intentions.file, u.page_index}, image);
-    } else {
-      pool_->Erase(BufferPool::Key{intentions.file, u.page_index});
-    }
-    // A working page may have been created from the PREVIOUS committed image
-    // while this install was in flight (a writer of a different record on
-    // the page). Normally the installing writer's bytes are already in the
-    // working page (it wrote through it); but in crash-recovery redo there
-    // is no writer state, so the working page would freeze the pre-commit
-    // image. Patch the installed ranges into the working page wherever no
-    // live writer owns them.
-    auto wp = state.working_pages.find(u.page_index);
-    if (wp != state.working_pages.end() &&
-        !OwnedByLiveWriter(state, intentions.ranges, PageSpan(u.page_index))) {
-      ByteRange span = PageSpan(u.page_index);
-      RangeSet to_patch;
-      for (const ByteRange& r : intentions.ranges) {
-        ByteRange piece = r.Intersect(span);
-        if (!piece.empty()) {
-          to_patch.Add(piece);
-        }
-      }
-      for (const Writer& w : state.writers) {
-        for (const ByteRange& owned : w.dirty.ranges()) {
-          to_patch.Remove(owned);
-        }
-      }
-      if (!to_patch.empty()) {
-        if (image == nullptr) {
-          image = volume_->disk().Read(u.new_page, "reread");
-        }
-        // Re-find: the read above may yield; the map node is stable but the
-        // entry could have been erased by a concurrent resolution.
-        wp = state.working_pages.find(u.page_index);
-        if (wp != state.working_pages.end()) {
-          PageData& working_buf = volume_->disk().MutableImage(wp->second);
-          for (const ByteRange& piece : to_patch.ranges()) {
-            int64_t in_page = piece.start - span.start;
-            std::memcpy(working_buf.data() + in_page, image->data() + in_page, piece.length);
-          }
-          stats_->Add(ids_.install_working_page_patches);
-        }
-      }
+      state.slot_table.push_back(SlotUpdate{u.page_index, m, &il, &u});
     }
   }
-  state.inode.size = std::max(state.inode.size, intentions.new_size);
+  // By slot, and within a slot in queue order (a member names a slot once).
+  std::ranges::sort(state.slot_table, {}, [](const SlotUpdate& e) {
+    return std::pair{e.slot, e.member};
+  });
+  state.inode.commit_version = commit_version;
+  // By index: the table keeps its storage, and the loop yields (disk I/O).
+  const std::vector<SlotUpdate>& table = state.slot_table;
+  for (size_t k = 0; k < table.size();) {
+    size_t end = k + 1;
+    while (end < table.size() && table[end].slot == table[k].slot) {
+      ++end;
+    }
+    InstallSlot(file, state, k, end, version_at_entry);
+    k = end;
+  }
+  state.inode.size = std::max(state.inode.size, new_size);
   state.working_size = std::max(state.working_size, state.inode.size);
   // The atomic switch: one write replaces the descriptor block (section 4).
   volume_->WriteInode(state.inode);
-  stats_->Add(ids_.commits_installed);
+  const auto members = static_cast<int64_t>(state.group.size());
+  stats_->Add(ids_.commits_installed, members);
+  if (members > 1) {
+    stats_->Add(ids_.install_groups);
+    stats_->Add(ids_.install_grouped, members);
+  }
+}
+
+void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, size_t end,
+                            uint64_t version_at_entry) {
+  const int32_t slot = state.slot_table[begin].slot;
+  const ByteRange span = PageSpan(slot);
+  const PageId current =
+      slot < static_cast<int32_t>(state.inode.pages.size()) ? state.inode.pages[slot] : kNoPage;
+  // The members with this slot to install, in queue order. A page the slot
+  // already names is a duplicate commit message or redo (section 4.4).
+  auto installs = [&] {
+    return std::span(state.slot_table).subspan(begin, end - begin) |
+           std::views::filter([current](const SlotUpdate& e) {
+             return e.update->new_page != current;
+           });
+  };
+  if (installs().empty()) {
+    return;
+  }
+  const SlotUpdate& first = installs().front();
+  PageId target = kNoPage;  // The last member's shadow page receives the slot.
+  for (const SlotUpdate& e : installs()) {
+    target = e.update->new_page;
+  }
+  // The image to publish. If the first member's flush merged on the current
+  // image, its flush image already is that image and its shadow page holds
+  // it; otherwise every member's logged records are copied onto the current
+  // committed image (the prepare log "stor[es] enough of the intentions lists
+  // and lock lists ... to guarantee that the files can be committed"). Redo
+  // after a crash has no writer, so it reads shadow pages back.
+  const bool first_current = first.intentions->base_version == version_at_entry;
+  PageRef image = first_current ? FlushedImage(state, *first.update) : nullptr;
+  for (const SlotUpdate& e : installs()) {
+    if (first_current && &e == &first) {
+      continue;
+    }
+    if (image == nullptr) {
+      image = first_current ? volume_->disk().Read(first.update->new_page, "reread")
+                            : StableCommittedPage(file, state, slot, nullptr);
+    }
+    PageRef mine = FlushedImage(state, *e.update);
+    if (mine == nullptr) {
+      mine = volume_->disk().Read(e.update->new_page, "reread");
+    }
+    PageData& buf = volume_->disk().MutableImage(image);
+    for (const ByteRange& r : e.intentions->ranges) {
+      ByteRange piece = r.Intersect(span);
+      if (!piece.empty()) {
+        int64_t in_page = piece.start - span.start;
+        std::memcpy(buf.data() + in_page, mine->data() + in_page, piece.length);
+      }
+    }
+  }
+  if (!first_current || target != first.update->new_page) {
+    stats_->Add(ids_.commit_remerged_pages);
+    volume_->disk().Write(target, image, "data");
+  }
+  if (slot >= static_cast<int32_t>(state.inode.pages.size())) {
+    state.inode.pages.resize(slot + 1, kNoPage);
+  }
+  const PageId old = state.inode.pages[slot];
+  state.inode.pages[slot] = target;
+  if (auto held = held_pages_.find(target); held != held_pages_.end()) {
+    held->second = false;  // Published again by redo.
+  }
+  if (old != kNoPage && old != target) {
+    FreeReplacedPage(old);
+  }
+  // The other members' shadow pages for the slot are superseded.
+  for (const SlotUpdate& e : installs()) {
+    if (e.update->new_page != target) {
+      FreeReplacedPage(e.update->new_page);
+    }
+  }
+  // The published image is the slot's clean buffered copy from here on
+  // (section 6.3's common case). Redo without one drops the stale copy.
+  if (image != nullptr) {
+    pool_->Insert(BufferPool::Key{file, slot}, image);
+  } else {
+    pool_->Erase(BufferPool::Key{file, slot});
+  }
+  // A working page may have been created from the PREVIOUS committed image
+  // while this install was in flight (a writer of a different record on
+  // the page). Normally the installing writers' bytes are already in the
+  // working page (they wrote through it); but in crash-recovery redo there
+  // is no writer state, so the working page would freeze the pre-commit
+  // image. Patch the installed ranges into the working page wherever no
+  // live writer owns them.
+  if (state.working_pages.find(slot) == state.working_pages.end()) {
+    return;
+  }
+  RangeSet to_patch;
+  for (const SlotUpdate& e : installs()) {
+    if (OwnedByLiveWriter(state, e.intentions->ranges, span)) {
+      continue;
+    }
+    for (const ByteRange& r : e.intentions->ranges) {
+      ByteRange piece = r.Intersect(span);
+      if (!piece.empty()) {
+        to_patch.Add(piece);
+      }
+    }
+  }
+  if (to_patch.empty()) {
+    return;
+  }
+  for (const Writer& w : state.writers) {
+    for (const ByteRange& owned : w.dirty.ranges()) {
+      to_patch.Remove(owned);
+    }
+  }
+  if (to_patch.empty()) {
+    return;
+  }
+  if (image == nullptr) {
+    image = volume_->disk().Read(target, "reread");
+  }
+  // Re-find: the read above may yield; the map node is stable but the
+  // entry could have been erased by a concurrent resolution.
+  auto wp = state.working_pages.find(slot);
+  if (wp != state.working_pages.end()) {
+    PageData& working_buf = volume_->disk().MutableImage(wp->second);
+    for (const ByteRange& piece : to_patch.ranges()) {
+      int64_t in_page = piece.start - span.start;
+      std::memcpy(working_buf.data() + in_page, image->data() + in_page, piece.length);
+    }
+    stats_->Add(ids_.install_working_page_patches);
+  }
+}
+
+void FileStore::HoldIntentions(const IntentionsList& intentions) {
+  for (const PageUpdate& u : intentions.updates) {
+    held_pages_.try_emplace(u.new_page, false);
+  }
+}
+
+void FileStore::FreeReplacedPage(PageId page) {
+  if (auto held = held_pages_.find(page); held != held_pages_.end()) {
+    held->second = true;
+  } else {
+    volume_->FreePage(page);
+  }
+}
+
+void FileStore::ReleaseIntentions(const IntentionsList& intentions) {
+  for (const PageUpdate& u : intentions.updates) {
+    auto held = held_pages_.find(u.new_page);
+    if (held == held_pages_.end()) {
+      continue;
+    }
+    if (held->second) {
+      volume_->FreePage(u.new_page);
+    }
+    // hook-ok page-allocation bookkeeping; the install that held the page
+    // was reported through OnInstall.
+    held_pages_.erase(held);
+  }
 }
 
 void FileStore::FinishCommit(const FileId& file, FileState& state, const LockOwner& owner) {
@@ -585,7 +717,7 @@ IntentionsList FileStore::CommitWriter(const FileId& file, const LockOwner& writ
     audit_->OnSingleFileCommit(site_name_, file, writer);
   }
   IntentionsList intentions = FlushWriter(file, state, *w);
-  InstallIntentions(intentions);
+  Install(intentions, /*logged=*/false);
   FinishCommit(file, state, writer);
   return intentions;
 }
@@ -686,6 +818,7 @@ void FileStore::DiscardIntentions(const IntentionsList& intentions) {
     sim_->Trace(site_name_, "discard %s: %zu updates", ToString(intentions.file).c_str(),
                 intentions.updates.size());
   }
+  ReleaseIntentions(intentions);  // Never installed, so nothing was replaced.
   for (const PageUpdate& u : intentions.updates) {
     if (volume_->IsAllocated(u.new_page)) {
       volume_->FreePage(u.new_page);
@@ -787,6 +920,11 @@ bool FileStore::HasAnyWriters(const FileId& file) const {
   return state != nullptr && !state->writers.empty();
 }
 
+size_t FileStore::InstallGroupSize(const FileId& file) const {
+  const FileState* state = FindState(file);
+  return state == nullptr || !state->installing ? 0 : state->group.size();
+}
+
 void FileStore::PrefetchRange(const FileId& file, const ByteRange& range) {
   const FileState* state = FindState(file);
   if (state == nullptr || range.empty()) {
@@ -839,6 +977,8 @@ void FileStore::OnCrash() {
   // hook-ok volatile teardown; Kernel::OnCrash reports the crash through
   // OnSiteCrash before it tears the stores down.
   files_.clear();
+  // Recovery rebuilds allocation from the inodes and the prepare log.
+  held_pages_.clear();
 }
 
 std::vector<PageId> FileStore::PagesNamedBy(const IntentionsList& intentions) {

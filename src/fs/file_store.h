@@ -13,6 +13,9 @@
 // and then the inode is atomically rewritten to name the shadow pages. The
 // install caches each page image it publishes in the buffer pool, so the
 // next commit on the page finds its previous version buffered (section 6.3).
+// Installs of one file run one group at a time: the installs queued behind
+// the one in flight form the next group, which writes one merged page per
+// slot and one descriptor for all of them.
 // Aborting a writer reverts its byte ranges in the working pages from the
 // previous version and frees its shadow pages.
 //
@@ -107,8 +110,19 @@ class FileStore {
   // needed) and returns the intentions list to be written to the prepare
   // log. Returns nullopt if the writer modified nothing.
   std::optional<IntentionsList> PrepareWriter(const FileId& file, const LockOwner& writer);
-  // Phase two: atomically installs the intentions (idempotent via version).
+  // Phase two: atomically installs the intentions (idempotent via version),
+  // queueing behind the file's install in flight and sharing the next
+  // group's page and descriptor writes. The pages the intentions name stay
+  // allocated until ReleaseIntentions, even once a later install replaces
+  // them: the prepare record naming them may be redone after a crash.
   void InstallIntentions(const IntentionsList& intentions);
+  // The prepare record naming these installed intentions is being erased:
+  // frees those of its pages that installs have replaced meanwhile.
+  void ReleaseIntentions(const IntentionsList& intentions);
+  // Recovery found a prepare record naming `intentions`: its pages stay
+  // allocated until ReleaseIntentions or DiscardIntentions, whatever the
+  // redo installs replace in between.
+  void HoldIntentions(const IntentionsList& intentions);
   // Abort after prepare: frees the shadow pages named by the intentions.
   void DiscardIntentions(const IntentionsList& intentions);
   // Retires the writer's volatile state after InstallIntentions in the
@@ -134,6 +148,8 @@ class FileStore {
   bool HasUncommitted(const FileId& file, const LockOwner& writer) const;
   // True if ANY writer has uncommitted modifications to `file`.
   bool HasAnyWriters(const FileId& file) const;
+  // Installs in the group in flight on `file`; 0 when none is.
+  size_t InstallGroupSize(const FileId& file) const;
 
   // Section 5.2 optimization: warms the buffer pool with the committed
   // pages covering `range` using asynchronous disk reads, in anticipation of
@@ -194,14 +210,41 @@ class FileStore {
     }
   };
 
+  // One install waiting in (or leading) its file's install queue. It lives
+  // on the installing process's stack until the group that carries it ends.
+  struct PendingInstall {
+    const IntentionsList* intentions = nullptr;
+    bool logged = false;  // Named by a prepare record (InstallIntentions).
+    bool done = false;    // Its group's descriptor write has completed.
+  };
+
+  // One member's update of one page slot, in the group in flight.
+  struct SlotUpdate {
+    int32_t slot = 0;
+    size_t member = 0;  // Position in the group.
+    const IntentionsList* intentions = nullptr;
+    const PageUpdate* update = nullptr;
+  };
+
   struct FileState {
+    explicit FileState(Simulation* sim) : install_done(sim) {}
     DiskInode inode;                          // Committed descriptor (cached).
     FlatMap<int32_t, PageRef> working_pages;  // Slots with uncommitted bytes.
     // std::list: Writer references stay valid across the blocking disk I/O in
     // the commit path while other processes register new writers.
     std::list<Writer> writers;
     int64_t working_size = 0;
+    // Installs queued while a group is in flight, in arrival order; the first
+    // of them to run once it ends leads them all as the next group.
+    std::vector<PendingInstall*> install_queue;
+    // The group in flight and its page updates ordered by slot, then by
+    // queue order; both keep their storage for the next group.
+    std::vector<PendingInstall*> group;
+    std::vector<SlotUpdate> slot_table;
+    bool installing = false;  // A group is in flight.
+    WaitQueue install_done;   // Woken when a group ends.
   };
+
 
   // Consumes simulated CPU at this storage site, attributed in the stats
   // ("cpu.<site>") for service-time measurement (Figure 6).
@@ -244,6 +287,19 @@ class FileStore {
   PageRef FlushedImage(const FileState& state, const PageUpdate& u) const;
   // Flush phase shared by CommitWriter and PrepareWriter.
   IntentionsList FlushWriter(const FileId& file, FileState& state, Writer& writer);
+  // Queues `intentions` on its file and returns once a group has installed
+  // them, leading that group if no install of the file is in flight.
+  void Install(const IntentionsList& intentions, bool logged);
+  // Installs state.group: every slot's merged page, then one descriptor.
+  void InstallGroup(const FileId& file, FileState& state);
+  // One slot of the group in flight, state.slot_table[begin, end): merges
+  // the members' records onto one image, writes it once, publishes it and
+  // frees what it replaces.
+  void InstallSlot(const FileId& file, FileState& state, size_t begin, size_t end,
+                   uint64_t version_at_entry);
+  // Frees a page an install replaced, or marks it for ReleaseIntentions if
+  // prepare-logged intentions still name it.
+  void FreeReplacedPage(PageId page);
   // Post-install cleanup of writer/working state after a commit.
   void FinishCommit(const FileId& file, FileState& state, const LockOwner& owner);
 
@@ -258,6 +314,10 @@ class FileStore {
   std::map<FileId, FileState> files_;
   // Retired writer records, kept with their storage for the next writer.
   std::list<Writer> spare_writers_;
+  // Pages named by installed (or, after a crash, logged) prepare-record
+  // intentions not yet released, each with whether an install has replaced
+  // it since: those are freed at ReleaseIntentions.
+  FlatMap<PageId, bool> held_pages_;
 
   // Interned ids for every counter this class bumps; the read/write/commit
   // paths are the hottest stat emitters in the system.
@@ -271,6 +331,8 @@ class FileStore {
     StatRegistry::StatId commit_remerged_pages;
     StatRegistry::StatId commits_installed;
     StatRegistry::StatId install_working_page_patches;
+    StatRegistry::StatId install_groups;
+    StatRegistry::StatId install_grouped;
     StatRegistry::StatId truncates;
     StatRegistry::StatId aborts;
     StatRegistry::StatId rule2_adoptions;

@@ -538,6 +538,9 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
       PropagateReplicas(il.file, il);
       committed_files.push_back(il.file);
     }
+    for (const IntentionsList& il : rec->intentions) {
+      StoreFor(il.file.volume)->ReleaseIntentions(il);
+    }
     FindVolume(vol_id)->EraseLog(record_id);
   }
   ForgetPrepareLogs(txn);

@@ -856,6 +856,8 @@ void Kernel::OnReboot() {
             for (PageId page : FileStore::PagesNamedBy(il)) {
               live.push_back(page);
             }
+            // Redo may replace these pages before the record is erased.
+            StoreFor(il.file.volume)->HoldIntentions(il);
             // Re-acquire the transaction's locks from the logged lock-list
             // information (section 4.2: the prepare log stores "enough of
             // the intentions lists and lock lists ... to guarantee that the

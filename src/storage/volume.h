@@ -104,6 +104,8 @@ class Volume {
   // --- Inode table (each op charges disk I/O; blocking, process context) ---
   Ino AllocInode();
   std::optional<DiskInode> ReadInode(Ino ino);
+  // Writes the descriptor block as `inode` reads at the call; the stable
+  // table shows it once the write completes.
   void WriteInode(const DiskInode& inode);
   void FreeInode(Ino ino);
   // Stable-state peek for tests/recovery planning; no I/O charged.
@@ -196,6 +198,8 @@ class Volume {
   int64_t double_frees_ = 0;
   Ino next_ino_ = 1;
   std::map<Ino, DiskInode> inodes_;  // Stable inode table contents.
+  // Replaced descriptors, kept for their storage by WriteInode.
+  std::vector<DiskInode> spare_inodes_;
   uint64_t next_log_id_ = 1;
   FlatMap<uint64_t, std::unique_ptr<LogRecord>> log_;  // Stable log contents.
   // Boxes of erased records, emptied, for PutLog.

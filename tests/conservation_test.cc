@@ -3,8 +3,9 @@
 // installs overlap. Every seed must conserve money with a complete audit.
 //
 // This is a regression sweep, not a proof that concurrent installs of one
-// file are safe: installs of one file still overlap in these runs, and only
-// a store-level test that forces the interleaving can show they do no harm.
+// file are safe: installs of one file run one group at a time, and the
+// store-level test that forces them to overlap is fs_sweep_test's
+// ConcurrentInstallSweep.
 
 #include <gtest/gtest.h>
 

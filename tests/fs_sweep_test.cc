@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <tuple>
 
 #include "src/fs/file_store.h"
@@ -97,8 +99,8 @@ TEST_P(PageSizeSweep, IoCountIndependentOfPageSizeForOnePage) {
 
 INSTANTIATE_TEST_SUITE_P(PageSizes, PageSizeSweep,
                          ::testing::Values(32, 64, 128, 256, 1024),
-                         [](const ::testing::TestParamInfo<int32_t>& info) {
-                           return "p" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<int32_t>& param) {
+                           return "p" + std::to_string(param.param);
                          });
 
 // --- Pages-per-commit sweep: section 6.1's "no additional overhead for
@@ -202,6 +204,107 @@ TEST_P(InterleavingSweep, CommittedStateMatchesModel) {
 INSTANTIATE_TEST_SUITE_P(Mix, InterleavingSweep,
                          ::testing::Combine(::testing::Values(2, 3, 4),
                                             ::testing::Values(5, 15)));
+
+// --- Concurrent installs of one file ---
+//
+// One process per writer: each writes its own records of a four-page file,
+// prepares and installs, all started within a few milliseconds of each
+// other, so the installs of the file overlap at every disk wait and queue
+// into groups of two or more. Records of every writer sit on every page. After each round
+// both the working view (Read) and the committed image (the inode's pages
+// read through Disk::PeekStable) must equal a byte-array model.
+
+class ConcurrentInstallSweep : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+TEST_P(ConcurrentInstallSweep, CommittedImageMatchesModel) {
+  auto [writers, seed] = GetParam();
+  constexpr int32_t kPageSize = 128;
+  constexpr int64_t kFileBytes = 4 * kPageSize;
+  constexpr int64_t kRecordBytes = 8;
+  constexpr int kRounds = 6;
+  Simulation sim(seed);
+  StatRegistry stats;
+  Rng rng(seed);
+  // A disk slower than the commit path's CPU work: each install's page and
+  // descriptor writes queue behind the other writers' flushes.
+  const SimTime latency = Milliseconds(rng.Range(40, 80));
+  auto disk = std::make_unique<Disk>(&sim, &stats, "d0", 4096, kPageSize, latency);
+  Volume volume(0, "v0", std::move(disk));
+  BufferPool pool(64);
+  FileStore store(&sim, &volume, &pool, &stats, "site0");
+  std::vector<uint8_t> model(kFileBytes, '.');
+  FileId f;
+  sim.Spawn("setup", [&] {
+    f = store.CreateFile();
+    store.Write(f, LockOwner{1000, kNoTxn}, 0, model);
+    store.CommitWriter(f, LockOwner{1000, kNoTxn});
+  });
+  sim.Run();
+
+  uint64_t serial = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const int64_t groups_before = stats.Get("fs.install.groups");
+    int prepared = 0;
+    int installed = 0;
+    WaitQueue all_prepared(&sim);
+    for (int w = 0; w < writers; ++w) {
+      // Record r belongs to writer r % writers, as disjoint locks would give.
+      std::vector<std::pair<int64_t, uint8_t>> records;
+      for (int64_t k = rng.Range(1, 3); k > 0; --k) {
+        int64_t record = rng.Range(0, kFileBytes / kRecordBytes / writers - 1) * writers + w;
+        uint8_t value = static_cast<uint8_t>(rng.Range('A', 'Z'));
+        records.push_back({record * kRecordBytes, value});
+        std::fill_n(model.begin() + record * kRecordBytes, kRecordBytes, value);
+      }
+      SimTime start = Microseconds(rng.Range(0, 3000));
+      SimTime install_at = rng.Range(0, latency / 2);
+      LockOwner owner{kNoPid, TxnId{0, 0, ++serial}};
+      sim.Spawn("writer", [&, records, start, install_at, owner] {
+        sim.Sleep(start);
+        for (auto [offset, value] : records) {
+          store.Write(f, owner, offset, std::vector<uint8_t>(kRecordBytes, value));
+        }
+        std::optional<IntentionsList> intentions = store.PrepareWriter(f, owner);
+        ASSERT_TRUE(intentions.has_value());
+        // Every writer prepares before any installs, as 2PC participants
+        // whose commit messages arrive together; then each installs within
+        // half a disk access, while the first install's writes are queued.
+        if (++prepared < writers) {
+          while (prepared < writers) {
+            all_prepared.Wait();
+          }
+        } else {
+          all_prepared.NotifyAll();
+        }
+        sim.Sleep(install_at);
+        store.InstallIntentions(*intentions);
+        store.FinishWriterCommit(f, owner);
+        ++installed;
+      });
+    }
+    sim.Run();
+    ASSERT_EQ(installed, writers);
+    EXPECT_GT(stats.Get("fs.install.groups"), groups_before) << "round " << round;
+
+    std::vector<uint8_t> view;
+    sim.Spawn("reader", [&] { view = store.Read(f, {0, kFileBytes}); });
+    sim.Run();
+    ASSERT_EQ(view, model) << "working view, round " << round;
+    const DiskInode* inode = volume.PeekInode(f.ino);
+    std::vector<uint8_t> committed;
+    for (PageId page : inode->pages) {
+      const PageData& image = volume.disk().PeekStable(page);
+      committed.insert(committed.end(), image.begin(), image.end());
+    }
+    ASSERT_EQ(committed, model) << "committed image, round " << round;
+  }
+  EXPECT_EQ(volume.double_frees(), 0);
+  EXPECT_EQ(sim.blocked_process_count(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Writers, ConcurrentInstallSweep,
+                         ::testing::Combine(::testing::Values(3, 4, 6),
+                                            ::testing::Values(1, 2, 3)));
 
 }  // namespace
 }  // namespace locus

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <tuple>
 #include <variant>
@@ -525,6 +526,147 @@ TEST(ParticipantInquiryTest, CommittedAnswerCommitsThePreparedParticipant) {
   system.RunFor(Seconds(5));
   EXPECT_EQ(content, "inquired!!");
 }
+
+// Hooks for the group-crash tests: OnInstall and OnPoolInsert at the storage
+// site, handed to the test's callbacks.
+class InstallWatch : public ProtocolObserver {
+ public:
+  InstallWatch() : ProtocolObserver(true) {}
+  void OnInstall(const std::string& site, const IntentionsList& intentions) override {
+    (void)site;
+    on_install(intentions);
+  }
+  void OnPoolInsert(const FileId& file, int32_t page_index, const PageData* data) override {
+    (void)page_index;
+    on_pool_insert(file, *data);
+  }
+  std::function<void(const IntentionsList&)> on_install = [](const IntentionsList&) {};
+  std::function<void(const FileId&, const PageData&)> on_pool_insert =
+      [](const FileId&, const PageData&) {};
+};
+
+// Six transactions at sites 0 and 2 each write one record of /g and one of
+// /h, both stored at site 1, and commit at about the same time, so installs
+// of /g queue behind the one in flight and form a group, which writes one
+// merged page to its last member's shadow page. Site 1 crashes
+// inside that group: after its page write but before its descriptor write,
+// or after the descriptor write but before the members' prepare records are
+// erased (each member still has /h to install). Up to the crash, every page
+// a prepare record names stays allocated, so nothing can overwrite one; after
+// redo every member's records are present.
+class GroupCrashTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(GroupCrashTest, RedoKeepsEveryMembersRecords) {
+  const bool after_inode_write = GetParam();
+  System system(3);
+  system.sim().set_drain_watchdog(DrainWatchdog::kFatal);
+  for (const char* path : {"/g", "/h"}) {
+    system.Spawn(1, "mk", [path](Syscalls& sys) {
+      ASSERT_EQ(sys.Creat(path), Err::kOk);
+      auto fd = sys.Open(path, {.read = true, .write = true});
+      ASSERT_TRUE(fd.ok());
+      ASSERT_EQ(sys.WriteString(fd.value, std::string(64, '.')), Err::kOk);
+      ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    });
+  }
+  system.RunFor(Seconds(5));
+  const FileId g = system.catalog().Find("/g")->replicas[0].file;
+  FileStore* store = system.kernel(1).StoreFor(g.volume);
+  Volume* volume = system.kernel(1).FindVolume(g.volume);
+  const std::string records = "ABCDEF";
+
+  bool crashed = false;
+  PageData published;  // The first image a group of two or more publishes.
+  auto crash = [&] {
+    const PageId slot_page = volume->PeekInode(g.ino)->pages[0];
+    const PageData& stable = volume->disk().PeekStable(slot_page);
+    EXPECT_EQ(stable == published, after_inode_write);
+    int prepared = 0;
+    int superseded = 0;  // Durable records whose /g shadow page the slot does not name.
+    for (const auto& [id, rec] : volume->stable_log()) {
+      if (const auto* prep = std::get_if<PrepareLogRecord>(&rec->payload)) {
+        ++prepared;
+        for (const IntentionsList& il : prep->intentions) {
+          const int64_t offset = il.ranges.front().start;
+          for (const PageUpdate& u : il.updates) {
+            EXPECT_TRUE(volume->IsAllocated(u.new_page)) << "page " << u.new_page;
+            superseded += il.file == g && u.new_page != slot_page &&
+                          stable[offset] == records[offset / 8];
+          }
+        }
+      }
+    }
+    EXPECT_GE(prepared, 2);
+    if (after_inode_write) {
+      EXPECT_GT(superseded, 0);  // Redo must keep these pages' records.
+    }
+    system.CrashSite(1);
+  };
+  InstallWatch watch;
+  // A group publishes its merged page once the page write has completed, and
+  // then writes the descriptor.
+  watch.on_pool_insert = [&](const FileId& file, const PageData& image) {
+    if (published.empty() && file == g && store->InstallGroupSize(g) >= 2) {
+      published = image;
+      if (!after_inode_write) {
+        crashed = true;
+        system.sim().Schedule(0, crash);
+      }
+    }
+  };
+  // After the group's descriptor write its leader goes on to install /h,
+  // before any member's prepare record is erased.
+  watch.on_install = [&](const IntentionsList&) {
+    if (after_inode_write && !crashed && system.stats().Get("fs.install.groups") > 0) {
+      crashed = true;
+      system.sim().Schedule(0, crash);
+    }
+  };
+  system.observers().Register(&watch);
+
+  int committed = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    system.Spawn(i % 2 == 0 ? 0 : 2, "txn", [&committed, i, &records](Syscalls& sys) {
+      ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+      for (const char* path : {"/g", "/h"}) {
+        auto fd = sys.Open(path, {.read = true, .write = true});
+        ASSERT_TRUE(fd.ok());
+        sys.Seek(fd.value, static_cast<int64_t>(8 * i));
+        ASSERT_EQ(sys.WriteString(fd.value, std::string(8, records[i])), Err::kOk);
+        sys.Close(fd.value);
+      }
+      ASSERT_EQ(sys.EndTrans(), Err::kOk);
+      ++committed;
+    });
+  }
+  system.RunFor(Seconds(5));
+  ASSERT_TRUE(crashed);
+  ASSERT_FALSE(system.net().IsAlive(1));
+  EXPECT_EQ(committed, static_cast<int>(records.size()));
+  system.RebootSite(1);
+  system.RunFor(Seconds(30));
+  for (const char* path : {"/g", "/h"}) {
+    std::string content;
+    system.Spawn(2, "rd", [&content, path](Syscalls& sys) {
+      auto fd = sys.Open(path, {});
+      ASSERT_TRUE(fd.ok());
+      auto data = sys.Read(fd.value, 64);
+      ASSERT_TRUE(data.ok());
+      content = Text(data.value);
+    });
+    system.RunFor(Seconds(5));
+    ASSERT_EQ(content.size(), 64u) << path;
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(content.substr(8 * i, 8), std::string(8, records[i])) << path;
+    }
+  }
+  EXPECT_EQ(volume->double_frees(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(CrashPoint, GroupCrashTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "AfterInodeWrite" : "BeforeInodeWrite";
+                         });
 
 }  // namespace
 }  // namespace locus

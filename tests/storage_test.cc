@@ -245,6 +245,32 @@ TEST_F(VolumeTest, InodeWriteReadRoundTrip) {
   EXPECT_EQ(stats_.Get("io.reads.inode"), 2);
 }
 
+// The descriptor block written is the caller's inode as it read at the
+// call: a change the caller makes while the write is in flight (another
+// install's pointers, say) is not published with it.
+TEST_F(VolumeTest, InodeWritePublishesTheDescriptorAsOfTheCall) {
+  Ino ino = volume_->AllocInode();
+  DiskInode inode;
+  inode.ino = ino;
+  inode.size = 64;
+  inode.pages = {5};
+  sim_.Spawn("writer", [&] { volume_->WriteInode(inode); });
+  sim_.Spawn("mutator", [&] {
+    sim_.Sleep(Milliseconds(1));  // Mid-write.
+    EXPECT_EQ(volume_->PeekInode(ino), nullptr);
+    inode.size = 128;
+    inode.pages = {5, 9};
+  });
+  sim_.Run();
+  const DiskInode* stable = volume_->PeekInode(ino);
+  ASSERT_NE(stable, nullptr);
+  EXPECT_EQ(stable->size, 64);
+  EXPECT_EQ(stable->pages, (std::vector<PageId>{5}));
+  // The next write publishes the change.
+  Run([&] { volume_->WriteInode(inode); });
+  EXPECT_EQ(volume_->PeekInode(ino)->pages, (std::vector<PageId>{5, 9}));
+}
+
 // Log records as the transaction layer writes them (section 4.2).
 CoordinatorLogRecord Coordinator(uint64_t serial, TxnStatus status) {
   return CoordinatorLogRecord{TxnId{0, 1, serial}, status, {}};
