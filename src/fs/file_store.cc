@@ -223,11 +223,20 @@ PageRef FileStore::StableCommittedPage(const FileId& file, const FileState& stat
     PageRef data = CommittedPage(file, state, slot);
     if (state.inode.version == version) {
       if (version_out != nullptr) {
-        *version_out = version;
+        *version_out = ImageVersion(state, slot);
       }
       return data;
     }
   }
+}
+
+uint64_t FileStore::ImageVersion(const FileState& state, int32_t slot) const {
+  if (state.installing &&
+      std::ranges::binary_search(std::span(state.slot_table).subspan(state.install_cursor), slot,
+                                 {}, &SlotUpdate::slot)) {
+    return state.group_base_version;
+  }
+  return state.inode.version;
 }
 
 bool FileStore::OwnedByLiveWriter(const FileState& state, const std::vector<ByteRange>& ranges,
@@ -392,6 +401,7 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
       // cannot leak uncommitted bytes into it: its modification clones the
       // page (copy-on-write) because the ref is now shared.
       stats_->Add(ids_.commit_direct_pages);
+      intentions.base_version = std::min(intentions.base_version, ImageVersion(state, slot));
       auto wp = state.working_pages.find(slot);
       assert(wp != state.working_pages.end());
       to_flush = wp->second;
@@ -405,11 +415,13 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
   return intentions;
 }
 
-void FileStore::InstallIntentions(const IntentionsList& intentions) {
-  Install(intentions, /*logged=*/true);
+void FileStore::InstallIntentions(const IntentionsList& intentions,
+                                  std::vector<PageUpdate>* group_pages) {
+  Install(intentions, /*logged=*/true, group_pages);
 }
 
-void FileStore::Install(const IntentionsList& intentions, bool logged) {
+void FileStore::Install(const IntentionsList& intentions, bool logged,
+                        std::vector<PageUpdate>* group_pages) {
   if (Audited()) {
     audit_->OnInstall(site_name_, intentions);
   }
@@ -420,6 +432,7 @@ void FileStore::Install(const IntentionsList& intentions, bool logged) {
   // whoever finds no group in flight leads every install queued so far.
   // Only a site crash kills a process in here, and it drops the FileState
   // with its queue.
+  bool led = false;
   while (!self.done) {
     if (state.installing) {
       state.install_done.Wait();
@@ -434,18 +447,36 @@ void FileStore::Install(const IntentionsList& intentions, bool logged) {
     state.group.clear();
     state.installing = false;
     state.install_done.NotifyAll();
+    led = true;
+  }
+  if (group_pages == nullptr) {
+    return;
+  }
+  group_pages->clear();
+  if (!led) {
+    return;
+  }
+  // The leader reports every slot its group named (the table stays until
+  // the next group starts): one propagation carries the group's one
+  // replication ordinal.
+  for (const SlotUpdate& e : state.slot_table) {
+    if (group_pages->empty() || group_pages->back().page_index != e.slot) {
+      group_pages->push_back(PageUpdate{e.slot, state.inode.pages[e.slot]});
+    }
   }
 }
 
 void FileStore::InstallGroup(const FileId& file, FileState& state) {
   const uint64_t version_at_entry = state.inode.version;
+  state.group_base_version = version_at_entry;
   // Bump the version FIRST: concurrent version-validated page fetches must
   // notice this install the moment any pointer could have changed.
   state.inode.version++;
-  // Advance the replication ordinal once for the group: replicas receive the
-  // group's pages as one propagation. max() keeps redo of an already-installed
-  // intentions list from double-counting, and lets a replica applying an
-  // out-of-band catch-up land exactly on the primary's ordinal.
+  // Advance the replication ordinal once for the group: its leader sends
+  // replicas the group's pages as one propagation. max() keeps redo of an
+  // already-installed intentions list from double-counting, and lets a
+  // replica applying an out-of-band catch-up land exactly on the primary's
+  // ordinal.
   uint64_t commit_version = state.inode.commit_version + 1;
   int64_t new_size = state.inode.size;
   state.slot_table.clear();
@@ -472,9 +503,11 @@ void FileStore::InstallGroup(const FileId& file, FileState& state) {
     while (end < table.size() && table[end].slot == table[k].slot) {
       ++end;
     }
+    state.install_cursor = k;
     InstallSlot(file, state, k, end, version_at_entry);
     k = end;
   }
+  state.install_cursor = table.size();
   state.inode.size = std::max(state.inode.size, new_size);
   state.working_size = std::max(state.working_size, state.inode.size);
   // The atomic switch: one write replaces the descriptor block (section 4).
@@ -717,7 +750,9 @@ IntentionsList FileStore::CommitWriter(const FileId& file, const LockOwner& writ
     audit_->OnSingleFileCommit(site_name_, file, writer);
   }
   IntentionsList intentions = FlushWriter(file, state, *w);
-  Install(intentions, /*logged=*/false);
+  // The group reads `intentions` only until it ends, before the leader
+  // writes its pages into them.
+  Install(intentions, /*logged=*/false, &intentions.updates);
   FinishCommit(file, state, writer);
   return intentions;
 }
@@ -918,11 +953,6 @@ bool FileStore::HasUncommitted(const FileId& file, const LockOwner& writer) cons
 bool FileStore::HasAnyWriters(const FileId& file) const {
   const FileState* state = FindState(file);
   return state != nullptr && !state->writers.empty();
-}
-
-size_t FileStore::InstallGroupSize(const FileId& file) const {
-  const FileState* state = FindState(file);
-  return state == nullptr || !state->installing ? 0 : state->group.size();
 }
 
 void FileStore::PrefetchRange(const FileId& file, const ByteRange& range) {

@@ -97,8 +97,10 @@ class FileStore {
 
   // --- Record commit / abort (single-file mechanism) ---
   // Commits everything `writer` has done to `file` (Figure 4): flush + atomic
-  // inode replacement. Returns the installed intentions (empty updates if the
-  // writer had no modifications) for replica propagation.
+  // inode replacement. Returns the installed intentions for replica
+  // propagation, their updates naming every page slot the install's group
+  // published if this commit led the group, and none otherwise (or if the
+  // writer had no modifications).
   IntentionsList CommitWriter(const FileId& file, const LockOwner& writer);
   // Rolls the writer's records back to the previous version. Returns false
   // if the writer is mid-resolution (a prepare flush in flight) and the
@@ -115,7 +117,11 @@ class FileStore {
   // group's page and descriptor writes. The pages the intentions name stay
   // allocated until ReleaseIntentions, even once a later install replaces
   // them: the prepare record naming them may be redone after a crash.
-  void InstallIntentions(const IntentionsList& intentions);
+  // `group_pages`, if given, receives the pages to propagate to replicas:
+  // every slot the group installed if this call led it, none otherwise (the
+  // group's one replication ordinal covers all its members).
+  void InstallIntentions(const IntentionsList& intentions,
+                         std::vector<PageUpdate>* group_pages = nullptr);
   // The prepare record naming these installed intentions is being erased:
   // frees those of its pages that installs have replaced meanwhile.
   void ReleaseIntentions(const IntentionsList& intentions);
@@ -148,8 +154,6 @@ class FileStore {
   bool HasUncommitted(const FileId& file, const LockOwner& writer) const;
   // True if ANY writer has uncommitted modifications to `file`.
   bool HasAnyWriters(const FileId& file) const;
-  // Installs in the group in flight on `file`; 0 when none is.
-  size_t InstallGroupSize(const FileId& file) const;
 
   // Section 5.2 optimization: warms the buffer pool with the committed
   // pages covering `range` using asynchronous disk reads, in anticipation of
@@ -242,6 +246,10 @@ class FileStore {
     std::vector<PendingInstall*> group;
     std::vector<SlotUpdate> slot_table;
     bool installing = false;  // A group is in flight.
+    // While one is: inode.version before it, and the first slot_table entry
+    // whose slot it has not yet published.
+    uint64_t group_base_version = 0;
+    size_t install_cursor = 0;
     WaitQueue install_done;   // Woken when a group ends.
   };
 
@@ -265,9 +273,15 @@ class FileStore {
   PageRef CommittedPage(const FileId& file, const FileState& state, int32_t slot);
   // Version-stable committed image: retries the (blocking) fetch until no
   // install replaced the page pointer during the read, so callers never
-  // persist a superseded image. Optionally reports the matching version.
+  // persist a superseded image. Optionally reports the version the image is
+  // current as of (ImageVersion).
   PageRef StableCommittedPage(const FileId& file, const FileState& state, int32_t slot,
                               uint64_t* version_out);
+  // The inode version that the committed image of `slot`, as fetched now,
+  // is current as of. While a group is in flight the inode version already
+  // counts it, but a slot it has yet to publish still holds the image from
+  // before it.
+  uint64_t ImageVersion(const FileState& state, int32_t slot) const;
   // True if each piece of `ranges` inside `span` lies within one dirty range
   // of a live writer: an install then has nothing to patch into the working
   // page (the general check unions the writers' ranges).
@@ -289,7 +303,9 @@ class FileStore {
   IntentionsList FlushWriter(const FileId& file, FileState& state, Writer& writer);
   // Queues `intentions` on its file and returns once a group has installed
   // them, leading that group if no install of the file is in flight.
-  void Install(const IntentionsList& intentions, bool logged);
+  // `group_pages` as for InstallIntentions.
+  void Install(const IntentionsList& intentions, bool logged,
+               std::vector<PageUpdate>* group_pages);
   // Installs state.group: every slot's merged page, then one descriptor.
   void InstallGroup(const FileId& file, FileState& state);
   // One slot of the group in flight, state.slot_table[begin, end): merges

@@ -376,7 +376,7 @@ Err Kernel::Serve(const CommitFileRequest& req) {
     return Err::kNoEnt;
   }
   IntentionsList intentions = store->CommitWriter(req.file, req.owner);
-  PropagateReplicas(req.file, intentions);
+  PropagateReplicas(req.file, intentions.updates);
   MaybeReleasePrimary(req.file);
   return Err::kOk;
 }
@@ -533,9 +533,9 @@ Err Kernel::Serve(const CommitTxnRequest& req) {
     }
     for (const IntentionsList& il : rec->intentions) {
       FileStore* store = StoreFor(il.file.volume);
-      store->InstallIntentions(il);
+      store->InstallIntentions(il, &scratch->group_pages);
       store->FinishWriterCommit(il.file, owner);
-      PropagateReplicas(il.file, il);
+      PropagateReplicas(il.file, scratch->group_pages);
       committed_files.push_back(il.file);
     }
     for (const IntentionsList& il : rec->intentions) {

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,8 +353,9 @@ class Kernel {
     // prepare's intentions lists, in volume order.
     PrepareRequest prepare;
     std::vector<IntentionsList> intentions;
-    // The files a commit installed.
+    // The files a commit installed, and the pages one install propagates.
     std::vector<FileId> files;
+    std::vector<PageUpdate> group_pages;
   };
   std::unique_ptr<CommitScratch> TakeCommitScratch();
   // Empties `scratch` and returns it to the pool.
@@ -385,9 +387,10 @@ class Kernel {
   void HandleTopologyChange();
 
   // --- Replication (kernel_recon.cc) ---
-  // Ships a committed install's pages to the file's other replicas; a
-  // replica whose site is unreachable is quarantined instead.
-  void PropagateReplicas(const FileId& primary, const IntentionsList& intentions);
+  // Ships the pages of a committed install group (FileStore reports them to
+  // the group's leader) to the file's other replicas; a replica whose site
+  // is unreachable is quarantined instead.
+  void PropagateReplicas(const FileId& primary, std::span<const PageUpdate> pages);
   // Reports a write of this site's version stamp of replica `path` to the
   // race oracle (observers enabled only). Each replica's stamp is its own
   // state object (sibling replicas apply the primary's propagations

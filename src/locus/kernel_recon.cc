@@ -44,8 +44,8 @@ constexpr Pid kReplicatorPid = -2;
 // ---------------------------------------------------------------------------
 // Propagation (primary side) and its version gate (replica side)
 
-void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& intentions) {
-  if (intentions.updates.empty()) {
+void Kernel::PropagateReplicas(const FileId& primary, std::span<const PageUpdate> pages) {
+  if (pages.empty()) {
     return;
   }
   std::optional<std::string> path = catalog().PathOf(primary);
@@ -66,7 +66,7 @@ void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& inte
   // this message only in sequence (see ApplyPropagation).
   base.commit_version = store->CommitVersion(primary);
   int32_t total_bytes = kControlMsgBytes;
-  for (const PageUpdate& u : intentions.updates) {
+  for (const PageUpdate& u : pages) {
     int64_t offset = static_cast<int64_t>(u.page_index) * store->page_size();
     PageRef bytes = MakePage(store->Read(primary, ByteRange{offset, store->page_size()}));
     total_bytes += static_cast<int32_t>(bytes->size());

@@ -310,6 +310,7 @@ void Kernel::KeepCommitScratch(std::unique_ptr<CommitScratch> scratch) {
   scratch->still.clear();
   scratch->intentions.clear();
   scratch->files.clear();
+  scratch->group_pages.clear();
   scratch->prepare.files.clear();
   spare_commit_scratch_.push_back(std::move(scratch));
 }

@@ -101,19 +101,12 @@ std::optional<DiskInode> Volume::ReadInode(Ino ino) {
 void Volume::WriteInode(const DiskInode& inode) {
   // The block written is the descriptor as of this call; a caller that
   // changes its copy during the write changes the next block, not this one.
-  // Snapshots reuse the storage of the descriptors they replace.
-  DiskInode snapshot;
-  if (!spare_inodes_.empty()) {
-    snapshot = std::move(spare_inodes_.back());
-    spare_inodes_.pop_back();
-  }
-  snapshot = inode;
+  DiskInode snapshot = inode;
   // The stable map is mutated only after the write completes: a crash during
   // the write leaves the old descriptor block, which is exactly the atomic
   // single-file commit guarantee the transaction mechanism builds on.
   disk_->Write(kInodeTablePage, ZeroPage(), "inode");
-  std::swap(inodes_[snapshot.ino], snapshot);
-  spare_inodes_.push_back(std::move(snapshot));
+  inodes_[snapshot.ino] = std::move(snapshot);
 }
 
 void Volume::FreeInode(Ino ino) {

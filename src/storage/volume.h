@@ -198,8 +198,6 @@ class Volume {
   int64_t double_frees_ = 0;
   Ino next_ino_ = 1;
   std::map<Ino, DiskInode> inodes_;  // Stable inode table contents.
-  // Replaced descriptors, kept for their storage by WriteInode.
-  std::vector<DiskInode> spare_inodes_;
   uint64_t next_log_id_ = 1;
   FlatMap<uint64_t, std::unique_ptr<LogRecord>> log_;  // Stable log contents.
   // Boxes of erased records, emptied, for PutLog.

@@ -254,6 +254,47 @@ TEST_F(FileStoreTest, ConcurrentPreparesOnSamePageBothSurvive) {
   });
 }
 
+// A group advances the replication ordinal once, so its pages reach the
+// replicas as one propagation: the group's leader is told every slot the
+// group installed, and its other members nothing.
+TEST_F(FileStoreTest, GroupLeaderReportsEveryPageTheGroupInstalled) {
+  FileId f;
+  Run([&] {
+    f = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, std::vector<uint8_t>(2 * kPageSize, '.'));
+    store_->CommitWriter(f, Proc(1));
+  });
+  // The first install leads alone; the two queued behind it, on different
+  // pages, form the next group.
+  const int64_t offsets[] = {0, kPageSize, 8};
+  std::vector<IntentionsList> prepared;
+  Run([&] {
+    for (uint64_t t = 1; t <= 3; ++t) {
+      store_->Write(f, Txn(t), offsets[t - 1], Bytes("rec"));
+    }
+    for (uint64_t t = 1; t <= 3; ++t) {
+      prepared.push_back(*store_->PrepareWriter(f, Txn(t)));
+    }
+  });
+  std::vector<std::vector<int32_t>> reported(3);
+  for (uint64_t t = 1; t <= 3; ++t) {
+    sim_.Spawn("install", [&, t] {
+      std::vector<PageUpdate> pages;
+      store_->InstallIntentions(prepared[t - 1], &pages);
+      store_->FinishWriterCommit(f, Txn(t));
+      for (const PageUpdate& u : pages) {
+        reported[t - 1].push_back(u.page_index);
+      }
+    });
+  }
+  sim_.Run();
+  EXPECT_EQ(stats_.Get("fs.install.groups"), 1);
+  EXPECT_EQ(reported[0], std::vector<int32_t>{0});
+  // Whichever of the group's members led it reports both pages.
+  EXPECT_EQ(reported[1].empty() ? reported[2] : reported[1], (std::vector<int32_t>{0, 1}));
+  EXPECT_TRUE(reported[1].empty() != reported[2].empty());
+}
+
 // Section 6.3's common case: an install leaves the page it publishes in the
 // buffer pool, even while another writer still has uncommitted records on
 // it, so the next commit on the page finds its previous version buffered.

@@ -46,7 +46,7 @@ TEST(Formation, OffIsBitIdenticalToPreFormationRun) {
   DebitCreditResults results = RunAnchor(options);
   EXPECT_TRUE(results.conserved());
   EXPECT_EQ(results.committed, 142);
-  EXPECT_EQ(results.makespan, Microseconds(12175829));  // 12175.8 ms
+  EXPECT_EQ(results.makespan, Microseconds(12299454));  // 12299.5 ms
 }
 
 // The trace echo is output only: the anchor run with it on prints trace
@@ -59,7 +59,7 @@ TEST(Formation, TraceEchoNeverChangesTheRun) {
     system.sim().set_trace_echo(echo);
     DebitCreditResults r = DebitCreditWorkload(&system, AnchorConfig()).Execute();
     EXPECT_EQ(r.committed, 142);
-    EXPECT_EQ(r.makespan, Microseconds(12175829));
+    EXPECT_EQ(r.makespan, Microseconds(12299454));
     return std::make_tuple(r.committed, r.makespan, system.stats().counters(),
                            system.net().stats().counters());
   };

@@ -210,7 +210,9 @@ INSTANTIATE_TEST_SUITE_P(Mix, InterleavingSweep,
 // One process per writer: each writes its own records of a four-page file,
 // prepares and installs, all started within a few milliseconds of each
 // other, so the installs of the file overlap at every disk wait and queue
-// into groups of two or more. Records of every writer sit on every page. After each round
+// into groups of two or more. One more writer prepares only once the first
+// group has installed, while the next is writing its merged pages: its
+// prepare fetches pages that group has yet to publish. After each round
 // both the working view (Read) and the committed image (the inode's pages
 // read through Disk::PeekStable) must equal a byte-array model.
 
@@ -242,27 +244,58 @@ TEST_P(ConcurrentInstallSweep, CommittedImageMatchesModel) {
   sim.Run();
 
   uint64_t serial = 0;
+  int late_overlaps = 0;  // Rounds whose late prepare ran inside a group.
   for (int round = 0; round < kRounds; ++round) {
     const int64_t groups_before = stats.Get("fs.install.groups");
+    const int64_t installs_before = stats.Get("fs.commits_installed");
     int prepared = 0;
     int installed = 0;
     WaitQueue all_prepared(&sim);
-    for (int w = 0; w < writers; ++w) {
-      // Record r belongs to writer r % writers, as disjoint locks would give.
+    struct Spec {
       std::vector<std::pair<int64_t, uint8_t>> records;
+      SimTime start = 0;
+      SimTime install_at = 0;
+      LockOwner owner;
+    };
+    std::vector<Spec> specs(writers + 1);
+    // Writer `writers` is the late one.
+    for (int w = 0; w <= writers; ++w) {
+      Spec& spec = specs[w];
+      // Record r belongs to writer r % (writers + 1), as disjoint locks
+      // would give.
       for (int64_t k = rng.Range(1, 3); k > 0; --k) {
-        int64_t record = rng.Range(0, kFileBytes / kRecordBytes / writers - 1) * writers + w;
+        int64_t record =
+            rng.Range(0, kFileBytes / kRecordBytes / (writers + 1) - 1) * (writers + 1) + w;
         uint8_t value = static_cast<uint8_t>(rng.Range('A', 'Z'));
-        records.push_back({record * kRecordBytes, value});
+        spec.records.push_back({record * kRecordBytes, value});
         std::fill_n(model.begin() + record * kRecordBytes, kRecordBytes, value);
       }
-      SimTime start = Microseconds(rng.Range(0, 3000));
-      SimTime install_at = rng.Range(0, latency / 2);
-      LockOwner owner{kNoPid, TxnId{0, 0, ++serial}};
-      sim.Spawn("writer", [&, records, start, install_at, owner] {
+      spec.start = Microseconds(rng.Range(0, 3000));
+      spec.install_at = rng.Range(0, latency / 2);
+      spec.owner = LockOwner{kNoPid, TxnId{0, 0, ++serial}};
+    }
+    for (int w = 0; w <= writers; ++w) {
+      sim.Spawn("writer", [&, w] {
+        const auto& [records, start, install_at, owner] = specs[w];
+        const bool late = w == writers;
         sim.Sleep(start);
         for (auto [offset, value] : records) {
           store.Write(f, owner, offset, std::vector<uint8_t>(kRecordBytes, value));
+        }
+        if (late) {
+          // Prepare once the first group has installed and while the rest
+          // of the writers' installs are still in flight.
+          int64_t done = 0;
+          while ((done = stats.Get("fs.commits_installed") - installs_before) == 0) {
+            sim.Sleep(Milliseconds(1));
+          }
+          late_overlaps += done < writers;
+          std::optional<IntentionsList> intentions = store.PrepareWriter(f, owner);
+          ASSERT_TRUE(intentions.has_value());
+          store.InstallIntentions(*intentions);
+          store.FinishWriterCommit(f, owner);
+          ++installed;
+          return;
         }
         std::optional<IntentionsList> intentions = store.PrepareWriter(f, owner);
         ASSERT_TRUE(intentions.has_value());
@@ -283,7 +316,7 @@ TEST_P(ConcurrentInstallSweep, CommittedImageMatchesModel) {
       });
     }
     sim.Run();
-    ASSERT_EQ(installed, writers);
+    ASSERT_EQ(installed, writers + 1);
     EXPECT_GT(stats.Get("fs.install.groups"), groups_before) << "round " << round;
 
     std::vector<uint8_t> view;
@@ -298,6 +331,7 @@ TEST_P(ConcurrentInstallSweep, CommittedImageMatchesModel) {
     }
     ASSERT_EQ(committed, model) << "committed image, round " << round;
   }
+  EXPECT_GT(late_overlaps, 0);
   EXPECT_EQ(volume.double_frees(), 0);
   EXPECT_EQ(sim.blocked_process_count(), 0);
 }

@@ -571,7 +571,6 @@ TEST_P(GroupCrashTest, RedoKeepsEveryMembersRecords) {
   }
   system.RunFor(Seconds(5));
   const FileId g = system.catalog().Find("/g")->replicas[0].file;
-  FileStore* store = system.kernel(1).StoreFor(g.volume);
   Volume* volume = system.kernel(1).FindVolume(g.volume);
   const std::string records = "ABCDEF";
 
@@ -604,15 +603,26 @@ TEST_P(GroupCrashTest, RedoKeepsEveryMembersRecords) {
   };
   InstallWatch watch;
   // A group publishes its merged page once the page write has completed, and
-  // then writes the descriptor.
+  // then writes the descriptor. Each transaction adds one record to /g, so an
+  // image buffered with two or more records more than the last one is a
+  // group's merged page.
+  size_t buffered_records = 0;
   watch.on_pool_insert = [&](const FileId& file, const PageData& image) {
-    if (published.empty() && file == g && store->InstallGroupSize(g) >= 2) {
+    if (file != g) {
+      return;
+    }
+    size_t present = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      present += image[8 * i] == records[i];
+    }
+    if (published.empty() && present >= buffered_records + 2) {
       published = image;
       if (!after_inode_write) {
         crashed = true;
         system.sim().Schedule(0, crash);
       }
     }
+    buffered_records = present;
   };
   // After the group's descriptor write its leader goes on to install /h,
   // before any member's prepare record is erased.

@@ -124,6 +124,56 @@ TEST_F(ReplicationTest, CommitPropagatesToAllReplicas) {
   }
 }
 
+// Transactions at two sites commit records on both pages of a replicated
+// file at about the same time, so installs at the primary queue behind the
+// one in flight and form groups. A group advances the replication ordinal
+// once; its propagation must carry every page its members installed.
+TEST_F(ReplicationTest, GroupedInstallsPropagateEveryMembersPages) {
+  constexpr int64_t kPage = 1024;
+  system_.Spawn(0, "mk", [&](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/m", 3), Err::kOk);
+    auto fd = sys.Open("/m", {.read = true, .write = true});
+    ASSERT_EQ(sys.WriteString(fd.value, std::string(2 * kPage, '.')), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system_.RunFor(Seconds(10));
+  const std::string records = "ABCDEFGH";
+  std::string model(2 * kPage, '.');
+  int committed = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    // Alternate pages, so members of one group write different pages.
+    const int64_t offset = static_cast<int64_t>(i % 2) * kPage + static_cast<int64_t>(8 * i);
+    model.replace(offset, 8, std::string(8, records[i]));
+    system_.Spawn(i % 2 == 0 ? 0 : 2, "txn", [&committed, offset, c = records[i]](Syscalls& sys) {
+      ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+      auto fd = sys.Open("/m", {.read = true, .write = true});
+      ASSERT_TRUE(fd.ok());
+      sys.Seek(fd.value, offset);
+      ASSERT_EQ(sys.WriteString(fd.value, std::string(8, c)), Err::kOk);
+      sys.Close(fd.value);
+      ASSERT_EQ(sys.EndTrans(), Err::kOk);
+      ++committed;
+    });
+  }
+  system_.RunFor(Seconds(30));
+  ASSERT_EQ(committed, static_cast<int>(records.size()));
+  EXPECT_GT(system_.stats().Get("fs.install.groups"), 0);
+  const CatalogEntry* entry = system_.catalog().Lookup("/m");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->replicas.size(), 3u);
+  for (const Replica& r : entry->replicas) {
+    Volume* volume = system_.kernel(r.site).FindVolume(r.file.volume);
+    const DiskInode* inode = volume->PeekInode(r.file.ino);
+    ASSERT_NE(inode, nullptr);
+    std::string stable;
+    for (PageId page : inode->pages) {
+      const PageData& image = volume->disk().PeekStable(page);
+      stable.append(image.begin(), image.end());
+    }
+    EXPECT_EQ(stable, model) << "replica at site " << r.site;
+  }
+}
+
 TEST_F(ReplicationTest, ReplicaSurvivesPrimarySiteCrash) {
   system_.Spawn(0, "mk", [&](Syscalls& sys) {
     ASSERT_EQ(sys.Creat("/r", 2), Err::kOk);  // Replicas at sites 0 and 1.
