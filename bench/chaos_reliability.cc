@@ -10,7 +10,9 @@
 //
 // With --json=<path> the per-scenario rows are also written for the
 // regression harness; main() exits nonzero if a replicated scenario violates
-// its invariants.
+// its invariants. With --seeds=N it prints no table: it runs each replicated
+// scenario over seeds 1..N, reports the failing seeds per scenario, and exits
+// nonzero if any seed failed.
 
 #include <benchmark/benchmark.h>
 
@@ -129,13 +131,77 @@ ScenarioResult RunScenario(uint64_t seed, std::function<void(Syscalls&)> faults,
   return result;
 }
 
-// A scenario passes when the audit completed with money conserved, nothing
-// stayed wedged, (if replicated) every replica ended current and equal, and
-// (under --audit) the protocol auditor saw no violations.
-bool Healthy(const ScenarioResult& r) {
-  return r.workload.audit_complete && r.workload.conserved() && r.blocked == 0 &&
-         r.replicas_current && r.replicas_equal && r.audit_violations == 0 &&
-         r.serial_violations == 0;
+// The invariants a scenario broke, comma-separated; empty when the audit
+// completed with money conserved, nothing stayed wedged, (if replicated)
+// every replica ended current and equal, and (under --audit/--serial) no
+// violation was seen.
+std::string Violated(const ScenarioResult& r) {
+  std::string out;
+  auto add = [&out](bool broken, const char* what) {
+    if (broken) {
+      out += out.empty() ? what : std::string(", ") + what;
+    }
+  };
+  add(!r.workload.audit_complete, "audit incomplete");
+  add(r.workload.audit_complete && !r.workload.conserved(), "not conserved");
+  add(r.blocked != 0, "blocked");
+  add(!r.replicas_current, "not current");
+  add(!r.replicas_equal, "not equal");
+  add(r.audit_violations + r.serial_violations != 0, "protocol");
+  return out;
+}
+
+bool Healthy(const ScenarioResult& r) { return Violated(r).empty(); }
+
+// The replicated scenarios (kernel_recon.cc): a replica site dies or is
+// partitioned away while commits keep landing at the surviving primary;
+// after the reboot/heal, reintegration must bring every replica back to the
+// latest committed image — checked through ReplicaStatus and raw byte
+// comparison. The table runs each at one seed; --seeds=N sweeps them.
+struct ReplicatedScenario {
+  const char* name;
+  uint64_t table_seed;
+  int replication;
+  void (*faults)(Syscalls&);
+};
+
+constexpr ReplicatedScenario kReplicatedScenarios[] = {
+    {"replica crash + reboot (repl=2)", 7, 2,
+     [](Syscalls& sys) {
+       sys.Compute(Milliseconds(600));
+       sys.system().CrashSite(1);
+       sys.Compute(Seconds(2));
+       sys.system().RebootSite(1);
+     }},
+    {"partition + heal (repl=3)", 8, 3,
+     [](Syscalls& sys) {
+       sys.Compute(Milliseconds(500));
+       sys.system().Partition({{0, 2}, {1}});
+       sys.Compute(Seconds(2));
+       sys.system().HealPartitions();
+     }},
+};
+
+// Runs every replicated scenario at seeds 1..n and prints, per scenario,
+// how many seeds failed and which invariants each broke. Returns true if
+// none failed.
+bool RunSeedSweep(int n) {
+  int failed_total = 0;
+  for (const ReplicatedScenario& scenario : kReplicatedScenarios) {
+    std::string failures;
+    int failed = 0;
+    for (int seed = 1; seed <= n; ++seed) {
+      std::string broken = Violated(RunScenario(static_cast<uint64_t>(seed), scenario.faults,
+                                                scenario.replication));
+      if (!broken.empty()) {
+        ++failed;
+        failures += "  seed " + std::to_string(seed) + ": " + broken + "\n";
+      }
+    }
+    printf("%-36s %d of %d seeds failed\n%s", scenario.name, failed, n, failures.c_str());
+    failed_total += failed;
+  }
+  return failed_total == 0;
 }
 
 // Total protocol violations across every printed scenario (only meaningful
@@ -231,32 +297,19 @@ bool RunTables(JsonReport* report) {
            }),
            report);
 
-  // Replicated scenarios (kernel_recon.cc): a replica site dies or is partitioned
-  // away while commits keep landing at the surviving primary; after the
-  // reboot/heal, reintegration must bring every replica back to the latest
-  // committed image — checked through ReplicaStatus and raw byte comparison.
-  ScenarioResult replica_crash = RunScenario(7, [](Syscalls& sys) {
-    sys.Compute(Milliseconds(600));
-    sys.system().CrashSite(1);
-    sys.Compute(Seconds(2));
-    sys.system().RebootSite(1);
-  }, /*replication=*/2);
-  PrintRow("replica crash + reboot (repl=2)", replica_crash, report);
-
-  ScenarioResult partition_heal = RunScenario(8, [](Syscalls& sys) {
-    sys.Compute(Milliseconds(500));
-    sys.system().Partition({{0, 2}, {1}});
-    sys.Compute(Seconds(2));
-    sys.system().HealPartitions();
-  }, /*replication=*/3);
-  PrintRow("partition + heal (repl=3)", partition_heal, report);
+  bool replicated_ok = true;
+  for (const ReplicatedScenario& scenario : kReplicatedScenarios) {
+    ScenarioResult r = RunScenario(scenario.table_seed, scenario.faults, scenario.replication);
+    PrintRow(scenario.name, r, report);
+    replicated_ok = replicated_ok && Healthy(r);
+  }
 
   printf("-------------------------------------------------------------------------------------\n");
   printf("expected: 'conserved' and 'live' are yes in every row, 'replicas' is\n");
   printf("yes in the replicated rows; the commit count drops as faults abort\n");
   printf("in-flight transactions (atomically).\n");
 
-  bool ok = Healthy(replica_crash) && Healthy(partition_heal);
+  bool ok = replicated_ok;
   if (!ok) {
     fprintf(stderr, "chaos_reliability: replicated-scenario invariants VIOLATED\n");
   }
@@ -323,12 +376,17 @@ BENCHMARK(BM_FaultScenario)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   bool serial_negative = false;
+  int seeds = 0;
   for (int i = 1; i < argc;) {
     std::string arg = argv[i];
-    if (arg == "--audit" || arg == "--serial" || arg == "--serial-negative") {
+    if (arg == "--audit" || arg == "--serial" || arg == "--serial-negative" ||
+        arg.rfind("--seeds=", 0) == 0) {
       locus::bench::g_audit = locus::bench::g_audit || arg == "--audit";
       locus::bench::g_serial = locus::bench::g_serial || arg == "--serial";
       serial_negative = serial_negative || arg == "--serial-negative";
+      if (arg.rfind("--seeds=", 0) == 0) {
+        seeds = std::stoi(arg.substr(8));
+      }
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
     } else {
@@ -337,6 +395,9 @@ int main(int argc, char** argv) {
   }
   if (serial_negative) {
     return locus::bench::RunSerialNegative();
+  }
+  if (seeds > 0) {
+    return locus::bench::RunSeedSweep(seeds) ? 0 : 1;
   }
   std::string json_path = locus::bench::ExtractJsonPath(&argc, argv);
   locus::bench::JsonReport report;

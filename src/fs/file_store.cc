@@ -121,13 +121,17 @@ uint64_t FileStore::CommitVersion(const FileId& file) const {
   return inode == nullptr ? 0 : inode->commit_version;
 }
 
-void FileStore::StampCommitVersion(const FileId& file, uint64_t version) {
-  FileState& state = LoadState(file);
-  if (version <= state.inode.commit_version) {
-    return;
+uint64_t FileStore::InstalledCommitVersion(const FileId& file) {
+  return LoadInstalled(file).inode.commit_version;
+}
+
+uint64_t FileStore::DurableCommitVersion(const FileId& file) const {
+  const FileState* state = FindState(file);
+  if (state != nullptr) {
+    return state->durable_commit_version;
   }
-  state.inode.commit_version = version;
-  volume_->WriteInode(state.inode);
+  const DiskInode* inode = volume_->PeekInode(file.ino);
+  return inode == nullptr ? 0 : inode->commit_version;
 }
 
 FileStore::FileState* FileStore::FindState(const FileId& file) {
@@ -151,6 +155,7 @@ FileStore::FileState& FileStore::LoadState(const FileId& file) {
   assert(inode.has_value() && "LoadState on nonexistent file");
   FileState state(sim_);
   state.inode = *inode;
+  state.durable_commit_version = inode->commit_version;
   state.working_size = inode->size;
   // hook-ok deterministic first-touch cache fill from the on-disk inode, not
   // a protocol event; subsequent reads/writes are hooked at their call sites.
@@ -193,9 +198,14 @@ FileStore::Writer* FileStore::FindWriter(FileState& state, const LockOwner& owne
   return nullptr;
 }
 
+PageId FileStore::PageAt(const FileState& state, int32_t slot) {
+  return slot < static_cast<int32_t>(state.inode.pages.size()) ? state.inode.pages[slot]
+                                                                : kNoPage;
+}
+
 PageRef FileStore::CommittedPage(const FileId& file, const FileState& state, int32_t slot) {
-  if (slot >= static_cast<int32_t>(state.inode.pages.size()) ||
-      state.inode.pages[slot] == kNoPage) {
+  const PageId page = PageAt(state, slot);
+  if (page == kNoPage) {
     return MakePage(PageData(page_size(), 0));
   }
   BufferPool::Key key{file, slot};
@@ -204,10 +214,12 @@ PageRef FileStore::CommittedPage(const FileId& file, const FileState& state, int
   }
   // The disk read blocks; a commit install may replace the page pointer
   // meanwhile. Cache the image only if it is still current — a stale insert
-  // would replace the page the install buffered.
+  // would replace the page the install buffered. A group raises the version
+  // when it starts and replaces each slot's pointer later, so a read that
+  // starts inside a group checks the pointer as well.
   uint64_t version_before = state.inode.version;
-  PageRef data = volume_->disk().Read(state.inode.pages[slot], "data");
-  if (state.inode.version == version_before) {
+  PageRef data = volume_->disk().Read(page, "data");
+  if (state.inode.version == version_before && PageAt(state, slot) == page) {
     pool_->Insert(key, data);
   }
   return data;
@@ -220,8 +232,9 @@ PageRef FileStore::StableCommittedPage(const FileId& file, const FileState& stat
   // superseded when the read completed.
   for (;;) {
     uint64_t version = state.inode.version;
+    PageId page = PageAt(state, slot);
     PageRef data = CommittedPage(file, state, slot);
-    if (state.inode.version == version) {
+    if (state.inode.version == version && PageAt(state, slot) == page) {
       if (version_out != nullptr) {
         *version_out = ImageVersion(state, slot);
       }
@@ -292,8 +305,18 @@ bool FileStore::OtherWriterOnPage(const FileState& state, const LockOwner& owner
   return false;
 }
 
+FileStore::FileState& FileStore::LoadInstalled(const FileId& file) {
+  FileState* state = &LoadState(file);
+  const uint64_t received = state->replica_installs_queued;
+  while (state->replica_installs_done < received) {
+    state->install_done.Wait();
+    state = &LoadState(file);
+  }
+  return *state;
+}
+
 std::vector<uint8_t> FileStore::Read(const FileId& file, const ByteRange& range) {
-  FileState& state = LoadState(file);
+  FileState& state = LoadInstalled(file);
   ByteRange clamped = range.Intersect(ByteRange{0, state.working_size});
   std::vector<uint8_t> out(clamped.length, 0);
   if (clamped.empty()) {
@@ -373,61 +396,53 @@ IntentionsList FileStore::FlushWriter(const FileId& file, FileState& state, Writ
   for (size_t k = 0; k < writer.shadow_pages.size(); ++k) {
     const auto [slot, shadow] = *(writer.shadow_pages.begin() + k);
     Cpu(kCommitPerPageInstructions);
-    PageRef to_flush;
+    auto wp = state.working_pages.find(slot);
+    assert(wp != state.working_pages.end());
     if (OtherWriterOnPage(state, writer.owner, slot)) {
-      // Figure 4(b): records from other writers share this physical page, so
-      // merge only this writer's byte ranges onto the previous version.
+      // Figure 4(b): records from other writers share this physical page.
+      // The install copies only this writer's byte ranges onto the version
+      // current then; until then the intentions carry them, in the working
+      // image (shared copy-on-write: a later write to the page clones it),
+      // and the shadow page stays unwritten.
       stats_->Add(ids_.commit_diffed_pages);
-      uint64_t base_version = 0;
-      to_flush = StableCommittedPage(file, state, slot, &base_version);
-      // The install-time re-merge check compares against the OLDEST base any
-      // page was merged on.
-      intentions.base_version = std::min(intentions.base_version, base_version);
-      auto wp = state.working_pages.find(slot);
-      assert(wp != state.working_pages.end());
+      intentions.updates.push_back(PageUpdate{slot, shadow, wp->second});
       int64_t copied = 0;
-      PageData& flush_buf = volume_->disk().MutableImage(to_flush);
-      writer.dirty.ForEachIntersection(PageSpan(slot), [&](const ByteRange& r) {
-        int64_t in_page = r.start - PageSpan(slot).start;
-        std::memcpy(flush_buf.data() + in_page, wp->second->data() + in_page, r.length);
-        copied += r.length;
-      });
+      writer.dirty.ForEachIntersection(PageSpan(slot),
+                                       [&](const ByteRange& r) { copied += r.length; });
       Cpu(kDiffPerPageInstructions +
-                             static_cast<int64_t>(kDiffInstructionsPerByte *
-                                                  static_cast<double>(copied)));
-    } else {
-      // Figure 4(a): this writer is alone on the page; share the working
-      // image as the flush snapshot. A writer arriving during the disk write
-      // cannot leak uncommitted bytes into it: its modification clones the
-      // page (copy-on-write) because the ref is now shared.
-      stats_->Add(ids_.commit_direct_pages);
-      intentions.base_version = std::min(intentions.base_version, ImageVersion(state, slot));
-      auto wp = state.working_pages.find(slot);
-      assert(wp != state.working_pages.end());
-      to_flush = wp->second;
+          static_cast<int64_t>(kDiffInstructionsPerByte * static_cast<double>(copied)));
+      continue;
     }
+    // Figure 4(a): this writer is alone on the page; share the working image
+    // as the flush snapshot. A writer arriving during the disk write cannot
+    // leak uncommitted bytes into it: its modification clones the page
+    // (copy-on-write) because the ref is now shared. The install-time
+    // re-merge check compares against the OLDEST base any page was taken on.
+    stats_->Add(ids_.commit_direct_pages);
+    intentions.base_version = std::min(intentions.base_version, ImageVersion(state, slot));
     // The writer keeps the image it flushes: the install publishes it into
     // the buffer pool and re-merges from it, so neither re-reads the shadow.
-    writer.flushed.try_emplace(slot).first->second = to_flush;
-    volume_->disk().Write(shadow, std::move(to_flush), "data");
-    intentions.updates.push_back(PageUpdate{slot, shadow});
+    writer.flushed.try_emplace(slot).first->second = wp->second;
+    volume_->disk().Write(shadow, wp->second, "data");
+    intentions.updates.push_back(PageUpdate{slot, shadow, nullptr});
   }
   return intentions;
 }
 
 void FileStore::InstallIntentions(const IntentionsList& intentions,
                                   std::vector<PageUpdate>* group_pages) {
-  Install(intentions, /*logged=*/true, group_pages);
+  Install(intentions, InstallSource::kPrepareRecord, group_pages);
 }
 
-void FileStore::Install(const IntentionsList& intentions, bool logged,
+void FileStore::Install(const IntentionsList& intentions, InstallSource source,
                         std::vector<PageUpdate>* group_pages) {
   if (Audited()) {
     audit_->OnInstall(site_name_, intentions);
   }
   FileState& state = LoadState(intentions.file);
-  PendingInstall self{&intentions, logged};
+  PendingInstall self{&intentions, source};
   state.install_queue.push_back(&self);
+  state.replica_installs_queued += source == InstallSource::kReplica ? 1 : 0;
   // Group commit for installs, as Volume::ForceCovering does for log forces:
   // whoever finds no group in flight leads every install queued so far.
   // Only a site crash kills a process in here, and it drops the FileState
@@ -443,6 +458,7 @@ void FileStore::Install(const IntentionsList& intentions, bool logged,
     InstallGroup(intentions.file, state);
     for (PendingInstall* member : state.group) {
       member->done = true;
+      state.replica_installs_done += member->source == InstallSource::kReplica ? 1 : 0;
     }
     state.group.clear();
     state.installing = false;
@@ -461,7 +477,7 @@ void FileStore::Install(const IntentionsList& intentions, bool logged,
   // replication ordinal.
   for (const SlotUpdate& e : state.slot_table) {
     if (group_pages->empty() || group_pages->back().page_index != e.slot) {
-      group_pages->push_back(PageUpdate{e.slot, state.inode.pages[e.slot]});
+      group_pages->push_back(PageUpdate{e.slot, state.inode.pages[e.slot], nullptr});
     }
   }
 }
@@ -485,7 +501,7 @@ void FileStore::InstallGroup(const FileId& file, FileState& state) {
     commit_version = std::max(commit_version, il.commit_version);
     new_size = std::max(new_size, il.new_size);
     for (const PageUpdate& u : il.updates) {
-      if (state.group[m]->logged) {
+      if (state.group[m]->source == InstallSource::kPrepareRecord) {
         held_pages_.try_emplace(u.new_page, false);
       }
       state.slot_table.push_back(SlotUpdate{u.page_index, m, &il, &u});
@@ -512,6 +528,13 @@ void FileStore::InstallGroup(const FileId& file, FileState& state) {
   state.working_size = std::max(state.working_size, state.inode.size);
   // The atomic switch: one write replaces the descriptor block (section 4).
   volume_->WriteInode(state.inode);
+  state.durable_commit_version = commit_version;
+  // Only now may another writer take a replaced page: a crash before this
+  // write completed leaves a descriptor that still names the old pages.
+  for (PageId page : state.replaced) {
+    FreeReplacedPage(page);
+  }
+  state.replaced.clear();
   const auto members = static_cast<int64_t>(state.group.size());
   stats_->Add(ids_.commits_installed, members);
   if (members > 1) {
@@ -524,8 +547,7 @@ void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, 
                             uint64_t version_at_entry) {
   const int32_t slot = state.slot_table[begin].slot;
   const ByteRange span = PageSpan(slot);
-  const PageId current =
-      slot < static_cast<int32_t>(state.inode.pages.size()) ? state.inode.pages[slot] : kNoPage;
+  const PageId current = PageAt(state, slot);
   // The members with this slot to install, in queue order. A page the slot
   // already names is a duplicate commit message or redo (section 4.4).
   auto installs = [&] {
@@ -542,13 +564,16 @@ void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, 
   for (const SlotUpdate& e : installs()) {
     target = e.update->new_page;
   }
-  // The image to publish. If the first member's flush merged on the current
-  // image, its flush image already is that image and its shadow page holds
-  // it; otherwise every member's logged records are copied onto the current
-  // committed image (the prepare log "stor[es] enough of the intentions lists
-  // and lock lists ... to guarantee that the files can be committed"). Redo
-  // after a crash has no writer, so it reads shadow pages back.
-  const bool first_current = first.intentions->base_version == version_at_entry;
+  // The image to publish. If the first member flushed its shadow page
+  // against the current image (Figure 4a), its flush image already is that
+  // image and its shadow page holds it; otherwise every member's records are
+  // copied onto the current committed image (Figure 4b; the prepare log
+  // "stor[es] enough of the intentions lists and lock lists ... to guarantee
+  // that the files can be committed"). A member's records are the bytes its
+  // intentions carry, else its flush image; redo after a crash has no writer,
+  // so it reads a flushed shadow page back.
+  const bool first_current = first.update->records == nullptr &&
+                             first.intentions->base_version == version_at_entry;
   PageRef image = first_current ? FlushedImage(state, *first.update) : nullptr;
   for (const SlotUpdate& e : installs()) {
     if (first_current && &e == &first) {
@@ -558,7 +583,10 @@ void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, 
       image = first_current ? volume_->disk().Read(first.update->new_page, "reread")
                             : StableCommittedPage(file, state, slot, nullptr);
     }
-    PageRef mine = FlushedImage(state, *e.update);
+    PageRef mine = e.update->records;
+    if (mine == nullptr) {
+      mine = FlushedImage(state, *e.update);
+    }
     if (mine == nullptr) {
       mine = volume_->disk().Read(e.update->new_page, "reread");
     }
@@ -584,12 +612,12 @@ void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, 
     held->second = false;  // Published again by redo.
   }
   if (old != kNoPage && old != target) {
-    FreeReplacedPage(old);
+    state.replaced.push_back(old);
   }
   // The other members' shadow pages for the slot are superseded.
   for (const SlotUpdate& e : installs()) {
     if (e.update->new_page != target) {
-      FreeReplacedPage(e.update->new_page);
+      state.replaced.push_back(e.update->new_page);
     }
   }
   // The published image is the slot's clean buffered copy from here on
@@ -646,6 +674,44 @@ void FileStore::InstallSlot(const FileId& file, FileState& state, size_t begin, 
     }
     stats_->Add(ids_.install_working_page_patches);
   }
+}
+
+FileStore::ReplicaInstall FileStore::InstallReplicaPages(
+    const FileId& file, uint64_t commit_version, int64_t committed_size,
+    std::span<const std::pair<int32_t, PageRef>> pages, bool catchup) {
+  FileState& state = LoadState(file);
+  if (commit_version != 0 || catchup) {
+    // The ordinal of the last install applied or queued: the group in
+    // flight has already raised the descriptor's.
+    uint64_t latest = state.inode.commit_version;
+    for (const PendingInstall* queued : state.install_queue) {
+      latest = std::max(latest, queued->intentions->commit_version);
+    }
+    if (commit_version <= latest) {
+      return ReplicaInstall::kDuplicate;
+    }
+    if (!catchup && commit_version > latest + 1) {
+      return ReplicaInstall::kGap;
+    }
+  }
+  // Whole committed pages, merged like any member's records; each goes to a
+  // fresh page. Queued before this process next yields, so the ordinal
+  // check above stays true.
+  IntentionsList intentions;
+  intentions.file = file;
+  intentions.commit_version = commit_version;
+  intentions.new_size = committed_size;
+  for (const auto& [slot, image] : pages) {
+    ByteRange piece = PageSpan(slot).Intersect(ByteRange{0, committed_size});
+    if (piece.empty()) {
+      continue;
+    }
+    intentions.ranges.push_back(piece);
+    intentions.updates.push_back(PageUpdate{slot, volume_->AllocPage(), image});
+    stats_->Add(ids_.shadow_pages_allocated);
+  }
+  Install(intentions, InstallSource::kReplica, nullptr);
+  return ReplicaInstall::kInstalled;
 }
 
 void FileStore::HoldIntentions(const IntentionsList& intentions) {
@@ -707,8 +773,7 @@ std::optional<int64_t> FileStore::OpenFile(const FileId& file) {
   if (!Exists(file)) {
     return std::nullopt;
   }
-  FileState& state = LoadState(file);
-  return state.working_size;
+  return LoadInstalled(file).working_size;
 }
 
 bool FileStore::Truncate(const FileId& file, int64_t size) {
@@ -752,7 +817,7 @@ IntentionsList FileStore::CommitWriter(const FileId& file, const LockOwner& writ
   IntentionsList intentions = FlushWriter(file, state, *w);
   // The group reads `intentions` only until it ends, before the leader
   // writes its pages into them.
-  Install(intentions, /*logged=*/false, &intentions.updates);
+  Install(intentions, InstallSource::kCommit, &intentions.updates);
   FinishCommit(file, state, writer);
   return intentions;
 }
@@ -985,6 +1050,28 @@ void FileStore::PrefetchRange(const FileId& file, const ByteRange& range) {
 PageRef FileStore::CommittedPageImage(const FileId& file, int32_t slot) {
   FileState& state = LoadState(file);
   return StableCommittedPage(file, state, slot, nullptr);
+}
+
+uint64_t FileStore::CommittedImage(const FileId& file, int64_t* size,
+                                   std::vector<std::pair<int32_t, PageRef>>* pages) {
+  for (;;) {
+    FileState& state = LoadState(file);
+    if (state.installing) {
+      state.install_done.Wait();
+      continue;
+    }
+    // The page fetches may block; retry if an install started meanwhile.
+    const uint64_t version = state.inode.version;
+    *size = state.inode.size;
+    pages->clear();
+    const auto slots = static_cast<int32_t>((*size + page_size() - 1) / page_size());
+    for (int32_t slot = 0; slot < slots; ++slot) {
+      pages->push_back({slot, CommittedPage(file, state, slot)});
+    }
+    if (state.inode.version == version) {
+      return state.inode.commit_version;
+    }
+  }
 }
 
 std::vector<FileId> FileStore::FilesWithUncommitted(const LockOwner& writer) const {

@@ -7,15 +7,18 @@
 // per touched page slot. Committing a writer:
 //   - pages modified by no one else: the working page is flushed to the
 //     writer's shadow page directly (Figure 4a);
-//   - pages carrying other writers' uncommitted records: the previous version
-//     is fetched (buffer pool, else a disk re-read) and only the writer's
-//     byte ranges are copied onto it before flushing (Figure 4b);
+//   - pages carrying other writers' uncommitted records: the intentions list
+//     carries the writer's bytes, and the install copies only the writer's
+//     byte ranges onto the version current then (buffer pool, else a disk
+//     read) and writes the merged page to the shadow page (Figure 4b);
 // and then the inode is atomically rewritten to name the shadow pages. The
 // install caches each page image it publishes in the buffer pool, so the
 // next commit on the page finds its previous version buffered (section 6.3).
 // Installs of one file run one group at a time: the installs queued behind
 // the one in flight form the next group, which writes one merged page per
-// slot and one descriptor for all of them.
+// slot and one descriptor for all of them. Pages the group replaces are freed
+// once that descriptor is on disk. Replicas install the primary's committed
+// images through the same queue, in ordinal order.
 // Aborting a writer reverts its byte ranges in the working pages from the
 // previous version and frees its shadow pages.
 //
@@ -30,6 +33,7 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,12 +80,18 @@ class FileStore {
   int64_t CommittedSize(const FileId& file) const;
   // Replication ordinal of the committed image (see DiskInode::commit_version).
   uint64_t CommitVersion(const FileId& file) const;
-  // Records that the committed image now corresponds to the primary's ordinal
-  // `version` (after a reintegration catch-up applied its pages). Only ever
-  // moves the ordinal forward; persists via the inode block. Blocking.
-  void StampCommitVersion(const FileId& file, uint64_t version);
+  // CommitVersion once every replica install queued so far has ended: the
+  // ordinal a replica reaches with the propagations it has received.
+  // Blocking.
+  uint64_t InstalledCommitVersion(const FileId& file);
+  // The ordinal of the last install whose descriptor write has completed
+  // (CommitVersion already counts the group in flight).
+  uint64_t DurableCommitVersion(const FileId& file) const;
 
   // --- Data access (blocking; lock enforcement is the kernel's job) ---
+  // A replica serves Read and OpenFile once the propagations it has received
+  // are installed, so a process that saw the primary commit reads the commit
+  // there too.
   std::vector<uint8_t> Read(const FileId& file, const ByteRange& range);
   void Write(const FileId& file, const LockOwner& writer, int64_t offset,
              const std::vector<uint8_t>& bytes);
@@ -108,9 +118,9 @@ class FileStore {
   bool AbortWriter(const FileId& file, const LockOwner& writer);
 
   // --- Two-phase commit support ---
-  // Phase one: flushes the writer's shadow pages (with differencing where
-  // needed) and returns the intentions list to be written to the prepare
-  // log. Returns nullopt if the writer modified nothing.
+  // Phase one: flushes the writer's unshared shadow pages, takes its records
+  // on shared ones, and returns the intentions list to be written to the
+  // prepare log. Returns nullopt if the writer modified nothing.
   std::optional<IntentionsList> PrepareWriter(const FileId& file, const LockOwner& writer);
   // Phase two: atomically installs the intentions (idempotent via version),
   // queueing behind the file's install in flight and sharing the next
@@ -131,6 +141,19 @@ class FileStore {
   void HoldIntentions(const IntentionsList& intentions);
   // Abort after prepare: frees the shadow pages named by the intentions.
   void DiscardIntentions(const IntentionsList& intentions);
+
+  // --- Replica installs (section 5.2) ---
+  enum class ReplicaInstall { kInstalled, kDuplicate, kGap };
+  // Installs the primary's committed images of `pages`, each clamped to
+  // `committed_size`, as the file's replication ordinal `commit_version`,
+  // queued behind the file's installs like any commit. An ordinal at or
+  // below the last one installed or queued is a duplicate; one past the
+  // next is a gap, unless `catchup` (a whole image may skip ordinals).
+  // Ordinal 0 is unversioned and applies unless `catchup`. Blocking.
+  ReplicaInstall InstallReplicaPages(const FileId& file, uint64_t commit_version,
+                                     int64_t committed_size,
+                                     std::span<const std::pair<int32_t, PageRef>> pages,
+                                     bool catchup);
   // Retires the writer's volatile state after InstallIntentions in the
   // two-phase path (CommitWriter does this internally).
   void FinishWriterCommit(const FileId& file, const LockOwner& writer);
@@ -163,10 +186,15 @@ class FileStore {
   // transaction adopted from it.
   std::vector<FileId> FilesWithUncommitted(const LockOwner& writer) const;
 
-  // Committed-only content of page `slot` (never working pages), for serving
-  // reintegration fetches: a catch-up must ship exactly the committed image,
-  // not bytes of transactions still in flight at this site. Blocking.
+  // Committed-only content of page `slot` (never working pages): a replica
+  // must receive exactly the committed image, not bytes of transactions
+  // still in flight at this site. Blocking.
   PageRef CommittedPageImage(const FileId& file, int32_t slot);
+  // The whole committed image, for serving reintegration fetches: its pages
+  // and size, as of no install in flight (a group raises the ordinal before
+  // it publishes its pages). Returns its ordinal. Blocking.
+  uint64_t CommittedImage(const FileId& file, int64_t* size,
+                          std::vector<std::pair<int32_t, PageRef>>* pages);
 
   // --- Crash / recovery ---
   // Site crash: working pages, caches and writer state are volatile.
@@ -190,8 +218,9 @@ class FileStore {
     LockOwner owner;
     RangeSet dirty;                          // Byte ranges modified, file-wide.
     FlatMap<int32_t, PageId> shadow_pages;  // Page slot -> shadow disk page.
-    // Page slot -> the image the flush wrote to its shadow page, kept until
-    // the writer resolves (shared copy-on-write, like every page image).
+    // Page slot -> the image the flush wrote to its shadow page (Figure 4a
+    // slots only), kept until the writer resolves (shared copy-on-write, like
+    // every page image).
     FlatMap<int32_t, PageRef> flushed;
     int64_t max_extent = 0;                 // Highest byte written + 1.
     // Set while a commit flush or abort rollback is in progress on this
@@ -214,12 +243,17 @@ class FileStore {
     }
   };
 
+  // Where an install comes from: a single-file commit (CommitWriter), a
+  // prepare record (InstallIntentions), or a replica's propagation or
+  // catch-up (InstallReplicaPages).
+  enum class InstallSource { kCommit, kPrepareRecord, kReplica };
+
   // One install waiting in (or leading) its file's install queue. It lives
   // on the installing process's stack until the group that carries it ends.
   struct PendingInstall {
     const IntentionsList* intentions = nullptr;
-    bool logged = false;  // Named by a prepare record (InstallIntentions).
-    bool done = false;    // Its group's descriptor write has completed.
+    InstallSource source = InstallSource::kCommit;
+    bool done = false;  // Its group's descriptor write has completed.
   };
 
   // One member's update of one page slot, in the group in flight.
@@ -233,6 +267,7 @@ class FileStore {
   struct FileState {
     explicit FileState(Simulation* sim) : install_done(sim) {}
     DiskInode inode;                          // Committed descriptor (cached).
+    uint64_t durable_commit_version = 0;      // As the descriptor on disk has it.
     FlatMap<int32_t, PageRef> working_pages;  // Slots with uncommitted bytes.
     // std::list: Writer references stay valid across the blocking disk I/O in
     // the commit path while other processes register new writers.
@@ -250,7 +285,13 @@ class FileStore {
     // whose slot it has not yet published.
     uint64_t group_base_version = 0;
     size_t install_cursor = 0;
+    // Pages the group in flight replaced, freed once its descriptor write
+    // has completed: until then the durable descriptor may still name them.
+    std::vector<PageId> replaced;
     WaitQueue install_done;   // Woken when a group ends.
+    // Replica installs queued so far, and those whose group has ended.
+    uint64_t replica_installs_queued = 0;
+    uint64_t replica_installs_done = 0;
   };
 
 
@@ -262,6 +303,8 @@ class FileStore {
   const FileState* FindState(const FileId& file) const;
   // Loads the file's committed inode into memory if needed.
   FileState& LoadState(const FileId& file);
+  // LoadState, once every replica install queued so far has ended.
+  FileState& LoadInstalled(const FileId& file);
   Writer& WriterFor(FileState& state, const LockOwner& owner);
   Writer* FindWriter(FileState& state, const LockOwner& owner);
   // Moves every writer record of `owner` to spare_writers_; WriterFor
@@ -271,10 +314,12 @@ class FileStore {
   // read); slots beyond the committed page list read as zeros. Returns a
   // shared image — callers clone via Disk::MutableImage before modifying.
   PageRef CommittedPage(const FileId& file, const FileState& state, int32_t slot);
+  // The page the committed descriptor names for `slot` (kNoPage past its end).
+  static PageId PageAt(const FileState& state, int32_t slot);
   // Version-stable committed image: retries the (blocking) fetch until no
-  // install replaced the page pointer during the read, so callers never
-  // persist a superseded image. Optionally reports the version the image is
-  // current as of (ImageVersion).
+  // install bumped the version or replaced the page pointer during the read,
+  // so callers never persist a superseded image. Optionally reports the
+  // version the image is current as of (ImageVersion).
   PageRef StableCommittedPage(const FileId& file, const FileState& state, int32_t slot,
                               uint64_t* version_out);
   // The inode version that the committed image of `slot`, as fetched now,
@@ -296,21 +341,21 @@ class FileStore {
   // True if a writer other than `owner` has dirty bytes on `slot`.
   bool OtherWriterOnPage(const FileState& state, const LockOwner& owner, int32_t slot) const;
   ByteRange PageSpan(int32_t slot) const;
-  // The image a live writer's flush wrote to `u.new_page`, or null if no
-  // writer holds it (crash-recovery redo).
+  // The image a live writer's flush wrote to `u.new_page` (Figure 4a), or
+  // null if no writer holds it (crash-recovery redo).
   PageRef FlushedImage(const FileState& state, const PageUpdate& u) const;
   // Flush phase shared by CommitWriter and PrepareWriter.
   IntentionsList FlushWriter(const FileId& file, FileState& state, Writer& writer);
   // Queues `intentions` on its file and returns once a group has installed
   // them, leading that group if no install of the file is in flight.
   // `group_pages` as for InstallIntentions.
-  void Install(const IntentionsList& intentions, bool logged,
+  void Install(const IntentionsList& intentions, InstallSource source,
                std::vector<PageUpdate>* group_pages);
   // Installs state.group: every slot's merged page, then one descriptor.
   void InstallGroup(const FileId& file, FileState& state);
   // One slot of the group in flight, state.slot_table[begin, end): merges
   // the members' records onto one image, writes it once, publishes it and
-  // frees what it replaces.
+  // adds what it replaces to state.replaced.
   void InstallSlot(const FileId& file, FileState& state, size_t begin, size_t end,
                    uint64_t version_at_entry);
   // Frees a page an install replaced, or marks it for ReleaseIntentions if

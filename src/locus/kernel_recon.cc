@@ -10,14 +10,17 @@
 //   - every committed install advances a per-file replication ordinal
 //     (DiskInode::commit_version), stamped at the primary update site and
 //     carried by propagation messages;
-//   - a replica applies only the next-in-sequence propagation; a duplicate is
+//   - a propagation carries committed page images only, never a live
+//     writer's uncommitted bytes;
+//   - a replica queues the next-in-sequence propagation behind the file's
+//     install in flight, so ordinal k+1 installs after k; a duplicate is
 //     dropped and a gap quarantines the replica (Catalog's per-replica stale
 //     flag) so reads fall through to a current copy;
 //   - each kernel reconciles its quarantined or possibly-behind replicas on
 //     reboot and on topology change (partition heal), probing peers for their
 //     ordinals and fetching the whole committed image from the most current
-//     one; the catch-up is applied atomically through the ordinary
-//     shadow-page commit path.
+//     one; the catch-up is applied atomically through the same install
+//     queue.
 //
 // Deviation from Locus: the paper merges diverged partitions after the fact
 // (type-specific reconciliation); here updates never happen at a behind
@@ -34,12 +37,6 @@
 #include "src/locus/system.h"
 
 namespace locus {
-
-namespace {
-// Writer identity under which propagated or fetched committed images are
-// applied at a replica site (through the normal shadow-page commit path).
-constexpr Pid kReplicatorPid = -2;
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Propagation (primary side) and its version gate (replica side)
@@ -65,12 +62,14 @@ void Kernel::PropagateReplicas(const FileId& primary, std::span<const PageUpdate
   // Stamp the primary's post-install ordinal: the replica-side gate applies
   // this message only in sequence (see ApplyPropagation).
   base.commit_version = store->CommitVersion(primary);
+  // Committed images only: the working page would carry other writers'
+  // uncommitted records. The wire carries each page up to the committed size.
   int32_t total_bytes = kControlMsgBytes;
   for (const PageUpdate& u : pages) {
     int64_t offset = static_cast<int64_t>(u.page_index) * store->page_size();
-    PageRef bytes = MakePage(store->Read(primary, ByteRange{offset, store->page_size()}));
-    total_bytes += static_cast<int32_t>(bytes->size());
-    base.pages.push_back({u.page_index, std::move(bytes)});
+    total_bytes += static_cast<int32_t>(
+        std::clamp<int64_t>(base.new_size - offset, 0, store->page_size()));
+    base.pages.push_back({u.page_index, store->CommittedPageImage(primary, u.page_index)});
   }
   for (const Replica& r : entry->replicas) {
     if (r.site == site_) {
@@ -112,40 +111,33 @@ void Kernel::ApplyPropagation(const ReplicaPropagateMsg& msg) {
   if (store == nullptr || !store->Exists(msg.replica_file)) {
     return;
   }
-  if (msg.commit_version != 0) {
-    uint64_t local = store->CommitVersion(msg.replica_file);
-    if (msg.commit_version <= local) {
+  // The ordinal gate counts installs queued behind the one in flight, so a
+  // propagation that arrives while its predecessor installs queues behind it.
+  switch (store->InstallReplicaPages(msg.replica_file, msg.commit_version, msg.new_size,
+                                     msg.pages, /*catchup=*/false)) {
+    case FileStore::ReplicaInstall::kInstalled:
+      stats().Add(ids_.fs_replica_propagations);
+      return;
+    case FileStore::ReplicaInstall::kDuplicate:
       // Redelivery or a redo-driven repeat: the image is already here.
       stats().Add(ids_.recon_duplicate_drops);
       return;
+    case FileStore::ReplicaInstall::kGap:
+      break;
+  }
+  // At least one propagation never arrived; the committed image between the
+  // local ordinal and this message is unrecoverable from the message stream.
+  // Quarantine and catch up out of band instead of applying a hole.
+  stats().Add(ids_.recon_gap_quarantines);
+  std::optional<std::string> path = catalog().PathOf(msg.replica_file);
+  if (path.has_value()) {
+    if (catalog().SetReplicaStale(*path, site_, true)) {
+      stats().Add(ids_.recon_stale_marks);
     }
-    if (msg.commit_version > local + 1) {
-      // At least one propagation never arrived; the committed image between
-      // `local` and this message is unrecoverable from the message stream.
-      // Quarantine and catch up out of band instead of applying a hole.
-      stats().Add(ids_.recon_gap_quarantines);
-      std::optional<std::string> path = catalog().PathOf(msg.replica_file);
-      if (path.has_value()) {
-        if (catalog().SetReplicaStale(*path, site_, true)) {
-          stats().Add(ids_.recon_stale_marks);
-        }
-        if (!reconciling_.contains(*path)) {
-          SpawnKernelProcess("reintegrate", [this, path = *path] { ReconcileFile(path); });
-        }
-      }
-      return;
+    if (!reconciling_.contains(*path)) {
+      SpawnKernelProcess("reintegrate", [this, path = *path] { ReconcileFile(path); });
     }
   }
-  LockOwner replicator{kReplicatorPid, kNoTxn};
-  for (const auto& [slot, bytes] : msg.pages) {
-    store->Write(msg.replica_file, replicator,
-                 static_cast<int64_t>(slot) * store->page_size(), *bytes);
-  }
-  store->CommitWriter(msg.replica_file, replicator);
-  if (msg.commit_version != 0) {
-    store->StampCommitVersion(msg.replica_file, msg.commit_version);
-  }
-  stats().Add(ids_.fs_replica_propagations);
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +150,9 @@ ReplicaVersionReply Kernel::Serve(const ReplicaVersionRequest& req) {
     reply.err = Err::kNoEnt;
     return reply;
   }
-  reply.commit_version = store->CommitVersion(req.file);
+  // An install's propagation leaves once its descriptor is on disk: a
+  // replica is current as soon as it has that ordinal.
+  reply.commit_version = store->DurableCommitVersion(req.file);
   reply.committed_size = store->CommittedSize(req.file);
   return reply;
 }
@@ -170,21 +164,8 @@ ReplicaFetchReply Kernel::Serve(const ReplicaFetchRequest& req) {
     reply.err = Err::kNoEnt;
     return reply;
   }
-  // The page reads block; re-read the ordinal afterwards and retry if an
-  // install landed mid-collection, so the shipped image is never torn.
-  for (;;) {
-    reply.commit_version = store->CommitVersion(req.file);
-    reply.committed_size = store->CommittedSize(req.file);
-    reply.pages.clear();
-    int32_t slots = static_cast<int32_t>(
-        (reply.committed_size + store->page_size() - 1) / store->page_size());
-    for (int32_t slot = 0; slot < slots; ++slot) {
-      reply.pages.push_back({slot, store->CommittedPageImage(req.file, slot)});
-    }
-    if (store->CommitVersion(req.file) == reply.commit_version) {
-      return reply;
-    }
-  }
+  reply.commit_version = store->CommittedImage(req.file, &reply.committed_size, &reply.pages);
+  return reply;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,26 +195,18 @@ Err Kernel::ApplyCatchup(const FileId& local_file, const ReplicaFetchReply& imag
   if (store == nullptr || !store->Exists(local_file)) {
     return Err::kNoEnt;
   }
-  if (image.commit_version <= store->CommitVersion(local_file)) {
+  if (store->InstallReplicaPages(local_file, image.commit_version, image.committed_size,
+                                 image.pages, /*catchup=*/true) ==
+      FileStore::ReplicaInstall::kDuplicate) {
     // Duplicate catch-up delivery: already at (or past) this image.
     stats().Add(ids_.recon_duplicate_drops);
     return Err::kOk;
   }
-  LockOwner replicator{kReplicatorPid, kNoTxn};
-  int64_t applied_pages = 0;
-  for (const auto& [slot, page] : image.pages) {
-    int64_t start = static_cast<int64_t>(slot) * store->page_size();
-    int64_t len = std::min<int64_t>(store->page_size(), image.committed_size - start);
-    if (len <= 0) {
-      continue;
-    }
-    store->Write(local_file, replicator, start,
-                 std::vector<uint8_t>(page->begin(), page->begin() + len));
-    ++applied_pages;
-  }
-  store->CommitWriter(local_file, replicator);
-  store->StampCommitVersion(local_file, image.commit_version);
-  stats().Add(ids_.recon_catchup_pages, applied_pages);
+  stats().Add(ids_.recon_catchup_pages,
+              std::ranges::count_if(image.pages, [&](const auto& page) {
+                return static_cast<int64_t>(page.first) * store->page_size() <
+                       image.committed_size;
+              }));
   return Err::kOk;
 }
 
@@ -256,12 +229,13 @@ bool Kernel::ReconcileFile(const std::string& path) {
     if (store == nullptr || !store->Exists(local_file)) {
       break;
     }
-    uint64_t local = store->CommitVersion(local_file);
-
     // Only a peer that is not itself quarantined can vouch that "no higher
     // ordinal exists" — two behind replicas in the same partition must not
     // certify each other as current. A replica with no peers needs none.
     std::vector<ReplicaProbe> replicas = ProbeReplicas(*entry);
+    // Read after the probe: a propagation that left a peer before its reply
+    // did has arrived, and propagations received count once installed.
+    uint64_t local = store->InstalledCommitVersion(local_file);
     bool witness = replicas.size() == 1;
     uint64_t best = local;
     SiteId best_site = kNoSite;

@@ -11,6 +11,7 @@
 #ifndef SRC_STORAGE_LOG_RECORDS_H_
 #define SRC_STORAGE_LOG_RECORDS_H_
 
+#include <cstdint>
 #include <variant>
 #include <vector>
 
@@ -38,6 +39,21 @@ struct PrepareLogRecord {
 };
 
 using LogPayload = std::variant<CoordinatorLogRecord, PrepareLogRecord>;
+
+// Bytes of records a log record carries (a prepare record's Figure-4(b)
+// records); the file lists, ranges and page pointers beside them are not
+// counted.
+inline int64_t RecordBytes(const LogPayload& payload, int32_t page_size) {
+  const auto* prepare = std::get_if<PrepareLogRecord>(&payload);
+  if (prepare == nullptr) {
+    return 0;
+  }
+  int64_t bytes = 0;
+  for (const IntentionsList& il : prepare->intentions) {
+    bytes += CarriedRecordBytes(il, page_size);
+  }
+  return bytes;
+}
 
 }  // namespace locus
 

@@ -140,7 +140,7 @@ uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce fo
     }
     return id;
   }
-  ForceLogPage(category, /*grows_log=*/true);
+  ForceLogPage(category, /*grows_log=*/true, RecordBytes(payload, page_size()));
   uint64_t id = next_log_id_++;
   PutLog(id, std::move(payload));
   return id;
@@ -159,7 +159,7 @@ void Volume::MarkLog(uint64_t record_id, TxnStatus status, const char* category,
     }
     return;
   }
-  ForceLogPage(category, /*grows_log=*/false);
+  ForceLogPage(category, /*grows_log=*/false, 0);
   PutMark(record_id, status);
 }
 
@@ -181,8 +181,11 @@ void Volume::PutMark(uint64_t id, TxnStatus status) {
   std::get<CoordinatorLogRecord>(log_.at(id)->payload).status = status;
 }
 
-void Volume::ForceLogPage(const char* category, bool grows_log) {
-  disk_->Write(kLogPage, ZeroPage(), category);
+void Volume::ForceLogPage(const char* category, bool grows_log, int64_t record_bytes) {
+  const int64_t pages = std::max<int64_t>(1, (record_bytes + page_size() - 1) / page_size());
+  for (int64_t p = 0; p < pages; ++p) {
+    disk_->Write(kLogPage, ZeroPage(), category);
+  }
   if (grows_log && log_append_mode_ == LogAppendMode::kDoubleWrite) {
     // Footnote 9: the 1985 implementation also rewrote the log file's inode
     // on every append.
@@ -208,7 +211,13 @@ void Volume::ForceCovering(uint64_t stamp, const char* category) {
       // These records share one force instead of paying one each.
       stats_->Add(group_records_id_, static_cast<int64_t>(batch));
     }
-    ForceLogPage(category, /*grows_log=*/true);
+    int64_t record_bytes = 0;
+    for (const StagedRecord& rec : staged_) {
+      if (rec.stamp <= covered && !rec.mark.has_value()) {
+        record_bytes += RecordBytes(rec.payload, page_size());
+      }
+    }
+    ForceLogPage(category, /*grows_log=*/true, record_bytes);
     // The write completed: every record staged at capture time is durable.
     // Publication happens here, atomically with the write's completion from
     // the simulation's point of view (no blocking between) — a crash during

@@ -120,9 +120,11 @@ class Volume {
   // recovery already treats as abort. The commit mark's force covers every
   // earlier staged record, so the decision is durable exactly when required.
   enum class LogForce { kForce, kLazy };
-  // Appends a record, charging one or two writes per the append mode, under
-  // the given accounting category ("coordinator_log" / "prepare_log" /
-  // "commit_mark"). The record is moved into the log. Returns the record id.
+  // Appends a record under the given accounting category
+  // ("coordinator_log" / "prepare_log" / "commit_mark"), forcing it as
+  // `force` and the append mode say. The record is moved into the log.
+  // Returns the record id. A force writes one log page per page of record
+  // bytes (RecordBytes) that the records it covers carry, and at least one.
   uint64_t AppendLog(LogPayload payload, const char* category,
                      LogForce force = LogForce::kForce);
   // Sets the status marker of coordinator record `record_id` in place, one
@@ -172,10 +174,11 @@ class Volume {
   void ForceCovering(uint64_t stamp, const char* category);
   // Moves staged records with stamp <= covered into the stable log, in order.
   void PublishThrough(uint64_t covered);
-  // One log force, paid in process context: the log page write, then (with
-  // `grows_log`, footnote 9's double-write mode) the log inode rewrite, then
-  // the "form.log_forces" bump.
-  void ForceLogPage(const char* category, bool grows_log);
+  // One log force, paid in process context: the log page writes for
+  // `record_bytes` of records (at least one page), then (with `grows_log`,
+  // footnote 9's double-write mode) the log inode rewrite, then the
+  // "form.log_forces" bump.
+  void ForceLogPage(const char* category, bool grows_log, int64_t record_bytes);
 
   // Zero metadata page image shared by every inode/log accounting write
   // (contents are modeled beside the disk; the write is for I/O accounting).

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/sim/random.h"
 
@@ -322,9 +325,11 @@ TEST_F(FileStoreTest, InstallBuffersThePageItPublishes) {
   });
 }
 
-// The re-merge of a stale-base install takes the writer's bytes from the
-// image its prepare flushed, not from a disk re-read of the shadow page.
-// Redo after a crash has no writer and reads each shadow page back.
+// Txn 2's first page is shared with txn 1 (Figure 4b): its intentions carry
+// its bytes, so that page never reads anything back. Its second page is its
+// own (Figure 4a) but goes stale once txn 1 installs: the re-merge takes the
+// writer's bytes from the image its prepare flushed, and only redo after a
+// crash, which has no writer, reads that shadow page back.
 TEST_F(FileStoreTest, RemergeReadsTheShadowBackOnlyAfterACrash) {
   for (bool crash : {false, true}) {
     Run([&] {
@@ -349,7 +354,7 @@ TEST_F(FileStoreTest, RemergeReadsTheShadowBackOnlyAfterACrash) {
       store_->InstallIntentions(*i2);
       store_->FinishWriterCommit(f, Txn(2));
       EXPECT_EQ(stats_.Get("fs.commit.remerged_pages"), 2);
-      EXPECT_EQ(stats_.Get("io.reads.reread"), crash ? 2 : 0);
+      EXPECT_EQ(stats_.Get("io.reads.reread"), crash ? 1 : 0);
 
       const DiskInode* inode = volume_->PeekInode(f.ino);
       const PageData& first = volume_->disk().PeekStable(inode->pages[0]);
@@ -358,6 +363,243 @@ TEST_F(FileStoreTest, RemergeReadsTheShadowBackOnlyAfterACrash) {
       EXPECT_EQ(std::string(second.begin(), second.begin() + 14), "..........CCCC");
     });
   }
+}
+
+// A page slot shared with another writer's uncommitted records (Figure 4b)
+// is prepared without a shadow write: the intentions carry the writer's
+// bytes, and the install merges them onto the current image and writes the
+// page once. Redo after a crash before the install, after its page write, or
+// after its descriptor write restores the committed bytes from the
+// intentions alone and reads nothing back.
+TEST_F(FileStoreTest, DifferencedSlotRedoNeedsOnlyTheIntentions) {
+  enum Crash { kBeforeInstall, kAfterPageWrite, kAfterDescriptorWrite };
+  for (Crash crash : {kBeforeInstall, kAfterPageWrite, kAfterDescriptorWrite}) {
+    SCOPED_TRACE(crash);
+    FileId f;
+    std::optional<IntentionsList> prepared;
+    Run([&] {
+      f = store_->CreateFile();
+      store_->Write(f, Proc(1), 0, std::vector<uint8_t>(kPageSize, '.'));
+      store_->CommitWriter(f, Proc(1));
+      store_->Write(f, Txn(1), 0, Bytes("AAAA"));
+      store_->Write(f, Txn(2), 10, Bytes("BBBB"));  // Never commits.
+      stats_.Reset();
+      prepared = store_->PrepareWriter(f, Txn(1));
+    });
+    ASSERT_TRUE(prepared.has_value());
+    ASSERT_EQ(prepared->updates.size(), 1u);
+    EXPECT_NE(prepared->updates[0].records, nullptr);
+    EXPECT_EQ(stats_.Get("io.writes.data"), 0);
+    EXPECT_EQ(CarriedRecordBytes(*prepared, kPageSize), 4);
+    const PageId old_page = volume_->PeekInode(f.ino)->pages[0];
+    const PageId shadow = prepared->updates[0].new_page;
+
+    if (crash != kBeforeInstall) {
+      ProcessHandle installer =
+          sim_.Spawn("install", [&] { store_->InstallIntentions(*prepared); });
+      if (crash == kAfterPageWrite) {
+        // The merged page takes one 10 ms disk write, the descriptor the next.
+        sim_.RunFor(Milliseconds(15));
+        const PageData& written = volume_->disk().PeekStable(shadow);
+        EXPECT_EQ(std::string(written.begin(), written.begin() + 14), "AAAA..........");
+        EXPECT_EQ(volume_->PeekInode(f.ino)->pages[0], old_page);
+        sim_.Kill(installer);
+      }
+      sim_.Run();
+      if (crash == kAfterDescriptorWrite) {
+        EXPECT_EQ(volume_->PeekInode(f.ino)->pages[0], shadow);
+      }
+    }
+    // Writer state, buffers and unforced I/O are volatile; the prepare
+    // record keeps the intentions.
+    store_->OnCrash();
+    pool_->Clear();
+    volume_->OnCrash();
+    volume_->RecoverAllocation(FileStore::PagesNamedBy(*prepared));
+    stats_.Reset();
+    Run([&] {
+      store_->HoldIntentions(*prepared);
+      store_->InstallIntentions(*prepared);
+      store_->ReleaseIntentions(*prepared);
+    });
+    EXPECT_EQ(stats_.Get("io.reads.reread"), 0);
+    const DiskInode* inode = volume_->PeekInode(f.ino);
+    EXPECT_EQ(inode->pages[0], shadow);
+    const PageData& stable = volume_->disk().PeekStable(inode->pages[0]);
+    EXPECT_EQ(std::string(stable.begin(), stable.begin() + 14), "AAAA..........");
+    EXPECT_FALSE(volume_->IsAllocated(old_page));
+    EXPECT_EQ(volume_->double_frees(), 0);
+  }
+}
+
+// A group raises the file's version when it starts and replaces each slot's
+// page pointer later. A pool-miss fetch of a slot that starts inside the
+// group and completes after the group published that slot must not buffer
+// the image it read, which that publish superseded.
+TEST_F(FileStoreTest, PoolMissNeverBuffersASupersededImage) {
+  FileId f;
+  std::optional<IntentionsList> prepared;
+  Run([&] {
+    f = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, std::vector<uint8_t>(3 * kPageSize, '.'));
+    store_->CommitWriter(f, Proc(1));
+    store_->Write(f, Txn(1), 0, Bytes("AAAA"));
+    store_->Write(f, Txn(1), kPageSize, Bytes("CCCC"));
+    prepared = store_->PrepareWriter(f, Txn(1));
+    // Another writer keeps slot 1's working page after txn 1 resolves, and a
+    // commit on slot 2 makes txn 1's base stale, so its install writes both
+    // of its slots: slot 0 in [0, 10) ms, slot 1 in [10, 20) ms.
+    store_->Write(f, Proc(3), kPageSize + 10, Bytes("dddd"));
+    store_->Write(f, Proc(2), 2 * kPageSize, Bytes("zz"));
+    store_->CommitWriter(f, Proc(2));
+  });
+  ASSERT_TRUE(prepared.has_value());
+  sim_.Spawn("install", [&] {
+    store_->InstallIntentions(*prepared);
+    store_->FinishWriterCommit(f, Txn(1));
+  });
+  sim_.Spawn("fetch", [&] {
+    // Misses at 12 ms, inside the group; its read queues behind the slot 1
+    // write and completes after the group has published slot 1.
+    sim_.Sleep(Milliseconds(12));
+    pool_->Erase(BufferPool::Key{f, 1});
+    store_->CommittedPageImage(f, 1);
+  });
+  sim_.Run();
+  const PageData& published = volume_->disk().PeekStable(volume_->PeekInode(f.ino)->pages[1]);
+  EXPECT_EQ(std::string(published.begin(), published.begin() + 14), "CCCC..........");
+  PageRef pooled = pool_->Lookup(BufferPool::Key{f, 1});
+  ASSERT_NE(pooled, nullptr);
+  EXPECT_EQ(*pooled, published);
+  Run([&] {
+    PageRef committed = store_->CommittedPageImage(f, 1);
+    EXPECT_EQ(std::string(committed->begin(), committed->begin() + 14), "CCCC..........");
+  });
+}
+
+// An install frees the pages it replaces only once its descriptor write has
+// completed: until then a crash leaves the old descriptor, which still names
+// them. Here a group writes four slots; a writer of another file that starts
+// after the first slot is published takes the lowest free page and writes
+// it. The site crashes once that write is on disk and before the group's
+// descriptor write: the durable descriptor must still name the committed
+// bytes, and redo installs the intentions onto them.
+TEST_F(FileStoreTest, ReplacedPagesAreFreedOnlyOnceTheDescriptorIsOnDisk) {
+  constexpr int kSlots = 4;
+  FileId f;
+  FileId g;
+  std::optional<IntentionsList> prepared;
+  Run([&] {
+    f = store_->CreateFile();
+    g = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, std::vector<uint8_t>(kSlots * kPageSize, '.'));
+    store_->CommitWriter(f, Proc(1));
+    for (int slot = 0; slot < kSlots; ++slot) {
+      store_->Write(f, Txn(1), slot * kPageSize, Bytes("AAAA"));
+    }
+    prepared = store_->PrepareWriter(f, Txn(1));
+    // A commit that extends the file makes txn 1's base stale, so its
+    // install writes every slot, and replaces no page itself.
+    store_->Write(f, Proc(2), kSlots * kPageSize, Bytes("zz"));
+    store_->CommitWriter(f, Proc(2));
+  });
+  ASSERT_TRUE(prepared.has_value());
+  const PageId old_page = volume_->PeekInode(f.ino)->pages[0];
+  // Take every free page below the one slot 0's install replaces, so that
+  // page is the lowest free one once it is freed.
+  std::vector<PageId> taken;
+  for (PageId p = volume_->AllocPage(); p < old_page; p = volume_->AllocPage()) {
+    taken.push_back(p);
+  }
+  ProcessHandle installer = sim_.Spawn("install", [&] {
+    store_->InstallIntentions(*prepared);
+    store_->FinishWriterCommit(f, Txn(1));
+  });
+  ProcessHandle writer = sim_.Spawn("writer", [&] {
+    sim_.Sleep(Milliseconds(12));  // Slot 0 was published at 10 ms.
+    store_->Write(g, Proc(5), 0, std::vector<uint8_t>(kPageSize, 'X'));
+    store_->CommitWriter(g, Proc(5));
+  });
+  bool crashed = false;
+  std::function<void()> poll = [&] {
+    bool x_on_disk = false;
+    for (PageId p = 0; p < volume_->disk().num_pages(); ++p) {
+      x_on_disk = x_on_disk || volume_->disk().PeekStable(p)[0] == 'X';
+    }
+    if (!x_on_disk) {
+      sim_.Schedule(Milliseconds(1), [&poll] { poll(); });
+      return;
+    }
+    EXPECT_EQ(volume_->PeekInode(f.ino)->pages[0], old_page);  // Not yet replaced.
+    crashed = true;
+    sim_.Kill(installer);
+    sim_.Kill(writer);
+    store_->OnCrash();
+    pool_->Clear();
+    volume_->OnCrash();
+  };
+  sim_.Schedule(0, [&poll] { poll(); });
+  sim_.Run();
+  ASSERT_TRUE(crashed);
+  volume_->RecoverAllocation(FileStore::PagesNamedBy(*prepared));
+  const DiskInode* durable = volume_->PeekInode(f.ino);
+  ASSERT_EQ(durable->pages[0], old_page);
+  const PageData& before_redo = volume_->disk().PeekStable(old_page);
+  EXPECT_EQ(std::string(before_redo.begin(), before_redo.end()), std::string(kPageSize, '.'));
+  Run([&] {
+    store_->HoldIntentions(*prepared);
+    store_->InstallIntentions(*prepared);
+    store_->ReleaseIntentions(*prepared);
+    std::string expected;
+    for (int slot = 0; slot < kSlots; ++slot) {
+      expected += "AAAA" + std::string(kPageSize - 4, '.');
+    }
+    EXPECT_EQ(Text(store_->Read(f, {0, kSlots * kPageSize})), expected);
+  });
+  for (int slot = 0; slot < kSlots; ++slot) {
+    const PageData& page = volume_->disk().PeekStable(volume_->PeekInode(f.ino)->pages[slot]);
+    EXPECT_EQ(std::string(page.begin(), page.begin() + 8), "AAAA....") << "slot " << slot;
+  }
+  EXPECT_EQ(volume_->double_frees(), 0);
+}
+
+// A reintegration fetch ships the whole committed image with its ordinal.
+// A group raises the ordinal when it starts and publishes its slots one by
+// one, so a fetch that starts inside a group waits for it to end instead of
+// shipping old pages under the group's ordinal.
+TEST_F(FileStoreTest, CommittedImageNeverTearsAGroup) {
+  FileId f;
+  std::optional<IntentionsList> prepared;
+  Run([&] {
+    f = store_->CreateFile();
+    store_->Write(f, Proc(1), 0, std::vector<uint8_t>(3 * kPageSize, '.'));
+    store_->CommitWriter(f, Proc(1));
+    store_->Write(f, Txn(1), 0, Bytes("AAAA"));
+    store_->Write(f, Txn(1), kPageSize, Bytes("CCCC"));
+    prepared = store_->PrepareWriter(f, Txn(1));
+    // A commit on slot 2 makes txn 1's base stale, so its install writes
+    // both of its slots, in [0, 10) and [10, 20) ms.
+    store_->Write(f, Proc(2), 2 * kPageSize, Bytes("zz"));
+    store_->CommitWriter(f, Proc(2));
+  });
+  ASSERT_TRUE(prepared.has_value());
+  const uint64_t before = store_->CommitVersion(f);
+  sim_.Spawn("install", [&] { store_->InstallIntentions(*prepared); });
+  uint64_t ordinal = 0;
+  int64_t size = 0;
+  std::vector<std::pair<int32_t, PageRef>> pages;
+  sim_.Spawn("fetch", [&] {
+    sim_.Sleep(Milliseconds(5));
+    EXPECT_EQ(store_->CommitVersion(f), before + 1);  // Raised by the group.
+    ordinal = store_->CommittedImage(f, &size, &pages);
+  });
+  sim_.Run();
+  EXPECT_EQ(ordinal, before + 1);
+  EXPECT_EQ(size, 3 * kPageSize);
+  ASSERT_EQ(pages.size(), 3u);
+  EXPECT_EQ(std::string(pages[0].second->begin(), pages[0].second->begin() + 6), "AAAA..");
+  EXPECT_EQ(std::string(pages[1].second->begin(), pages[1].second->begin() + 6), "CCCC..");
+  EXPECT_EQ(std::string(pages[2].second->begin(), pages[2].second->begin() + 6), "zz....");
 }
 
 TEST_F(FileStoreTest, DiscardIntentionsFreesShadowPages) {

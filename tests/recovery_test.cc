@@ -383,12 +383,17 @@ class CrashAtNthInstall : public SchedulePolicy {
 };
 
 // Two transactions at sites 0 and 2 write different records of one page
-// stored at site 1 and prepare before either installs, so the second install
-// re-merges its page onto the first one's (a stale base). The re-merge takes
-// the writer's bytes from the image its prepare flushed and reads nothing
-// back; after a crash between the installs, redo has no writer and reads the
-// shadow page back, once.
+// stored at site 1, and each a record of a page of its own, and prepare
+// before either installs. The shared page is differenced at install time
+// from the bytes each intentions list carries, so it never reads anything
+// back. The second install re-merges its own page onto the first one's
+// install (a stale base): the re-merge takes the writer's bytes from the
+// image its prepare flushed and reads nothing back. The crash lands as the
+// second commit message arrives, after the first install's write of the
+// shared page and before its descriptor write; redo installs both, has no
+// writer, and reads the second one's own shadow page back, once.
 TEST(RemergeTest, ReadsTheShadowBackOnlyInRedo) {
+  constexpr int64_t kPage = 1024;
   for (bool crash : {false, true}) {
     SCOPED_TRACE(crash ? "crash before the second install" : "no crash");
     System system(3);
@@ -397,7 +402,7 @@ TEST(RemergeTest, ReadsTheShadowBackOnlyInRedo) {
       ASSERT_EQ(sys.Creat("/pair"), Err::kOk);
       auto fd = sys.Open("/pair", {.read = true, .write = true});
       ASSERT_TRUE(fd.ok());
-      ASSERT_EQ(sys.WriteString(fd.value, std::string(64, '0')), Err::kOk);
+      ASSERT_EQ(sys.WriteString(fd.value, std::string(3 * kPage, '0')), Err::kOk);
       ASSERT_EQ(sys.Close(fd.value), Err::kOk);
     });
     system.RunFor(Seconds(5));
@@ -406,13 +411,16 @@ TEST(RemergeTest, ReadsTheShadowBackOnlyInRedo) {
       system.sim().set_schedule_policy(&policy);
     }
     int committed = 0;
-    for (auto [site, offset, text] : {std::tuple{SiteId{0}, 0, "AAAAAAAA"},
-                                      std::tuple{SiteId{2}, 32, "BBBBBBBB"}}) {
-      system.Spawn(site, "txn", [&committed, offset, text](Syscalls& sys) {
+    for (auto [site, offset, own, text] :
+         {std::tuple{SiteId{0}, 0, kPage, "AAAAAAAA"},
+          std::tuple{SiteId{2}, 32, 2 * kPage, "BBBBBBBB"}}) {
+      system.Spawn(site, "txn", [&committed, offset, own, text](Syscalls& sys) {
         ASSERT_EQ(sys.BeginTrans(), Err::kOk);
         auto fd = sys.Open("/pair", {.read = true, .write = true});
         ASSERT_TRUE(fd.ok());
         sys.Seek(fd.value, offset);
+        ASSERT_EQ(sys.WriteString(fd.value, text), Err::kOk);
+        sys.Seek(fd.value, own);
         ASSERT_EQ(sys.WriteString(fd.value, text), Err::kOk);
         sys.Close(fd.value);
         ASSERT_EQ(sys.EndTrans(), Err::kOk);
@@ -427,20 +435,24 @@ TEST(RemergeTest, ReadsTheShadowBackOnlyInRedo) {
       system.RebootSite(1);
       system.RunFor(Seconds(30));
     }
-    EXPECT_EQ(system.stats().Get("fs.commit.remerged_pages"), 1);
+    // Each install writes the shared page (the first twice with the crash);
+    // the second also re-merges its own page.
+    EXPECT_EQ(system.stats().Get("fs.commit.remerged_pages"), crash ? 4 : 3);
     EXPECT_EQ(system.stats().Get("io.reads.reread"), crash ? 1 : 0);
     std::string content;
     system.Spawn(1, "rd", [&content](Syscalls& sys) {
       auto fd = sys.Open("/pair", {});
       ASSERT_TRUE(fd.ok());
-      auto data = sys.Read(fd.value, 40);
+      auto data = sys.Read(fd.value, 3 * kPage);
       ASSERT_TRUE(data.ok());
       content = Text(data.value);
     });
     system.RunFor(Seconds(5));
-    ASSERT_EQ(content.size(), 40u);
+    ASSERT_EQ(content.size(), static_cast<size_t>(3 * kPage));
     EXPECT_EQ(content.substr(0, 8), "AAAAAAAA");
     EXPECT_EQ(content.substr(32, 8), "BBBBBBBB");
+    EXPECT_EQ(content.substr(kPage, 8), "AAAAAAAA");
+    EXPECT_EQ(content.substr(2 * kPage, 8), "BBBBBBBB");
   }
 }
 

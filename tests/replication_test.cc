@@ -158,6 +158,9 @@ TEST_F(ReplicationTest, GroupedInstallsPropagateEveryMembersPages) {
   system_.RunFor(Seconds(30));
   ASSERT_EQ(committed, static_cast<int>(records.size()));
   EXPECT_GT(system_.stats().Get("fs.install.groups"), 0);
+  // Each propagation queues behind the one still installing at a replica
+  // instead of reading as a gap.
+  EXPECT_EQ(system_.stats().Get("recon.gap_quarantines"), 0);
   const CatalogEntry* entry = system_.catalog().Lookup("/m");
   ASSERT_NE(entry, nullptr);
   ASSERT_EQ(entry->replicas.size(), 3u);
@@ -171,6 +174,62 @@ TEST_F(ReplicationTest, GroupedInstallsPropagateEveryMembersPages) {
       stable.append(image.begin(), image.end());
     }
     EXPECT_EQ(stable, model) << "replica at site " << r.site;
+  }
+}
+
+// A propagation carries committed bytes only. A transaction at site 0 writes
+// a record of a replicated page and waits; one at site 2 writes another
+// record of the page and commits; then the first aborts. No replica may keep
+// the aborted record.
+TEST_F(ReplicationTest, PropagationCarriesNoUncommittedNeighbour) {
+  system_.Spawn(0, "mk", [&](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/n", 3), Err::kOk);
+    auto fd = sys.Open("/n", {.read = true, .write = true});
+    ASSERT_EQ(sys.WriteString(fd.value, std::string(64, '.')), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system_.RunFor(Seconds(10));
+  bool neighbour_committed = false;
+  bool aborted = false;
+  system_.Spawn(0, "dirty", [&](Syscalls& sys) {
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/n", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, "AAAAAAAA"), Err::kOk);
+    while (!neighbour_committed) {
+      sys.Compute(Milliseconds(50));
+    }
+    sys.Compute(Seconds(1));  // The neighbour's install has propagated.
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.AbortTrans(), Err::kOk);
+    aborted = true;
+  });
+  system_.Spawn(2, "neighbour", [&](Syscalls& sys) {
+    sys.Compute(Milliseconds(500));  // The dirty record is written by now.
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/n", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    sys.Seek(fd.value, 16);
+    ASSERT_EQ(sys.WriteString(fd.value, "BBBBBBBB"), Err::kOk);
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);
+    neighbour_committed = true;
+  });
+  system_.RunFor(Seconds(30));
+  ASSERT_TRUE(aborted);
+  std::string model(64, '.');
+  model.replace(16, 8, "BBBBBBBB");
+  const CatalogEntry* entry = system_.catalog().Lookup("/n");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_EQ(entry->replicas.size(), 3u);
+  for (const Replica& r : entry->replicas) {
+    Volume* volume = system_.kernel(r.site).FindVolume(r.file.volume);
+    const DiskInode* inode = volume->PeekInode(r.file.ino);
+    ASSERT_NE(inode, nullptr);
+    ASSERT_EQ(inode->size, 64) << "replica at site " << r.site;
+    const PageData& image = volume->disk().PeekStable(inode->pages[0]);
+    EXPECT_EQ(std::string(image.begin(), image.begin() + 64), model)
+        << "replica at site " << r.site;
   }
 }
 

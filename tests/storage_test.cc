@@ -294,6 +294,30 @@ TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
   });
 }
 
+// A prepare record whose one intentions list carries `bytes` bytes of
+// Figure-4(b) records from offset 0, one update per 64-byte page they touch.
+PrepareLogRecord PrepareCarrying(uint64_t serial, int64_t bytes) {
+  IntentionsList il;
+  il.ranges.push_back(ByteRange{0, bytes});
+  for (int32_t slot = 0; slot * 64 < bytes; ++slot) {
+    il.updates.push_back(PageUpdate{slot, kNoPage, MakePage(PageData(64, 0))});
+  }
+  return PrepareLogRecord{TxnId{1, 1, serial}, /*coordinator=*/0, {std::move(il)}};
+}
+
+// Logged record bytes never cost fewer writes than the shadow pages they
+// replace: a force writes a log page per page of them, and at least one.
+TEST_F(VolumeTest, LogForceWritesAPagePerPageOfRecordBytes) {
+  Run([&] {
+    volume_->AppendLog(PrepareCarrying(1, 64), "prepare_log");
+    EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
+    volume_->AppendLog(PrepareCarrying(2, 100), "prepare_log");
+    EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 3);
+    volume_->AppendLog(Prepare(3), "prepare_log");
+    EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 4);
+  });
+}
+
 TEST_F(VolumeTest, LogUpdateAndErase) {
   Run([&] {
     uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
@@ -379,6 +403,23 @@ TEST_F(GroupCommitLogTest, AppendsDuringAForceShareTheNextOne) {
   EXPECT_EQ(stats_.Get("form.log_forces"), 2);
   // The first force covered one record; the second covered two.
   EXPECT_EQ(stats_.Get("form.group_commit_records"), 2);
+}
+
+// A shared force writes a log page per page of the record bytes of every
+// record it covers.
+TEST_F(GroupCommitLogTest, SharedForceWritesThePagesOfEveryRecord) {
+  sim_.Spawn("leader", [&] { volume_->AppendLog(PrepareCarrying(1, 8), "prepare_log"); });
+  for (int i = 1; i <= 2; ++i) {
+    sim_.Spawn("follower", [&, i] {
+      sim_.Sleep(Milliseconds(1));  // The leader's 5 ms write is in flight.
+      volume_->AppendLog(PrepareCarrying(1 + i, 40), "prepare_log");
+    });
+  }
+  sim_.Run();
+  EXPECT_EQ(volume_->stable_log().size(), 3u);
+  EXPECT_EQ(stats_.Get("form.log_forces"), 2);
+  // One page for the leader's 8 bytes, two for the followers' 80.
+  EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 3);
 }
 
 // A status mark on a record still staged lazily applies once the covering
